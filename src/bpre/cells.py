@@ -20,7 +20,7 @@ from .envmodel import EnvironmentLaw, OffspringDistribution, build_environment
 from .errors import BudgetExceededError
 from .oracle import population_distribution
 from .rng import STREAM_CELLS, replica_stream
-from .simulate import branch_step, chunk_ranges, run_chunked
+from .simulate import branch_step, map_replicas
 
 TREE_DEPTH_MAX = 20
 
@@ -79,18 +79,15 @@ def _grow_tree(config: CellTreeConfig, joint: Optional[JointSampler],
     return counts
 
 
-def _tree_chunk(args: tuple):
-    config, joint, lo, hi = args
-    below = np.empty(hi - lo, dtype=np.int64)
-    above = np.empty(hi - lo, dtype=np.int64)
+def _tree_counts(config: CellTreeConfig, joint: Optional[JointSampler],
+                 replica: int) -> Tuple[int, int]:
+    """Depth-n cells of one tree at or below, and at or above, e^{cn}."""
+    rng = replica_stream(config.seed, STREAM_CELLS + replica)
+    counts = _grow_tree(config, joint, rng)
     t = config.threshold
     slack = 1e-9 * max(1.0, t)
-    for idx, r in enumerate(range(lo, hi)):
-        rng = replica_stream(config.seed, STREAM_CELLS + r)
-        counts = _grow_tree(config, joint, rng)
-        below[idx] = sum(1 for z in counts if z <= t + slack)
-        above[idx] = sum(1 for z in counts if z >= t - slack)
-    return below, above
+    return (sum(1 for z in counts if z <= t + slack),
+            sum(1 for z in counts if z >= t - slack))
 
 
 @dataclass(frozen=True)
@@ -113,11 +110,8 @@ def simulate_cell_tree(config: CellTreeConfig,
     joint overrides the default independent daughter draws with a coupled
     sampler; it must be a picklable callable when workers > 1.
     """
-    parts = chunk_ranges(config.replicas, max(1, workers))
-    out = run_chunked(_tree_chunk,
-                      [((config, joint, lo, hi),) for lo, hi in parts], workers)
-    below = np.concatenate([o[0] for o in out])
-    above = np.concatenate([o[1] for o in out])
+    out = map_replicas(_tree_counts, (config, joint), config.replicas, workers)
+    below, above = (np.array(side, dtype=np.int64) for side in zip(*out))
 
     def _se(x: np.ndarray) -> float:
         return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
@@ -181,14 +175,11 @@ def expected_count_identity(config: CellTreeConfig,
     )
 
 
-def _leaf_chunk(args: tuple):
-    config, joint, lo, hi = args
-    vals = np.empty(hi - lo, dtype=np.int64)
-    for idx, r in enumerate(range(lo, hi)):
-        rng = replica_stream(config.seed, STREAM_CELLS + r)
-        counts = _grow_tree(config, joint, rng)
-        vals[idx] = counts[int(rng.integers(len(counts)))]
-    return (vals,)
+def _leaf_count(config: CellTreeConfig, joint: Optional[JointSampler],
+                replica: int) -> int:
+    rng = replica_stream(config.seed, STREAM_CELLS + replica)
+    counts = _grow_tree(config, joint, rng)
+    return counts[int(rng.integers(len(counts)))]
 
 
 def uniform_leaf_counts(config: CellTreeConfig,
@@ -199,7 +190,5 @@ def uniform_leaf_counts(config: CellTreeConfig,
     Marginally these follow the two-environment branching process, which is
     what the lineage consistency test checks against the exact pmf.
     """
-    parts = chunk_ranges(config.replicas, max(1, workers))
-    out = run_chunked(_leaf_chunk,
-                      [((config, joint, lo, hi),) for lo, hi in parts], workers)
-    return np.concatenate([o[0] for o in out])
+    return np.array(map_replicas(_leaf_count, (config, joint), config.replicas, workers),
+                    dtype=np.int64)

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .cells import CellTreeConfig, expected_count_identity, simulate_cell_tree
-from .envmodel import environment_from_dict, environment_to_dict
+from .envmodel import (environment_from_dict, environment_to_dict,
+                       reject_duplicate_keys)
 from .errors import BPREError, VersionMismatchError
 from .oracle import population_distribution
 from .ratefn import lower_deviation_rate, tilt_parameter, walk_rate
@@ -552,7 +553,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if ns.config is None:
         raise ValueError(f"command {ns.command!r} needs --config")
     with open(ns.config) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, object_pairs_hook=reject_duplicate_keys)
     effective = effective_config(ns.command, cfg, ns)
     out_dir = ns.out_dir or "."
     workers = ns.workers if ns.workers is not None else 1

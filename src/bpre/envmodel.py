@@ -216,9 +216,20 @@ def environment_from_dict(data: Mapping) -> EnvironmentLaw:
         raise MassNotOneError("config lacks an 'environments' list")
     comps = []
     for entry in entries:
-        pmf = {int(k): float(p) for k, p in entry["pmf"].items()}
+        # pairs, not a dict, so that keys such as "1" and "01" clash loudly
+        pmf = [(int(k), float(p)) for k, p in entry["pmf"].items()]
         comps.append((float(entry["weight"]), pmf))
     return build_environment(comps)
+
+
+def reject_duplicate_keys(pairs) -> dict:
+    """json object_pairs_hook: a key repeated within one object is an input error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise DuplicateKeyError(f"key {key!r} appears twice in one JSON object")
+        out[key] = value
+    return out
 
 
 def environment_to_json(env: EnvironmentLaw) -> str:
@@ -226,4 +237,5 @@ def environment_to_json(env: EnvironmentLaw) -> str:
 
 
 def environment_from_json(text: str) -> EnvironmentLaw:
-    return environment_from_dict(json.loads(text))
+    data = json.loads(text, object_pairs_hook=reject_duplicate_keys)
+    return environment_from_dict(data)

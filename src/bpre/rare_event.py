@@ -33,8 +33,8 @@ from .errors import (
 )
 from .ratefn import limit_profile, log_mgf, lower_deviation_rate, tilt_parameter
 from .results import EstimatorResult, Method
-from .rng import STREAM_TILT, STREAM_TWO_PHASE, replica_stream
-from .simulate import branch_step, chunk_ranges, run_chunked
+from .rng import STREAM_TILT, STREAM_TWO_PHASE
+from .simulate import Phase, Proposal, map_replicas, replica_path
 
 HULL_CLAMP = 1e-9   # tilt targets pushed this fraction of the span inside the hull
 
@@ -82,11 +82,6 @@ def tilt_toward(env: EnvironmentLaw, drift: float) -> TiltedLaw:
     return tilt(env, tilt_parameter(env, target))
 
 
-def _draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:
-    i = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(i, cum.size - 1)
-
-
 def _lower_tilt_target(env: EnvironmentLaw, c: float) -> float:
     """Proposal drift for a single-tilt lower-tail run.
 
@@ -100,13 +95,14 @@ def _lower_tilt_target(env: EnvironmentLaw, c: float) -> float:
     return lower_deviation_rate(env, c).slope
 
 
-def _event_bound(n: int, c: float) -> float:
+def _event_bound(n: int, c: float, side: str = "lower") -> float:
     # slack keeps integer populations on the right side when e^{cn} is an integer
     t = math.exp(c * n)
-    return t + 1e-9 * max(1.0, t)
+    slack = 1e-9 * max(1.0, t)
+    return t + slack if side == "lower" else t - slack
 
 
-def _hold_tables(env: EnvironmentLaw, z0: int) -> Tuple[np.ndarray, np.ndarray]:
+def _hold_tables(env: EnvironmentLaw, z0: int) -> Phase:
     """Sampling cdf and per-step log likelihood ratio for held generations.
 
     Proposal weight for component i is q_i p1_i / E(p(1)); the true
@@ -120,94 +116,77 @@ def _hold_tables(env: EnvironmentLaw, z0: int) -> Tuple[np.ndarray, np.ndarray]:
     llr = np.full(p1.size, -math.inf)   # components without p1 mass are never drawn
     pos = p1 > 0.0
     llr[pos] = math.log(total) + (z0 - 1) * np.log(p1[pos])
-    return cum, llr
+    return Phase(cum, llr)
 
 
-def _is_chunk(args: tuple):
-    """Run a replica range; returns per-replica weights and path statistics.
+def _weighted_replica(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
+                      seed: int, bound: float, side: str,
+                      pop_threshold: Optional[int], capture: bool, replica: int):
+    """(weight, take-off step, log path / n) of one replica.
 
-    Weights are indicator * exp(log likelihood ratio).  tau is the first
-    generation the population exceeds pop_threshold (capped at n); gmat and
-    sup are filled only when a capture grid is supplied.
+    The weight is exp(log likelihood ratio) on the event and 0 off it.  The
+    take-off step is the first generation with population above
+    pop_threshold (n if none); the log path is kept on hits when capture
+    is set, else None.  math.log takes the exact int, which float() would
+    overflow past 2^1024.
     """
-    (env, m, hold_cum, hold_llr, tl, n, z0, bound, side, pop_threshold,
-     grid_idx, ref_at_k, seed, stream, start, stop) = args
-    count = stop - start
-    w = np.zeros(count)
-    tau = np.full(count, n, dtype=np.int64)
-    capture = grid_idx is not None
-    gmat = np.zeros((count, len(grid_idx))) if capture else None
-    sup = np.zeros(count)
-    logz = np.zeros(n + 1)
-    log_z0 = math.log(z0)
-    for row, r in enumerate(range(start, stop)):
-        rng = replica_stream(seed, stream + r)
-        z = z0
-        llr = 0.0
-        logz[: m + 1] = log_z0
-        for _ in range(m):
-            i = _draw_index(hold_cum, rng)
-            llr += hold_llr[i]
-        tau_r = 0 if (pop_threshold is not None and z0 > pop_threshold) else n
-        for k in range(m, n):
-            i = _draw_index(tl.cum_weights, rng)
-            z = branch_step(z, env.components[i], rng)
-            llr += tl.step_log_lr[i]
-            if pop_threshold is not None and tau_r == n and z > pop_threshold:
-                tau_r = k + 1
-            if capture:
-                logz[k + 1] = math.log(z)
-        tau[row] = tau_r
-        hit = z <= bound if side == "lower" else z >= bound
-        if hit:
-            w[row] = math.exp(llr)
-            if capture:
-                path = logz / n
-                gmat[row] = path[grid_idx]
-                sup[row] = float(np.max(np.abs(path - ref_at_k)))
-    return w, tau, gmat, sup
+    _, zs, llr = replica_path(env, n, z0, proposal, seed, replica)
+    hit = zs[-1] <= bound if side == "lower" else zs[-1] >= bound
+    tau = n if pop_threshold is None else next(
+        (k for k, z in enumerate(zs) if z > pop_threshold), n)
+    path = np.array([math.log(z) for z in zs]) / n if capture and hit else None
+    return (math.exp(llr) if hit else 0.0), tau, path
 
 
-def _run_replicas(env, m, hold_cum, hold_llr, tl, n, z0, bound, side,
-                  pop_threshold, grid_idx, ref_at_k, seed, stream,
-                  replicas, workers):
-    parts = chunk_ranges(replicas, max(1, workers))
-    args = [
-        (env, m, hold_cum, hold_llr, tl, n, z0, bound, side, pop_threshold,
-         grid_idx, ref_at_k, seed, stream, lo, hi)
-        for lo, hi in parts
-    ]
-    out = run_chunked(_is_chunk, [(a,) for a in args], workers)
-    w = np.concatenate([o[0] for o in out])
-    tau = np.concatenate([o[1] for o in out])
-    if grid_idx is not None:
-        gmat = np.concatenate([o[2] for o in out], axis=0)
-        sup = np.concatenate([o[3] for o in out])
-    else:
-        gmat, sup = None, None
-    return w, tau, gmat, sup
+def _sample(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal, seed: int,
+            replicas: int, workers: int, bound: float, side: str = "lower",
+            pop_threshold: Optional[int] = None, capture: bool = False):
+    """Per-replica weights, take-off steps and captured log paths."""
+    out = map_replicas(_weighted_replica,
+                       (env, n, z0, proposal, seed, bound, side, pop_threshold,
+                        capture), replicas, workers)
+    w, tau, paths = zip(*out)
+    return np.array(w), np.array(tau, dtype=np.int64), paths
 
 
-def _weights_result(w: np.ndarray, method: Method, n: int, c: float,
-                    replicas: int, seed: int, lam: Optional[float],
-                    hold_steps: int) -> EstimatorResult:
+def _weights_result(w: np.ndarray, n: int, c: float, seed: int,
+                    lam: Optional[float], hold_steps: int) -> EstimatorResult:
     est = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
     tot = float(w.sum())
     sq = float(w @ w)
     ess = tot * tot / sq if sq > 0.0 else 0.0
     return EstimatorResult(
-        estimate=est, stderr=stderr, ess=ess, method=method, n=n, c=c,
-        replicas=replicas, seed=seed, zero_mass=(tot == 0.0), tilt=lam,
+        estimate=est, stderr=stderr, ess=ess, method=_method(hold_steps), n=n,
+        c=c, replicas=w.size, seed=seed, zero_mass=(tot == 0.0), tilt=lam,
         hold_steps=hold_steps,
     )
 
 
-def _check_env(env: EnvironmentLaw) -> None:
+def _event_mass(w: np.ndarray, n: int) -> float:
+    """Total weight of a sample that conditions on the event; none is an error."""
+    tot = float(w.sum())
+    if tot == 0.0:
+        raise NoEventMassError(f"no replica of {w.size} reached the event at n={n}")
+    return tot
+
+
+def _method(hold_steps: int) -> Method:
+    return Method.TWO_PHASE if hold_steps > 0 else Method.TILT_ONLY
+
+
+def _check_env(env: EnvironmentLaw, c: float, side: str) -> None:
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError(
             "deviation estimators need every component to give at least one offspring"
         )
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    lbar = env.mean_log_mean
+    if side == "lower" and c >= lbar:
+        raise COutOfRangeError(f"lower deviation needs c < {lbar:.6g}, got {c}")
+    if side == "upper" and c <= lbar:
+        raise COutOfRangeError(f"upper deviation needs c > {lbar:.6g}, got {c}")
 
 
 def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
@@ -219,19 +198,11 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     at or beyond the top log-mean, where the estimate is honestly tiny or
     zero).
     """
-    _check_env(env)
-    if c <= env.mean_log_mean:
-        raise COutOfRangeError(
-            f"upper deviation needs c > {env.mean_log_mean:.6g}, got {c}"
-        )
+    _check_env(env, c, "upper")
     tl = tilt_toward(env, c)
-    t0 = math.exp(c * n)
-    bound = t0 - 1e-9 * max(1.0, t0)
-    w, _, _, _ = _run_replicas(
-        env, 0, None, None, tl, n, z0, bound, "upper", None, None, None,
-        seed, STREAM_TILT, replicas, workers,
-    )
-    return _weights_result(w, Method.TILT_ONLY, n, c, replicas, seed, tl.lam, 0)
+    w, _, _ = _sample(env, n, z0, Proposal(free=tl, stream=STREAM_TILT), seed,
+                      replicas, workers, _event_bound(n, c, "upper"), "upper")
+    return _weights_result(w, n, c, seed, tl.lam, 0)
 
 
 @dataclass(frozen=True)
@@ -243,18 +214,55 @@ class LowerTailEstimate:
     take_off: Optional[float]   # hold fraction behind the TwoPhase split
 
 
-def _two_phase_plan(env: EnvironmentLaw, n: int, c: float,
-                    phase_fraction: Optional[float]) -> Tuple[int, Optional[float]]:
-    """Hold length m and the fraction it came from."""
-    if phase_fraction is not None:
+def _lower_plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
+                phase_fraction: Optional[float]
+                ) -> Tuple[Optional[Proposal], Optional[float], Optional[float]]:
+    """Lower-tail proposal of a method, its tilt exponent and its hold fraction.
+
+    tilt_only steers every generation toward c.  two_phase holds the first
+    m = round(fraction * n) generations, the fraction being phase_fraction
+    or else the optimal take-off, and steers the rest toward c n / (n - m).
+    That target is c itself at m = 0, so TwoPhase with m = 0 is TiltOnly
+    exactly.  The proposal is None when a law without single-offspring mass
+    is planned a hold that phase_fraction did not ask for; asking for one
+    raises NoHoldingPossibleError.
+    """
+    if method == "tilt_only":
+        m, frac = 0, None
+    elif method != "two_phase":
+        raise ValueError(f"unknown method {method!r}")
+    elif phase_fraction is not None:
         if not 0.0 <= phase_fraction <= 1.0:
             raise ValueError(f"phase_fraction={phase_fraction} outside [0, 1]")
-        return int(round(phase_fraction * n)), phase_fraction
-    if c <= 0.0:
+        m, frac = int(round(phase_fraction * n)), phase_fraction
+    elif c <= 0.0:
         # threshold at or below the floor: the event forces holding throughout
-        return n, 1.0
-    frac = lower_deviation_rate(env, c).take_off
-    return int(round(frac * n)), frac
+        m, frac = n, 1.0
+    else:
+        frac = lower_deviation_rate(env, c).take_off
+        m = int(round(frac * n))
+    if m > 0 and env.mean_p1 == 0.0:
+        if phase_fraction is not None and phase_fraction > 0.0:
+            raise NoHoldingPossibleError(
+                "no component has single-offspring mass; holding impossible"
+            )
+        return None, None, frac
+    if m == n:
+        tl, lam = tilt(env, 0.0), None   # no free generations to tilt
+    else:
+        tl = tilt_toward(env, _lower_tilt_target(env, c if m == 0 else c * n / (n - m)))
+        lam = tl.lam
+    # m = 0 is TiltOnly, on TiltOnly's stream, so the reduction is exact
+    stream = STREAM_TWO_PHASE if m > 0 else STREAM_TILT
+    hold = _hold_tables(env, z0) if m > 0 else None
+    return Proposal(free=tl, stream=stream, m=m, hold=hold), lam, frac
+
+
+def _lower_proposal(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
+                    phase_fraction: Optional[float]) -> Proposal:
+    """The method's proposal, TiltOnly where the law cannot hold as planned."""
+    proposal = _lower_plan(env, n, c, z0, method, phase_fraction)[0]
+    return proposal or _lower_plan(env, n, c, z0, "tilt_only", None)[0]
 
 
 def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
@@ -269,18 +277,11 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     generations; it is the one that survives at large n, and its estimate
     is a lower bound for the full probability with the same decay rate.
     c above the typical drift is rejected; c <= 0 is allowed and collapses
-    to the pure holding event (the population cannot shrink).
+    to the pure holding event (the population cannot shrink).  two_phase
+    is None for a law that cannot hold where the plan needs a hold.
     """
-    _check_env(env)
-    if c >= env.mean_log_mean:
-        raise COutOfRangeError(
-            f"lower deviation needs c < {env.mean_log_mean:.6g}, got {c}"
-        )
+    _check_env(env, c, "lower")
     bound = _event_bound(n, c)
-    tilt_res: Optional[EstimatorResult] = None
-    phase_res: Optional[EstimatorResult] = None
-    used_fraction: Optional[float] = None
-
     if bound < z0:
         # population never drops below z0: the event is empty, exactly
         zero = EstimatorResult(
@@ -290,38 +291,19 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
         )
         return LowerTailEstimate(tilt_only=None, two_phase=zero, take_off=1.0)
 
-    if "tilt_only" in methods:
-        tl = tilt_toward(env, _lower_tilt_target(env, c))
-        w, _, _, _ = _run_replicas(
-            env, 0, None, None, tl, n, z0, bound, "lower", None, None, None,
-            seed, STREAM_TILT, replicas, workers,
-        )
-        tilt_res = _weights_result(w, Method.TILT_ONLY, n, c, replicas, seed,
-                                   tl.lam, 0)
-
-    if "two_phase" in methods:
-        m, used_fraction = _two_phase_plan(env, n, c, phase_fraction)
-        if env.mean_p1 == 0.0 and m > 0:
-            if phase_fraction is not None and phase_fraction > 0.0:
-                raise NoHoldingPossibleError(
-                    "no component has single-offspring mass; holding impossible"
-                )
-            phase_res = None   # nothing to hold with; tilt_only covers this law
-        else:
-            hold_cum, hold_llr = (None, None) if m == 0 else _hold_tables(env, z0)
-            resid = c * n / (n - m) if m < n else 0.0
-            tl2 = tilt_toward(env, _lower_tilt_target(env, resid)) if m < n else tilt(env, 0.0)
-            # m = 0 shares the TiltOnly stream so the reduction is exact
-            stream = STREAM_TWO_PHASE if m > 0 else STREAM_TILT
-            w, _, _, _ = _run_replicas(
-                env, m, hold_cum, hold_llr, tl2, n, z0, bound, "lower", None,
-                None, None, seed, stream, replicas, workers,
-            )
-            phase_res = _weights_result(
-                w, Method.TWO_PHASE if m > 0 else Method.TILT_ONLY, n, c,
-                replicas, seed, tl2.lam if m < n else None, m,
-            )
-    return LowerTailEstimate(tilt_only=tilt_res, two_phase=phase_res,
+    legs = {}
+    used_fraction: Optional[float] = None
+    for method in ("tilt_only", "two_phase"):
+        if method not in methods:
+            continue
+        proposal, lam, frac = _lower_plan(env, n, c, z0, method, phase_fraction)
+        if method == "two_phase":
+            used_fraction = frac
+        if proposal is not None:
+            w, _, _ = _sample(env, n, z0, proposal, seed, replicas, workers, bound)
+            legs[method] = _weights_result(w, n, c, seed, lam, proposal.m)
+    return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
+                             two_phase=legs.get("two_phase"),
                              take_off=used_fraction)
 
 
@@ -420,32 +402,11 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     conditioning event is the proposal's event: the full lower event for
     tilt_only, the held partial event for two_phase.
     """
-    _check_env(env)
-    if c >= env.mean_log_mean:
-        raise COutOfRangeError(
-            f"lower deviation needs c < {env.mean_log_mean:.6g}, got {c}"
-        )
-    bound = _event_bound(n, c)
-    m, lam, stream = 0, None, STREAM_TILT
-    hold_cum = hold_llr = None
-    if method == "two_phase" and env.mean_p1 > 0.0:
-        m, _ = _two_phase_plan(env, n, c, phase_fraction)
-        if m > 0:
-            hold_cum, hold_llr = _hold_tables(env, z0)
-            stream = STREAM_TWO_PHASE
-    elif method not in ("two_phase", "tilt_only"):
-        raise ValueError(f"unknown method {method!r}")
-    resid = c * n / (n - m) if m < n else 0.0
-    tl = tilt_toward(env, _lower_tilt_target(env, resid)) if m < n else tilt(env, 0.0)
-    w, tau, _, _ = _run_replicas(
-        env, m, hold_cum, hold_llr, tl, n, z0, bound, "lower", pop_threshold,
-        None, None, seed, stream, replicas, workers,
-    )
-    tot = float(w.sum())
-    if tot == 0.0:
-        raise NoEventMassError(
-            f"no replica of {replicas} reached the event at n={n}"
-        )
+    _check_env(env, c, "lower")
+    proposal = _lower_proposal(env, n, c, z0, method, phase_fraction)
+    w, tau, _ = _sample(env, n, z0, proposal, seed, replicas, workers,
+                        _event_bound(n, c), pop_threshold=pop_threshold)
+    tot = _event_mass(w, n)
     frac = tau / n
     mean, se = _ratio_stats(w, frac)
     ess = tot * tot / float(w @ w)
@@ -454,7 +415,7 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
         mean_fraction=mean, stderr=se, ess=ess, event_estimate=float(w.mean()),
         fractions=frac[on], weights=w[on] / tot, n=n, c=c,
         pop_threshold=pop_threshold, replicas=replicas, seed=seed,
-        method=Method.TWO_PHASE if m > 0 else Method.TILT_ONLY,
+        method=_method(proposal.m),
     )
 
 
@@ -490,9 +451,7 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     and the straight line c*t for the upper side; sup_distance is the
     weighted mean of each path's sup deviation from it over all n+1 steps.
     """
-    _check_env(env)
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    _check_env(env, c, side)
     if grid is None:
         grid_arr = np.arange(n + 1) / n
     else:
@@ -503,10 +462,6 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     steps = np.arange(n + 1) / n
 
     if side == "lower":
-        if c >= env.mean_log_mean:
-            raise COutOfRangeError(
-                f"lower deviation needs c < {env.mean_log_mean:.6g}, got {c}"
-            )
         ldr = lower_deviation_rate(env, c) if c > 0.0 else None
         if ldr is not None:
             ref_at_k = np.array([limit_profile(ldr, t) for t in steps])
@@ -514,44 +469,22 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
         else:
             ref_at_k = np.zeros(n + 1)
             reference = np.zeros(grid_arr.size)
-        if method is None:
-            method = "two_phase" if env.mean_p1 > 0.0 else "tilt_only"
-        m, lam_target, stream = 0, c, STREAM_TILT
-        hold_cum = hold_llr = None
-        if method == "two_phase" and env.mean_p1 > 0.0:
-            m, _ = _two_phase_plan(env, n, c, phase_fraction)
-            if m > 0:
-                hold_cum, hold_llr = _hold_tables(env, z0)
-                stream = STREAM_TWO_PHASE
-                lam_target = c * n / (n - m) if m < n else 0.0
-        elif method not in ("two_phase", "tilt_only"):
-            raise ValueError(f"unknown method {method!r}")
-        tl = tilt_toward(env, _lower_tilt_target(env, lam_target)) if m < n else tilt(env, 0.0)
-        bound = _event_bound(n, c)
-        used = Method.TWO_PHASE if m > 0 else Method.TILT_ONLY
+        proposal = _lower_proposal(env, n, c, z0, method or "two_phase",
+                                   phase_fraction)
     else:
-        if c <= env.mean_log_mean:
-            raise COutOfRangeError(
-                f"upper deviation needs c > {env.mean_log_mean:.6g}, got {c}"
-            )
         ref_at_k = c * steps
         reference = c * grid_arr
-        m, stream = 0, STREAM_TILT
-        hold_cum = hold_llr = None
-        tl = tilt_toward(env, c)
-        t0 = math.exp(c * n)
-        bound = t0 - 1e-9 * max(1.0, t0)
-        used = Method.TILT_ONLY
+        proposal = Proposal(free=tilt_toward(env, c), stream=STREAM_TILT)
 
-    w, _, gmat, sup = _run_replicas(
-        env, m, hold_cum, hold_llr, tl, n, z0, bound, side, None, grid_idx,
-        ref_at_k, seed, stream, replicas, workers,
-    )
-    tot = float(w.sum())
-    if tot == 0.0:
-        raise NoEventMassError(
-            f"no replica of {replicas} reached the event at n={n}"
-        )
+    w, _, paths = _sample(env, n, z0, proposal, seed, replicas, workers,
+                          _event_bound(n, c, side), side, capture=True)
+    tot = _event_mass(w, n)
+    gmat = np.zeros((w.size, grid_arr.size))
+    sup = np.zeros(w.size)
+    for row, path in enumerate(paths):
+        if path is not None:
+            gmat[row] = path[grid_idx]
+            sup[row] = float(np.max(np.abs(path - ref_at_k)))
     values = np.empty(grid_arr.size)
     stderr = np.empty(grid_arr.size)
     for j in range(grid_arr.size):
@@ -561,5 +494,5 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
         grid=grid_arr, values=values, stderr=stderr, reference=reference,
         sup_distance=d_mean, sup_distance_stderr=d_se,
         ess=tot * tot / float(w @ w), event_estimate=float(w.mean()),
-        n=n, c=c, replicas=replicas, seed=seed, method=used,
+        n=n, c=c, replicas=replicas, seed=seed, method=_method(proposal.m),
     )

@@ -289,22 +289,3 @@ def chernoff_bound(env: EnvironmentLaw, n: int, c: float, side: str) -> float:
         return 1.0
     rate = walk_rate(env, c)
     return math.exp(-n * rate) if math.isfinite(rate) else 0.0
-
-
-@dataclass(frozen=True)
-class RateProfile:
-    """Environment law bundled with the cached quantities the rate layer uses."""
-
-    env: EnvironmentLaw
-    mean_log_mean: float
-    hold_cost: float
-
-    @classmethod
-    def from_env(cls, env: EnvironmentLaw) -> "RateProfile":
-        return cls(env=env, mean_log_mean=env.mean_log_mean, hold_cost=env.hold_cost)
-
-    def walk_rate(self, c: float) -> float:
-        return walk_rate(self.env, c)
-
-    def lower_rate(self, c: float) -> LowerDeviationRate:
-        return lower_deviation_rate(self.env, c)

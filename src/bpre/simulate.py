@@ -6,14 +6,19 @@ is O(support size), independent of z, because only the multinomial
 allocation of individuals over the support is sampled, never individuals
 one by one.  Populations are plain Python ints so they can pass 2^63
 without corrupting exact threshold predicates.
+
+Every replica path, naive or importance-sampled, comes from replica_path
+under a Proposal; the simulators here and the estimators in rare_event
+are reductions over it, mapped over replicas by map_replicas.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -67,16 +72,45 @@ class Trajectory:
 
     def take_off_step(self, threshold: int) -> Optional[int]:
         """First generation with population above threshold, None if never."""
-        for k, zk in enumerate(self.z):
-            if zk > threshold:
-                return k
-        return None
+        return next((k for k, zk in enumerate(self.z) if zk > threshold), None)
 
 
-def draw_env_index(env: EnvironmentLaw, rng: np.random.Generator) -> int:
-    u = rng.random()
-    i = int(np.searchsorted(env.cum_weights, u, side="right"))
-    return min(i, env.k - 1)
+class Phase(NamedTuple):
+    """Sampling cdf over environment components and each draw's log likelihood ratio.
+
+    A TiltedLaw has both fields too and serves as a phase directly.
+    """
+
+    cum_weights: np.ndarray
+    step_log_lr: np.ndarray
+
+
+@dataclass(frozen=True)
+class Proposal:
+    """Law a replica path is sampled under, relative to its environment law.
+
+    The first m generations are held: a component is drawn from hold and
+    every individual has exactly one child.  The other generations draw
+    from free and branch.  Each draw adds its phase's step_log_lr to the
+    path's log likelihood ratio.  Replica r reads the stream stream + r.
+    """
+
+    free: Phase
+    stream: int = STREAM_SIM
+    m: int = 0
+    hold: Optional[Phase] = None
+
+    @classmethod
+    def naive(cls, env: EnvironmentLaw) -> "Proposal":
+        """The environment law itself: no hold, zero log likelihood ratios."""
+        return cls(free=Phase(env.cum_weights, np.zeros(env.k)))
+
+
+def draw_env_index(env, rng: np.random.Generator) -> int:
+    """Component index drawn from env.cum_weights (a law, a tilt or a Phase)."""
+    cum = env.cum_weights
+    i = int(cum.searchsorted(rng.random(), side="right"))
+    return min(i, cum.size - 1)
 
 
 def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -> int:
@@ -104,27 +138,49 @@ def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -
     return min(max(out, lo), hi)
 
 
-def run(config: SimConfig, replica: int = 0) -> Trajectory:
-    """Simulate one replica.  Fully determined by (seed, replica, config)."""
-    env = config.env
-    rng = replica_stream(config.seed, STREAM_SIM + replica)
-    z = int(config.z0)
-    s = 0.0
-    zs = [z]
-    ss = [0.0]
+def replica_path(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
+                 seed: int, replica: int) -> Tuple[List[int], List[int], float]:
+    """Sample one replica path under proposal.
+
+    Returns the environment indices of the n generations, the populations
+    z_0..z_n and the path's log likelihood ratio (log dP/dQ).  Fully
+    determined by (seed, proposal.stream + replica).
+    """
+    rng = replica_stream(seed, proposal.stream + replica)
+    z = int(z0)
     idxs: List[int] = []
+    zs = [z]
+    llr = 0.0
+    hold = proposal.hold
+    for _ in range(proposal.m):
+        i = draw_env_index(hold, rng)
+        llr += hold.step_log_lr[i]
+        idxs.append(i)
+        zs.append(z)
+    free = proposal.free
     check = env.strongly_supercritical
-    for _ in range(config.n):
-        i = draw_env_index(env, rng)
+    for _ in range(proposal.m, n):
+        i = draw_env_index(free, rng)
         z_new = branch_step(z, env.components[i], rng)
         if check:
             assert z_new >= z, "population decreased under a no-extinction law"
         z = z_new
-        s += env.log_means[i]
+        llr += free.step_log_lr[i]
         idxs.append(i)
         zs.append(z)
-        ss.append(s)
-    return Trajectory(z=zs, env_idx=idxs, s=ss)
+    return idxs, zs, llr
+
+
+def _trajectory(config: SimConfig, proposal: Proposal, replica: int) -> Trajectory:
+    idxs, zs, _ = replica_path(config.env, config.n, config.z0, proposal,
+                               config.seed, replica)
+    walk = accumulate((config.env.log_means[i] for i in idxs), initial=0.0)
+    return Trajectory(z=zs, env_idx=idxs, s=list(walk))
+
+
+def run(config: SimConfig, replica: int = 0) -> Trajectory:
+    """Simulate one replica.  Fully determined by (seed, replica, config)."""
+    return _trajectory(config, Proposal.naive(config.env), replica)
 
 
 # --- event predicates (picklable, reusable from the CLI) ---------------
@@ -147,30 +203,31 @@ class PopulationAtLeast:
 
 # --- batched execution -------------------------------------------------
 
-def chunk_ranges(total: int, parts: int) -> List[Tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    step = (total + parts - 1) // parts
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _map_range(worker: Callable, args: tuple, lo: int, hi: int) -> list:
+    return [worker(*args, r) for r in range(lo, hi)]
 
 
-def run_chunked(worker: Callable, args_list: Sequence[tuple], workers: int) -> list:
-    """Run worker(*args) per chunk, serially or in a process pool.
+def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int) -> list:
+    """[worker(*args, r) for r in range(replicas)], optionally over a process pool.
 
-    Results come back in submission order, so any downstream reduction
-    that walks them in order is independent of worker count.
+    With workers > 1 the replicas are split into contiguous ranges, one
+    per worker.  Results come back in replica order, and replica r always
+    reads its own stream, so any reduction that walks them in order is
+    independent of the worker count.
     """
+    if replicas < 1:
+        raise ValueError(f"replicas={replicas} must be >= 1")
     if workers <= 1:
-        return [worker(*args) for args in args_list]
+        return _map_range(worker, args, 0, replicas)
+    step = -(-replicas // min(workers, replicas))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, *args) for args in args_list]
-        return [f.result() for f in futures]
+        futures = [pool.submit(_map_range, worker, args, lo, min(lo + step, replicas))
+                   for lo in range(0, replicas, step)]
+        return [out for f in futures for out in f.result()]
 
 
-def _naive_chunk(config: SimConfig, lo: int, hi: int, event) -> np.ndarray:
-    hits = np.zeros(hi - lo, dtype=bool)
-    for j, r in enumerate(range(lo, hi)):
-        hits[j] = bool(event(run(config, replica=r)))
-    return hits
+def _event_hit(config: SimConfig, proposal: Proposal, event, replica: int) -> bool:
+    return bool(event(_trajectory(config, proposal, replica)))
 
 
 def run_batch(config: SimConfig, event: Callable[[Trajectory], bool],
@@ -181,11 +238,9 @@ def run_batch(config: SimConfig, event: Callable[[Trajectory], bool],
     byte-identical for any worker count.
     """
     reps = config.replicas
-    chunks = chunk_ranges(reps, workers if workers > 1 else 1)
-    parts = run_chunked(_naive_chunk, [(config, lo, hi, event) for lo, hi in chunks],
-                        workers)
-    hits = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    k = int(hits.sum())
+    hits = map_replicas(_event_hit, (config, Proposal.naive(config.env), event),
+                        reps, workers)
+    k = sum(hits)
     p = k / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return EstimatorResult(
@@ -195,36 +250,27 @@ def run_batch(config: SimConfig, event: Callable[[Trajectory], bool],
     )
 
 
-def _final_chunk(config: SimConfig, lo: int, hi: int, threshold: Optional[int]):
-    zs: List[int] = []
-    ss = np.zeros(hi - lo)
-    taus = np.zeros(hi - lo, dtype=np.int64)
-    for j, r in enumerate(range(lo, hi)):
-        traj = run(config, replica=r)
-        zs.append(traj.final_z)
-        ss[j] = traj.final_s
-        if threshold is not None:
-            tk = traj.take_off_step(threshold)
-            taus[j] = config.n if tk is None else min(tk, config.n)
-    return zs, ss, taus
+def _final_state(config: SimConfig, proposal: Proposal, threshold: Optional[int],
+                 replica: int) -> Tuple[int, float, int]:
+    traj = _trajectory(config, proposal, replica)
+    tau = 0
+    if threshold is not None:
+        tk = traj.take_off_step(threshold)
+        tau = config.n if tk is None else tk
+    return traj.final_z, traj.final_s, tau
 
 
 def final_states(config: SimConfig, threshold: Optional[int] = None,
                  workers: int = 1) -> Tuple[List[int], np.ndarray, np.ndarray]:
     """Per-replica (final population, final walk value, capped take-off step).
 
-    Take-off steps are n when the population never passes the threshold or
-    when no threshold is given.
+    Take-off steps are n when the population never passes the threshold,
+    and 0 for every replica when no threshold is given.
     """
-    chunks = chunk_ranges(config.replicas, workers if workers > 1 else 1)
-    parts = run_chunked(_final_chunk,
-                        [(config, lo, hi, threshold) for lo, hi in chunks], workers)
-    zs: List[int] = []
-    for part_z, _, _ in parts:
-        zs.extend(part_z)
-    ss = np.concatenate([p[1] for p in parts])
-    taus = np.concatenate([p[2] for p in parts])
-    return zs, ss, taus
+    out = map_replicas(_final_state, (config, Proposal.naive(config.env), threshold),
+                       config.replicas, workers)
+    zs, ss, taus = zip(*out)
+    return list(zs), np.array(ss), np.array(taus, dtype=np.int64)
 
 
 def random_lineage(env: EnvironmentLaw, n: int, seed: int = 0,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bpre import lower_deviation_rate, tilt_parameter, walk_rate
+from bpre import __version__, lower_deviation_rate, tilt_parameter, walk_rate
 from bpre.cli import canonical_json, config_hash, main, parse_grid
 from conftest import g2_law, two_mean_law
 
@@ -334,3 +335,52 @@ def test_shipped_configs_parse():
         assert "environments" in body
         total = sum(e["weight"] for e in body["environments"])
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+# sha256 of every Monte Carlo artifact on configs/g2.json at 200 replicas,
+# recorded at GOLDEN_VERSION.  A deliberate change to the Monte Carlo
+# streams bumps bpre.__version__ (so old run records fail `reproduce` with
+# VersionMismatch) and updates these hashes and GOLDEN_VERSION in the same
+# change; any other change must leave the artifacts byte-identical.
+GOLDEN_VERSION = "0.1.0"
+GOLDEN_G2_ARTIFACTS = {
+    ("simulate", "simulate.csv"):
+        "6ce60f2f1af045e15bb2f2898bdd32b5476c370be1818d0c51371830aa867cf3",
+    ("estimate-lower", "estimate_lower.csv"):
+        "b83b322f6119315595f86c8b6eee55a2be5f0e4712accabc16ae16cbf79b3e19",
+    ("estimate-upper", "estimate_upper.csv"):
+        "025fdf8fa71100ca299a80338cf689363cd95c6dc0373300115dd51884665fce",
+    ("trajectory", "trajectory.csv"):
+        "6b0d6c044005e23eff0683247ebc75206eb519575f7b2f25ece5b10651d9f32c",
+    ("takeoff", "takeoff.csv"):
+        "30a0b4354e47bb197278ead9a62e06f7fc80f95f5b5ddcf99e51dcb7084e8fea",
+    ("cells", "cells.csv"):
+        "2d94d87e92f61f6443a0a53536ca9d8e27a87b67c28e2539f113af9675c68648",
+    ("cells", "cells_summary.json"):
+        "ba8cdf963e46101a3228e89573e0568fb6fa5d9cffca70f0a65f7e06a5b274e6",
+}
+
+
+@pytest.mark.parametrize("command", sorted({cmd for cmd, _ in GOLDEN_G2_ARTIFACTS}))
+def test_golden_artifacts_g2(tmp_path, capsys, command):
+    assert main([command, "--config", str(CONFIG_DIR / "g2.json"),
+                 "--replicas", "200", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert __version__ == GOLDEN_VERSION
+    for (cmd, name), digest in GOLDEN_G2_ARTIFACTS.items():
+        if cmd == command:
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_duplicate_pmf_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "dup.json"
+    cfg.write_text('{"environments": [{"weight": 1.0, '
+                   '"pmf": {"1": 0.3, "1": 0.5, "2": 0.5}}], '
+                   '"rate": {"c_grid": "0.1:0.3:0.1"}}')
+    rc = main(["rate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DuplicateKey"
+    assert err["kind"] == "config"
+    assert not (tmp_path / "rate.csv").exists()

@@ -140,6 +140,14 @@ def test_json_round_trip(fig_law):
     assert again.mean_p1 == fig_law.mean_p1
 
 
+@pytest.mark.parametrize("pmf", ['{"1": 0.3, "1": 0.5, "2": 0.5}',
+                                 '{"1": 0.5, "01": 0.2, "2": 0.5}'],
+                         ids=["same-text", "same-count"])
+def test_json_rejects_duplicate_pmf_keys(pmf):
+    with pytest.raises(DuplicateKeyError):
+        environment_from_json('{"environments": [{"weight": 1.0, "pmf": %s}]}' % pmf)
+
+
 def test_json_schema_shape(g2):
     data = json.loads(environment_to_json(g2))
     assert list(data) == ["environments"]

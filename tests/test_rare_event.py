@@ -140,12 +140,17 @@ def test_lower_partial_below_full(g2):
 
 
 def test_lower_zero_phase_reduces_to_tilt_only(g2):
-    res = estimate_lower_tail(g2, 8, 0.4, replicas=2_000, seed=3, phase_fraction=0.0)
-    assert res.two_phase.hold_steps == 0
-    assert res.two_phase.method is Method.TILT_ONLY
-    assert res.two_phase.estimate == res.tilt_only.estimate
-    assert res.two_phase.stderr == res.tilt_only.stderr
-    assert res.two_phase.ess == res.tilt_only.ess
+    # at n = 3, c * n / n is one ulp off c: the m = 0 plan must target c itself
+    for n, c in ((8, 0.4), (3, 0.1)):
+        res = estimate_lower_tail(g2, n, c, replicas=2_000, seed=3, phase_fraction=0.0)
+        assert res.two_phase.hold_steps == 0
+        assert res.two_phase.method is Method.TILT_ONLY
+        assert res.two_phase.estimate == res.tilt_only.estimate
+        assert res.two_phase.stderr == res.tilt_only.stderr
+        assert res.two_phase.ess == res.tilt_only.ess
+        assert res.two_phase.tilt == res.tilt_only.tilt
+        off = take_off_statistics(g2, n, c, replicas=2_000, seed=3, method="tilt_only")
+        assert off.event_estimate == res.tilt_only.estimate
 
 
 def test_lower_two_phase_with_larger_start(g2):
@@ -189,6 +194,12 @@ def test_lower_no_holding_law(no_hold):
     assert res.two_phase.estimate == res.tilt_only.estimate
     with pytest.raises(NoHoldingPossibleError):
         estimate_lower_tail(no_hold, 8, 0.75, replicas=10, seed=2, phase_fraction=0.5)
+    with pytest.raises(NoHoldingPossibleError):
+        take_off_statistics(no_hold, 8, 0.75, replicas=10, seed=2, phase_fraction=0.5)
+    for method in (None, "two_phase"):
+        with pytest.raises(NoHoldingPossibleError):
+            conditional_profile(no_hold, 8, 0.75, replicas=10, seed=2,
+                                phase_fraction=0.5, method=method)
 
 
 def test_estimator_domain_guards(g2, subcrit):
