@@ -79,6 +79,18 @@ def _grow_tree(config: CellTreeConfig, joint: Optional[JointSampler],
     return counts
 
 
+def _per_replica(worker: Callable, args: tuple, lo: int, hi: int) -> list:
+    return [worker(*args, r) for r in range(lo, hi)]
+
+
+def _map_trees(worker: Callable, config: CellTreeConfig,
+               joint: Optional[JointSampler], workers: int) -> list:
+    """[worker(config, joint, r) for every replica r]; tree r reads its own stream."""
+    blocks = map_replicas(_per_replica, (worker, (config, joint)),
+                          config.replicas, workers)
+    return [out for block in blocks for out in block]
+
+
 def _tree_counts(config: CellTreeConfig, joint: Optional[JointSampler],
                  replica: int) -> Tuple[int, int]:
     """Depth-n cells of one tree at or below, and at or above, e^{cn}."""
@@ -110,7 +122,7 @@ def simulate_cell_tree(config: CellTreeConfig,
     joint overrides the default independent daughter draws with a coupled
     sampler; it must be a picklable callable when workers > 1.
     """
-    out = map_replicas(_tree_counts, (config, joint), config.replicas, workers)
+    out = _map_trees(_tree_counts, config, joint, workers)
     below, above = (np.array(side, dtype=np.int64) for side in zip(*out))
 
     def _se(x: np.ndarray) -> float:
@@ -190,5 +202,4 @@ def uniform_leaf_counts(config: CellTreeConfig,
     Marginally these follow the two-environment branching process, which is
     what the lineage consistency test checks against the exact pmf.
     """
-    return np.array(map_replicas(_leaf_count, (config, joint), config.replicas, workers),
-                    dtype=np.int64)
+    return np.array(_map_trees(_leaf_count, config, joint, workers), dtype=np.int64)

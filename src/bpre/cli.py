@@ -142,17 +142,18 @@ def _cmd_simulate(env, params: dict, ctx: _Ctx):
                        seed=int(params["seed"]), replicas=int(params["replicas"]))
     threshold = params.get("threshold_n")
     threshold = int(threshold) if threshold is not None else None
-    zs, ss, taus = final_states(config, threshold=threshold, workers=ctx.workers)
-    columns = ["replica", "z_n", "s_n"] + (["tau"] if threshold is not None else [])
+    res = final_states(config, threshold=threshold, workers=ctx.workers)
+    columns = ["replica", "z_n", "s_n"] + (["tau"] if res.tau is not None else [])
     rows = []
-    for r, (z, s) in enumerate(zip(zs, ss)):
-        row = [r, int(z), float(s)]
-        if threshold is not None:
-            row.append(int(taus[r]))
+    for r, (z, s) in enumerate(zip(res.z, res.s)):
+        row = [r, z, float(s)]
+        if res.tau is not None:
+            row.append(int(res.tau[r]))
         rows.append(row)
     path = os.path.join(ctx.out_dir, "simulate.csv")
     write_csv(path, "simulate-v1", columns, rows, ctx.cfg_hash)
-    return {"simulate.csv": path}, {"replicas": config.replicas}
+    return {"simulate.csv": path}, {"replicas": config.replicas,
+                                    "normal_steps": res.normal_steps}
 
 
 def _cmd_oracle(env, params: dict, ctx: _Ctx):
@@ -207,7 +208,8 @@ def _cmd_estimate_lower(env, params: dict, ctx: _Ctx):
     write_csv(path, "estimate-v1",
               ("n", "c", "estimate", "stderr", "ess", "method"), rows,
               ctx.cfg_hash)
-    outputs = {"take_off": est.take_off}
+    outputs = {"take_off": est.take_off, "normal_steps": sum(
+        leg.normal_steps for leg in (est.tilt_only, est.two_phase) if leg is not None)}
     best = est.two_phase or est.tilt_only
     if best is not None and not best.zero_mass:
         rate, rate_se = empirical_rate(best)
@@ -228,7 +230,8 @@ def _cmd_estimate_upper(env, params: dict, ctx: _Ctx):
     write_csv(path, "estimate-v1",
               ("n", "c", "estimate", "stderr", "ess", "method"),
               _estimate_rows([res]), ctx.cfg_hash)
-    outputs: dict = {"estimate": res.estimate, "ess": res.ess}
+    outputs: dict = {"estimate": res.estimate, "ess": res.ess,
+                     "normal_steps": res.normal_steps}
     if res.zero_mass:
         outputs["zero_mass"] = True
     else:
@@ -262,7 +265,7 @@ def _cmd_trajectory(env, params: dict, ctx: _Ctx):
         "sup_distance": prof.sup_distance,
         "sup_distance_stderr": prof.sup_distance_stderr,
         "ess": prof.ess, "event_estimate": prof.event_estimate,
-        "method": prof.method.value,
+        "method": prof.method.value, "normal_steps": prof.normal_steps,
     }
     return {"trajectory.csv": path}, outputs
 
@@ -289,7 +292,7 @@ def _cmd_takeoff(env, params: dict, ctx: _Ctx):
     outputs = {
         "mean_fraction": res.mean_fraction, "stderr": res.stderr,
         "ess": res.ess, "event_estimate": res.event_estimate,
-        "method": res.method.value,
+        "method": res.method.value, "normal_steps": res.normal_steps,
     }
     return {"takeoff.csv": path}, outputs
 

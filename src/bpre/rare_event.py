@@ -11,15 +11,17 @@ unbiased estimate of the partial event {hold through m, Z_n <= e^{cn}},
 whose decay rate matches the full event's.  TwoPhase with m = 0 is
 TiltOnly exactly.
 
-All estimators draw replica r from an independent counter-based stream, so
-results are byte-identical for any worker count.
+All estimators run on the block engine of simulate, where each block of
+replicas draws from its own counter-based stream, so results are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +33,11 @@ from .errors import (
     NotStronglySupercriticalError,
     ZeroEstimateError,
 )
-from .ratefn import limit_profile, log_mgf, lower_deviation_rate, tilt_parameter
+from .ratefn import (LowerDeviationRate, limit_profile, log_mgf,
+                     lower_deviation_rate, tilt_parameter)
 from .results import EstimatorResult, Method
 from .rng import STREAM_TILT, STREAM_TWO_PHASE
-from .simulate import Phase, Proposal, map_replicas, replica_path
+from .simulate import BLOCK, Phase, Proposal, block_lanes, map_replicas
 
 HULL_CLAMP = 1e-9   # tilt targets pushed this fraction of the span inside the hull
 
@@ -82,17 +85,25 @@ def tilt_toward(env: EnvironmentLaw, drift: float) -> TiltedLaw:
     return tilt(env, tilt_parameter(env, target))
 
 
-def _lower_tilt_target(env: EnvironmentLaw, c: float) -> float:
+def _rate_solver(env: EnvironmentLaw, c: float) -> Callable[[], LowerDeviationRate]:
+    """lower_deviation_rate(env, c), solved on the first call only."""
+    return functools.cache(functools.partial(lower_deviation_rate, env, c))
+
+
+def _lower_tilt_target(env: EnvironmentLaw, c: float,
+                       solve: Optional[Callable[[], LowerDeviationRate]] = None
+                       ) -> float:
     """Proposal drift for a single-tilt lower-tail run.
 
     For c inside the hull the walk itself is steered to c.  Below the
     minimum log-mean no environment sequence has that drift; the event is
     carried by paths that hold early and then grow along the limit slope,
-    so the tilt aims at that slope instead of a degenerate corner.
+    so the tilt aims at that slope instead of a degenerate corner.  solve,
+    when given, returns lower_deviation_rate(env, c).
     """
     if c > env.log_mean_min or c <= 0.0:
         return c
-    return lower_deviation_rate(env, c).slope
+    return (solve() if solve else lower_deviation_rate(env, c)).slope
 
 
 def _event_bound(n: int, c: float, side: str = "lower") -> float:
@@ -119,38 +130,42 @@ def _hold_tables(env: EnvironmentLaw, z0: int) -> Phase:
     return Phase(cum, llr)
 
 
-def _weighted_replica(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
-                      seed: int, bound: float, side: str,
-                      pop_threshold: Optional[int], capture: bool, replica: int):
-    """(weight, take-off step, log path / n) of one replica.
+def _weighted_block(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
+                    seed: int, bound: float, side: str,
+                    pop_threshold: Optional[int], capture: bool, lo: int, hi: int):
+    """Weights, take-off steps and captured log paths of one block's replicas.
 
     The weight is exp(log likelihood ratio) on the event and 0 off it.  The
     take-off step is the first generation with population above
-    pop_threshold (n if none); the log path is kept on hits when capture
-    is set, else None.  math.log takes the exact int, which float() would
-    overflow past 2^1024.
+    pop_threshold (n if none).  With capture, each replica of positive
+    weight contributes one row, its log path / n; else paths is None.
     """
-    _, zs, llr = replica_path(env, n, z0, proposal, seed, replica)
-    hit = zs[-1] <= bound if side == "lower" else zs[-1] >= bound
-    tau = n if pop_threshold is None else next(
-        (k for k, z in enumerate(zs) if z > pop_threshold), n)
-    path = np.array([math.log(z) for z in zs]) / n if capture and hit else None
-    return (math.exp(llr) if hit else 0.0), tau, path
+    size = hi - lo
+    logs = []
+    for lanes in block_lanes(env, n, z0, proposal, seed, lo // BLOCK, pop_threshold):
+        if capture:
+            logs.append(lanes.log()[:size])
+    hit = (lanes.at_most(bound) if side == "lower" else lanes.at_least(bound))[:size]
+    w = np.exp(lanes.llr[:size], where=hit, out=np.zeros(size))
+    paths = np.stack(logs, axis=1)[w > 0.0] / n if capture else None
+    return w, lanes.tau[:size], paths, int(lanes.normal_steps[:size].sum())
 
 
 def _sample(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal, seed: int,
             replicas: int, workers: int, bound: float, side: str = "lower",
             pop_threshold: Optional[int] = None, capture: bool = False):
-    """Per-replica weights, take-off steps and captured log paths."""
-    out = map_replicas(_weighted_replica,
-                       (env, n, z0, proposal, seed, bound, side, pop_threshold,
-                        capture), replicas, workers)
-    w, tau, paths = zip(*out)
-    return np.array(w), np.array(tau, dtype=np.int64), paths
+    """Per-replica weights and take-off steps, the log paths of positive
+    weight (None without capture) and the count of log-z lane steps."""
+    w, tau, paths, steps = zip(*map_replicas(
+        _weighted_block, (env, n, z0, proposal, seed, bound, side, pop_threshold,
+                          capture), replicas, workers))
+    return (np.concatenate(w), np.concatenate(tau),
+            np.concatenate(paths) if capture else None, sum(steps))
 
 
 def _weights_result(w: np.ndarray, n: int, c: float, seed: int,
-                    lam: Optional[float], hold_steps: int) -> EstimatorResult:
+                    lam: Optional[float], hold_steps: int,
+                    normal_steps: int) -> EstimatorResult:
     est = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
     tot = float(w.sum())
@@ -159,7 +174,7 @@ def _weights_result(w: np.ndarray, n: int, c: float, seed: int,
     return EstimatorResult(
         estimate=est, stderr=stderr, ess=ess, method=_method(hold_steps), n=n,
         c=c, replicas=w.size, seed=seed, zero_mass=(tot == 0.0), tilt=lam,
-        hold_steps=hold_steps,
+        hold_steps=hold_steps, normal_steps=normal_steps,
     )
 
 
@@ -200,9 +215,10 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     """
     _check_env(env, c, "upper")
     tl = tilt_toward(env, c)
-    w, _, _ = _sample(env, n, z0, Proposal(free=tl, stream=STREAM_TILT), seed,
-                      replicas, workers, _event_bound(n, c, "upper"), "upper")
-    return _weights_result(w, n, c, seed, tl.lam, 0)
+    w, _, _, steps = _sample(env, n, z0, Proposal(free=tl, stream=STREAM_TILT),
+                             seed, replicas, workers, _event_bound(n, c, "upper"),
+                             "upper")
+    return _weights_result(w, n, c, seed, tl.lam, 0, steps)
 
 
 @dataclass(frozen=True)
@@ -215,7 +231,8 @@ class LowerTailEstimate:
 
 
 def _lower_plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
-                phase_fraction: Optional[float]
+                phase_fraction: Optional[float],
+                solve: Callable[[], LowerDeviationRate]
                 ) -> Tuple[Optional[Proposal], Optional[float], Optional[float]]:
     """Lower-tail proposal of a method, its tilt exponent and its hold fraction.
 
@@ -225,7 +242,8 @@ def _lower_plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
     That target is c itself at m = 0, so TwoPhase with m = 0 is TiltOnly
     exactly.  The proposal is None when a law without single-offspring mass
     is planned a hold that phase_fraction did not ask for; asking for one
-    raises NoHoldingPossibleError.
+    raises NoHoldingPossibleError.  solve returns lower_deviation_rate(env,
+    c); a _rate_solver shared by a caller's plans solves it at most once.
     """
     if method == "tilt_only":
         m, frac = 0, None
@@ -239,7 +257,7 @@ def _lower_plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
         # threshold at or below the floor: the event forces holding throughout
         m, frac = n, 1.0
     else:
-        frac = lower_deviation_rate(env, c).take_off
+        frac = solve().take_off
         m = int(round(frac * n))
     if m > 0 and env.mean_p1 == 0.0:
         if phase_fraction is not None and phase_fraction > 0.0:
@@ -250,7 +268,9 @@ def _lower_plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
     if m == n:
         tl, lam = tilt(env, 0.0), None   # no free generations to tilt
     else:
-        tl = tilt_toward(env, _lower_tilt_target(env, c if m == 0 else c * n / (n - m)))
+        target = (_lower_tilt_target(env, c, solve) if m == 0
+                  else _lower_tilt_target(env, c * n / (n - m)))
+        tl = tilt_toward(env, target)
         lam = tl.lam
     # m = 0 is TiltOnly, on TiltOnly's stream, so the reduction is exact
     stream = STREAM_TWO_PHASE if m > 0 else STREAM_TILT
@@ -259,10 +279,11 @@ def _lower_plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
 
 
 def _lower_proposal(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
-                    phase_fraction: Optional[float]) -> Proposal:
+                    phase_fraction: Optional[float],
+                    solve: Callable[[], LowerDeviationRate]) -> Proposal:
     """The method's proposal, TiltOnly where the law cannot hold as planned."""
-    proposal = _lower_plan(env, n, c, z0, method, phase_fraction)[0]
-    return proposal or _lower_plan(env, n, c, z0, "tilt_only", None)[0]
+    proposal = _lower_plan(env, n, c, z0, method, phase_fraction, solve)[0]
+    return proposal or _lower_plan(env, n, c, z0, "tilt_only", None, solve)[0]
 
 
 def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
@@ -293,15 +314,18 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
 
     legs = {}
     used_fraction: Optional[float] = None
+    solve = _rate_solver(env, c)
     for method in ("tilt_only", "two_phase"):
         if method not in methods:
             continue
-        proposal, lam, frac = _lower_plan(env, n, c, z0, method, phase_fraction)
+        proposal, lam, frac = _lower_plan(env, n, c, z0, method, phase_fraction,
+                                          solve)
         if method == "two_phase":
             used_fraction = frac
         if proposal is not None:
-            w, _, _ = _sample(env, n, z0, proposal, seed, replicas, workers, bound)
-            legs[method] = _weights_result(w, n, c, seed, lam, proposal.m)
+            w, _, _, steps = _sample(env, n, z0, proposal, seed, replicas,
+                                     workers, bound)
+            legs[method] = _weights_result(w, n, c, seed, lam, proposal.m, steps)
     return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
                              two_phase=legs.get("two_phase"),
                              take_off=used_fraction)
@@ -388,6 +412,7 @@ class TakeOffResult:
     replicas: int
     seed: int
     method: Method
+    normal_steps: int        # replica-generations in the log-z lane
 
 
 def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
@@ -403,9 +428,10 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     tilt_only, the held partial event for two_phase.
     """
     _check_env(env, c, "lower")
-    proposal = _lower_proposal(env, n, c, z0, method, phase_fraction)
-    w, tau, _ = _sample(env, n, z0, proposal, seed, replicas, workers,
-                        _event_bound(n, c), pop_threshold=pop_threshold)
+    proposal = _lower_proposal(env, n, c, z0, method, phase_fraction,
+                               _rate_solver(env, c))
+    w, tau, _, steps = _sample(env, n, z0, proposal, seed, replicas, workers,
+                               _event_bound(n, c), pop_threshold=pop_threshold)
     tot = _event_mass(w, n)
     frac = tau / n
     mean, se = _ratio_stats(w, frac)
@@ -415,7 +441,7 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
         mean_fraction=mean, stderr=se, ess=ess, event_estimate=float(w.mean()),
         fractions=frac[on], weights=w[on] / tot, n=n, c=c,
         pop_threshold=pop_threshold, replicas=replicas, seed=seed,
-        method=_method(proposal.m),
+        method=_method(proposal.m), normal_steps=steps,
     )
 
 
@@ -436,6 +462,7 @@ class TrajectoryProfile:
     replicas: int
     seed: int
     method: Method
+    normal_steps: int        # replica-generations in the log-z lane
 
 
 def conditional_profile(env: EnvironmentLaw, n: int, c: float,
@@ -462,7 +489,8 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     steps = np.arange(n + 1) / n
 
     if side == "lower":
-        ldr = lower_deviation_rate(env, c) if c > 0.0 else None
+        solve = _rate_solver(env, c)
+        ldr = solve() if c > 0.0 else None
         if ldr is not None:
             ref_at_k = np.array([limit_profile(ldr, t) for t in steps])
             reference = np.array([limit_profile(ldr, t) for t in grid_arr])
@@ -470,29 +498,27 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
             ref_at_k = np.zeros(n + 1)
             reference = np.zeros(grid_arr.size)
         proposal = _lower_proposal(env, n, c, z0, method or "two_phase",
-                                   phase_fraction)
+                                   phase_fraction, solve)
     else:
         ref_at_k = c * steps
         reference = c * grid_arr
         proposal = Proposal(free=tilt_toward(env, c), stream=STREAM_TILT)
 
-    w, _, paths = _sample(env, n, z0, proposal, seed, replicas, workers,
-                          _event_bound(n, c, side), side, capture=True)
+    w, _, paths, steps = _sample(env, n, z0, proposal, seed, replicas, workers,
+                                 _event_bound(n, c, side), side, capture=True)
     tot = _event_mass(w, n)
-    gmat = np.zeros((w.size, grid_arr.size))
-    sup = np.zeros(w.size)
-    for row, path in enumerate(paths):
-        if path is not None:
-            gmat[row] = path[grid_idx]
-            sup[row] = float(np.max(np.abs(path - ref_at_k)))
+    # replicas of zero weight add nothing to a weighted mean: drop them
+    w_on = w[w > 0.0]
+    gmat = paths[:, grid_idx]
     values = np.empty(grid_arr.size)
     stderr = np.empty(grid_arr.size)
     for j in range(grid_arr.size):
-        values[j], stderr[j] = _ratio_stats(w, gmat[:, j])
-    d_mean, d_se = _ratio_stats(w, sup)
+        values[j], stderr[j] = _ratio_stats(w_on, gmat[:, j])
+    d_mean, d_se = _ratio_stats(w_on, np.abs(paths - ref_at_k).max(axis=1))
     return TrajectoryProfile(
         grid=grid_arr, values=values, stderr=stderr, reference=reference,
         sup_distance=d_mean, sup_distance_stderr=d_se,
         ess=tot * tot / float(w @ w), event_estimate=float(w.mean()),
         n=n, c=c, replicas=replicas, seed=seed, method=_method(proposal.m),
+        normal_steps=steps,
     )

@@ -20,7 +20,9 @@ class EstimatorResult:
     ``ess`` is the effective sample size (sum of weights squared over sum
     of squared weights) of the event-weighted sample; for a naive run it
     equals the raw hit count.  ``estimate`` equal to 0.0 is an exact "no
-    event mass seen" outcome, flagged by ``zero_mass``.
+    event mass seen" outcome, flagged by ``zero_mass``.  ``normal_steps``
+    counts the replica-generations that branched by the normal
+    approximation of the simulator's log-z lane.
     """
 
     estimate: float
@@ -34,3 +36,4 @@ class EstimatorResult:
     zero_mass: bool = False
     tilt: Optional[float] = None        # tilt exponent used, if any
     hold_steps: int = 0                 # forced-holding phase length, if any
+    normal_steps: int = 0               # replica-generations in the log-z lane

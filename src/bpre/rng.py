@@ -1,9 +1,11 @@
-"""Deterministic replica streams built on the Philox counter-based generator.
+"""Deterministic streams built on the Philox counter-based generator.
 
-Each (seed, stream id) pair keys an independent Philox stream; draws within
-a replica advance the counter sequentially.  Streams never depend on
-execution order or worker count, which is what makes parallel runs
-byte-for-byte reproducible.
+Each (seed, stream id) pair keys an independent Philox stream (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  The replica
+engine gives each block of simulate.BLOCK replicas one stream, keyed by its
+block index, and the cell tree and lineage samplers one per replica.
+Streams never depend on execution order or worker count, which is what
+makes parallel runs byte-for-byte reproducible.
 
 Stream ids partition into disjoint ranges per estimator kind so that, e.g.,
 a naive run and a tilted run with the same seed do not share randomness.
@@ -13,8 +15,8 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 
-# Offsets keep replica ids of different samplers from colliding.  Replica
-# counts are desk scale (<< 2^40), so the ranges cannot overlap.
+# Offsets keep the stream ids of different samplers from colliding.  Block
+# and replica counts are desk scale (<< 2^40), so the ranges cannot overlap.
 STREAM_SIM = 0
 STREAM_TILT = 1 << 40
 STREAM_TWO_PHASE = 2 << 40
@@ -23,6 +25,6 @@ STREAM_LINEAGE = 4 << 40
 
 
 def replica_stream(seed: int, replica: int) -> np.random.Generator:
-    """Generator for one replica, independent of all other replicas."""
+    """Generator for one stream id, independent of every other id."""
     key = np.array([seed & _MASK, replica & _MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -4,12 +4,25 @@ One generation: draw an environment component, then replace each of the z
 individuals by an independent draw from that component.  The per-step work
 is O(support size), independent of z, because only the multinomial
 allocation of individuals over the support is sampled, never individuals
-one by one.  Populations are plain Python ints so they can pass 2^63
-without corrupting exact threshold predicates.
+one by one.
 
-Every replica path, naive or importance-sampled, comes from replica_path
-under a Proposal; the simulators here and the estimators in rare_event
-are reductions over it, mapped over replicas by map_replicas.
+Replicas run in blocks of BLOCK lanes, and block b draws from the one
+stream replica_stream(seed, proposal.stream + b).  Each generation draws
+the block's environment indices as one vector, then branches all lanes
+that drew a component in one multinomial call.  A lane holds its
+population as an exact int64 while z <= EXACT_LIMIT // (largest offspring
+count), so no branch step can overflow, and as a float log z above that.
+In that log-z lane the step is the moment-matched normal
+z' = z * mean + g * sqrt(z * variance), written as
+log z' = log z + log(mean + g * sd * exp(-log z / 2)); it cannot
+overflow.  Threshold tests compare exact lanes as integers and log-z
+lanes in log space.
+
+Every block is simulated in full, so replica r's path depends only on
+(seed, stream, r): results are byte-identical for any worker count, and a
+run with more replicas extends one with fewer.  The simulators here and
+the estimators in rare_event are reductions over the lanes that
+block_lanes yields, mapped over blocks by map_replicas.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,11 +39,15 @@ from .envmodel import EnvironmentLaw, OffspringDistribution
 from .results import EstimatorResult, Method
 from .rng import STREAM_LINEAGE, STREAM_SIM, replica_stream
 
-# Above this population the multinomial total would overflow numpy's int64;
-# switch to a moment-matched normal draw of the total offspring count.  The
-# distributional error is O(1/sqrt(z)) < 1e-9, orders of magnitude below
-# any threshold resolution once z is this large.
+# Replicas per block, and per stream.
+BLOCK = 256
+
+# Largest population a branch step may produce as an int64.  Above it the
+# total offspring count is a moment-matched normal draw; its distributional
+# error is O(1/sqrt(z)) < 1e-9, far below any threshold resolution there.
 EXACT_LIMIT = 1 << 62
+_INT64_MAX = (1 << 63) - 1
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ class Proposal:
     The first m generations are held: a component is drawn from hold and
     every individual has exactly one child.  The other generations draw
     from free and branch.  Each draw adds its phase's step_log_lr to the
-    path's log likelihood ratio.  Replica r reads the stream stream + r.
+    path's log likelihood ratio.  Block b reads the stream stream + b.
     """
 
     free: Phase
@@ -106,11 +123,32 @@ class Proposal:
         return cls(free=Phase(env.cum_weights, np.zeros(env.k)))
 
 
-def draw_env_index(env, rng: np.random.Generator) -> int:
-    """Component index drawn from env.cum_weights (a law, a tilt or a Phase)."""
+def draw_env_index(env, rng: np.random.Generator, size: Optional[int] = None):
+    """Component index drawn from env.cum_weights (a law, a tilt or a Phase).
+
+    With size, an array of that many independent indices.
+    """
     cum = env.cum_weights
-    i = int(cum.searchsorted(rng.random(), side="right"))
-    return min(i, cum.size - 1)
+    if size is None:
+        i = int(cum.searchsorted(rng.random(), side="right"))
+        return min(i, cum.size - 1)
+    return np.minimum(cum.searchsorted(rng.random(size), side="right"), cum.size - 1)
+
+
+def _exp_int(logz: float) -> int:
+    """round(e^logz) as an int: a 53-bit mantissa shifted left.
+
+    math.exp alone overflows past e^709; the shift keeps any log-z lane
+    population printable as an integer.
+    """
+    shift = max(0, int(logz / _LN2) - 52)
+    return round(math.exp(logz - shift * _LN2)) << shift
+
+
+def _log_step(dist: OffspringDistribution, logz, g):
+    """Moment-matched normal step in log space: log(Z' / z) for z = e^logz."""
+    ratio = dist.mean + g * math.sqrt(dist.variance) * np.exp(-0.5 * logz)
+    return np.log(np.minimum(np.maximum(ratio, dist.min_offspring), dist.max_offspring))
 
 
 def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -> int:
@@ -125,62 +163,136 @@ def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -
         counts = rng.multinomial(int(z), dist.probs_arr)
         # the k-weighted sum can exceed int64, so accumulate in Python ints
         return sum(int(k) * int(c) for k, c in zip(dist.support, counts) if c)
-    if z.bit_length() > 1000:
-        # beyond float range; noise is ~2^-500 relative here, drop it
-        scale = int(dist.mean * (1 << 60))
-        out = (z * scale) >> 60
-    else:
-        zf = float(z)
-        g = rng.standard_normal()
-        out = int(round(zf * dist.mean + g * math.sqrt(zf * dist.variance)))
-    lo = z * dist.min_offspring
-    hi = z * dist.max_offspring
-    return min(max(out, lo), hi)
+    logz = math.log(z)
+    return _exp_int(logz + float(_log_step(dist, logz, rng.standard_normal())))
 
 
-def replica_path(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
-                 seed: int, replica: int) -> Tuple[List[int], List[int], float]:
-    """Sample one replica path under proposal.
+def _clamp_int64(value: int) -> int:
+    return max(-_INT64_MAX, min(value, _INT64_MAX))
 
-    Returns the environment indices of the n generations, the populations
-    z_0..z_n and the path's log likelihood ratio (log dP/dQ).  Fully
-    determined by (seed, proposal.stream + replica).
+
+def _log_bound(bound: float) -> float:
+    return math.log(bound) if bound > 0 else -math.inf
+
+
+@dataclass(eq=False)
+class Lanes:
+    """The BLOCK lanes of one block after generation k.
+
+    Lanes flagged in big carry their population as logz, the others as the
+    exact int64 z (each array holds stale values in the other lanes).  llr
+    is each lane's log likelihood ratio so far, idx the components drawn at
+    generation k (None at k = 0), tau the first generation with population
+    above the block's take-off threshold (n if none yet), and
+    normal_steps each lane's count of generations branched in the log-z
+    lane.  block_lanes updates the arrays in place; copy what you keep.
     """
-    rng = replica_stream(seed, proposal.stream + replica)
-    z = int(z0)
-    idxs: List[int] = []
-    zs = [z]
-    llr = 0.0
-    hold = proposal.hold
-    for _ in range(proposal.m):
-        i = draw_env_index(hold, rng)
-        llr += hold.step_log_lr[i]
-        idxs.append(i)
-        zs.append(z)
-    free = proposal.free
+
+    z: np.ndarray
+    logz: np.ndarray
+    big: np.ndarray
+    llr: np.ndarray
+    tau: np.ndarray
+    normal_steps: np.ndarray
+    k: int = 0
+    idx: Optional[np.ndarray] = None
+
+    def at_most(self, bound: float) -> np.ndarray:
+        """Lanes with population <= bound."""
+        hit = self.z <= _clamp_int64(math.floor(bound))
+        if self.big.any():
+            hit[self.big] = self.logz[self.big] <= _log_bound(bound)
+        return hit
+
+    def at_least(self, bound: float) -> np.ndarray:
+        """Lanes with population >= bound."""
+        hit = self.z >= _clamp_int64(math.ceil(bound))
+        if self.big.any():
+            hit[self.big] = self.logz[self.big] >= _log_bound(bound)
+        return hit
+
+    def log(self) -> np.ndarray:
+        """Log population of every lane."""
+        return np.where(self.big, self.logz, np.log(self.z))
+
+    def ints(self, size: int) -> List[int]:
+        """Populations of the first size lanes as ints, log-z lanes rounded."""
+        out = self.z[:size].tolist()
+        for j in np.flatnonzero(self.big[:size]).tolist():
+            out[j] = _exp_int(float(self.logz[j]))
+        return out
+
+
+def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
+                seed: int, block: int,
+                threshold: Optional[int] = None) -> Iterator[Lanes]:
+    """Yield the lanes of one block after each generation 0..n.
+
+    Fully determined by (seed, proposal.stream + block).  Held generations
+    only draw their component and add its ratio; free ones branch every
+    lane by the component it drew.
+    """
+    rng = replica_stream(seed, proposal.stream + block)
+    limit = EXACT_LIMIT // max(d.max_offspring for d in env.components)
+    start_big = z0 > limit
+    lanes = Lanes(
+        z=np.full(BLOCK, 1 if start_big else z0, dtype=np.int64),
+        logz=np.full(BLOCK, math.log(z0) if start_big else 0.0),
+        big=np.full(BLOCK, start_big),
+        llr=np.zeros(BLOCK),
+        tau=np.full(BLOCK, n),
+        normal_steps=np.zeros(BLOCK, dtype=np.int64),
+    )
     check = env.strongly_supercritical
-    for _ in range(proposal.m, n):
-        i = draw_env_index(free, rng)
-        z_new = branch_step(z, env.components[i], rng)
-        if check:
-            assert z_new >= z, "population decreased under a no-extinction law"
-        z = z_new
-        llr += free.step_log_lr[i]
-        idxs.append(i)
-        zs.append(z)
-    return idxs, zs, llr
+    for k in range(n + 1):
+        if k > 0:
+            phase = proposal.hold if k <= proposal.m else proposal.free
+            lanes.k, lanes.idx = k, draw_env_index(phase, rng, BLOCK)
+            lanes.llr += phase.step_log_lr[lanes.idx]
+            if k > proposal.m:
+                _branch(env, lanes, limit, check, rng)
+        if threshold is not None:
+            lanes.tau[(lanes.tau == n) & ~lanes.at_most(threshold)] = k
+        yield lanes
 
 
-def _trajectory(config: SimConfig, proposal: Proposal, replica: int) -> Trajectory:
-    idxs, zs, _ = replica_path(config.env, config.n, config.z0, proposal,
-                               config.seed, replica)
-    walk = accumulate((config.env.log_means[i] for i in idxs), initial=0.0)
-    return Trajectory(z=zs, env_idx=idxs, s=list(walk))
+def _branch(env: EnvironmentLaw, lanes: Lanes, limit: int, check: bool,
+            rng: np.random.Generator) -> None:
+    """One free generation: every lane branches by the component it drew."""
+    z, logz, big = lanes.z, lanes.logz, lanes.big
+    grow = ~big & (z > limit)
+    if grow.any():
+        big |= grow
+        logz[grow] = np.log(z[grow])
+    lanes.normal_steps += big
+    for i, dist in enumerate(env.components):
+        on = lanes.idx == i
+        exact = on & ~big
+        if exact.any():
+            zs = z[exact]
+            out = rng.multinomial(zs, dist.probs_arr).dot(dist.support_arr)
+            if check:
+                assert (out >= zs).all(), "population decreased under a no-extinction law"
+            z[exact] = out
+        normal = on & big
+        if normal.any():
+            g = rng.standard_normal(int(normal.sum()))
+            logz[normal] += _log_step(dist, logz[normal], g)
 
 
 def run(config: SimConfig, replica: int = 0) -> Trajectory:
-    """Simulate one replica.  Fully determined by (seed, replica, config)."""
-    return _trajectory(config, Proposal.naive(config.env), replica)
+    """Simulate one replica: lane replica % BLOCK of block replica // BLOCK."""
+    env = config.env
+    lane = replica % BLOCK
+    zs: List[int] = []
+    idxs: List[int] = []
+    for lanes in block_lanes(env, config.n, config.z0, Proposal.naive(env),
+                             config.seed, replica // BLOCK):
+        zs.append(lanes.ints(lane + 1)[lane])
+        if lanes.idx is not None:
+            idxs.append(int(lanes.idx[lane]))
+    walk = accumulate((env.log_means[i] for i in idxs), initial=0.0)
+    return Trajectory(z=zs, env_idx=idxs, s=list(walk))
 
 
 # --- event predicates (picklable, reusable from the CLI) ---------------
@@ -189,88 +301,107 @@ def run(config: SimConfig, replica: int = 0) -> Trajectory:
 class PopulationAtMost:
     threshold: float
 
-    def __call__(self, traj: Trajectory) -> bool:
-        return traj.final_z <= self.threshold
+    def __call__(self, lanes: Lanes) -> np.ndarray:
+        return lanes.at_most(self.threshold)
 
 
 @dataclass(frozen=True)
 class PopulationAtLeast:
     threshold: float
 
-    def __call__(self, traj: Trajectory) -> bool:
-        return traj.final_z >= self.threshold
+    def __call__(self, lanes: Lanes) -> np.ndarray:
+        return lanes.at_least(self.threshold)
 
 
 # --- batched execution -------------------------------------------------
 
-def _map_range(worker: Callable, args: tuple, lo: int, hi: int) -> list:
-    return [worker(*args, r) for r in range(lo, hi)]
+def _map_blocks(worker: Callable, args: tuple, blocks: list) -> list:
+    return [worker(*args, lo, hi) for lo, hi in blocks]
 
 
 def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int) -> list:
-    """[worker(*args, r) for r in range(replicas)], optionally over a process pool.
+    """[worker(*args, lo, hi) for each block [lo, hi) of range(replicas)].
 
-    With workers > 1 the replicas are split into contiguous ranges, one
-    per worker.  Results come back in replica order, and replica r always
-    reads its own stream, so any reduction that walks them in order is
-    independent of the worker count.
+    Block b spans replicas b * BLOCK up to (b + 1) * BLOCK, the last one cut
+    at replicas.  With workers > 1 the blocks are split into contiguous
+    runs, one per process, and never more processes than blocks.  Results
+    come back in block order, and block b always reads its own stream, so
+    any reduction that walks them in order is independent of the worker
+    count.
     """
     if replicas < 1:
         raise ValueError(f"replicas={replicas} must be >= 1")
-    if workers <= 1:
-        return _map_range(worker, args, 0, replicas)
-    step = -(-replicas // min(workers, replicas))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_map_range, worker, args, lo, min(lo + step, replicas))
-                   for lo in range(0, replicas, step)]
+    blocks = [(lo, min(lo + BLOCK, replicas)) for lo in range(0, replicas, BLOCK)]
+    procs = min(workers, len(blocks))
+    if procs <= 1:
+        return _map_blocks(worker, args, blocks)
+    step = -(-len(blocks) // procs)
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        futures = [pool.submit(_map_blocks, worker, args, blocks[j:j + step])
+                   for j in range(0, len(blocks), step)]
         return [out for f in futures for out in f.result()]
 
 
-def _event_hit(config: SimConfig, proposal: Proposal, event, replica: int) -> bool:
-    return bool(event(_trajectory(config, proposal, replica)))
+def _event_block(config: SimConfig, event, lo: int, hi: int):
+    *_, lanes = block_lanes(config.env, config.n, config.z0,
+                            Proposal.naive(config.env), config.seed, lo // BLOCK)
+    return event(lanes)[:hi - lo], int(lanes.normal_steps[:hi - lo].sum())
 
 
-def run_batch(config: SimConfig, event: Callable[[Trajectory], bool],
+def run_batch(config: SimConfig, event: Callable[[Lanes], np.ndarray],
               workers: int = 1) -> EstimatorResult:
     """Naive Monte Carlo estimate of P(event) over config.replicas replicas.
 
-    Replica r always uses the stream keyed by (seed, r), so the estimate is
+    event maps a block's final lanes to a boolean per lane, as
+    PopulationAtMost and PopulationAtLeast do.  The estimate is
     byte-identical for any worker count.
     """
     reps = config.replicas
-    hits = map_replicas(_event_hit, (config, Proposal.naive(config.env), event),
-                        reps, workers)
-    k = sum(hits)
+    hits, steps = zip(*map_replicas(_event_block, (config, event), reps, workers))
+    k = int(sum(h.sum() for h in hits))
     p = k / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return EstimatorResult(
         estimate=p, stderr=stderr, ess=float(k), method=Method.NAIVE,
         n=config.n, c=math.nan, replicas=reps, seed=config.seed,
-        zero_mass=(k == 0),
+        zero_mass=(k == 0), normal_steps=sum(steps),
     )
 
 
-def _final_state(config: SimConfig, proposal: Proposal, threshold: Optional[int],
-                 replica: int) -> Tuple[int, float, int]:
-    traj = _trajectory(config, proposal, replica)
-    tau = 0
-    if threshold is not None:
-        tk = traj.take_off_step(threshold)
-        tau = config.n if tk is None else tk
-    return traj.final_z, traj.final_s, tau
+class FinalStates(NamedTuple):
+    z: List[int]                 # final populations, log-z lanes rounded
+    s: np.ndarray                # final values of the log-mean walk
+    tau: Optional[np.ndarray]    # capped take-off steps; None without a threshold
+    normal_steps: int            # replica-generations branched in the log-z lane
+
+
+def _final_block(config: SimConfig, threshold: Optional[int], lo: int, hi: int):
+    size = hi - lo
+    s = np.zeros(BLOCK)
+    log_means = config.env.log_means_arr
+    for lanes in block_lanes(config.env, config.n, config.z0,
+                             Proposal.naive(config.env), config.seed,
+                             lo // BLOCK, threshold):
+        if lanes.idx is not None:
+            s += log_means[lanes.idx]
+    return (lanes.ints(size), s[:size], lanes.tau[:size],
+            int(lanes.normal_steps[:size].sum()))
 
 
 def final_states(config: SimConfig, threshold: Optional[int] = None,
-                 workers: int = 1) -> Tuple[List[int], np.ndarray, np.ndarray]:
-    """Per-replica (final population, final walk value, capped take-off step).
+                 workers: int = 1) -> FinalStates:
+    """Per-replica final population, final walk value and capped take-off step.
 
-    Take-off steps are n when the population never passes the threshold,
-    and 0 for every replica when no threshold is given.
+    A take-off step is the first generation with population above
+    threshold, n when there is none; with no threshold, tau is None.
     """
-    out = map_replicas(_final_state, (config, Proposal.naive(config.env), threshold),
-                       config.replicas, workers)
-    zs, ss, taus = zip(*out)
-    return list(zs), np.array(ss), np.array(taus, dtype=np.int64)
+    out = map_replicas(_final_block, (config, threshold), config.replicas, workers)
+    zs, ss, taus, steps = zip(*out)
+    return FinalStates(
+        z=[z for block in zs for z in block], s=np.concatenate(ss),
+        tau=np.concatenate(taus) if threshold is not None else None,
+        normal_steps=sum(steps),
+    )
 
 
 def random_lineage(env: EnvironmentLaw, n: int, seed: int = 0,

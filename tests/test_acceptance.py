@@ -127,7 +127,7 @@ def _criterion4_run(workers):
     out = {}
     for n in range(3, 9):
         config = SimConfig(env=env, n=n, z0=1, seed=100 + n, replicas=100_000)
-        zs, _, _ = final_states(config, workers=workers)
+        zs = final_states(config, workers=workers).z
         za = np.array([int(z) for z in zs], dtype=np.int64)
         naive = {}
         is_runs = {}

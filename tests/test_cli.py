@@ -342,18 +342,18 @@ def test_shipped_configs_parse():
 # streams bumps bpre.__version__ (so old run records fail `reproduce` with
 # VersionMismatch) and updates these hashes and GOLDEN_VERSION in the same
 # change; any other change must leave the artifacts byte-identical.
-GOLDEN_VERSION = "0.1.0"
+GOLDEN_VERSION = "0.2.0"
 GOLDEN_G2_ARTIFACTS = {
     ("simulate", "simulate.csv"):
-        "6ce60f2f1af045e15bb2f2898bdd32b5476c370be1818d0c51371830aa867cf3",
+        "214c86992d2a746461ba0d9351771583d33ca3f50f64b79c2a8a7e3fb321dcb5",
     ("estimate-lower", "estimate_lower.csv"):
-        "b83b322f6119315595f86c8b6eee55a2be5f0e4712accabc16ae16cbf79b3e19",
+        "ac78510a2a2d6f046accfc81ebe55b26dc58d26707bf59c3bffd8bebdd0b6100",
     ("estimate-upper", "estimate_upper.csv"):
-        "025fdf8fa71100ca299a80338cf689363cd95c6dc0373300115dd51884665fce",
+        "3c1a1318fe6c54aa3b8a88f60ca9d1e8d5068308670181a46c539b25917473c2",
     ("trajectory", "trajectory.csv"):
-        "6b0d6c044005e23eff0683247ebc75206eb519575f7b2f25ece5b10651d9f32c",
+        "a5dcfc492982af68897e28d90f30c3e03917bac2609feb9d52a3dd7572d8089b",
     ("takeoff", "takeoff.csv"):
-        "30a0b4354e47bb197278ead9a62e06f7fc80f95f5b5ddcf99e51dcb7084e8fea",
+        "6c734933cad038f3de53cce702588c4a02d4069791c611c378550f4bf58dc42c",
     ("cells", "cells.csv"):
         "2d94d87e92f61f6443a0a53536ca9d8e27a87b67c28e2539f113af9675c68648",
     ("cells", "cells_summary.json"):
@@ -384,3 +384,47 @@ def test_duplicate_pmf_key_exits_2(tmp_path, capsys):
     assert err["error"] == "DuplicateKey"
     assert err["kind"] == "config"
     assert not (tmp_path / "rate.csv").exists()
+
+
+def test_simulate_without_threshold_writes_no_tau(tmp_path):
+    cfg = g2_cfg(tmp_path, simulate={"n": 5, "replicas": 20})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    _, header, rows = read_csv(tmp_path / "simulate.csv")
+    assert header == ["replica", "z_n", "s_n"]
+    assert len(rows) == 20
+
+
+def test_simulate_writes_log_lane_populations_as_ints(tmp_path, capsys):
+    # 2^1100 is past e^709, where math.exp overflows
+    cfg = write_cfg(tmp_path, {
+        "environments": [{"weight": 1.0, "pmf": {"2": 1.0}}],
+        "seed": 0, "replicas": 3, "simulate": {"n": 1100},
+    })
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    echo = json.loads(capsys.readouterr().out)
+    assert echo["outputs"]["normal_steps"] == 3 * (1100 - 62)
+    _, _, rows = read_csv(tmp_path / "simulate.csv")
+    for row in rows:
+        assert row["z_n"].isdigit()
+        z = int(row["z_n"])
+        assert abs(math.log(z) - 1100 * math.log(2.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate-lower", "estimate-upper",
+                                     "trajectory", "takeoff"])
+def test_normal_steps_reported_outside_artifacts(tmp_path, capsys, command):
+    # g2 at n = 8 stays below 4^8; fig2 at n = 40 passes 2^62
+    cases = (("g2", ["--n", "8", "--c", "1.05" if command == "estimate-upper" else "0.4"]),
+             ("fig2", ["--n", "40", "--c", "1.7" if command == "estimate-upper" else "1.1"]))
+    for name, flags in cases:
+        out = tmp_path / name
+        if command == "simulate":
+            flags = flags[:2]
+        assert main([command, "--config", str(CONFIG_DIR / f"{name}.json"),
+                     "--replicas", "200", "--out-dir", str(out)] + flags) == 0
+        echo = json.loads(capsys.readouterr().out)
+        steps = echo["outputs"]["normal_steps"]
+        assert read_log(out)[0]["outputs"]["normal_steps"] == steps
+        assert (steps == 0) if name == "g2" else (steps > 0)
+        for artifact in echo["artifacts"]:
+            assert "normal" not in (out / artifact).read_text()

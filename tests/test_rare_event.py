@@ -27,6 +27,8 @@ from bpre import (
     tilt_toward,
     walk_rate,
 )
+from bpre import rare_event
+from bpre.simulate import BLOCK
 from conftest import event_threshold, exact_lower, exact_mean_take_off
 
 
@@ -347,3 +349,35 @@ def test_estimators_worker_invariant(g2):
     p2 = conditional_profile(g2, 8, 0.4, replicas=2_000, seed=9, workers=4)
     assert np.array_equal(p1.values, p2.values)
     assert p1.sup_distance == p2.sup_distance
+
+    # two and a half blocks: the last block is partial
+    reps = 2 * BLOCK + BLOCK // 2
+    lower, off, prof = [], [], []
+    for w in (1, 2, 3):
+        lower.append(estimate_lower_tail(g2, 8, 0.4, replicas=reps, seed=4, workers=w))
+        off.append(take_off_statistics(g2, 8, 0.4, replicas=reps, seed=4, workers=w))
+        prof.append(conditional_profile(g2, 8, 0.4, replicas=reps, seed=4, workers=w))
+    for k in (1, 2):
+        assert lower[k] == lower[0]
+        assert off[k].mean_fraction == off[0].mean_fraction
+        assert np.array_equal(off[k].fractions, off[0].fractions)
+        assert np.array_equal(off[k].weights, off[0].weights)
+        assert np.array_equal(prof[k].values, prof[0].values)
+        assert np.array_equal(prof[k].stderr, prof[0].stderr)
+        assert prof[k].sup_distance == prof[0].sup_distance
+        assert prof[k].ess == prof[0].ess
+
+
+def test_lower_rate_solved_once_per_call(g2, fig_law, monkeypatch):
+    calls = []
+
+    def counting(env, c):
+        calls.append(c)
+        return lower_deviation_rate(env, c)
+
+    monkeypatch.setattr(rare_event, "lower_deviation_rate", counting)
+    for env, n, c in ((g2, 8, 0.4), (fig_law, 40, 1.1)):
+        for fn in (conditional_profile, estimate_lower_tail, take_off_statistics):
+            calls.clear()
+            fn(env, n, c, replicas=50, seed=1)
+            assert calls == [c], fn.__name__

@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from bpre import simulate
 from bpre import (
     Method,
     SimConfig,
@@ -15,7 +17,7 @@ from bpre import (
     run,
     run_batch,
 )
-from bpre.simulate import PopulationAtLeast, PopulationAtMost
+from bpre.simulate import BLOCK, PopulationAtLeast, PopulationAtMost, map_replicas
 from conftest import event_threshold, exact_lower
 
 
@@ -46,6 +48,9 @@ def test_branch_step_huge_population_moment_match():
     assert z <= out <= 2 * z
     # relative fluctuation is ~sqrt(z)/z, invisible at this scale
     assert abs(out / z - 1.5) <= 1e-6
+    # past float range (2^1024) the step still returns an int
+    out = branch_step(1 << 1100, d, rng)
+    assert abs(math.log(out) - math.log(1.5) - 1100 * math.log(2.0)) <= 1e-9
 
 
 def test_run_deterministic_law(dirac2):
@@ -92,7 +97,7 @@ def test_hold_probability_matches_exact(g2):
 
 def test_walk_mean_matches_env_average(g2):
     config = SimConfig(env=g2, n=12, z0=1, seed=31, replicas=10_000)
-    _, ss, _ = final_states(config, workers=4)
+    ss = final_states(config, workers=4).s
     step_var = 0.25 * (g2.log_means[1] - g2.log_means[0]) ** 2
     se = math.sqrt(step_var / (config.n * config.replicas))
     assert abs(np.mean(ss) / config.n - g2.mean_log_mean) <= 3.0 * se
@@ -100,7 +105,7 @@ def test_walk_mean_matches_env_average(g2):
 
 def test_normalized_population_martingale(g2):
     config = SimConfig(env=g2, n=8, z0=2, seed=44, replicas=20_000)
-    zs, ss, _ = final_states(config, workers=4)
+    zs, ss, _, _ = final_states(config, workers=4)
     w = np.array([z * math.exp(-s) for z, s in zip(zs, ss)])
     se = w.std(ddof=1) / math.sqrt(w.size)
     assert abs(w.mean() - 2.0) <= 3.0 * se
@@ -110,14 +115,14 @@ def test_one_step_conditional_mean(g2):
     for comp in g2.components:
         env1 = build_environment([(1.0, comp.pmf_dict())])
         config = SimConfig(env=env1, n=1, z0=50, seed=7, replicas=5_000)
-        zs, _, _ = final_states(config)
+        zs = final_states(config).z
         se = math.sqrt(comp.variance * 50 / config.replicas)
         assert abs(np.mean(zs) - 50 * comp.mean) <= 3.0 * se
 
 
 def test_final_states_match_individual_runs(g2):
     config = SimConfig(env=g2, n=6, z0=1, seed=3, replicas=500)
-    zs, ss, taus = final_states(config, threshold=5)
+    zs, ss, taus, _ = final_states(config, threshold=5)
     assert len(zs) == len(ss) == len(taus) == 500
     for r in (0, 17, 499):
         traj = run(config, replica=r)
@@ -127,13 +132,20 @@ def test_final_states_match_individual_runs(g2):
         assert taus[r] == (config.n if tk is None else tk)
 
 
-def test_final_states_worker_invariance(g2):
-    config = SimConfig(env=g2, n=6, z0=1, seed=11, replicas=400)
-    a = final_states(config, threshold=8, workers=1)
-    b = final_states(config, threshold=8, workers=8)
-    assert list(a[0]) == list(b[0])
-    assert np.array_equal(a[1], b[1])
-    assert np.array_equal(a[2], b[2])
+def test_final_states_worker_invariance(g2, fig_law):
+    # 400 and 640 replicas end in partial blocks; fig2 at n = 40 uses the
+    # log-z lane
+    for env, n, reps in ((g2, 6, 400), (g2, 8, 2 * BLOCK + BLOCK // 2),
+                         (fig_law, 40, 2 * BLOCK + BLOCK // 2)):
+        config = SimConfig(env=env, n=n, z0=1, seed=11, replicas=reps)
+        a = final_states(config, threshold=8, workers=1)
+        assert len(a.z) == reps
+        for w in (2, 3, 8):
+            b = final_states(config, threshold=8, workers=w)
+            assert list(a[0]) == list(b[0])
+            assert np.array_equal(a[1], b[1])
+            assert np.array_equal(a[2], b[2])
+            assert a.normal_steps == b.normal_steps
 
 
 def test_run_batch_sure_and_rare(dirac2, g2):
@@ -152,6 +164,17 @@ def test_run_batch_sure_and_rare(dirac2, g2):
     se = math.sqrt(exact * (1.0 - exact) / config.replicas)
     assert abs(res3.estimate - exact) <= 3.0 * se
 
+    # exact lanes compare as ints: 2^60 + 1 > 2^60, though both are the
+    # same float; log-z lanes (z0 = 2^62 here) compare in log space
+    same = build_environment([(1.0, {1: 1.0})])
+    config = SimConfig(env=same, n=1, z0=2**60 + 1, seed=0, replicas=4)
+    assert run_batch(config, PopulationAtMost(float(2**60))).estimate == 0.0
+    assert run_batch(config, PopulationAtLeast(float(2**60))).estimate == 1.0
+    config = SimConfig(env=dirac2, n=2, z0=2**62, seed=0, replicas=4)
+    res4 = run_batch(config, PopulationAtLeast(2.0**64 * (1 - 1e-12)))
+    assert res4.estimate == 1.0 and res4.normal_steps == 8
+    assert run_batch(config, PopulationAtMost(2.0**64 * (1 - 1e-12))).zero_mass
+
 
 def test_random_lineage_marginal(g2, dirac2):
     draws = random_lineage(g2, 100_000, seed=5)
@@ -168,3 +191,69 @@ def test_sim_config_validation(g2):
         SimConfig(env=g2, n=3, z0=0, seed=0)
     with pytest.raises(ValueError):
         SimConfig(env=g2, n=3, z0=1, seed=0, replicas=0)
+
+
+def test_final_states_without_threshold_has_no_tau(g2):
+    config = SimConfig(env=g2, n=5, z0=1, seed=4, replicas=300)
+    res = final_states(config)
+    assert res.tau is None
+    with_tau = final_states(config, threshold=10**9)
+    assert np.all(with_tau.tau == config.n)
+    assert res.z == with_tau.z and np.array_equal(res.s, with_tau.s)
+
+
+def test_map_replicas_hands_out_whole_blocks(monkeypatch):
+    started = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", Pool)
+    reps = 2 * BLOCK + BLOCK // 2
+    spans = [slice(0, BLOCK), slice(BLOCK, 2 * BLOCK), slice(2 * BLOCK, reps)]
+    assert map_replicas(slice, (), reps, 1) == spans
+    assert map_replicas(slice, (), reps, 8) == spans
+    assert map_replicas(slice, (), BLOCK, 8) == spans[:1]
+    # three blocks: at most three processes, one pool for the whole map
+    assert started == [3]
+
+
+def test_run_matches_lanes_of_every_block(fig_law):
+    # fig2 at n = 40 passes 2^62, so the log-z lane is checked too
+    config = SimConfig(env=fig_law, n=40, z0=1, seed=6, replicas=2 * BLOCK + BLOCK // 2)
+    res = final_states(config, threshold=10)
+    assert res.normal_steps > 0
+    for r in (3, BLOCK + 44, config.replicas - 1):
+        traj = run(config, replica=r)
+        assert traj.final_z == res.z[r]
+        assert traj.final_s == res.s[r]
+        tk = traj.take_off_step(10)
+        assert res.tau[r] == (config.n if tk is None else tk)
+        assert all(b >= a for a, b in zip(traj.z, traj.z[1:]))
+
+
+def test_replica_paths_do_not_depend_on_replica_count(g2):
+    small = final_states(SimConfig(env=g2, n=6, seed=8, replicas=100))
+    large = final_states(SimConfig(env=g2, n=6, seed=8, replicas=BLOCK + 50))
+    assert large.z[:100] == small.z
+    assert np.array_equal(large.s[:100], small.s)
+
+
+def test_log_lane_one_generation_moments():
+    # max offspring 4 keeps the exact lane below 2^60, so 2^61 starts in the
+    # log-z lane; the normal step must carry the component's mean and variance
+    comp = build_offspring({2: 0.5, 4: 0.5})
+    env = build_environment([(1.0, comp.pmf_dict())])
+    z0 = 1 << 61
+    reps = 20_000
+    res = final_states(SimConfig(env=env, n=1, z0=z0, seed=5, replicas=reps))
+    assert res.normal_steps == reps
+    assert all(2 * z0 <= z <= 4 * z0 for z in res.z)
+    x = np.array([(z - comp.mean * z0) / math.sqrt(comp.variance * z0)
+                  for z in res.z])
+    assert abs(x.mean()) <= 3.0 / math.sqrt(reps)
+    assert abs(x.var(ddof=1) - 1.0) <= 3.0 * math.sqrt(2.0 / reps)
+    exact = final_states(SimConfig(env=env, n=1, z0=z0 // 2, seed=5, replicas=50))
+    assert exact.normal_steps == 0
