@@ -1,4 +1,4 @@
-"""Binary cell tree with parasite multiplication.
+"""Binary cell tree with parasite multiplication (Bansaye 2008).
 
 Every cell divides into exactly two daughters; each parasite sends an
 independent offspring draw from law1 into the first daughter and from law2
@@ -6,6 +6,10 @@ into the second.  A uniformly random lineage through the tree then sees the
 two laws in equiprobable random order, so leaf counts along it follow the
 two-environment branching process, and the expected number of depth-n cells
 with few parasites factors as 2^n times the process tail probability.
+
+Each tree grows a level at a time on its own stream: simulate.law_step fills
+the first daughters of all the level's cells from law1, then the second ones
+from law2, in the block engine's exact int64 and log-z lanes.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from .envmodel import EnvironmentLaw, OffspringDistribution, build_environment
 from .errors import BudgetExceededError
 from .oracle import population_distribution
 from .rng import STREAM_CELLS, replica_stream
-from .simulate import branch_step, map_replicas
+from .simulate import EXACT_LIMIT, Populations, law_step, map_replicas
 
 TREE_DEPTH_MAX = 20
 
-# joint offspring hook: (parasites, rng) -> totals passed to the two daughters
-JointSampler = Callable[[int, np.random.Generator], Tuple[int, int]]
+# joint offspring hook per level: (parasites of its cells, rng) -> daughter totals
+JointSampler = Callable[[np.ndarray, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -56,50 +60,42 @@ class CellTreeConfig:
 
     def environment(self) -> EnvironmentLaw:
         """The equiprobable two-environment law seen by a random lineage."""
-        return build_environment([
-            (0.5, dict(zip(self.law1.support, self.law1.probs))),
-            (0.5, dict(zip(self.law2.support, self.law2.probs))),
-        ])
+        return build_environment([(0.5, self.law1.pmf_dict()),
+                                  (0.5, self.law2.pmf_dict())])
 
 
-def _grow_tree(config: CellTreeConfig, joint: Optional[JointSampler],
-               rng: np.random.Generator) -> list:
-    counts = [config.z0]
-    for _ in range(config.n):
-        nxt = []
-        for z in counts:
-            if joint is None:
-                z1 = branch_step(z, config.law1, rng)
-                z2 = branch_step(z, config.law2, rng)
-            else:
-                z1, z2 = joint(z, rng)
-            nxt.append(z1)
-            nxt.append(z2)
-        counts = nxt
-    return counts
-
-
-def _per_replica(worker: Callable, args: tuple, lo: int, hi: int) -> list:
-    return [worker(*args, r) for r in range(lo, hi)]
-
-
-def _map_trees(worker: Callable, config: CellTreeConfig,
-               joint: Optional[JointSampler], workers: int) -> list:
-    """[worker(config, joint, r) for every replica r]; tree r reads its own stream."""
-    blocks = map_replicas(_per_replica, (worker, (config, joint)),
-                          config.replicas, workers)
-    return [out for block in blocks for out in block]
-
-
-def _tree_counts(config: CellTreeConfig, joint: Optional[JointSampler],
-                 replica: int) -> Tuple[int, int]:
-    """Depth-n cells of one tree at or below, and at or above, e^{cn}."""
-    rng = replica_stream(config.seed, STREAM_CELLS + replica)
-    counts = _grow_tree(config, joint, rng)
+def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
+           lo: int, hi: int) -> list:
+    """Per tree r in [lo, hi), grown on its own stream with the daughters of
+    cell i at 2i and 2i + 1: its leaves at or below and at or above e^{cn},
+    its draws in the log-z lane, and the parasites of one uniform leaf."""
+    laws = (config.law1, config.law2)
+    limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     t = config.threshold
     slack = 1e-9 * max(1.0, t)
-    return (sum(1 for z in counts if z <= t + slack),
-            sum(1 for z in counts if z >= t - slack))
+    out = []
+    for r in range(lo, hi):
+        rng = replica_stream(config.seed, STREAM_CELLS + r)
+        cells, normal_steps = Populations.start(config.z0, limit, 1), 0
+        for _ in range(config.n):
+            cells.promote(limit)
+            big, exact = cells.big, ~cells.big
+            zs, logzs = cells.z[exact], cells.logz[big]
+            if joint is None:
+                daughters = [law_step(law, zs, logzs, rng) for law in laws]
+            elif big.any():
+                raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
+            else:
+                daughters = [(d, logzs) for d in joint(zs, rng)]
+            normal_steps += 2 * logzs.size
+            z, logz = np.zeros((2, big.size), dtype=np.int64), np.zeros((2, big.size))
+            for j, (dz, dlogz) in enumerate(daughters):
+                z[j, exact], logz[j, big] = dz, dlogz
+            cells = Populations(z.T.ravel(), logz.T.ravel(), big.repeat(2))
+        out.append((int(cells.at_most(t + slack).sum()),
+                    int(cells.at_least(t - slack).sum()), normal_steps,
+                    cells.value(int(rng.integers(cells.z.size)))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,6 +107,7 @@ class CellTreeResult:
     mean_above: float
     stderr_above: float
     threshold: float
+    normal_steps: int       # daughter draws in the log-z lane, over all trees
     config: CellTreeConfig
 
 
@@ -120,10 +117,14 @@ def simulate_cell_tree(config: CellTreeConfig,
     """Replicated full trees; cells exactly on the threshold count on both sides.
 
     joint overrides the default independent daughter draws with a coupled
-    sampler; it must be a picklable callable when workers > 1.
+    sampler, called once per level on all its cells' parasite counts; it
+    must be picklable when workers > 1.  Under joint, a cell that would
+    divide with more than EXACT_LIMIT // (largest offspring count of law1
+    and law2) parasites raises BudgetExceededError.
     """
-    out = _map_trees(_tree_counts, config, joint, workers)
-    below, above = (np.array(side, dtype=np.int64) for side in zip(*out))
+    blocks = map_replicas(_trees, (config, joint), config.replicas, workers)
+    below, above, normal_steps, _ = zip(*(tree for block in blocks for tree in block))
+    below, above = (np.array(side, dtype=np.int64) for side in (below, above))
 
     def _se(x: np.ndarray) -> float:
         return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
@@ -132,7 +133,8 @@ def simulate_cell_tree(config: CellTreeConfig,
         below=below, above=above,
         mean_below=float(below.mean()), stderr_below=_se(below),
         mean_above=float(above.mean()), stderr_above=_se(above),
-        threshold=config.threshold, config=config,
+        threshold=config.threshold, normal_steps=sum(normal_steps),
+        config=config,
     )
 
 
@@ -187,13 +189,6 @@ def expected_count_identity(config: CellTreeConfig,
     )
 
 
-def _leaf_count(config: CellTreeConfig, joint: Optional[JointSampler],
-                replica: int) -> int:
-    rng = replica_stream(config.seed, STREAM_CELLS + replica)
-    counts = _grow_tree(config, joint, rng)
-    return counts[int(rng.integers(len(counts)))]
-
-
 def uniform_leaf_counts(config: CellTreeConfig,
                         joint: Optional[JointSampler] = None,
                         workers: int = 1) -> np.ndarray:
@@ -202,4 +197,9 @@ def uniform_leaf_counts(config: CellTreeConfig,
     Marginally these follow the two-environment branching process, which is
     what the lineage consistency test checks against the exact pmf.
     """
-    return np.array(_map_trees(_leaf_count, config, joint, workers), dtype=np.int64)
+    blocks = map_replicas(_trees, (config, joint), config.replicas, workers)
+    leaves = [leaf for block in blocks for *_, leaf in block]
+    if max(leaves) >= 1 << 63:
+        raise BudgetExceededError(
+            f"a picked leaf of {max(leaves)} parasites does not fit int64 (< 2^63)")
+    return np.array(leaves, dtype=np.int64)

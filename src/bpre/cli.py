@@ -325,7 +325,7 @@ def _cmd_cells(env, params: dict, ctx: _Ctx):
         "n": report.n, "replicas": report.replicas,
     }, ctx.cfg_hash)
     return ({"cells.csv": path, "cells_summary.json": summary_path},
-            {"z_score": report.z_score})
+            {"z_score": report.z_score, "normal_steps": result.normal_steps})
 
 
 _HANDLERS = {

@@ -16,7 +16,8 @@ In that log-z lane the step is the moment-matched normal
 z' = z * mean + g * sqrt(z * variance), written as
 log z' = log z + log(mean + g * sd * exp(-log z / 2)); it cannot
 overflow.  Threshold tests compare exact lanes as integers and log-z
-lanes in log space.
+lanes in log space.  law_step branches both lanes by one offspring law;
+it is the one branching step of the block engine and of the cell tree.
 
 Every block is simulated in full, so replica r's path depends only on
 (seed, stream, r): results are byte-identical for any worker count, and a
@@ -176,51 +177,94 @@ def _log_bound(bound: float) -> float:
 
 
 @dataclass(eq=False)
-class Lanes:
-    """The BLOCK lanes of one block after generation k.
+class Populations:
+    """Populations held in two lanes.
 
-    Lanes flagged in big carry their population as logz, the others as the
-    exact int64 z (each array holds stale values in the other lanes).  llr
-    is each lane's log likelihood ratio so far, idx the components drawn at
-    generation k (None at k = 0), tau the first generation with population
-    above the block's take-off threshold (n if none yet), and
-    normal_steps each lane's count of generations branched in the log-z
-    lane.  block_lanes updates the arrays in place; copy what you keep.
+    Entries flagged in big carry their population as logz, the others as
+    the exact int64 z (each array holds stale values in the other entries).
     """
 
     z: np.ndarray
     logz: np.ndarray
     big: np.ndarray
-    llr: np.ndarray
-    tau: np.ndarray
-    normal_steps: np.ndarray
-    k: int = 0
-    idx: Optional[np.ndarray] = None
 
     def at_most(self, bound: float) -> np.ndarray:
-        """Lanes with population <= bound."""
+        """Entries with population <= bound."""
         hit = self.z <= _clamp_int64(math.floor(bound))
         if self.big.any():
             hit[self.big] = self.logz[self.big] <= _log_bound(bound)
         return hit
 
     def at_least(self, bound: float) -> np.ndarray:
-        """Lanes with population >= bound."""
+        """Entries with population >= bound."""
         hit = self.z >= _clamp_int64(math.ceil(bound))
         if self.big.any():
             hit[self.big] = self.logz[self.big] >= _log_bound(bound)
         return hit
 
     def log(self) -> np.ndarray:
-        """Log population of every lane."""
+        """Log population of every entry."""
         return np.where(self.big, self.logz, np.log(self.z))
 
     def ints(self, size: int) -> List[int]:
-        """Populations of the first size lanes as ints, log-z lanes rounded."""
+        """Populations of the first size entries as ints, log-z entries rounded."""
         out = self.z[:size].tolist()
         for j in np.flatnonzero(self.big[:size]).tolist():
             out[j] = _exp_int(float(self.logz[j]))
         return out
+
+    def value(self, j: int) -> int:
+        """Population of entry j as an int, rounded in the log-z lane."""
+        return _exp_int(float(self.logz[j])) if self.big[j] else int(self.z[j])
+
+    @classmethod
+    def start(cls, z0: int, limit: int, size: int, **fields):
+        """size entries of population z0, in the log-z lane if z0 > limit."""
+        big = z0 > limit
+        return cls(z=np.full(size, 1 if big else z0, dtype=np.int64),
+                   logz=np.full(size, math.log(z0) if big else 0.0),
+                   big=np.full(size, big), **fields)
+
+    def promote(self, limit: int) -> None:
+        """Move the exact entries above limit to the log-z lane."""
+        grow = ~self.big & (self.z > limit)
+        if grow.any():
+            self.big |= grow
+            self.logz[grow] = np.log(self.z[grow])
+
+
+def law_step(dist: OffspringDistribution, z: np.ndarray, logz: np.ndarray,
+             rng: np.random.Generator):
+    """New (z, logz) after exact populations z and log-z populations logz
+    branch once by dist.
+
+    Draws one multinomial over z, then one normal per entry of logz; an
+    empty lane draws nothing.  Every entry of z must be at most
+    EXACT_LIMIT // dist.max_offspring, which Populations.promote ensures.
+    """
+    if z.size:
+        z = rng.multinomial(z, dist.probs_arr).dot(dist.support_arr)
+    if logz.size:
+        logz = logz + _log_step(dist, logz, rng.standard_normal(logz.size))
+    return z, logz
+
+
+@dataclass(eq=False)
+class Lanes(Populations):
+    """The BLOCK lanes of one block after generation k.
+
+    llr is each lane's log likelihood ratio so far, idx the components
+    drawn at generation k (None at k = 0), tau the first generation with
+    population above the block's take-off threshold (n if none yet), and
+    normal_steps each lane's count of generations branched in the log-z
+    lane.  block_lanes updates the arrays in place; copy what you keep.
+    """
+
+    llr: np.ndarray
+    tau: np.ndarray
+    normal_steps: np.ndarray
+    k: int = 0
+    idx: Optional[np.ndarray] = None
 
 
 def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
@@ -234,15 +278,9 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
     """
     rng = replica_stream(seed, proposal.stream + block)
     limit = EXACT_LIMIT // max(d.max_offspring for d in env.components)
-    start_big = z0 > limit
-    lanes = Lanes(
-        z=np.full(BLOCK, 1 if start_big else z0, dtype=np.int64),
-        logz=np.full(BLOCK, math.log(z0) if start_big else 0.0),
-        big=np.full(BLOCK, start_big),
-        llr=np.zeros(BLOCK),
-        tau=np.full(BLOCK, n),
-        normal_steps=np.zeros(BLOCK, dtype=np.int64),
-    )
+    lanes = Lanes.start(z0, limit, BLOCK, llr=np.zeros(BLOCK),
+                        tau=np.full(BLOCK, n),
+                        normal_steps=np.zeros(BLOCK, dtype=np.int64))
     check = env.strongly_supercritical
     for k in range(n + 1):
         if k > 0:
@@ -259,25 +297,17 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
 def _branch(env: EnvironmentLaw, lanes: Lanes, limit: int, check: bool,
             rng: np.random.Generator) -> None:
     """One free generation: every lane branches by the component it drew."""
+    lanes.promote(limit)
     z, logz, big = lanes.z, lanes.logz, lanes.big
-    grow = ~big & (z > limit)
-    if grow.any():
-        big |= grow
-        logz[grow] = np.log(z[grow])
     lanes.normal_steps += big
     for i, dist in enumerate(env.components):
         on = lanes.idx == i
-        exact = on & ~big
-        if exact.any():
-            zs = z[exact]
-            out = rng.multinomial(zs, dist.probs_arr).dot(dist.support_arr)
-            if check:
-                assert (out >= zs).all(), "population decreased under a no-extinction law"
-            z[exact] = out
-        normal = on & big
-        if normal.any():
-            g = rng.standard_normal(int(normal.sum()))
-            logz[normal] += _log_step(dist, logz[normal], g)
+        exact, normal = on & ~big, on & big
+        zs = z[exact]
+        out, logz[normal] = law_step(dist, zs, logz[normal], rng)
+        if check:
+            assert (out >= zs).all(), "population decreased under a no-extinction law"
+        z[exact] = out
 
 
 def run(config: SimConfig, replica: int = 0) -> Trajectory:
@@ -288,7 +318,7 @@ def run(config: SimConfig, replica: int = 0) -> Trajectory:
     idxs: List[int] = []
     for lanes in block_lanes(env, config.n, config.z0, Proposal.naive(env),
                              config.seed, replica // BLOCK):
-        zs.append(lanes.ints(lane + 1)[lane])
+        zs.append(lanes.value(lane))
         if lanes.idx is not None:
             idxs.append(int(lanes.idx[lane]))
     walk = accumulate((env.log_means[i] for i in idxs), initial=0.0)

@@ -14,6 +14,7 @@ from bpre import (
     simulate_cell_tree,
     uniform_leaf_counts,
 )
+from bpre.cells import TREE_DEPTH_MAX
 
 
 def g2_laws():
@@ -85,6 +86,84 @@ def test_joint_sampler_hook():
     # loads over three splits are 2^j with binomial multiplicity; threshold 3
     assert np.all(res.below == 4)
     assert np.all(res.above == 4)
+
+
+class CountingDouble:
+    """coupled_double that records the cell counts it is called with."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, z, rng):
+        assert z.dtype == np.int64
+        self.sizes.append(z.size)
+        return coupled_double(z, rng)
+
+
+def test_joint_sampler_called_once_per_level():
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4, seed=0, replicas=3)
+    joint = CountingDouble()
+    simulate_cell_tree(config, joint=joint)
+    assert joint.sizes == [1, 2, 4, 8] * 3
+
+
+def test_joint_sampler_stays_in_exact_lane():
+    # the exact lane ends at 2^62 // 4 = 2^60 parasites under g2's laws
+    law1, law2 = g2_laws()
+    # leaves 2^59, 2^60, 2^60, 2^61 about a threshold e^41.9 ~ 2^60.45
+    config = CellTreeConfig(n=2, law1=law1, law2=law2, c=20.95, z0=2**59)
+    res = simulate_cell_tree(config, joint=coupled_double)
+    assert res.normal_steps == 0
+    assert res.below[0] == 3 and res.above[0] == 1
+    for n, z0 in ((3, 2**59), (1, 2**61)):
+        config = CellTreeConfig(n=n, law1=law1, law2=law2, c=40.0, z0=z0)
+        with pytest.raises(BudgetExceededError, match="joint sampler"):
+            simulate_cell_tree(config, joint=coupled_double)
+
+
+def test_log_lane_tree():
+    law1, law2 = g2_laws()
+    # the root's 2^60 parasites branch exactly; every later cell is past
+    # 2^62 // 4 and branches in the log-z lane, two draws per cell
+    config = CellTreeConfig(n=3, law1=law1, law2=law2, c=14.6, seed=4,
+                            z0=2**60, replicas=300)
+    res = simulate_cell_tree(config)
+    assert res.normal_steps == 300 * 2 * (2 + 4)
+    assert np.all(res.below + res.above == 2**3)
+    # leaves sit near 2^60 * 1.5^a * 3^(3-a), relative noise ~2^-30; the
+    # threshold e^43.8 ~ 2^63.2 keeps the four with a >= 2 below
+    assert np.all(res.below == 4)
+    again = simulate_cell_tree(config, workers=2)
+    assert np.array_equal(res.below, again.below)
+    assert np.array_equal(res.above, again.above)
+    assert res.normal_steps == again.normal_steps
+
+
+def test_tree_at_depth_max():
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=TREE_DEPTH_MAX, law1=law1, law2=law2, c=0.4, seed=5)
+    res = simulate_cell_tree(config)
+    assert res.below + res.above == 2**TREE_DEPTH_MAX
+    assert res.normal_steps == 0
+
+
+def test_identity_at_depth_12():
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=12, law1=law1, law2=law2, c=0.4, seed=12, replicas=400)
+    report = expected_count_identity(config, workers=2)
+    env = build_environment([(0.5, law1.pmf_dict()), (0.5, law2.pmf_dict())])
+    exact = population_distribution(env, 12, cap=121).prob_le(121)
+    assert report.threshold == 121
+    assert report.probability == pytest.approx(exact, rel=1e-12)
+    assert abs(report.z_score) <= 3.0
+
+
+def test_uniform_leaf_past_int64_raises():
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=2, law1=law1, law2=law2, c=22.0, z0=2**61, replicas=3)
+    with pytest.raises(BudgetExceededError, match="2\\^63"):
+        uniform_leaf_counts(config)
 
 
 def test_uniform_leaf_matches_marginal_law():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,23 @@ def test_cells_artifact(tmp_path):
     assert "z_score" in summary and "expected" in summary
 
 
+def test_cells_reports_normal_steps_outside_artifacts(tmp_path, capsys):
+    # 2^20 children per parasite: cells pass 2^62 // 2^20 at depth 3, so
+    # the 8 cells there branch in the log-z lane, two draws each
+    env = {"weight": 0.5, "pmf": {"1048576": 1.0}}
+    cfg = write_cfg(tmp_path, {"environments": [env, env], "seed": 0,
+                               "replicas": 5, "cells": {"n": 4, "c": 0.4}})
+    for config, steps in ((str(CONFIG_DIR / "g2.json"), 0), (cfg, 5 * 16)):
+        out = tmp_path / str(steps)
+        assert main(["cells", "--config", config, "--replicas", "5",
+                     "--out-dir", str(out)]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert echo["outputs"]["normal_steps"] == steps
+        assert read_log(out)[0]["outputs"]["normal_steps"] == steps
+        for artifact in echo["artifacts"]:
+            assert "normal" not in (out / artifact).read_text()
+
+
 def test_cells_needs_two_environments(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "environments": [{"weight": 1.0, "pmf": {"2": 1.0}}],
@@ -342,7 +360,7 @@ def test_shipped_configs_parse():
 # streams bumps bpre.__version__ (so old run records fail `reproduce` with
 # VersionMismatch) and updates these hashes and GOLDEN_VERSION in the same
 # change; any other change must leave the artifacts byte-identical.
-GOLDEN_VERSION = "0.2.0"
+GOLDEN_VERSION = "0.3.0"
 GOLDEN_G2_ARTIFACTS = {
     ("simulate", "simulate.csv"):
         "214c86992d2a746461ba0d9351771583d33ca3f50f64b79c2a8a7e3fb321dcb5",
@@ -355,10 +373,15 @@ GOLDEN_G2_ARTIFACTS = {
     ("takeoff", "takeoff.csv"):
         "6c734933cad038f3de53cce702588c4a02d4069791c611c378550f4bf58dc42c",
     ("cells", "cells.csv"):
-        "2d94d87e92f61f6443a0a53536ca9d8e27a87b67c28e2539f113af9675c68648",
+        "d68f0be116ccc874d92959f48ee2a4151a179f16a004878bd3ce464677e69a57",
     ("cells", "cells_summary.json"):
-        "ba8cdf963e46101a3228e89573e0568fb6fa5d9cffca70f0a65f7e06a5b274e6",
+        "a8185cb614b234d4c0a5ce0540b49b257d0ab6f81a9deb792148b33bb52bd8ac",
 }
+
+
+def test_pyproject_version_matches_package():
+    text = (CONFIG_DIR.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == __version__
 
 
 @pytest.mark.parametrize("command", sorted({cmd for cmd, _ in GOLDEN_G2_ARTIFACTS}))
