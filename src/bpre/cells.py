@@ -140,12 +140,16 @@ def simulate_cell_tree(config: CellTreeConfig,
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Tree-side mean versus 2^n times the exact process probability."""
+    """Tree-side mean versus 2^n times the exact process probability.
+
+    z_score is None when every tree gives the same count and it differs
+    from expected: the gap is real but has no stderr to scale it.
+    """
 
     tree_mean: float
     tree_stderr: float
     expected: float
-    z_score: float
+    z_score: Optional[float]
     probability: float
     threshold: int
     n: int
@@ -155,7 +159,6 @@ class IdentityReport:
 def expected_count_identity(config: CellTreeConfig,
                             joint: Optional[JointSampler] = None,
                             workers: int = 1,
-                            cap: Optional[int] = None,
                             result: Optional[CellTreeResult] = None
                             ) -> IdentityReport:
     """Check E(number of small cells) = 2^n P(Z_n <= e^{cn}).
@@ -168,10 +171,8 @@ def expected_count_identity(config: CellTreeConfig,
     if result is None:
         result = simulate_cell_tree(config, joint=joint, workers=workers)
     k = int(math.floor(config.threshold + 1e-12))
-    if cap is None:
-        cap = max(k, config.z0)
     dist = population_distribution(config.environment(), config.n,
-                                   z0=config.z0, cap=cap)
+                                   z0=config.z0, cap=max(k, config.z0))
     prob = dist.prob_le(k)
     expected = 2 ** config.n * prob
     se = result.stderr_below
@@ -180,7 +181,7 @@ def expected_count_identity(config: CellTreeConfig,
         z = diff / se
     else:
         # degenerate tree counts: the exact side still carries float rounding
-        z = 0.0 if abs(diff) <= 1e-9 * max(1.0, abs(expected)) else math.inf
+        z = 0.0 if abs(diff) <= 1e-9 * max(1.0, abs(expected)) else None
 
     return IdentityReport(
         tree_mean=result.mean_below, tree_stderr=se, expected=expected,

@@ -8,11 +8,16 @@ bucket.  Truncation commutes with convolution on the kept coefficients, so
 below-cap masses are exact; for laws that cannot shrink (no zero offspring
 and no sub-unit support) the overflow bucket is absorbing and every event
 {Z_n <= K} with K <= cap is exact regardless of how much mass overflowed.
+
+Environments are i.i.d. across generations, so under the annealed law Z is
+a Markov chain with one kernel M = sum_i w_i T_i; the trajectory oracle is
+a forward and a backward pass over M on the states at or below the event
+threshold.  A dense table (the kernel, the DP's pmf) holds at most
+ENTRY_BUDGET floats, 32 MB; a larger one raises BudgetExceeded up front.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
@@ -29,8 +34,7 @@ from .errors import (
 from .ratefn import walk_atoms
 
 COMPOSITION_BUDGET = 500_000
-SEQUENCE_BUDGET = 4096      # environment sequences in the trajectory oracle
-TRAJECTORY_N_MAX = 12
+ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,9 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
         raise ValueError(f"n={n} must be >= 0")
     if cap < z0:
         raise CapTooSmallError(f"cap={cap} below initial population z0={z0}")
+    if cap + 1 > ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"pmf at cap={cap} exceeds {ENTRY_BUDGET} entries")
     polys = [_pmf_poly(d) for d in env.components]
     v = np.zeros(cap + 1)
     v[z0] = 1.0
@@ -203,77 +210,49 @@ class ConditionalTrajectoryResult:
     profile: Optional[np.ndarray]
 
 
-def conditional_trajectory(env: EnvironmentLaw, n: int, c: float,
-                           z0: int = 1, cap: Optional[int] = None
-                           ) -> ConditionalTrajectoryResult:
-    """Enumerate environment sequences exactly; population DP inside each.
+def _kernel(env: EnvironmentLaw, cap: int) -> np.ndarray:
+    """M = sum_i w_i T_i on 0..cap; row z of T_i is law i's z-fold convolution."""
+    if (cap + 1) ** 2 > ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"kernel at cap={cap} exceeds {ENTRY_BUDGET} entries")
+    m = np.zeros((cap + 1, cap + 1))
+    for w, d in zip(env.weights, env.components):
+        f, row = _pmf_poly(d), np.ones(1)
+        for z in range(cap + 1):
+            m[z, : row.size] += w * row
+            row = np.convolve(row, f)[: cap + 1]
+    return m
 
-    For every sequence a forward pass gives the law of Z_k and a backward
-    pass the probability of ending below the threshold; their product is
-    the joint mass, summed over sequences weighted by the sequence
-    probability.  Requires a law that cannot shrink (log of an extinct
-    population is undefined) and is hard-capped at n = 12.
+
+def conditional_trajectory(env: EnvironmentLaw, n: int, c: float,
+                           z0: int = 1) -> ConditionalTrajectoryResult:
+    """Exact P(Z_n <= T) and E[(1/n) log Z_k | Z_n <= T], T = floor(e^{cn}).
+
+    fwd[k] is the law of Z_k under the annealed kernel M and beta_k[z] =
+    P(Z_n <= T | Z_k = z), so fwd[k] @ (beta_k * log z) is the joint mass.
+    The law must not shrink (log of an extinct population is undefined), so
+    a state above T never re-enters the event: M is kept on 0..T, (T + 1)^2
+    entries, at most ENTRY_BUDGET.
     """
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError(
-            "conditional trajectory oracle needs a no-extinction law"
-        )
-    if n > TRAJECTORY_N_MAX or env.k ** n > SEQUENCE_BUDGET:
-        raise BudgetExceededError(
-            f"{env.k}^{n} environment sequences exceed the enumeration budget"
-        )
+            "conditional trajectory oracle needs a no-extinction law")
     threshold = int(math.floor(math.exp(c * n) + 1e-12))
     if threshold < z0:
         return ConditionalTrajectoryResult(0.0, threshold, None)
-    if cap is None:
-        cap = threshold
-    elif cap < threshold:
-        raise CapTooSmallError(f"cap={cap} below event threshold {threshold}")
-    ecap = threshold  # states above the threshold can never re-enter the event
-    if (ecap + 1) ** 2 * env.k > 4_000_000:
-        raise BudgetExceededError(f"transition tables at cap={ecap} too large")
-
-    # per-component transition matrix rows: z-fold convolution powers
-    trans = []
-    for d in env.components:
-        f = _pmf_poly(d)
-        rows = np.zeros((ecap + 1, ecap + 1))
-        rows[0, 0] = 1.0
-        row = np.zeros(1)
-        row[0] = 1.0
-        for z in range(1, ecap + 1):
-            row = np.convolve(row, f)
-            if row.size > ecap + 1:
-                row = row[: ecap + 1]
-            rows[z, : row.size] = row
-        trans.append(rows)
-
-    logs = np.zeros(ecap + 1)
-    logs[1:] = np.log(np.arange(1, ecap + 1))
-    num = np.zeros(n + 1)
-    den = 0.0
-    below = np.ones(ecap + 1)
-    for seq in itertools.product(range(env.k), repeat=n):
-        pseq = 1.0
-        for i in seq:
-            pseq *= env.weights[i]
-        fwd = np.zeros((n + 1, ecap + 1))
-        fwd[0, z0] = 1.0
-        for k, i in enumerate(seq):
-            fwd[k + 1] = fwd[k] @ trans[i]
-        beta = below.copy()
-        joint = np.empty(n + 1)
-        joint[n] = fwd[n] @ beta
-        contrib = np.empty(n + 1)
-        contrib[n] = fwd[n] @ (beta * logs)
-        for k in range(n - 1, -1, -1):
-            beta = trans[seq[k]] @ beta
-            joint[k] = fwd[k] @ beta
-            contrib[k] = fwd[k] @ (beta * logs)
-        num += pseq * contrib
-        den += pseq * joint[0]
-    if den <= 0.0:
+    m = _kernel(env, threshold)
+    fwd = np.zeros((n + 1, threshold + 1))
+    fwd[0, z0] = 1.0
+    for k in range(n):
+        fwd[k + 1] = fwd[k] @ m
+    logs = np.log(np.maximum(np.arange(threshold + 1), 1))
+    beta = np.ones(threshold + 1)
+    num = np.empty(n + 1)
+    for k in range(n, -1, -1):
+        num[k] = fwd[k] @ (beta * logs)
+        if k:
+            beta = m @ beta
+    probability = float(beta[z0])
+    if probability <= 0.0:
         return ConditionalTrajectoryResult(0.0, threshold, None)
-    return ConditionalTrajectoryResult(
-        probability=den, threshold=threshold, profile=num / den / n
-    )
+    return ConditionalTrajectoryResult(probability, threshold, num / probability / n)

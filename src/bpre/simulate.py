@@ -29,7 +29,6 @@ block_lanes yields, mapped over blocks by map_replicas.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, List, NamedTuple, Optional
@@ -365,6 +364,8 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int) -> 
     procs = min(workers, len(blocks))
     if procs <= 1:
         return _map_blocks(worker, args, blocks)
+    # imported here: the pool machinery adds about 20 ms to every import
+    from concurrent.futures import ProcessPoolExecutor
     step = -(-len(blocks) // procs)
     with ProcessPoolExecutor(max_workers=procs) as pool:
         futures = [pool.submit(_map_blocks, worker, args, blocks[j:j + step])

@@ -209,6 +209,38 @@ def test_cells_needs_two_environments(tmp_path, capsys):
     assert err["kind"] == "config"
 
 
+def test_cells_oracle_budget_exits_2(tmp_path, capsys):
+    # z0 = 2^60 sizes the exact DP's cap past the entry budget
+    rc = main(["cells", "--config", str(CONFIG_DIR / "g2.json"), "--n", "3",
+               "--c", "14.6", "--z0", "1152921504606846976", "--replicas", "5",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
+
+
+def test_cells_degenerate_z_score_is_valid_json(tmp_path, capsys):
+    # every tree counts 0 small cells against 2^4 P = 0.0625: no stderr
+    cfg = write_cfg(tmp_path, {"environments": [
+        {"weight": 0.5, "pmf": {"1048576": 1.0}},
+        {"weight": 0.5, "pmf": {"1": 0.5, "1048576": 0.5}},
+    ], "seed": 0})
+
+    def strict(text):
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+        return json.loads(text, parse_constant=refuse)
+
+    assert main(["cells", "--config", cfg, "--n", "4", "--c", "0.4",
+                 "--replicas", "5", "--out-dir", str(tmp_path)]) == 0
+    echo = strict(capsys.readouterr().out)
+    summary = strict((tmp_path / "cells_summary.json").read_text())
+    record = strict((tmp_path / "runlog.jsonl").read_text())
+    assert summary["tree_mean"] == 0.0 and summary["expected"] == 0.0625
+    assert echo["outputs"]["z_score"] is None
+    assert summary["z_score"] is None
+    assert record["outputs"]["z_score"] is None
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

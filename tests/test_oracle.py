@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpre import (
     BudgetExceededError,
@@ -16,6 +18,7 @@ from bpre import (
     run_batch,
     walk_tail,
 )
+from bpre.oracle import ENTRY_BUDGET
 from bpre.simulate import PopulationAtLeast, PopulationAtMost
 from conftest import event_threshold
 
@@ -102,6 +105,12 @@ def test_cap_below_start_rejected(g2):
         population_distribution(g2, 1, z0=5, cap=3)
 
 
+def test_population_budget(g2):
+    # raised before the pmf is allocated
+    with pytest.raises(BudgetExceededError):
+        population_distribution(g2, 1, z0=1, cap=ENTRY_BUDGET)
+
+
 def test_query_above_cap(g2):
     dist = population_distribution(g2, 4, z0=1, cap=16)
     with pytest.raises(CapTooSmallError):
@@ -178,12 +187,85 @@ def test_conditional_trajectory_matches_marginal(g2):
 
 
 def test_conditional_trajectory_guards(g2, subcrit):
+    # T = 13359: the kernel would hold 1.8e8 entries, refused before allocation
     with pytest.raises(BudgetExceededError):
-        conditional_trajectory(g2, 13, 0.4)
+        conditional_trajectory(g2, 25, 0.38)
     with pytest.raises(NotStronglySupercriticalError):
         conditional_trajectory(subcrit, 4, 0.1)
-    with pytest.raises(CapTooSmallError):
-        conditional_trajectory(g2, 4, 0.5, cap=2)
+
+
+def test_conditional_trajectory_golden(g2):
+    res = conditional_trajectory(g2, 10, 0.4)
+    assert res.threshold == 54
+    assert res.probability == pytest.approx(0.004548628277750656, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, c", [(13, 0.4), (20, 0.38)], ids=["n13", "n20"])
+def test_conditional_trajectory_past_enumeration(g2, n, c):
+    res = conditional_trajectory(g2, n, c)
+    k = event_threshold(n, c)
+    exact = population_distribution(g2, n, z0=1, cap=k).prob_le(k)
+    assert res.threshold == k
+    assert res.probability == pytest.approx(exact, rel=1e-12)
+    assert res.profile[0] == 0.0
+    assert np.all(np.diff(res.profile) >= -1e-12)
+    assert res.profile[-1] <= c + 1e-12
+
+
+def enumerated_trajectory(env, n, c, z0):
+    """The per-sequence definition: sum over all k^n environment sequences.
+
+    For each sequence a forward pass gives the law of Z_k and a backward
+    pass the probability of ending at or below the threshold.  Transition
+    rows come from one-generation population_distribution calls.
+    """
+    t = event_threshold(n, c)
+    tables = []
+    for comp in env.components:
+        law = build_environment([(1.0, comp)])
+        tables.append(np.array([population_distribution(law, 1, z0=z, cap=t).probs
+                                for z in range(t + 1)]))
+    logs = np.log(np.maximum(np.arange(t + 1), 1))
+    num, den = np.zeros(n + 1), 0.0
+    for seq in itertools.product(range(env.k), repeat=n):
+        pseq = math.prod(env.weights[i] for i in seq)
+        fwd = [np.eye(t + 1)[z0]]
+        for i in seq:
+            fwd.append(fwd[-1] @ tables[i])
+        beta = np.ones(t + 1)
+        for k in range(n, -1, -1):
+            num[k] += pseq * (fwd[k] @ (beta * logs))
+            if k:
+                beta = tables[seq[k - 1]] @ beta
+        den += pseq * beta[z0]
+    return den, num / den / n if den > 0.0 else None
+
+
+@st.composite
+def no_extinction_laws(draw):
+    pmf = st.dictionaries(st.integers(1, 6), st.integers(1, 9), min_size=1, max_size=4)
+    comps = draw(st.lists(pmf, min_size=1, max_size=3))
+    ws = draw(st.lists(st.integers(1, 9), min_size=len(comps), max_size=len(comps)))
+    return build_environment([
+        (w / sum(ws), {k: m / sum(p.values()) for k, m in p.items()})
+        for w, p in zip(ws, comps)
+    ])
+
+
+@settings(deadline=None, max_examples=60)
+@given(env=no_extinction_laws(), n=st.integers(1, 5), c=st.floats(0.0, 0.8),
+       z0=st.integers(1, 3))
+def test_conditional_trajectory_matches_enumeration(env, n, c, z0):
+    res = conditional_trajectory(env, n, c, z0=z0)
+    if res.threshold < z0:
+        assert res.probability == 0.0 and res.profile is None
+        return
+    prob, profile = enumerated_trajectory(env, n, c, z0)
+    assert res.probability == pytest.approx(prob, rel=1e-12, abs=0.0)
+    if profile is None:
+        assert res.profile is None
+    else:
+        np.testing.assert_allclose(res.profile, profile, rtol=0.0, atol=1e-12)
 
 
 def test_small_population_cost_bounds(g2):

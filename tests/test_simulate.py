@@ -1,10 +1,10 @@
+import concurrent.futures
 import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from bpre import simulate
 from bpre import (
     Method,
     SimConfig,
@@ -210,7 +210,8 @@ def test_map_replicas_hands_out_whole_blocks(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", Pool)
+    # map_replicas imports the pool class only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     reps = 2 * BLOCK + BLOCK // 2
     spans = [slice(0, BLOCK), slice(BLOCK, 2 * BLOCK), slice(2 * BLOCK, reps)]
     assert map_replicas(slice, (), reps, 1) == spans
