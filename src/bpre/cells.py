@@ -21,8 +21,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .envmodel import EnvironmentLaw, OffspringDistribution, build_environment
-from .errors import BudgetExceededError
-from .oracle import population_distribution
+from .errors import BudgetExceededError, InvalidArgumentError
+from .oracle import event_threshold, population_distribution
 from .rng import STREAM_CELLS, replica_stream
 from .simulate import EXACT_LIMIT, Populations, law_step, map_replicas
 
@@ -44,15 +44,16 @@ class CellTreeConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"n={self.n} must be >= 1")
+            raise InvalidArgumentError(f"n={self.n} must be >= 1")
         if self.n > TREE_DEPTH_MAX:
             raise BudgetExceededError(
                 f"tree depth {self.n} exceeds the {TREE_DEPTH_MAX}-level budget"
             )
+        event_threshold(self.n, self.c)   # refuses e^{cn} past the float range
         if self.z0 < 1:
-            raise ValueError(f"z0={self.z0} must be >= 1")
+            raise InvalidArgumentError(f"z0={self.z0} must be >= 1")
         if self.replicas < 1:
-            raise ValueError(f"replicas={self.replicas} must be >= 1")
+            raise InvalidArgumentError(f"replicas={self.replicas} must be >= 1")
 
     @property
     def threshold(self) -> float:
@@ -170,7 +171,7 @@ def expected_count_identity(config: CellTreeConfig,
     """
     if result is None:
         result = simulate_cell_tree(config, joint=joint, workers=workers)
-    k = int(math.floor(config.threshold + 1e-12))
+    k = event_threshold(config.n, config.c)
     dist = population_distribution(config.environment(), config.n,
                                    z0=config.z0, cap=max(k, config.z0))
     prob = dist.prob_le(k)

@@ -25,8 +25,8 @@ from . import __version__
 from .cells import CellTreeConfig, expected_count_identity, simulate_cell_tree
 from .envmodel import (environment_from_dict, environment_to_dict,
                        reject_duplicate_keys)
-from .errors import BPREError, VersionMismatchError
-from .oracle import population_distribution
+from .errors import BPREError, InvalidArgumentError, VersionMismatchError
+from .oracle import event_threshold, population_distribution
 from .ratefn import lower_deviation_rate, tilt_parameter, walk_rate
 from .rare_event import (
     conditional_profile,
@@ -94,7 +94,7 @@ def parse_grid(spec) -> list:
     if ":" in text:
         lo, hi, step = (float(x) for x in text.split(":"))
         if step <= 0:
-            raise ValueError(f"grid step must be positive in {text!r}")
+            raise InvalidArgumentError(f"grid step must be positive in {text!r}")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return [lo + k * step for k in range(count)]
     return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -111,7 +111,7 @@ class _Ctx:
 
 def _need(params: dict, key: str, command: str):
     if key not in params:
-        raise ValueError(f"missing setting {key!r} for command {command!r}")
+        raise InvalidArgumentError(f"missing setting {key!r} for command {command!r}")
     return params[key]
 
 
@@ -163,8 +163,7 @@ def _cmd_oracle(env, params: dict, ctx: _Ctx):
     if "threshold" in params:
         k = int(params["threshold"])
     else:
-        c = float(_need(params, "c", "oracle"))
-        k = int(math.floor(math.exp(c * n) + 1e-12))
+        k = event_threshold(n, float(_need(params, "c", "oracle")))
     tol = params.get("tol")
     dist = population_distribution(env, n, z0=z0, cap=cap)
     prob = dist.prob_le(k, tol=float(tol) if tol is not None else None)
@@ -299,7 +298,7 @@ def _cmd_takeoff(env, params: dict, ctx: _Ctx):
 
 def _cmd_cells(env, params: dict, ctx: _Ctx):
     if env.k != 2:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"cells needs a two-environment config, got {env.k} components"
         )
     config = CellTreeConfig(
@@ -350,6 +349,10 @@ _SECTION_FLAGS = {
     "takeoff": ("n", "c", "z0", "threshold_n", "phase_fraction"),
     "cells": ("n", "c", "z0"),
 }
+# every setting given must survive its cast (the handlers apply it)
+_SETTING_CASTS = {"n": int, "z0": int, "cap": int, "threshold": int, "threshold_n": int,
+                  "c": float, "tol": float, "phase_fraction": float,
+                  "c_grid": parse_grid, "grid": parse_grid}
 
 
 def _section_name(command: str) -> str:
@@ -369,6 +372,9 @@ def effective_config(command: str, cfg: dict, ns) -> dict:
         "replicas", cfg.get("replicas", 10_000))
     section["seed"] = int(seed)
     section["replicas"] = int(replicas)
+    for key, cast in _SETTING_CASTS.items():
+        if section.get(key) is not None:
+            cast(section[key])
     return {"environments": cfg["environments"], _section_name(command): section}
 
 
@@ -424,13 +430,16 @@ def _cmd_reproduce(ns) -> int:
     out_dir = ns.out_dir or "."
     log_path = ns.log or os.path.join(out_dir, LOG_NAME)
     with open(log_path) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        try:
+            records = [json.loads(line) for line in fh if line.strip()]
+        except ValueError as err:
+            raise InvalidArgumentError(f"run log {log_path}: {err}") from err
     if not records:
-        raise ValueError(f"no run records in {log_path}")
+        raise InvalidArgumentError(f"no run records in {log_path}")
     if ns.run_id is not None:
         matches = [r for r in records if r["run_id"] == ns.run_id]
         if not matches:
-            raise ValueError(f"run id {ns.run_id!r} not found in {log_path}")
+            raise InvalidArgumentError(f"run id {ns.run_id!r} not found in {log_path}")
         record = matches[-1]
     else:
         record = records[-1]
@@ -554,10 +563,13 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if ns.command == "reproduce":
         return _cmd_reproduce(ns)
     if ns.config is None:
-        raise ValueError(f"command {ns.command!r} needs --config")
-    with open(ns.config) as fh:
-        cfg = json.load(fh, object_pairs_hook=reject_duplicate_keys)
-    effective = effective_config(ns.command, cfg, ns)
+        raise InvalidArgumentError(f"command {ns.command!r} needs --config")
+    try:   # config resolution: the only place a KeyError or ValueError is bad input
+        with open(ns.config) as fh:
+            cfg = json.load(fh, object_pairs_hook=reject_duplicate_keys)
+        effective = effective_config(ns.command, cfg, ns)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise InvalidArgumentError(f"config {ns.config}: {err!r}") from err
     out_dir = ns.out_dir or "."
     workers = ns.workers if ns.workers is not None else 1
     record, artifacts, outputs = execute(ns.command, effective, out_dir, workers)
@@ -569,17 +581,20 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Exit 0 on success, 2 on bad input, 3 on a numeric failure or a bug."""
     try:
         return _main(argv)
     except BPREError as err:
-        print(json.dumps({"error": err.code, "kind": err.kind,
-                          "message": str(err)}), file=sys.stderr)
-        return 2 if err.kind == "config" else 3
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError,
-            OSError) as err:
-        print(json.dumps({"error": type(err).__name__, "kind": "config",
-                          "message": str(err)}), file=sys.stderr)
-        return 2
+        error = (err.code, err.kind, str(err))
+    except OSError as err:
+        error = (type(err).__name__, "config", str(err))
+    except Exception as err:   # a bug, not bad input: keep its traceback
+        import traceback   # only on this path: saves its import on every run
+        traceback.print_exc()
+        error = (type(err).__name__, "internal", str(err))
+    code, kind, message = error
+    print(json.dumps({"error": code, "kind": kind, "message": message}), file=sys.stderr)
+    return 2 if kind == "config" else 3
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DuplicateKeyError,
+    InvalidArgumentError,
     MassNotOneError,
     NegativeProbError,
     WeightsNotOneError,
@@ -214,11 +215,12 @@ def environment_from_dict(data: Mapping) -> EnvironmentLaw:
         entries = data["environments"]
     except (KeyError, TypeError):
         raise MassNotOneError("config lacks an 'environments' list")
-    comps = []
-    for entry in entries:
+    try:
         # pairs, not a dict, so that keys such as "1" and "01" clash loudly
-        pmf = [(int(k), float(p)) for k, p in entry["pmf"].items()]
-        comps.append((float(entry["weight"]), pmf))
+        comps = [(float(entry["weight"]), [(int(k), float(p)) for k, p in entry["pmf"].items()])
+                 for entry in entries]
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise InvalidArgumentError(f"malformed environment entry: {err!r}") from err
     return build_environment(comps)
 
 

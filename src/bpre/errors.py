@@ -11,6 +11,10 @@ class BPREError(Exception):
     kind = "config"
 
 
+class InvalidArgumentError(BPREError, ValueError):   # bad input, still a ValueError
+    code = "InvalidArgument"
+
+
 # --- environment model -------------------------------------------------
 
 class NegativeProbError(BPREError):

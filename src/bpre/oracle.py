@@ -8,11 +8,13 @@ bucket.  Truncation commutes with convolution on the kept coefficients, so
 below-cap masses are exact; for laws that cannot shrink (no zero offspring
 and no sub-unit support) the overflow bucket is absorbing and every event
 {Z_n <= K} with K <= cap is exact regardless of how much mass overflowed.
+Each generation is a blocked (baby-step/giant-step) composition per law.
 
 Environments are i.i.d. across generations, so under the annealed law Z is
 a Markov chain with one kernel M = sum_i w_i T_i; the trajectory oracle is
 a forward and a backward pass over M on the states at or below the event
-threshold.  A dense table (the kernel, the DP's pmf) holds at most
+threshold.  M's rows and the DP's blocks are pgf powers F^z from one helper,
+_powers.  A dense table (the kernel, the DP's pmf) holds at most
 ENTRY_BUDGET floats, 32 MB; a larger one raises BudgetExceeded up front.
 """
 
@@ -28,6 +30,7 @@ from .envmodel import EnvironmentLaw, OffspringDistribution
 from .errors import (
     BudgetExceededError,
     CapTooSmallError,
+    InvalidArgumentError,
     NotStronglySupercriticalError,
     TooManyComponentsError,
 )
@@ -35,6 +38,7 @@ from .ratefn import walk_atoms
 
 COMPOSITION_BUDGET = 500_000
 ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table
+BLOCK_ROWS = 64             # baby-step rows of the population DP's composition
 
 
 @dataclass(frozen=True)
@@ -91,26 +95,31 @@ def _pmf_poly(dist: OffspringDistribution) -> np.ndarray:
     return f
 
 
-def _compose(v: np.ndarray, f: np.ndarray, cap: int) -> np.ndarray:
-    """Coefficients of V(F(s)) truncated at degree cap (Horner scheme).
+def _powers(f: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """F^0, F^1, ... for pgf coefficients f, each cut (exactly) to width."""
+    row = np.ones(1)
+    while True:
+        yield row
+        row = np.convolve(row, f)[:width]
 
-    v[j] is the mass at population j; composing with the offspring pgf F
-    yields the next generation's law.  Truncation only discards mass above
-    cap: kept coefficients are exact.
+
+def _compose(v: np.ndarray, baby: np.ndarray, giant: np.ndarray,
+             low: int, cap: int) -> np.ndarray:
+    """Coefficients of V(F(s)) up to degree cap, V(s) = sum_j v[j] s^j.
+
+    With B = len(baby) and V = sum_b s^(bB) V_b, deg V_b < B: V(F) = sum_b
+    G^b V_b(F), G = giant = F^B, by one product with baby (F^0..F^(B-1))
+    per block and a Horner pass over b (Paterson & Stockmeyer 1973).  G^b
+    starts at degree bB low, so step b keeps degrees up to cap - bB low.
     """
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        return np.zeros(cap + 1)
-    top = int(nz[-1])
+    rows, nz = baby.shape[0], np.flatnonzero(v)
+    top = min(int(nz[-1]) // rows, cap // (rows * max(low, 1))) if nz.size else -1
     out = np.zeros(1)
-    out[0] = v[top]
-    for j in range(top - 1, -1, -1):
-        out = np.convolve(out, f)
-        if out.size > cap + 1:
-            out = out[: cap + 1]
-        out[0] += v[j]
-    if out.size < cap + 1:
-        out = np.pad(out, (0, cap + 1 - out.size))
+    for b in range(top, -1, -1):
+        keep = cap + 1 - b * rows * low
+        block = v[b * rows: (b + 1) * rows]
+        out = np.convolve(out, giant)[:keep]
+        out[: baby.shape[1]] += block @ baby[: block.size, :keep]
     return out
 
 
@@ -118,30 +127,46 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
                             cap: int = 1000) -> ExactDistribution:
     """Exact truncated law of Z_n started from z0.
 
-    Work per generation is O(cap^2 * support) via truncated polynomial
-    composition, done once per component and mixed by the weights.
+    A generation composes the pmf with each law's pgf by _compose, about
+    cap^2 max_offspring / B multiply-adds; each law's baby table (B <=
+    BLOCK_ROWS rows, <= ENTRY_BUDGET entries) is built once per call.
     """
     if n < 0:
-        raise ValueError(f"n={n} must be >= 0")
+        raise InvalidArgumentError(f"n={n} must be >= 0")
     if cap < z0:
         raise CapTooSmallError(f"cap={cap} below initial population z0={z0}")
     if cap + 1 > ENTRY_BUDGET:
         raise BudgetExceededError(
             f"pmf at cap={cap} exceeds {ENTRY_BUDGET} entries")
-    polys = [_pmf_poly(d) for d in env.components]
+    rows, tables = min(BLOCK_ROWS, cap + 1, ENTRY_BUDGET // (cap + 1)), []
+    for w, d in zip(env.weights, env.components):
+        baby = np.zeros((rows, min(cap + 1, (rows - 1) * d.max_offspring + 1)))
+        powers = _powers(_pmf_poly(d), cap + 1)
+        for row, power in zip(baby, powers):
+            row[: power.size] = power
+        # zip stopped at baby's end without drawing: next(powers) is F^rows
+        tables.append((w, baby, next(powers), d.min_offspring))
     v = np.zeros(cap + 1)
     v[z0] = 1.0
     overflow = 0.0
     for _ in range(n):
         new = np.zeros(cap + 1)
-        for w, f in zip(env.weights, polys):
-            new += w * _compose(v, f, cap)
+        for w, baby, giant, low in tables:
+            out = _compose(v, baby, giant, low, cap)
+            new[: out.size] += w * out
         overflow += max(0.0, float(v.sum() - new.sum()))
         v = new
     nondecreasing = all(d.min_offspring >= 1 for d in env.components)
     return ExactDistribution(
         probs=v, overflow=overflow, n=n, z0=z0, cap=cap, nondecreasing=nondecreasing
     )
+
+
+def event_threshold(n: int, c: float) -> int:
+    """T = floor(e^{cn}), slack 1e-12, so Z_n <= e^{cn} is Z_n <= T."""
+    if not c * n <= 709.0:   # e^709 < 1.8e308, the largest float
+        raise BudgetExceededError(f"threshold e^(cn) at cn={c * n:g} is past the float range")
+    return int(math.floor(math.exp(c * n) + 1e-12))
 
 
 def _compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:
@@ -162,9 +187,9 @@ def walk_tail(env: EnvironmentLaw, n: int, c: float, side: str = "lower") -> flo
     relative slack so float log-sums do not drop exact corners.
     """
     if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
     if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
+        raise InvalidArgumentError(f"n={n} must be >= 1")
     atoms = walk_atoms(env)
     k = len(atoms)
     n_terms = math.comb(n + k - 1, k - 1)
@@ -217,10 +242,8 @@ def _kernel(env: EnvironmentLaw, cap: int) -> np.ndarray:
             f"kernel at cap={cap} exceeds {ENTRY_BUDGET} entries")
     m = np.zeros((cap + 1, cap + 1))
     for w, d in zip(env.weights, env.components):
-        f, row = _pmf_poly(d), np.ones(1)
-        for z in range(cap + 1):
-            m[z, : row.size] += w * row
-            row = np.convolve(row, f)[: cap + 1]
+        for row, power in zip(m, _powers(_pmf_poly(d), cap + 1)):
+            row[: power.size] += w * power
     return m
 
 
@@ -237,7 +260,7 @@ def conditional_trajectory(env: EnvironmentLaw, n: int, c: float,
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError(
             "conditional trajectory oracle needs a no-extinction law")
-    threshold = int(math.floor(math.exp(c * n) + 1e-12))
+    threshold = event_threshold(n, c)
     if threshold < z0:
         return ConditionalTrajectoryResult(0.0, threshold, None)
     m = _kernel(env, threshold)

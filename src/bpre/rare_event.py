@@ -28,6 +28,7 @@ import numpy as np
 from .envmodel import EnvironmentLaw
 from .errors import (
     COutOfRangeError,
+    InvalidArgumentError,
     NoEventMassError,
     NoHoldingPossibleError,
     NotStronglySupercriticalError,
@@ -196,7 +197,7 @@ def _check_env(env: EnvironmentLaw, c: float, side: str) -> None:
             "deviation estimators need every component to give at least one offspring"
         )
     if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
     lbar = env.mean_log_mean
     if side == "lower" and c >= lbar:
         raise COutOfRangeError(f"lower deviation needs c < {lbar:.6g}, got {c}")
@@ -248,10 +249,10 @@ def _lower_plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
     if method == "tilt_only":
         m, frac = 0, None
     elif method != "two_phase":
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgumentError(f"unknown method {method!r}")
     elif phase_fraction is not None:
         if not 0.0 <= phase_fraction <= 1.0:
-            raise ValueError(f"phase_fraction={phase_fraction} outside [0, 1]")
+            raise InvalidArgumentError(f"phase_fraction={phase_fraction} outside [0, 1]")
         m, frac = int(round(phase_fraction * n)), phase_fraction
     elif c <= 0.0:
         # threshold at or below the floor: the event forces holding throughout
@@ -364,7 +365,7 @@ def rate_curve(env: EnvironmentLaw, c: float, n_list: Sequence[int],
     recorded with an infinite rate and the curve stops there.
     """
     if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
     points = []
     for n in n_list:
         if side == "upper":
@@ -484,7 +485,7 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     else:
         grid_arr = np.asarray(list(grid), dtype=float)
         if grid_arr.size == 0 or grid_arr.min() < 0.0 or grid_arr.max() > 1.0:
-            raise ValueError("grid must be a nonempty subset of [0, 1]")
+            raise InvalidArgumentError("grid must be a nonempty subset of [0, 1]")
     grid_idx = np.minimum(n, np.floor(grid_arr * n + 1e-9).astype(np.int64))
     steps = np.arange(n + 1) / n
 

@@ -36,6 +36,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional
 import numpy as np
 
 from .envmodel import EnvironmentLaw, OffspringDistribution
+from .errors import InvalidArgumentError
 from .results import EstimatorResult, Method
 from .rng import STREAM_LINEAGE, STREAM_SIM, replica_stream
 
@@ -60,11 +61,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"horizon n={self.n} must be >= 1")
+            raise InvalidArgumentError(f"horizon n={self.n} must be >= 1")
         if self.z0 < 1:
-            raise ValueError(f"initial population z0={self.z0} must be >= 1")
+            raise InvalidArgumentError(f"initial population z0={self.z0} must be >= 1")
         if self.replicas < 1:
-            raise ValueError(f"replicas={self.replicas} must be >= 1")
+            raise InvalidArgumentError(f"replicas={self.replicas} must be >= 1")
 
 
 @dataclass
@@ -154,7 +155,7 @@ def _log_step(dist: OffspringDistribution, logz, g):
 def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -> int:
     """Total offspring of z individuals reproducing independently via dist."""
     if z < 0:
-        raise ValueError(f"population {z} is negative")
+        raise InvalidArgumentError(f"population {z} is negative")
     if z == 0:
         return 0
     if len(dist.support) == 1:
@@ -359,7 +360,7 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int) -> 
     count.
     """
     if replicas < 1:
-        raise ValueError(f"replicas={replicas} must be >= 1")
+        raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
     blocks = [(lo, min(lo + BLOCK, replicas)) for lo in range(0, replicas, BLOCK)]
     procs = min(workers, len(blocks))
     if procs <= 1:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bpre import __version__, lower_deviation_rate, tilt_parameter, walk_rate
+from bpre import cli
 from bpre.cli import canonical_json, config_hash, main, parse_grid
 from conftest import g2_law, two_mean_law
 
@@ -218,6 +219,15 @@ def test_cells_oracle_budget_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("command", ["oracle", "cells"])
+def test_threshold_past_float_range_exits_2(tmp_path, capsys, command):
+    # c n = 800: e^{cn} overflows a float
+    rc = main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "20",
+               "--c", "40", "--replicas", "2", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
+
+
 def test_cells_degenerate_z_score_is_valid_json(tmp_path, capsys):
     # every tree counts 0 small cells against 2^4 P = 0.0625: no stderr
     cfg = write_cfg(tmp_path, {"environments": [
@@ -256,6 +266,33 @@ def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["estimate-lower", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "--config" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("section", [{"n": "eight", "c": 0.4}, {"n": 8, "c": [0.4]}],
+                         ids=["n", "c"])
+def test_malformed_setting_exits_2(tmp_path, capsys, section):
+    cfg = g2_cfg(tmp_path, oracle=section)
+    assert main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+
+def test_malformed_environment_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"environments": [{"weight": 1.0, "pmf": {"two": 1.0}}]})
+    assert main(["rate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, error):
+    # a KeyError or ValueError from inside a handler is a bug, not bad input
+    def broken(env, params, ctx):
+        raise error("handler bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "rate", broken)
+    cfg = g2_cfg(tmp_path, rate={"c_grid": [0.4]})
+    assert main(["rate", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "internal" and err["error"] == error.__name__
 
 
 def test_cap_too_small_exits_3(tmp_path, capsys):
@@ -388,12 +425,16 @@ def test_shipped_configs_parse():
 
 
 # sha256 of every Monte Carlo artifact on configs/g2.json at 200 replicas,
-# recorded at GOLDEN_VERSION.  A deliberate change to the Monte Carlo
-# streams bumps bpre.__version__ (so old run records fail `reproduce` with
-# VersionMismatch) and updates these hashes and GOLDEN_VERSION in the same
-# change; any other change must leave the artifacts byte-identical.
-GOLDEN_VERSION = "0.3.0"
+# and of the default exact oracle.json, recorded at GOLDEN_VERSION.  A
+# deliberate change to any artifact (the Monte Carlo streams, or the
+# oracle's float rounding) bumps bpre.__version__ (so old run records fail
+# `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
+# hashes it changes, in the same change; any other change must leave the
+# artifacts byte-identical.
+GOLDEN_VERSION = "0.4.0"
 GOLDEN_G2_ARTIFACTS = {
+    ("oracle", "oracle.json"):
+        "4b04b44193ef09723c0f7f51636153e750cbde686c9d81382d72745495ce59ce",
     ("simulate", "simulate.csv"):
         "214c86992d2a746461ba0d9351771583d33ca3f50f64b79c2a8a7e3fb321dcb5",
     ("estimate-lower", "estimate_lower.csv"):

@@ -1,9 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpre import (
@@ -18,7 +19,8 @@ from bpre import (
     run_batch,
     walk_tail,
 )
-from bpre.oracle import ENTRY_BUDGET
+from bpre import oracle
+from bpre.oracle import BLOCK_ROWS, ENTRY_BUDGET, _kernel
 from bpre.simulate import PopulationAtLeast, PopulationAtMost
 from conftest import event_threshold
 
@@ -111,6 +113,73 @@ def test_population_budget(g2):
         population_distribution(g2, 1, z0=1, cap=ENTRY_BUDGET)
 
 
+@st.composite
+def composition_cases(draw):
+    """Small laws (zero offspring allowed) with caps below, at and past a block."""
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.integers(1, 9))
+        keys = draw(st.sets(st.integers(0, top - 1), max_size=3)) | {top}
+        mass = {k: draw(st.integers(1, 9)) for k in sorted(keys)}
+        comps.append((draw(st.integers(1, 9)), {k: m / sum(mass.values()) for k, m in mass.items()}))
+    env = build_environment([(w / sum(w for w, _ in comps), pmf) for w, pmf in comps])
+    b = BLOCK_ROWS
+    cap = draw(st.one_of(st.integers(1, b - 2), st.sampled_from([b - 1, b]),
+                         st.integers(b + 1, 5 * b)))
+    return env, cap, draw(st.integers(1, min(cap, 2 * b + 8))), draw(st.integers(1, 5))
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=composition_cases())
+@example(case=(build_environment([(0.5, {0: 0.25, 2: 0.75}), (0.5, {1: 0.5, 3: 0.5})]),
+               150, 70, 4))
+@example(case=(build_environment([(1.0, {1: 0.5, 2: 0.5})]), 300, 1, 5))
+def test_blocked_composition_matches_kernel(case):
+    # the blocked DP against n products with the dense kernel on 0..cap:
+    # zero offspring (no early truncation), narrow and full-width baby
+    # tables, z0 past one block, caps below, at and across BLOCK_ROWS
+    env, cap, z0, n = case
+    dist = population_distribution(env, n, z0=z0, cap=cap)
+    m = _kernel(env, cap)
+    v = np.zeros(cap + 1)
+    v[z0] = 1.0
+    overflow = 0.0
+    for _ in range(n):
+        new = v @ m
+        overflow += max(0.0, float(v.sum() - new.sum()))
+        v = new
+    # atol only admits subnormal entries, which carry no relative precision
+    np.testing.assert_allclose(dist.probs, v, rtol=1e-12, atol=1e-300)
+    assert dist.overflow == pytest.approx(overflow, rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n, c, exact", [(20, 0.38, 1.336339507123755e-05),
+                                         (40, 0.19, 1.2440291345366695e-17)],
+                         ids=["n20", "n40"])
+def test_population_golden(g2, n, c, exact):
+    dist = population_distribution(g2, n, z0=1, cap=2000)
+    assert dist.le_error_bound(1998) == 0.0
+    assert dist.prob_le(event_threshold(n, c)) == pytest.approx(exact, rel=1e-12)
+
+
+def test_block_tables_stay_in_budget(monkeypatch):
+    # a cap at the budget with offspring counts up to 1000: a 64-row baby
+    # table would hold 64 x 20000 entries (10 MB), so it shrinks to one row
+    monkeypatch.setattr(oracle, "ENTRY_BUDGET", 20_000)
+    law = build_environment([(1.0, {1: 0.5, 1000: 0.5})])
+    tracemalloc.start()
+    try:
+        dist = population_distribution(law, 2, z0=1, cap=19_999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 20_000 * 8
+    # from 1000 parents the law starts at 1000 with mass 0.5^1001
+    assert dist.prob_eq(1) == 0.25
+    assert dist.prob_eq(1000) == pytest.approx(0.25 + 0.5 ** 1001, rel=1e-12)
+    assert float(dist.probs.sum()) + dist.overflow == pytest.approx(1.0, abs=1e-12)
+
+
 def test_query_above_cap(g2):
     dist = population_distribution(g2, 4, z0=1, cap=16)
     with pytest.raises(CapTooSmallError):
@@ -192,6 +261,24 @@ def test_conditional_trajectory_guards(g2, subcrit):
         conditional_trajectory(g2, 25, 0.38)
     with pytest.raises(NotStronglySupercriticalError):
         conditional_trajectory(subcrit, 4, 0.1)
+
+
+def test_conditional_trajectory_threshold_past_float_range(g2):
+    # cn = 800: e^{cn} is no float, refused as a budget, not an OverflowError
+    with pytest.raises(BudgetExceededError):
+        conditional_trajectory(g2, 20, 40.0)
+
+
+def test_conditional_trajectory_holds_one_dense_table(g2):
+    # T = 1998: the kernel is 1999^2 floats, 32.0 MB; a second dense
+    # temporary while filling it would double the peak
+    tracemalloc.start()
+    try:
+        conditional_trajectory(g2, 20, 0.38)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33e6
 
 
 def test_conditional_trajectory_golden(g2):
