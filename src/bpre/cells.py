@@ -7,9 +7,14 @@ two laws in equiprobable random order, so leaf counts along it follow the
 two-environment branching process, and the expected number of depth-n cells
 with few parasites factors as 2^n times the process tail probability.
 
-Each tree grows a level at a time on its own stream: simulate.law_step fills
-the first daughters of all the level's cells from law1, then the second ones
-from law2, in the block engine's exact int64 and log-z lanes.
+Trees grow in groups of S = max(1, min(BLOCK, TREE_LEAVES >> n)), a level
+at a time: group g reads the one stream replica_stream(seed, STREAM_CELLS + g)
+and holds a level of its S trees as one flat array of S * 2^k cells, tree by
+tree.  simulate.law_step fills the first daughters of all those cells from
+law1, then the second ones from law2, in the block engine's exact int64 and
+log-z lanes.  S is a power of two that divides BLOCK, so a group never
+straddles a map_replicas block, and a partial last group is grown in full:
+tree r depends only on (seed, config, r), for any worker or replica count.
 """
 
 from __future__ import annotations
@@ -22,11 +27,16 @@ import numpy as np
 
 from .envmodel import EnvironmentLaw, OffspringDistribution, build_environment
 from .errors import BudgetExceededError, InvalidArgumentError
-from .oracle import event_threshold, population_distribution
+from .oracle import event_threshold, exp_cn, population_distribution
 from .rng import STREAM_CELLS, replica_stream
-from .simulate import EXACT_LIMIT, Populations, law_step, map_replicas
+from .simulate import BLOCK, EXACT_LIMIT, Populations, law_step, map_replicas
 
 TREE_DEPTH_MAX = 20
+
+# Leaves per group of trees, and so per stream, for trees up to 12 levels
+# deep; deeper trees grow one per stream.  A level holds at most
+# max(TREE_LEAVES, 2^n) cells.
+TREE_LEAVES = 1 << 12
 
 # joint offspring hook per level: (parasites of its cells, rng) -> daughter totals
 JointSampler = Callable[[np.ndarray, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
@@ -49,7 +59,7 @@ class CellTreeConfig:
             raise BudgetExceededError(
                 f"tree depth {self.n} exceeds the {TREE_DEPTH_MAX}-level budget"
             )
-        event_threshold(self.n, self.c)   # refuses e^{cn} past the float range
+        exp_cn(self.n, self.c)   # refuses e^{cn} past the float range
         if self.z0 < 1:
             raise InvalidArgumentError(f"z0={self.z0} must be >= 1")
         if self.replicas < 1:
@@ -57,7 +67,7 @@ class CellTreeConfig:
 
     @property
     def threshold(self) -> float:
-        return math.exp(self.c * self.n)
+        return exp_cn(self.n, self.c)
 
     def environment(self) -> EnvironmentLaw:
         """The equiprobable two-environment law seen by a random lineage."""
@@ -66,19 +76,28 @@ class CellTreeConfig:
 
 
 def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
-           lo: int, hi: int) -> list:
-    """Per tree r in [lo, hi), grown on its own stream with the daughters of
-    cell i at 2i and 2i + 1: its leaves at or below and at or above e^{cn},
-    its draws in the log-z lane, and the parasites of one uniform leaf."""
-    laws = (config.law1, config.law2)
+           lo: int, hi: int) -> tuple:
+    """Per tree r in [lo, hi): its leaves at or below and at or above e^{cn},
+    its draws in the log-z lane, and the parasites of one uniform leaf.
+
+    Each group grows its S trees on its own stream with the daughters of
+    cell i at 2i and 2i + 1, so the leaves of its tree j are cells j 2^n up
+    to (j + 1) 2^n.  A level draws law1's daughters, then law2's, or calls
+    joint once on all its cells; after the last level one integers draw
+    picks each tree's uniform leaf.  lo is a multiple of BLOCK, so the
+    first group starts at tree lo.
+    """
+    n, laws = config.n, (config.law1, config.law2)
+    size = max(1, min(BLOCK, TREE_LEAVES >> n))
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     t = config.threshold
     slack = 1e-9 * max(1.0, t)
-    out = []
-    for r in range(lo, hi):
-        rng = replica_stream(config.seed, STREAM_CELLS + r)
-        cells, normal_steps = Populations.start(config.z0, limit, 1), 0
-        for _ in range(config.n):
+    groups = []
+    for g in range(lo // size, -(-hi // size)):
+        rng = replica_stream(config.seed, STREAM_CELLS + g)
+        cells = Populations.start(config.z0, limit, size)
+        normal_steps = np.zeros(size, dtype=np.int64)
+        for _ in range(n):
             cells.promote(limit)
             big, exact = cells.big, ~cells.big
             zs, logzs = cells.z[exact], cells.logz[big]
@@ -88,15 +107,20 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
                 raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
             else:
                 daughters = [(d, logzs) for d in joint(zs, rng)]
-            normal_steps += 2 * logzs.size
+            normal_steps += 2 * big.reshape(size, -1).sum(axis=1)
             z, logz = np.zeros((2, big.size), dtype=np.int64), np.zeros((2, big.size))
             for j, (dz, dlogz) in enumerate(daughters):
                 z[j, exact], logz[j, big] = dz, dlogz
             cells = Populations(z.T.ravel(), logz.T.ravel(), big.repeat(2))
-        out.append((int(cells.at_most(t + slack).sum()),
-                    int(cells.at_least(t - slack).sum()), normal_steps,
-                    cells.value(int(rng.integers(cells.z.size)))))
-    return out
+        picks = (np.arange(size) << n) + rng.integers(1 << n, size=size)
+        groups.append((cells.at_most(t + slack).reshape(size, -1).sum(axis=1),
+                       cells.at_least(t - slack).reshape(size, -1).sum(axis=1),
+                       normal_steps, [cells.value(j) for j in picks.tolist()]))
+    below, above, normal_steps, leaves = zip(*groups)
+    keep = hi - lo
+    return (np.concatenate(below)[:keep], np.concatenate(above)[:keep],
+            np.concatenate(normal_steps)[:keep],
+            [leaf for group in leaves for leaf in group][:keep])
 
 
 @dataclass(frozen=True)
@@ -118,14 +142,15 @@ def simulate_cell_tree(config: CellTreeConfig,
     """Replicated full trees; cells exactly on the threshold count on both sides.
 
     joint overrides the default independent daughter draws with a coupled
-    sampler, called once per level on all its cells' parasite counts; it
-    must be picklable when workers > 1.  Under joint, a cell that would
-    divide with more than EXACT_LIMIT // (largest offspring count of law1
-    and law2) parasites raises BudgetExceededError.
+    sampler, called once per level of each group of trees on the parasite
+    counts of all S 2^k cells of that level; it must be picklable when
+    workers > 1.  Under joint, a cell that would divide with more than
+    EXACT_LIMIT // (largest offspring count of law1 and law2) parasites
+    raises BudgetExceededError.
     """
     blocks = map_replicas(_trees, (config, joint), config.replicas, workers)
-    below, above, normal_steps, _ = zip(*(tree for block in blocks for tree in block))
-    below, above = (np.array(side, dtype=np.int64) for side in (below, above))
+    below, above, normal_steps, _ = zip(*blocks)
+    below, above, normal_steps = map(np.concatenate, (below, above, normal_steps))
 
     def _se(x: np.ndarray) -> float:
         return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
@@ -134,7 +159,7 @@ def simulate_cell_tree(config: CellTreeConfig,
         below=below, above=above,
         mean_below=float(below.mean()), stderr_below=_se(below),
         mean_above=float(above.mean()), stderr_above=_se(above),
-        threshold=config.threshold, normal_steps=sum(normal_steps),
+        threshold=config.threshold, normal_steps=int(normal_steps.sum()),
         config=config,
     )
 
@@ -200,7 +225,7 @@ def uniform_leaf_counts(config: CellTreeConfig,
     what the lineage consistency test checks against the exact pmf.
     """
     blocks = map_replicas(_trees, (config, joint), config.replicas, workers)
-    leaves = [leaf for block in blocks for *_, leaf in block]
+    leaves = [leaf for *_, block in blocks for leaf in block]
     if max(leaves) >= 1 << 63:
         raise BudgetExceededError(
             f"a picked leaf of {max(leaves)} parasites does not fit int64 (< 2^63)")

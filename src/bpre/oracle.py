@@ -15,7 +15,8 @@ a Markov chain with one kernel M = sum_i w_i T_i; the trajectory oracle is
 a forward and a backward pass over M on the states at or below the event
 threshold.  M's rows and the DP's blocks are pgf powers F^z from one helper,
 _powers.  A dense table (the kernel, the DP's pmf) holds at most
-ENTRY_BUDGET floats, 32 MB; a larger one raises BudgetExceeded up front.
+ENTRY_BUDGET floats, 32 MB, and a population DP at most WORK_BUDGET
+estimated multiply-adds; a larger one raises BudgetExceeded up front.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .ratefn import walk_atoms
 
 COMPOSITION_BUDGET = 500_000
 ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table
+WORK_BUDGET = 5 * 10**11    # multiply-adds of one population DP, a minute or two
 BLOCK_ROWS = 64             # baby-step rows of the population DP's composition
 
 
@@ -123,13 +125,36 @@ def _compose(v: np.ndarray, baby: np.ndarray, giant: np.ndarray,
     return out
 
 
+def _dp_work(env: EnvironmentLaw, n: int, z0: int, cap: int, rows: int) -> int:
+    """Upper bound on the multiply-adds of _compose's convolutions over n
+    generations.
+
+    Z_k spans at most min(cap, z0 M^k) states, M the largest offspring
+    count, so a law with offspring in [low, hi] composes at most
+    min(span, cap // low) // rows + 1 blocks, each one convolution of at
+    most cap + 1 kept coefficients with G, rows hi + 1 of them.
+    """
+    top = max(d.max_offspring for d in env.components)
+    work, span = 0, z0
+    for k in range(n):
+        gen = sum((min(span, cap // max(d.min_offspring, 1)) // rows + 1)
+                  * (cap + 1) * min(cap + 1, rows * d.max_offspring + 1)
+                  for d in env.components)
+        if min(cap, span * top) == span:   # the span stopped growing
+            return work + gen * (n - k)
+        work, span = work + gen, min(cap, span * top)
+    return work
+
+
 def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
                             cap: int = 1000) -> ExactDistribution:
     """Exact truncated law of Z_n started from z0.
 
     A generation composes the pmf with each law's pgf by _compose, about
-    cap^2 max_offspring / B multiply-adds; each law's baby table (B <=
-    BLOCK_ROWS rows, <= ENTRY_BUDGET entries) is built once per call.
+    cap^2 max_offspring multiply-adds once the pmf spans the cap; each
+    law's baby table (B <= BLOCK_ROWS rows, <= ENTRY_BUDGET entries) is
+    built once per call.  A call whose _dp_work bound passes WORK_BUDGET
+    raises BudgetExceeded before the first generation.
     """
     if n < 0:
         raise InvalidArgumentError(f"n={n} must be >= 0")
@@ -139,6 +164,11 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
         raise BudgetExceededError(
             f"pmf at cap={cap} exceeds {ENTRY_BUDGET} entries")
     rows, tables = min(BLOCK_ROWS, cap + 1, ENTRY_BUDGET // (cap + 1)), []
+    work = _dp_work(env, n, z0, cap, rows)
+    if work > WORK_BUDGET:
+        raise BudgetExceededError(
+            f"population DP at n={n}, cap={cap} needs about {work:.3g} "
+            f"multiply-adds, past the {WORK_BUDGET:.3g} budget")
     for w, d in zip(env.weights, env.components):
         baby = np.zeros((rows, min(cap + 1, (rows - 1) * d.max_offspring + 1)))
         powers = _powers(_pmf_poly(d), cap + 1)
@@ -162,11 +192,16 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
     )
 
 
-def event_threshold(n: int, c: float) -> int:
-    """T = floor(e^{cn}), slack 1e-12, so Z_n <= e^{cn} is Z_n <= T."""
+def exp_cn(n: int, c: float) -> float:
+    """The event bound e^{cn} as a float; BudgetExceeded past the float range."""
     if not c * n <= 709.0:   # e^709 < 1.8e308, the largest float
         raise BudgetExceededError(f"threshold e^(cn) at cn={c * n:g} is past the float range")
-    return int(math.floor(math.exp(c * n) + 1e-12))
+    return math.exp(c * n)
+
+
+def event_threshold(n: int, c: float) -> int:
+    """T = floor(e^{cn}), slack 1e-12, so Z_n <= e^{cn} is Z_n <= T."""
+    return int(math.floor(exp_cn(n, c) + 1e-12))
 
 
 def _compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:

@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .envmodel import EnvironmentLaw
+from .oracle import exp_cn
 from .errors import (
     COutOfRangeError,
     InvalidArgumentError,
@@ -109,7 +110,7 @@ def _lower_tilt_target(env: EnvironmentLaw, c: float,
 
 def _event_bound(n: int, c: float, side: str = "lower") -> float:
     # slack keeps integer populations on the right side when e^{cn} is an integer
-    t = math.exp(c * n)
+    t = exp_cn(n, c)
     slack = 1e-9 * max(1.0, t)
     return t + slack if side == "lower" else t - slack
 

@@ -3,7 +3,8 @@
 Each (seed, stream id) pair keys an independent Philox stream (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  The replica
 engine gives each block of simulate.BLOCK replicas one stream, keyed by its
-block index, and the cell tree and lineage samplers one per replica.
+block index, the cell tree one per tree group (see cells), keyed by its
+group index, and the lineage sampler one per replica.
 Streams never depend on execution order or worker count, which is what
 makes parallel runs byte-for-byte reproducible.
 
@@ -15,8 +16,9 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 
-# Offsets keep the stream ids of different samplers from colliding.  Block
-# and replica counts are desk scale (<< 2^40), so the ranges cannot overlap.
+# Offsets keep the stream ids of different samplers from colliding.  Block,
+# group and replica counts are desk scale (<< 2^40), so the ranges cannot
+# overlap.
 STREAM_SIM = 0
 STREAM_TILT = 1 << 40
 STREAM_TWO_PHASE = 2 << 40

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,19 @@ from bpre import (
     simulate_cell_tree,
     uniform_leaf_counts,
 )
-from bpre.cells import TREE_DEPTH_MAX
+from bpre import cells
+from bpre.cells import TREE_DEPTH_MAX, TREE_LEAVES
+from bpre.simulate import BLOCK
 
 
 def g2_laws():
     return build_offspring({1: 0.5, 2: 0.5}), build_offspring({2: 0.5, 4: 0.5})
+
+
+def jump_laws():
+    # a parasite stays single or jumps to 2^10: a cell passes 2^62 // 2^10
+    # a random number of levels down, so each tree has its own log-z count
+    return build_offspring({1: 0.5, 1024: 0.5}), build_offspring({2: 0.5, 1024: 0.5})
 
 
 def coupled_double(z, rng):
@@ -105,7 +114,8 @@ def test_joint_sampler_called_once_per_level():
     config = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4, seed=0, replicas=3)
     joint = CountingDouble()
     simulate_cell_tree(config, joint=joint)
-    assert joint.sizes == [1, 2, 4, 8] * 3
+    # one group of S = 2^12 >> 4 = 256 trees, the 3 asked for and 253 more
+    assert joint.sizes == [256, 512, 1024, 2048]
 
 
 def test_joint_sampler_stays_in_exact_lane():
@@ -203,6 +213,54 @@ def test_worker_invariance():
     b = simulate_cell_tree(config, workers=6)
     assert np.array_equal(a.below, b.below)
     assert np.array_equal(a.above, b.above)
+
+
+def test_worker_invariance_across_blocks():
+    # n = 10 grows S = 4 trees per stream: 64 groups in each of two blocks
+    # of 256 trees and 22 in the last block of 88, one block per worker
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=10, law1=law1, law2=law2, c=0.4, seed=9, replicas=600)
+    a = simulate_cell_tree(config, workers=1)
+    b = simulate_cell_tree(config, workers=3)
+    assert np.array_equal(a.below, b.below)
+    assert np.array_equal(a.above, b.above)
+    assert np.array_equal(uniform_leaf_counts(config, workers=1),
+                          uniform_leaf_counts(config, workers=3))
+
+
+@pytest.mark.parametrize("laws, c", [(g2_laws(), 0.6), (jump_laws(), 5.0)],
+                         ids=["exact", "log-lane"])
+def test_more_replicas_extend_fewer(laws, c):
+    # n = 10 grows S = 4 trees per stream: tree 36 starts the short run's
+    # partial last group, grown in full as in the long run
+    law1, law2 = laws
+    short, long = (CellTreeConfig(n=10, law1=law1, law2=law2, c=c, seed=6, replicas=r)
+                   for r in (37, 600))
+    a, b = simulate_cell_tree(short), simulate_cell_tree(long)
+    assert np.array_equal(a.below, b.below[:37])
+    assert np.array_equal(a.above, b.above[:37])
+    # per tree: below, above, log-z draws and the uniform leaf
+    mine, theirs = cells._trees(short, None, 0, 37), cells._trees(long, None, 0, BLOCK)
+    for column, full in zip(mine, theirs):
+        assert list(column) == list(full[:37])
+    assert a.normal_steps == int(theirs[2][:37].sum())
+    if max(theirs[3]) < 1 << 63:
+        assert np.array_equal(uniform_leaf_counts(short), uniform_leaf_counts(long)[:37])
+
+
+def test_tree_group_memory_stays_in_budget():
+    # trees of 2^8 leaves grow TREE_LEAVES leaves at a time: the last
+    # level's cells and their draws take about 64 bytes a leaf; a group of
+    # all 256 trees of a block would hold 2^16 leaves, about 3.5 MB
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=8, law1=law1, law2=law2, c=0.4, seed=0, replicas=512)
+    tracemalloc.start()
+    try:
+        simulate_cell_tree(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * TREE_LEAVES
 
 
 def test_config_validation():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bpre import __version__, lower_deviation_rate, tilt_parameter, walk_rate
-from bpre import cli
+from bpre import cli, oracle
 from bpre.cli import canonical_json, config_hash, main, parse_grid
 from conftest import g2_law, two_mean_law
 
@@ -219,11 +219,31 @@ def test_cells_oracle_budget_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
 
 
-@pytest.mark.parametrize("command", ["oracle", "cells"])
-def test_threshold_past_float_range_exits_2(tmp_path, capsys, command):
-    # c n = 800: e^{cn} overflows a float
-    rc = main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "20",
-               "--c", "40", "--replicas", "2", "--out-dir", str(tmp_path)])
+def test_cells_oracle_work_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # the DP's cap is z0 = 5000: its entries fit the budget, its
+    # multiply-adds do not fit this one (nor a z0 of millions the shipped one)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 10**6)
+    rc = main(["cells", "--config", str(CONFIG_DIR / "g2.json"), "--n", "3",
+               "--c", "0.4", "--z0", "5000", "--replicas", "5",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BudgetExceeded" and "multiply-adds" in err["message"]
+
+
+@pytest.mark.parametrize("command, config, n, c", [
+    ("oracle", "g2.json", 20, 40.0),
+    ("cells", "g2.json", 20, 40.0),
+    ("estimate-lower", "fig2.json", 500, 1.45),
+    ("estimate-upper", "fig2.json", 400, 1.9),
+    ("trajectory", "fig2.json", 500, 1.45),
+    ("takeoff", "fig2.json", 500, 1.45),
+], ids=["oracle", "cells", "estimate-lower", "estimate-upper", "trajectory", "takeoff"])
+def test_threshold_past_float_range_exits_2(tmp_path, capsys, command, config, n, c):
+    # c n = 800, 725 and 760: e^{cn} overflows a float; the lower-tail
+    # commands need c below fig2's largest log-mean, the upper one above it
+    rc = main([command, "--config", str(CONFIG_DIR / config), "--n", str(n),
+               "--c", str(c), "--replicas", "2", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
 
@@ -431,7 +451,7 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.4.0"
+GOLDEN_VERSION = "0.5.0"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
         "4b04b44193ef09723c0f7f51636153e750cbde686c9d81382d72745495ce59ce",
@@ -446,9 +466,9 @@ GOLDEN_G2_ARTIFACTS = {
     ("takeoff", "takeoff.csv"):
         "6c734933cad038f3de53cce702588c4a02d4069791c611c378550f4bf58dc42c",
     ("cells", "cells.csv"):
-        "d68f0be116ccc874d92959f48ee2a4151a179f16a004878bd3ce464677e69a57",
+        "acc6f5b67a0b0d91c5e173f590f3dfb61ead375f06543b856c4434e6a9f7c964",
     ("cells", "cells_summary.json"):
-        "a8185cb614b234d4c0a5ce0540b49b257d0ab6f81a9deb792148b33bb52bd8ac",
+        "254df1dacc4b41a402c221e539da050141289d6fb2986783fcd9432e4af68af5",
 }
 
 

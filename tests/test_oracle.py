@@ -113,6 +113,37 @@ def test_population_budget(g2):
         population_distribution(g2, 1, z0=1, cap=ENTRY_BUDGET)
 
 
+@pytest.mark.parametrize("n, z0, cap", [(8, 1, 1000), (3, 900, 900), (5, 1, 40)])
+def test_population_work_budget(g2, monkeypatch, n, z0, cap):
+    # the bound covers the multiply-adds of every convolution the DP makes,
+    # and a call past the budget raises before the first one
+    work = oracle._dp_work(g2, n, z0, cap, min(BLOCK_ROWS, cap + 1))
+    done = []
+    convolve = np.convolve
+
+    def counting(a, b):
+        done.append(a.size * b.size)
+        return convolve(a, b)
+
+    monkeypatch.setattr(np, "convolve", counting)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", work)
+    population_distribution(g2, n, z0=z0, cap=cap)
+    assert 0 < sum(done) <= work
+    done.clear()
+    monkeypatch.setattr(oracle, "WORK_BUDGET", work - 1)
+    with pytest.raises(BudgetExceededError, match="multiply-adds"):
+        population_distribution(g2, n, z0=z0, cap=cap)
+    assert done == []
+
+
+def test_population_work_budget_refuses_a_large_start(g2):
+    # bpre cells with --z0 2000000 sizes the DP's cap to 2 * 10^6, inside
+    # the entry budget with one baby row; the shipped work budget refuses it
+    # (checked on the bound: a missed refusal would run for hours)
+    assert min(BLOCK_ROWS, ENTRY_BUDGET // 2_000_001) == 1
+    assert oracle._dp_work(g2, 3, 2_000_000, 2_000_000, 1) > oracle.WORK_BUDGET
+
+
 @st.composite
 def composition_cases(draw):
     """Small laws (zero offspring allowed) with caps below, at and past a block."""
