@@ -33,9 +33,8 @@ from .simulate import BLOCK, EXACT_LIMIT, Populations, law_step, map_replicas
 
 TREE_DEPTH_MAX = 20
 
-# Leaves per group of trees, and so per stream, for trees up to 12 levels
-# deep; deeper trees grow one per stream.  A level holds at most
-# max(TREE_LEAVES, 2^n) cells.
+# Most leaves in one group of trees, and so on one stream; a group holds
+# 1 to BLOCK trees, so a level holds at most max(TREE_LEAVES, 2^n) cells.
 TREE_LEAVES = 1 << 12
 
 # joint offspring hook per level: (parasites of its cells, rng) -> daughter totals
@@ -80,12 +79,11 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
     """Per tree r in [lo, hi): its leaves at or below and at or above e^{cn},
     its draws in the log-z lane, and the parasites of one uniform leaf.
 
-    Each group grows its S trees on its own stream with the daughters of
-    cell i at 2i and 2i + 1, so the leaves of its tree j are cells j 2^n up
-    to (j + 1) 2^n.  A level draws law1's daughters, then law2's, or calls
-    joint once on all its cells; after the last level one integers draw
-    picks each tree's uniform leaf.  lo is a multiple of BLOCK, so the
-    first group starts at tree lo.
+    A group puts the daughters of cell i at 2i and 2i + 1, so the leaves
+    of its tree j are cells j 2^n up to (j + 1) 2^n.  A level draws law1's
+    daughters, then law2's, or calls joint once on all its cells; after the
+    last level one integers draw picks each tree's uniform leaf.  lo is a
+    multiple of BLOCK, so the first group starts at tree lo.
     """
     n, laws = config.n, (config.law1, config.law2)
     size = max(1, min(BLOCK, TREE_LEAVES >> n))

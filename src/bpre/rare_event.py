@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .envmodel import EnvironmentLaw
-from .oracle import exp_cn
 from .errors import (
     COutOfRangeError,
     InvalidArgumentError,
@@ -35,6 +34,7 @@ from .errors import (
     NotStronglySupercriticalError,
     ZeroEstimateError,
 )
+from .oracle import exp_cn
 from .ratefn import (LowerDeviationRate, limit_profile, log_mgf,
                      lower_deviation_rate, tilt_parameter)
 from .results import EstimatorResult, Method
