@@ -88,16 +88,20 @@ def write_json(path: str, obj: dict, cfg_hash: str) -> None:
 
 def parse_grid(spec) -> list:
     """Accept a list, "lo:hi:step", or a comma-separated list of values."""
-    if isinstance(spec, (list, tuple)):
-        return [float(x) for x in spec]
     text = str(spec)
-    if ":" in text:
+    if isinstance(spec, (list, tuple)):
+        grid = [float(x) for x in spec]
+    elif ":" in text:
         lo, hi, step = (float(x) for x in text.split(":"))
         if step <= 0:
             raise InvalidArgumentError(f"grid step must be positive in {text!r}")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return [lo + k * step for k in range(count)]
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [lo + k * step for k in range(count)]
+    else:
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not grid:
+        raise InvalidArgumentError(f"grid {text!r} has no points")
+    return grid
 
 
 # --- command handlers -------------------------------------------------
@@ -108,18 +112,22 @@ class _Ctx:
     cfg_hash: str
     workers: int
 
+    def artifact(self, name: str, write, *args) -> dict:
+        """write(path, *args, cfg_hash) to out_dir/name; returns {name: path}."""
+        path = os.path.join(self.out_dir, name)
+        write(path, *args, self.cfg_hash)
+        return {name: path}
 
-def _need(params: dict, key: str, command: str):
-    if key not in params:
-        raise InvalidArgumentError(f"missing setting {key!r} for command {command!r}")
-    return params[key]
+
+def _draws(params: dict) -> dict:
+    """The start size, seed and replica count every sampler takes."""
+    return {"z0": params.get("z0", 1), "seed": params["seed"],
+            "replicas": params["replicas"]}
 
 
 def _cmd_rate(env, params: dict, ctx: _Ctx):
-    cs = parse_grid(_need(params, "c_grid", "rate"))
     rows = []
-    for c in cs:
-        c = float(c)
+    for c in params["c_grid"]:
         psi = walk_rate(env, c)
         try:
             lam = tilt_parameter(env, c)
@@ -130,19 +138,14 @@ def _cmd_rate(env, params: dict, ctx: _Ctx):
             ldr = lower_deviation_rate(env, c)
             chi, t_c, slope = ldr.rate, ldr.take_off, ldr.slope
         rows.append((c, psi, lam, chi, t_c, slope))
-    path = os.path.join(ctx.out_dir, "rate.csv")
-    write_csv(path, "rate-v1", ("c", "psi", "lambda_c", "chi", "t_c", "slope"),
-              rows, ctx.cfg_hash)
-    return {"rate.csv": path}, {"points": len(rows)}
+    return (ctx.artifact("rate.csv", write_csv, "rate-v1",
+                         ("c", "psi", "lambda_c", "chi", "t_c", "slope"), rows),
+            {"points": len(rows)})
 
 
 def _cmd_simulate(env, params: dict, ctx: _Ctx):
-    n = int(_need(params, "n", "simulate"))
-    config = SimConfig(env=env, n=n, z0=int(params.get("z0", 1)),
-                       seed=int(params["seed"]), replicas=int(params["replicas"]))
-    threshold = params.get("threshold_n")
-    threshold = int(threshold) if threshold is not None else None
-    res = final_states(config, threshold=threshold, workers=ctx.workers)
+    config = SimConfig(env=env, n=params["n"], **_draws(params))
+    res = final_states(config, threshold=params.get("threshold_n"), workers=ctx.workers)
     columns = ["replica", "z_n", "s_n"] + (["tau"] if res.tau is not None else [])
     rows = []
     for r, (z, s) in enumerate(zip(res.z, res.s)):
@@ -150,135 +153,83 @@ def _cmd_simulate(env, params: dict, ctx: _Ctx):
         if res.tau is not None:
             row.append(int(res.tau[r]))
         rows.append(row)
-    path = os.path.join(ctx.out_dir, "simulate.csv")
-    write_csv(path, "simulate-v1", columns, rows, ctx.cfg_hash)
-    return {"simulate.csv": path}, {"replicas": config.replicas,
-                                    "normal_steps": res.normal_steps}
+    return (ctx.artifact("simulate.csv", write_csv, "simulate-v1", columns, rows),
+            {"replicas": config.replicas, "normal_steps": res.normal_steps})
 
 
 def _cmd_oracle(env, params: dict, ctx: _Ctx):
-    n = int(_need(params, "n", "oracle"))
-    z0 = int(params.get("z0", 1))
-    cap = int(params.get("cap", 1000))
-    if "threshold" in params:
-        k = int(params["threshold"])
-    else:
-        k = event_threshold(n, float(_need(params, "c", "oracle")))
-    tol = params.get("tol")
+    n, z0, cap = params["n"], params.get("z0", 1), params.get("cap", 1000)
+    k = params["threshold"] if "threshold" in params else event_threshold(n, params["c"])
     dist = population_distribution(env, n, z0=z0, cap=cap)
-    prob = dist.prob_le(k, tol=float(tol) if tol is not None else None)
-    artifacts = {}
-    path = os.path.join(ctx.out_dir, "oracle.json")
-    write_json(path, {
+    prob = dist.prob_le(k, tol=params.get("tol"))
+    artifacts = ctx.artifact("oracle.json", write_json, {
         "n": n, "z0": z0, "cap": cap, "threshold": k,
         "probs_below": prob, "overflow": dist.overflow,
         "error_bound": dist.le_error_bound(k),
-    }, ctx.cfg_hash)
-    artifacts["oracle.json"] = path
+    })
     if params.get("pmf_csv"):
         rows = [(k_, float(p)) for k_, p in enumerate(dist.probs) if p > 0.0]
-        pmf_path = os.path.join(ctx.out_dir, "oracle_pmf.csv")
-        write_csv(pmf_path, "oracle-pmf-v1", ("k", "prob"), rows, ctx.cfg_hash)
-        artifacts["oracle_pmf.csv"] = pmf_path
+        artifacts.update(ctx.artifact("oracle_pmf.csv", write_csv, "oracle-pmf-v1",
+                                      ("k", "prob"), rows))
     return artifacts, {"probs_below": prob, "overflow": dist.overflow}
 
 
-def _estimate_rows(results) -> list:
-    rows = []
-    for res in results:
-        if res is None:
-            continue
-        rows.append((res.n, res.c, res.estimate, res.stderr, res.ess,
-                     res.method.value))
-    return rows
-
-
-def _cmd_estimate_lower(env, params: dict, ctx: _Ctx):
-    n = int(_need(params, "n", "estimate-lower"))
-    c = float(_need(params, "c", "estimate-lower"))
-    pf = params.get("phase_fraction")
-    est = estimate_lower_tail(
-        env, n, c, z0=int(params.get("z0", 1)), replicas=int(params["replicas"]),
-        seed=int(params["seed"]), workers=ctx.workers,
-        phase_fraction=float(pf) if pf is not None else None,
-    )
-    rows = _estimate_rows([est.tilt_only, est.two_phase])
-    path = os.path.join(ctx.out_dir, "estimate_lower.csv")
-    write_csv(path, "estimate-v1",
-              ("n", "c", "estimate", "stderr", "ess", "method"), rows,
-              ctx.cfg_hash)
-    outputs = {"take_off": est.take_off, "normal_steps": sum(
-        leg.normal_steps for leg in (est.tilt_only, est.two_phase) if leg is not None)}
-    best = est.two_phase or est.tilt_only
+def _estimates(ctx: _Ctx, name: str, legs, best, outputs: dict):
+    """Write the legs that ran; report best's empirical rate, or zero_mass."""
+    legs = [leg for leg in legs if leg is not None]
+    artifacts = ctx.artifact(
+        name, write_csv, "estimate-v1", ("n", "c", "estimate", "stderr", "ess", "method"),
+        [(r.n, r.c, r.estimate, r.stderr, r.ess, r.method.value) for r in legs])
+    outputs["normal_steps"] = sum(leg.normal_steps for leg in legs)
     if best is not None and not best.zero_mass:
         rate, rate_se = empirical_rate(best)
         outputs.update({"rate": rate, "rate_stderr": rate_se})
     else:
         outputs["zero_mass"] = True
-    return {"estimate_lower.csv": path}, outputs
+    return artifacts, outputs
+
+
+def _cmd_estimate_lower(env, params: dict, ctx: _Ctx):
+    est = estimate_lower_tail(env, params["n"], params["c"], workers=ctx.workers,
+                              phase_fraction=params.get("phase_fraction"),
+                              **_draws(params))
+    return _estimates(ctx, "estimate_lower.csv", (est.tilt_only, est.two_phase),
+                      est.two_phase or est.tilt_only, {"take_off": est.take_off})
 
 
 def _cmd_estimate_upper(env, params: dict, ctx: _Ctx):
-    n = int(_need(params, "n", "estimate-upper"))
-    c = float(_need(params, "c", "estimate-upper"))
-    res = estimate_upper_tail(
-        env, n, c, z0=int(params.get("z0", 1)), replicas=int(params["replicas"]),
-        seed=int(params["seed"]), workers=ctx.workers,
-    )
-    path = os.path.join(ctx.out_dir, "estimate_upper.csv")
-    write_csv(path, "estimate-v1",
-              ("n", "c", "estimate", "stderr", "ess", "method"),
-              _estimate_rows([res]), ctx.cfg_hash)
-    outputs: dict = {"estimate": res.estimate, "ess": res.ess,
-                     "normal_steps": res.normal_steps}
-    if res.zero_mass:
-        outputs["zero_mass"] = True
-    else:
-        rate, rate_se = empirical_rate(res)
-        outputs.update({"rate": rate, "rate_stderr": rate_se})
-    return {"estimate_upper.csv": path}, outputs
+    res = estimate_upper_tail(env, params["n"], params["c"], workers=ctx.workers,
+                              **_draws(params))
+    return _estimates(ctx, "estimate_upper.csv", (res,), res,
+                      {"estimate": res.estimate, "ess": res.ess})
 
 
 def _cmd_trajectory(env, params: dict, ctx: _Ctx):
-    n = int(_need(params, "n", "trajectory"))
-    c = float(_need(params, "c", "trajectory"))
-    grid = params.get("grid")
-    pf = params.get("phase_fraction")
     prof = conditional_profile(
-        env, n, c, grid=parse_grid(grid) if grid is not None else None,
-        side=params.get("side", "lower"), z0=int(params.get("z0", 1)),
-        replicas=int(params["replicas"]), seed=int(params["seed"]),
-        workers=ctx.workers,
-        phase_fraction=float(pf) if pf is not None else None,
-        method=params.get("method"),
-    )
+        env, params["n"], params["c"], grid=params.get("grid"),
+        side=params.get("side", "lower"), workers=ctx.workers,
+        phase_fraction=params.get("phase_fraction"), method=params.get("method"),
+        **_draws(params))
     rows = [
         (float(t), float(v), float(se), float(ref))
         for t, v, se, ref in zip(prof.grid, prof.values, prof.stderr,
                                  prof.reference)
     ]
-    path = os.path.join(ctx.out_dir, "trajectory.csv")
-    write_csv(path, "trajectory-v1", ("t", "value", "stderr", "reference"),
-              rows, ctx.cfg_hash)
     outputs = {
         "sup_distance": prof.sup_distance,
         "sup_distance_stderr": prof.sup_distance_stderr,
         "ess": prof.ess, "event_estimate": prof.event_estimate,
         "method": prof.method.value, "normal_steps": prof.normal_steps,
     }
-    return {"trajectory.csv": path}, outputs
+    return (ctx.artifact("trajectory.csv", write_csv, "trajectory-v1",
+                         ("t", "value", "stderr", "reference"), rows), outputs)
 
 
 def _cmd_takeoff(env, params: dict, ctx: _Ctx):
-    n = int(_need(params, "n", "takeoff"))
-    c = float(_need(params, "c", "takeoff"))
-    pf = params.get("phase_fraction")
     res = take_off_statistics(
-        env, n, c, pop_threshold=int(params.get("threshold_n", 10)),
-        z0=int(params.get("z0", 1)), replicas=int(params["replicas"]),
-        seed=int(params["seed"]), workers=ctx.workers,
-        phase_fraction=float(pf) if pf is not None else None,
-    )
+        env, params["n"], params["c"], pop_threshold=params.get("threshold_n", 10),
+        workers=ctx.workers, phase_fraction=params.get("phase_fraction"),
+        **_draws(params))
     # aggregate the weighted sample into a histogram over distinct fractions
     order = np.argsort(res.fractions, kind="stable")
     fracs = res.fractions[order]
@@ -286,14 +237,13 @@ def _cmd_takeoff(env, params: dict, ctx: _Ctx):
     uniq, start = np.unique(fracs, return_index=True)
     sums = np.add.reduceat(weights, start)
     rows = [(float(f), float(w)) for f, w in zip(uniq, sums)]
-    path = os.path.join(ctx.out_dir, "takeoff.csv")
-    write_csv(path, "takeoff-v1", ("fraction", "weight"), rows, ctx.cfg_hash)
     outputs = {
         "mean_fraction": res.mean_fraction, "stderr": res.stderr,
         "ess": res.ess, "event_estimate": res.event_estimate,
         "method": res.method.value, "normal_steps": res.normal_steps,
     }
-    return {"takeoff.csv": path}, outputs
+    return (ctx.artifact("takeoff.csv", write_csv, "takeoff-v1",
+                         ("fraction", "weight"), rows), outputs)
 
 
 def _cmd_cells(env, params: dict, ctx: _Ctx):
@@ -301,58 +251,77 @@ def _cmd_cells(env, params: dict, ctx: _Ctx):
         raise InvalidArgumentError(
             f"cells needs a two-environment config, got {env.k} components"
         )
-    config = CellTreeConfig(
-        n=int(_need(params, "n", "cells")), law1=env.components[0],
-        law2=env.components[1], c=float(_need(params, "c", "cells")),
-        seed=int(params["seed"]), replicas=int(params["replicas"]),
-        z0=int(params.get("z0", 1)),
-    )
+    config = CellTreeConfig(n=params["n"], law1=env.components[0],
+                            law2=env.components[1], c=params["c"], **_draws(params))
     result = simulate_cell_tree(config, workers=ctx.workers)
     report = expected_count_identity(config, result=result)
     rows = [
         (r, int(b), int(a))
         for r, (b, a) in enumerate(zip(result.below, result.above))
     ]
-    path = os.path.join(ctx.out_dir, "cells.csv")
-    write_csv(path, "cells-v1", ("replicate", "n_below", "n_above"), rows,
-              ctx.cfg_hash)
-    summary_path = os.path.join(ctx.out_dir, "cells_summary.json")
-    write_json(summary_path, {
+    artifacts = ctx.artifact("cells.csv", write_csv, "cells-v1",
+                             ("replicate", "n_below", "n_above"), rows)
+    artifacts.update(ctx.artifact("cells_summary.json", write_json, {
         "tree_mean": report.tree_mean, "tree_stderr": report.tree_stderr,
         "expected": report.expected, "z_score": report.z_score,
         "probability": report.probability, "threshold": report.threshold,
         "n": report.n, "replicas": report.replicas,
-    }, ctx.cfg_hash)
-    return ({"cells.csv": path, "cells_summary.json": summary_path},
-            {"z_score": report.z_score, "normal_steps": result.normal_steps})
+    }))
+    return artifacts, {"z_score": report.z_score, "normal_steps": result.normal_steps}
 
 
-_HANDLERS = {
-    "rate": _cmd_rate,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
-    "estimate-lower": _cmd_estimate_lower,
-    "estimate-upper": _cmd_estimate_upper,
-    "trajectory": _cmd_trajectory,
-    "takeoff": _cmd_takeoff,
-    "cells": _cmd_cells,
+# --- settings and commands --------------------------------------------
+
+# setting -> (flag, argparse keywords, cast of the flag's or the config's value)
+_SETTINGS = {
+    "c_grid": ("--c-grid", {}, parse_grid),
+    "n": ("--n", {"type": int}, int),
+    "z0": ("--z0", {"type": int}, int),
+    "threshold_n": ("--threshold-N", {"type": int}, int),
+    "cap": ("--cap", {"type": int}, int),
+    "c": ("--c", {"type": float}, float),
+    "threshold": ("--threshold", {"type": int}, int),
+    "tol": ("--tol", {"type": float}, float),
+    "pmf_csv": ("--pmf-csv", {"action": "store_const", "const": True}, bool),
+    "grid": ("--grid", {}, parse_grid),
+    "side": ("--side", {"choices": ("lower", "upper")}, str),
+    "phase_fraction": ("--phase-fraction", {"type": float}, float),
+    "method": ("--method", {"choices": ("tilt_only", "two_phase")}, str),
 }
 
-# flags forwarded into the command section when given
-_SECTION_FLAGS = {
-    "rate": ("c_grid",),
-    "simulate": ("n", "z0", "threshold_n"),
-    "oracle": ("n", "z0", "cap", "c", "threshold", "tol", "pmf_csv"),
-    "estimate-lower": ("n", "c", "z0", "phase_fraction"),
-    "estimate-upper": ("n", "c", "z0"),
-    "trajectory": ("n", "c", "z0", "grid", "side", "phase_fraction", "method"),
-    "takeoff": ("n", "c", "z0", "threshold_n", "phase_fraction"),
-    "cells": ("n", "c", "z0"),
+# command -> (handler, help, its settings in flag order)
+_COMMANDS = {
+    "rate": (_cmd_rate, "rate function table over a c grid", ("c_grid",)),
+    "simulate": (_cmd_simulate, "forward trajectories, one CSV row per replica",
+                 ("n", "z0", "threshold_n")),
+    "oracle": (_cmd_oracle, "exact population distribution tail",
+               ("n", "z0", "cap", "c", "threshold", "tol", "pmf_csv")),
+    "estimate-lower": (_cmd_estimate_lower,
+                       "importance-sampled lower deviation probability",
+                       ("n", "c", "z0", "phase_fraction")),
+    "estimate-upper": (_cmd_estimate_upper,
+                       "importance-sampled upper deviation probability",
+                       ("n", "c", "z0")),
+    "trajectory": (_cmd_trajectory, "conditional growth profile on a time grid",
+                   ("n", "c", "z0", "grid", "side", "phase_fraction", "method")),
+    "takeoff": (_cmd_takeoff, "conditional take-off time statistics",
+                ("n", "c", "z0", "threshold_n", "phase_fraction")),
+    "cells": (_cmd_cells, "binary cell tree and the expected-count identity",
+              ("n", "c", "z0")),
 }
-# every setting given must survive its cast (the handlers apply it)
-_SETTING_CASTS = {"n": int, "z0": int, "cap": int, "threshold": int, "threshold_n": int,
-                  "c": float, "tol": float, "phase_fraction": float,
-                  "c_grid": parse_grid, "grid": parse_grid}
+
+
+class _Settings(dict):
+    """A config section with each setting given cast once; null is unset."""
+
+    def __init__(self, command: str, section: dict):
+        super().__init__((key, _SETTINGS[key][2](value) if key in _SETTINGS else value)
+                         for key, value in section.items() if value is not None)
+        self.command = command
+
+    def __missing__(self, key):
+        raise InvalidArgumentError(
+            f"missing setting {key!r} for command {self.command!r}")
 
 
 def _section_name(command: str) -> str:
@@ -360,9 +329,13 @@ def _section_name(command: str) -> str:
 
 
 def effective_config(command: str, cfg: dict, ns) -> dict:
-    """Collapse file config and flags into one self-contained config dict."""
+    """Collapse file config and flags into one self-contained config dict.
+
+    Values stay as the flags and the file give them, so the config hash
+    does not depend on the casts; every setting given must survive its cast.
+    """
     section = dict(cfg.get(_section_name(command), {}))
-    for key in _SECTION_FLAGS[command]:
+    for key in _COMMANDS[command][2]:
         value = getattr(ns, key, None)
         if value is not None:
             section[key] = value
@@ -372,9 +345,7 @@ def effective_config(command: str, cfg: dict, ns) -> dict:
         "replicas", cfg.get("replicas", 10_000))
     section["seed"] = int(seed)
     section["replicas"] = int(replicas)
-    for key, cast in _SETTING_CASTS.items():
-        if section.get(key) is not None:
-            cast(section[key])
+    _Settings(command, section)
     return {"environments": cfg["environments"], _section_name(command): section}
 
 
@@ -382,19 +353,19 @@ def execute(command: str, effective: dict, out_dir: str,
             workers: int) -> Tuple[dict, dict, dict]:
     """Run one command from its effective config; returns (record, artifacts, outputs)."""
     env = environment_from_dict(effective)
-    params = effective[_section_name(command)]
+    section = effective[_section_name(command)]
     os.makedirs(out_dir, exist_ok=True)
     ctx = _Ctx(out_dir=out_dir, cfg_hash=config_hash(effective), workers=workers)
     started = time.time()
-    artifacts, outputs = _HANDLERS[command](env, params, ctx)
+    artifacts, outputs = _COMMANDS[command][0](env, _Settings(command, section), ctx)
     record = {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",
         "version": __version__,
         "command": command,
         "started": started,
         "finished": time.time(),
-        "seed": params["seed"],
-        "replicas": params["replicas"],
+        "seed": section["seed"],
+        "replicas": section["replicas"],
         "workers": workers,
         "config_hash": ctx.cfg_hash,
         "config": effective,
@@ -426,6 +397,13 @@ def _first_divergence(path_a: str, path_b: str) -> Optional[Tuple[int, int]]:
     return offset, a[:offset].count(b"\n") + 1
 
 
+def _workers(ns) -> int:
+    workers = ns.workers if ns.workers is not None else 1
+    if workers < 1:
+        raise InvalidArgumentError(f"--workers {workers} must be >= 1")
+    return workers
+
+
 def _cmd_reproduce(ns) -> int:
     out_dir = ns.out_dir or "."
     log_path = ns.log or os.path.join(out_dir, LOG_NAME)
@@ -448,9 +426,8 @@ def _cmd_reproduce(ns) -> int:
             f"record from version {record['version']}, this is {__version__}"
         )
     replay_dir = os.path.join(out_dir, f"replay-{record['run_id']}")
-    workers = ns.workers if ns.workers is not None else 1
     _, artifacts, _ = execute(record["command"], record["config"], replay_dir,
-                              workers)
+                              _workers(ns))
     all_pass = True
     for name, recorded_hash in record["artifacts"].items():
         new_path = artifacts.get(name)
@@ -492,64 +469,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int)
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rate", parents=[common],
-                       help="rate function table over a c grid")
-    p.add_argument("--c-grid", dest="c_grid")
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="forward trajectories, one CSV row per replica")
-    p.add_argument("--n", type=int)
-    p.add_argument("--z0", type=int)
-    p.add_argument("--threshold-N", dest="threshold_n", type=int)
-
-    p = sub.add_parser("oracle", parents=[common],
-                       help="exact population distribution tail")
-    p.add_argument("--n", type=int)
-    p.add_argument("--z0", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--pmf-csv", dest="pmf_csv", action="store_const", const=True)
-
-    p = sub.add_parser("estimate-lower", parents=[common],
-                       help="importance-sampled lower deviation probability")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--z0", type=int)
-    p.add_argument("--phase-fraction", dest="phase_fraction", type=float)
-
-    p = sub.add_parser("estimate-upper", parents=[common],
-                       help="importance-sampled upper deviation probability")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--z0", type=int)
-
-    p = sub.add_parser("trajectory", parents=[common],
-                       help="conditional growth profile on a time grid")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--z0", type=int)
-    p.add_argument("--grid")
-    p.add_argument("--side", choices=("lower", "upper"))
-    p.add_argument("--phase-fraction", dest="phase_fraction", type=float)
-    p.add_argument("--method", choices=("tilt_only", "two_phase"))
-
-    p = sub.add_parser("takeoff", parents=[common],
-                       help="conditional take-off time statistics")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--z0", type=int)
-    p.add_argument("--threshold-N", dest="threshold_n", type=int)
-    p.add_argument("--phase-fraction", dest="phase_fraction", type=float)
-
-    p = sub.add_parser("cells", parents=[common],
-                       help="binary cell tree and the expected-count identity")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--z0", type=int)
-
+    for command, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for key in keys:
+            flag, kwargs, _ = _SETTINGS[key]
+            p.add_argument(flag, dest=key, **kwargs)
     p = sub.add_parser("reproduce", parents=[common],
                        help="replay a run record and byte-compare artifacts")
     p.add_argument("--log")
@@ -571,8 +495,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise InvalidArgumentError(f"config {ns.config}: {err!r}") from err
     out_dir = ns.out_dir or "."
-    workers = ns.workers if ns.workers is not None else 1
-    record, artifacts, outputs = execute(ns.command, effective, out_dir, workers)
+    record, artifacts, outputs = execute(ns.command, effective, out_dir, _workers(ns))
     _append_log(out_dir, record)
     echo = {"run_id": record["run_id"], "artifacts": sorted(artifacts),
             "outputs": outputs}

@@ -192,7 +192,9 @@ def _method(hold_steps: int) -> Method:
     return Method.TWO_PHASE if hold_steps > 0 else Method.TILT_ONLY
 
 
-def _check_env(env: EnvironmentLaw, c: float, side: str) -> None:
+def _check_env(env: EnvironmentLaw, n: int, c: float, side: str) -> None:
+    if n < 1:
+        raise InvalidArgumentError(f"n={n} must be >= 1")
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError(
             "deviation estimators need every component to give at least one offspring"
@@ -215,7 +217,7 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     at or beyond the top log-mean, where the estimate is honestly tiny or
     zero).
     """
-    _check_env(env, c, "upper")
+    _check_env(env, n, c, "upper")
     tl = tilt_toward(env, c)
     w, _, _, steps = _sample(env, n, z0, Proposal(free=tl, stream=STREAM_TILT),
                              seed, replicas, workers, _event_bound(n, c, "upper"),
@@ -303,7 +305,7 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     to the pure holding event (the population cannot shrink).  two_phase
     is None for a law that cannot hold where the plan needs a hold.
     """
-    _check_env(env, c, "lower")
+    _check_env(env, n, c, "lower")
     bound = _event_bound(n, c)
     if bound < z0:
         # population never drops below z0: the event is empty, exactly
@@ -429,7 +431,7 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     conditioning event is the proposal's event: the full lower event for
     tilt_only, the held partial event for two_phase.
     """
-    _check_env(env, c, "lower")
+    _check_env(env, n, c, "lower")
     proposal = _lower_proposal(env, n, c, z0, method, phase_fraction,
                                _rate_solver(env, c))
     w, tau, _, steps = _sample(env, n, z0, proposal, seed, replicas, workers,
@@ -480,12 +482,12 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     and the straight line c*t for the upper side; sup_distance is the
     weighted mean of each path's sup deviation from it over all n+1 steps.
     """
-    _check_env(env, c, side)
+    _check_env(env, n, c, side)
     if grid is None:
         grid_arr = np.arange(n + 1) / n
     else:
         grid_arr = np.asarray(list(grid), dtype=float)
-        if grid_arr.size == 0 or grid_arr.min() < 0.0 or grid_arr.max() > 1.0:
+        if grid_arr.size == 0 or not np.all((grid_arr >= 0.0) & (grid_arr <= 1.0)):
             raise InvalidArgumentError("grid must be a nonempty subset of [0, 1]")
     grid_idx = np.minimum(n, np.floor(grid_arr * n + 1e-9).astype(np.int64))
     steps = np.arange(n + 1) / n

@@ -75,7 +75,8 @@ def tilt_parameter(env: EnvironmentLaw, c: float) -> float:
     Requires c strictly inside the open hull (Lmin, Lmax) of the walk
     atoms.  phi' is strictly increasing, so a sign-changing bracket found
     by doubling from [-64, 64] plus bisection with a Newton polish
-    converges; the result satisfies |phi'(lam) - c| <= 1e-12.
+    converges; the result satisfies |phi'(lam) - c| <= 1e-12, or the
+    solve raises OutOfHullError after 200 iterations.
     """
     atoms = walk_atoms(env)
     if len(atoms) == 1:
@@ -115,7 +116,7 @@ def tilt_parameter(env: EnvironmentLaw, c: float) -> float:
         d2 = log_mgf(env, lam)[2]
         step = lam - f / d2 if d2 > 0 else None
         lam = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-    return lam  # residual may sit at a few ulp for extreme hulls; best effort
+    raise OutOfHullError(f"drift {c} unsolved after 200 iterations, residual {f:.3g}")
 
 
 def walk_rate(env: EnvironmentLaw, c: float) -> float:

@@ -361,6 +361,8 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int) -> 
     """
     if replicas < 1:
         raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
+    if workers < 1:
+        raise InvalidArgumentError(f"workers={workers} must be >= 1")
     blocks = [(lo, min(lo + BLOCK, replicas)) for lo in range(0, replicas, BLOCK)]
     procs = min(workers, len(blocks))
     if procs <= 1:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bpre import __version__, lower_deviation_rate, tilt_parameter, walk_rate
-from bpre import cli, oracle
+from bpre import InvalidArgumentError, cli, oracle
 from bpre.cli import canonical_json, config_hash, main, parse_grid
 from conftest import g2_law, two_mean_law
 
@@ -41,10 +41,18 @@ def read_csv(path):
     return lines[0], header, rows
 
 
-def test_parse_grid_forms():
+def test_parse_grid_forms(tmp_path, capsys):
     assert parse_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
     assert parse_grid("0.5,0.75") == pytest.approx([0.5, 0.75])
     assert parse_grid([0.25]) == pytest.approx([0.25])
+    for empty in ("1:0:0.1", ",", []):
+        with pytest.raises(InvalidArgumentError):
+            parse_grid(empty)
+    rc = main(["rate", "--config", str(CONFIG_DIR / "g2.json"), "--c-grid", "1:0:0.1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+    assert not (tmp_path / "rate.csv").exists()
 
 
 def test_rate_artifact_from_shipped_config(tmp_path, capsys):
@@ -248,6 +256,29 @@ def test_threshold_past_float_range_exits_2(tmp_path, capsys, command, config, n
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("command, n", [
+    ("estimate-lower", 0), ("estimate-upper", 0), ("trajectory", 0), ("takeoff", 0),
+    ("estimate-lower", -4),
+], ids=["estimate-lower", "estimate-upper", "trajectory", "takeoff", "estimate-lower-neg"])
+def test_n_below_one_exits_2(tmp_path, capsys, command, n):
+    rc = main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", str(n),
+               "--replicas", "2", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidArgument" and f"n={n}" in err["message"]
+
+
+def test_workers_below_one_exits_2(tmp_path, capsys):
+    cfg = str(CONFIG_DIR / "g2.json")
+    assert main(["rate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    for argv in (["simulate", "--config", cfg, "--workers", "-3"],
+                 ["reproduce", "--workers", "0"]):
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+    assert [r["command"] for r in read_log(tmp_path)] == ["rate"]
+
+
 def test_cells_degenerate_z_score_is_valid_json(tmp_path, capsys):
     # every tree counts 0 small cells against 2^4 P = 0.0625: no stderr
     cfg = write_cfg(tmp_path, {"environments": [
@@ -288,8 +319,8 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "--config" in json.loads(capsys.readouterr().err)["message"]
 
 
-@pytest.mark.parametrize("section", [{"n": "eight", "c": 0.4}, {"n": 8, "c": [0.4]}],
-                         ids=["n", "c"])
+@pytest.mark.parametrize("section", [{"n": "eight", "c": 0.4}, {"n": 8, "c": [0.4]},
+                                     {"c": 0.4}], ids=["n", "c", "missing-n"])
 def test_malformed_setting_exits_2(tmp_path, capsys, section):
     cfg = g2_cfg(tmp_path, oracle=section)
     assert main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
@@ -308,11 +339,37 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, error):
     def broken(env, params, ctx):
         raise error("handler bug")
 
-    monkeypatch.setitem(cli._HANDLERS, "rate", broken)
+    monkeypatch.setitem(cli._COMMANDS, "rate", (broken,) + cli._COMMANDS["rate"][1:])
     cfg = g2_cfg(tmp_path, rate={"c_grid": [0.4]})
     assert main(["rate", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["kind"] == "internal" and err["error"] == error.__name__
+
+
+# each subcommand's option strings, as its --help listed them before the
+# parser was built from the settings table
+COMMON_FLAGS = ["-h", "--config", "--seed", "--replicas", "--out-dir", "--workers"]
+SUBCOMMAND_FLAGS = {
+    "rate": ["--c-grid"],
+    "simulate": ["--n", "--z0", "--threshold-N"],
+    "oracle": ["--n", "--z0", "--cap", "--c", "--threshold", "--tol", "--pmf-csv"],
+    "estimate-lower": ["--n", "--c", "--z0", "--phase-fraction"],
+    "estimate-upper": ["--n", "--c", "--z0"],
+    "trajectory": ["--n", "--c", "--z0", "--grid", "--side", "--phase-fraction",
+                   "--method"],
+    "takeoff": ["--n", "--c", "--z0", "--threshold-N", "--phase-fraction"],
+    "cells": ["--n", "--c", "--z0"],
+    "reproduce": ["--log", "--run-id"],
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_subcommand_option_strings(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    flags = re.findall(r"^  (-[-\w]+)", capsys.readouterr().out, re.M)
+    assert flags == COMMON_FLAGS + SUBCOMMAND_FLAGS[command]
 
 
 def test_cap_too_small_exits_3(tmp_path, capsys):

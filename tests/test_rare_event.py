@@ -332,10 +332,9 @@ def test_profile_custom_grid(g2):
     prof = conditional_profile(g2, 6, 0.4, grid=[0.0, 0.5, 1.0], replicas=2_000, seed=1)
     assert prof.grid.tolist() == [0.0, 0.5, 1.0]
     assert prof.values.shape == (3,)
-    with pytest.raises(ValueError):
-        conditional_profile(g2, 6, 0.4, grid=[-0.1, 0.5], replicas=10)
-    with pytest.raises(ValueError):
-        conditional_profile(g2, 6, 0.4, grid=[], replicas=10)
+    for grid in ([-0.1, 0.5], [], [0.5, math.nan]):
+        with pytest.raises(ValueError):
+            conditional_profile(g2, 6, 0.4, grid=grid, replicas=10)
 
 
 def test_estimators_worker_invariant(g2):

@@ -23,6 +23,7 @@ from bpre import (
     two_env_walk_rate,
     walk_rate,
 )
+from bpre import ratefn
 from conftest import g2_law, two_mean_law
 
 
@@ -72,7 +73,7 @@ def test_tilt_parameter_closed_form(fig_law):
     assert lam == pytest.approx(-2.1972245773362196, abs=1e-9)
 
 
-def test_tilt_parameter_errors(dirac2, g2):
+def test_tilt_parameter_errors(dirac2, g2, monkeypatch):
     assert tilt_parameter(dirac2, math.log(2.0)) == 0.0
     with pytest.raises(DegenerateLawError):
         tilt_parameter(dirac2, 1.0)
@@ -80,6 +81,10 @@ def test_tilt_parameter_errors(dirac2, g2):
         tilt_parameter(g2, 10.0)
     with pytest.raises(OutOfHullError):
         tilt_parameter(g2, g2.log_mean_min)
+    # no residual meets a negative tolerance: the solve runs out of iterations
+    monkeypatch.setattr(ratefn, "DRIFT_TOL", -1.0)
+    with pytest.raises(OutOfHullError, match="200 iterations"):
+        tilt_parameter(g2, 0.5)
 
 
 def test_walk_rate_zero_at_mean(g2, fig_law):

@@ -191,6 +191,8 @@ def test_sim_config_validation(g2):
         SimConfig(env=g2, n=3, z0=0, seed=0)
     with pytest.raises(ValueError):
         SimConfig(env=g2, n=3, z0=1, seed=0, replicas=0)
+    with pytest.raises(ValueError, match="workers=0"):
+        final_states(SimConfig(env=g2, n=3, z0=1, seed=0, replicas=5), workers=0)
 
 
 def test_final_states_without_threshold_has_no_tau(g2):
