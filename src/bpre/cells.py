@@ -27,7 +27,7 @@ import numpy as np
 
 from .envmodel import EnvironmentLaw, OffspringDistribution, build_environment
 from .errors import BudgetExceededError, InvalidArgumentError
-from .oracle import event_threshold, exp_cn, population_distribution
+from .oracle import event_bound, event_threshold, exp_cn, population_distribution
 from .rng import STREAM_CELLS, replica_stream
 from .simulate import BLOCK, EXACT_LIMIT, Populations, law_step, map_replicas
 
@@ -88,8 +88,7 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
     n, laws = config.n, (config.law1, config.law2)
     size = max(1, min(BLOCK, TREE_LEAVES >> n))
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
-    t = config.threshold
-    slack = 1e-9 * max(1.0, t)
+    bounds = [(event_bound(n, config.c, side), side) for side in ("lower", "upper")]
     groups = []
     for g in range(lo // size, -(-hi // size)):
         rng = replica_stream(config.seed, STREAM_CELLS + g)
@@ -111,9 +110,8 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
                 z[j, exact], logz[j, big] = dz, dlogz
             cells = Populations(z.T.ravel(), logz.T.ravel(), big.repeat(2))
         picks = (np.arange(size) << n) + rng.integers(1 << n, size=size)
-        groups.append((cells.at_most(t + slack).reshape(size, -1).sum(axis=1),
-                       cells.at_least(t - slack).reshape(size, -1).sum(axis=1),
-                       normal_steps, [cells.value(j) for j in picks.tolist()]))
+        counts = [cells.hit(*bound).reshape(size, -1).sum(axis=1) for bound in bounds]
+        groups.append((*counts, normal_steps, [cells.value(j) for j in picks.tolist()]))
     below, above, normal_steps, leaves = zip(*groups)
     keep = hi - lo
     return (np.concatenate(below)[:keep], np.concatenate(above)[:keep],

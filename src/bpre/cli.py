@@ -38,6 +38,7 @@ from .rare_event import (
 from .simulate import SimConfig, final_states
 
 LOG_NAME = "runlog.jsonl"
+GRID_POINTS_MAX = 10**5   # points of one "lo:hi:step" grid; shipped grids have 7 to 13
 
 
 # --- formatting and hashing -------------------------------------------
@@ -93,10 +94,11 @@ def parse_grid(spec) -> list:
         grid = [float(x) for x in spec]
     elif ":" in text:
         lo, hi, step = (float(x) for x in text.split(":"))
-        if step <= 0:
-            raise InvalidArgumentError(f"grid step must be positive in {text!r}")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        grid = [lo + k * step for k in range(count)]
+        span = (hi - lo) / step if step > 0 else math.nan
+        if not (all(map(math.isfinite, (lo, hi, step, span))) and span < GRID_POINTS_MAX):
+            raise InvalidArgumentError(f"grid {text!r} needs finite ends, a positive "
+                                       f"step and fewer than {GRID_POINTS_MAX} points")
+        grid = [lo + k * step for k in range(int(math.floor(span + 1e-9)) + 1)]
     else:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
     if not grid:

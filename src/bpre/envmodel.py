@@ -132,9 +132,6 @@ class EnvironmentLaw:
     log_mean_min: float
     log_mean_max: float
     strongly_supercritical: bool  # no component can produce zero offspring
-    all_noncrit_below: bool       # every component mean <= 1: no growth possible
-    max_mean: float
-    max_second_moment: float
 
     def __post_init__(self):
         object.__setattr__(self, "weights_arr", np.array(self.weights, dtype=np.float64))
@@ -191,9 +188,6 @@ def build_environment(components: Sequence[Tuple[float, PmfLike]]) -> Environmen
         log_mean_min=min(log_means),
         log_mean_max=max(log_means),
         strongly_supercritical=all(d.p0 == 0.0 for d in dists),
-        all_noncrit_below=all(d.mean <= 1.0 for d in dists),
-        max_mean=max(d.mean for d in dists),
-        max_second_moment=max(d.second_moment for d in dists),
     )
 
 

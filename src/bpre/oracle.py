@@ -69,8 +69,10 @@ class ExactDistribution:
         """P(Z_n <= k), exact up to le_error_bound(k).
 
         With tol given, raises CapTooSmall when the truncation error bound
-        exceeds it.
+        exceeds it; a tol that is NaN or negative is InvalidArgument.
         """
+        if tol is not None and not tol >= 0.0:
+            raise InvalidArgumentError(f"tol={tol} must be a number >= 0")
         if tol is not None and self.le_error_bound(k) > tol:
             raise CapTooSmallError(
                 f"cap={self.cap} leaves error bound {self.le_error_bound(k):.3g} "
@@ -82,12 +84,7 @@ class ExactDistribution:
 
     def prob_ge(self, k: int, tol: Optional[float] = None) -> float:
         """P(Z_n >= k) via the complement; same truncation caveats."""
-        if tol is not None and self.le_error_bound(k - 1) > tol:
-            raise CapTooSmallError(
-                f"cap={self.cap} leaves error bound {self.le_error_bound(k - 1):.3g} "
-                f"> tol={tol:.3g} for P(Z_n >= {k})"
-            )
-        return 1.0 - self.prob_le(k - 1)
+        return 1.0 - self.prob_le(k - 1, tol)
 
 
 def _pmf_poly(dist: OffspringDistribution) -> np.ndarray:
@@ -197,6 +194,14 @@ def exp_cn(n: int, c: float) -> float:
     if not c * n <= 709.0:   # e^709 < 1.8e308, the largest float
         raise BudgetExceededError(f"threshold e^(cn) at cn={c * n:g} is past the float range")
     return math.exp(c * n)
+
+
+def event_bound(n: int, c: float, side: str = "lower") -> float:
+    """e^{cn} moved 1e-9 max(1, e^{cn}) outward, so that a population equal
+    to an integer e^{cn} lands on the event side, lower or upper."""
+    t = exp_cn(n, c)
+    slack = 1e-9 * max(1.0, t)
+    return t + slack if side == "lower" else t - slack
 
 
 def event_threshold(n: int, c: float) -> int:

@@ -34,12 +34,12 @@ from .errors import (
     NotStronglySupercriticalError,
     ZeroEstimateError,
 )
-from .oracle import exp_cn
+from .oracle import event_bound
 from .ratefn import (LowerDeviationRate, limit_profile, log_mgf,
                      lower_deviation_rate, tilt_parameter)
 from .results import EstimatorResult, Method
 from .rng import STREAM_TILT, STREAM_TWO_PHASE
-from .simulate import BLOCK, Phase, Proposal, block_lanes, map_replicas
+from .simulate import Phase, Proposal, Sample, sample
 
 HULL_CLAMP = 1e-9   # tilt targets pushed this fraction of the span inside the hull
 
@@ -108,13 +108,6 @@ def _lower_tilt_target(env: EnvironmentLaw, c: float,
     return (solve() if solve else lower_deviation_rate(env, c)).slope
 
 
-def _event_bound(n: int, c: float, side: str = "lower") -> float:
-    # slack keeps integer populations on the right side when e^{cn} is an integer
-    t = exp_cn(n, c)
-    slack = 1e-9 * max(1.0, t)
-    return t + slack if side == "lower" else t - slack
-
-
 def _hold_tables(env: EnvironmentLaw, z0: int) -> Phase:
     """Sampling cdf and per-step log likelihood ratio for held generations.
 
@@ -132,51 +125,27 @@ def _hold_tables(env: EnvironmentLaw, z0: int) -> Phase:
     return Phase(cum, llr)
 
 
-def _weighted_block(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
-                    seed: int, bound: float, side: str,
-                    pop_threshold: Optional[int], capture: bool, lo: int, hi: int):
-    """Weights, take-off steps and captured log paths of one block's replicas.
-
-    The weight is exp(log likelihood ratio) on the event and 0 off it.  The
-    take-off step is the first generation with population above
-    pop_threshold (n if none).  With capture, each replica of positive
-    weight contributes one row, its log path / n; else paths is None.
-    """
-    size = hi - lo
-    logs = []
-    for lanes in block_lanes(env, n, z0, proposal, seed, lo // BLOCK, pop_threshold):
-        if capture:
-            logs.append(lanes.log()[:size])
-    hit = (lanes.at_most(bound) if side == "lower" else lanes.at_least(bound))[:size]
-    w = np.exp(lanes.llr[:size], where=hit, out=np.zeros(size))
-    paths = np.stack(logs, axis=1)[w > 0.0] / n if capture else None
-    return w, lanes.tau[:size], paths, int(lanes.normal_steps[:size].sum())
+def _weights(s: Sample, n: int, c: float, side: str = "lower") -> np.ndarray:
+    """exp(llr) of each replica on its side of e^{cn}, and 0 off the event."""
+    return np.exp(s.llr, where=s.hit(event_bound(n, c, side), side),
+                  out=np.zeros(s.llr.size))
 
 
-def _sample(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal, seed: int,
-            replicas: int, workers: int, bound: float, side: str = "lower",
-            pop_threshold: Optional[int] = None, capture: bool = False):
-    """Per-replica weights and take-off steps, the log paths of positive
-    weight (None without capture) and the count of log-z lane steps."""
-    w, tau, paths, steps = zip(*map_replicas(
-        _weighted_block, (env, n, z0, proposal, seed, bound, side, pop_threshold,
-                          capture), replicas, workers))
-    return (np.concatenate(w), np.concatenate(tau),
-            np.concatenate(paths) if capture else None, sum(steps))
+def _ess(w: np.ndarray) -> float:
+    """Effective sample size (sum w)^2 / sum w^2; 0 for an all-zero sample."""
+    tot, sq = float(w.sum()), float(w @ w)
+    return tot * tot / sq if sq > 0.0 else 0.0
 
 
-def _weights_result(w: np.ndarray, n: int, c: float, seed: int,
-                    lam: Optional[float], hold_steps: int,
-                    normal_steps: int) -> EstimatorResult:
-    est = float(w.mean())
+def _weights_result(s: Sample, n: int, c: float, seed: int, lam: Optional[float],
+                    hold_steps: int, side: str = "lower") -> EstimatorResult:
+    w = _weights(s, n, c, side)
     stderr = float(w.std(ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
-    tot = float(w.sum())
-    sq = float(w @ w)
-    ess = tot * tot / sq if sq > 0.0 else 0.0
     return EstimatorResult(
-        estimate=est, stderr=stderr, ess=ess, method=_method(hold_steps), n=n,
-        c=c, replicas=w.size, seed=seed, zero_mass=(tot == 0.0), tilt=lam,
-        hold_steps=hold_steps, normal_steps=normal_steps,
+        estimate=float(w.mean()), stderr=stderr, ess=_ess(w),
+        method=_method(hold_steps), n=n, c=c, replicas=w.size, seed=seed,
+        zero_mass=not w.any(), tilt=lam, hold_steps=hold_steps,
+        normal_steps=s.normal_steps,
     )
 
 
@@ -219,10 +188,8 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     """
     _check_env(env, n, c, "upper")
     tl = tilt_toward(env, c)
-    w, _, _, steps = _sample(env, n, z0, Proposal(free=tl, stream=STREAM_TILT),
-                             seed, replicas, workers, _event_bound(n, c, "upper"),
-                             "upper")
-    return _weights_result(w, n, c, seed, tl.lam, 0, steps)
+    s = sample(env, n, z0, Proposal(free=tl, stream=STREAM_TILT), seed, replicas, workers)
+    return _weights_result(s, n, c, seed, tl.lam, 0, "upper")
 
 
 @dataclass(frozen=True)
@@ -306,8 +273,7 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     is None for a law that cannot hold where the plan needs a hold.
     """
     _check_env(env, n, c, "lower")
-    bound = _event_bound(n, c)
-    if bound < z0:
+    if event_bound(n, c) < z0:
         # population never drops below z0: the event is empty, exactly
         zero = EstimatorResult(
             estimate=0.0, stderr=0.0, ess=0.0, method=Method.TWO_PHASE, n=n,
@@ -327,9 +293,8 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
         if method == "two_phase":
             used_fraction = frac
         if proposal is not None:
-            w, _, _, steps = _sample(env, n, z0, proposal, seed, replicas,
-                                     workers, bound)
-            legs[method] = _weights_result(w, n, c, seed, lam, proposal.m, steps)
+            s = sample(env, n, z0, proposal, seed, replicas, workers)
+            legs[method] = _weights_result(s, n, c, seed, lam, proposal.m)
     return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
                              two_phase=legs.get("two_phase"),
                              take_off=used_fraction)
@@ -434,18 +399,17 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     _check_env(env, n, c, "lower")
     proposal = _lower_proposal(env, n, c, z0, method, phase_fraction,
                                _rate_solver(env, c))
-    w, tau, _, steps = _sample(env, n, z0, proposal, seed, replicas, workers,
-                               _event_bound(n, c), pop_threshold=pop_threshold)
+    s = sample(env, n, z0, proposal, seed, replicas, workers, pop_threshold)
+    w = _weights(s, n, c)
     tot = _event_mass(w, n)
-    frac = tau / n
+    frac = s.tau / n
     mean, se = _ratio_stats(w, frac)
-    ess = tot * tot / float(w @ w)
     on = w > 0.0
     return TakeOffResult(
-        mean_fraction=mean, stderr=se, ess=ess, event_estimate=float(w.mean()),
+        mean_fraction=mean, stderr=se, ess=_ess(w), event_estimate=float(w.mean()),
         fractions=frac[on], weights=w[on] / tot, n=n, c=c,
         pop_threshold=pop_threshold, replicas=replicas, seed=seed,
-        method=_method(proposal.m), normal_steps=steps,
+        method=_method(proposal.m), normal_steps=s.normal_steps,
     )
 
 
@@ -508,11 +472,12 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
         reference = c * grid_arr
         proposal = Proposal(free=tilt_toward(env, c), stream=STREAM_TILT)
 
-    w, _, paths, steps = _sample(env, n, z0, proposal, seed, replicas, workers,
-                                 _event_bound(n, c, side), side, capture=True)
-    tot = _event_mass(w, n)
+    s = sample(env, n, z0, proposal, seed, replicas, workers, capture=True)
+    w = _weights(s, n, c, side)
+    _event_mass(w, n)
     # replicas of zero weight add nothing to a weighted mean: drop them
-    w_on = w[w > 0.0]
+    on = w > 0.0
+    w_on, paths = w[on], s.paths[on] / n
     gmat = paths[:, grid_idx]
     values = np.empty(grid_arr.size)
     stderr = np.empty(grid_arr.size)
@@ -522,7 +487,7 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     return TrajectoryProfile(
         grid=grid_arr, values=values, stderr=stderr, reference=reference,
         sup_distance=d_mean, sup_distance_stderr=d_se,
-        ess=tot * tot / float(w @ w), event_estimate=float(w.mean()),
+        ess=_ess(w), event_estimate=float(w.mean()),
         n=n, c=c, replicas=replicas, seed=seed, method=_method(proposal.m),
-        normal_steps=steps,
+        normal_steps=s.normal_steps,
     )

@@ -21,16 +21,17 @@ it is the one branching step of the block engine and of the cell tree.
 
 Every block is simulated in full, so replica r's path depends only on
 (seed, stream, r): results are byte-identical for any worker count, and a
-run with more replicas extends one with fewer.  The simulators here and
-the estimators in rare_event are reductions over the lanes that
-block_lanes yields, mapped over blocks by map_replicas.
+run with more replicas extends one with fewer.  Every reader reduces one
+Sample, which sample builds block by block: run_batch and final_states
+here, whose naive proposal carries the log-mean walk as its llr, and the
+estimators in rare_event.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -120,8 +121,12 @@ class Proposal:
 
     @classmethod
     def naive(cls, env: EnvironmentLaw) -> "Proposal":
-        """The environment law itself: no hold, zero log likelihood ratios."""
-        return cls(free=Phase(env.cum_weights, np.zeros(env.k)))
+        """The environment law itself, no hold.
+
+        Its likelihood ratio is 1, so the llr slot carries the log-mean
+        walk S_k instead: each step adds log m of the drawn component.
+        """
+        return cls(free=Phase(env.cum_weights, env.log_means_arr))
 
 
 def draw_env_index(env, rng: np.random.Generator, size: Optional[int] = None):
@@ -130,9 +135,6 @@ def draw_env_index(env, rng: np.random.Generator, size: Optional[int] = None):
     With size, an array of that many independent indices.
     """
     cum = env.cum_weights
-    if size is None:
-        i = int(cum.searchsorted(rng.random(), side="right"))
-        return min(i, cum.size - 1)
     return np.minimum(cum.searchsorted(rng.random(size), side="right"), cum.size - 1)
 
 
@@ -188,18 +190,17 @@ class Populations:
     logz: np.ndarray
     big: np.ndarray
 
-    def at_most(self, bound: float) -> np.ndarray:
-        """Entries with population <= bound."""
-        hit = self.z <= _clamp_int64(math.floor(bound))
+    def hit(self, bound: float, side: str) -> np.ndarray:
+        """Entries with population <= bound (side lower) or >= bound (upper)."""
+        if side == "lower":
+            cmp, edge = operator.le, math.floor(bound)
+        elif side == "upper":
+            cmp, edge = operator.ge, math.ceil(bound)
+        else:
+            raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
+        hit = cmp(self.z, _clamp_int64(edge))
         if self.big.any():
-            hit[self.big] = self.logz[self.big] <= _log_bound(bound)
-        return hit
-
-    def at_least(self, bound: float) -> np.ndarray:
-        """Entries with population >= bound."""
-        hit = self.z >= _clamp_int64(math.ceil(bound))
-        if self.big.any():
-            hit[self.big] = self.logz[self.big] >= _log_bound(bound)
+            hit[self.big] = cmp(self.logz[self.big], _log_bound(bound))
         return hit
 
     def log(self) -> np.ndarray:
@@ -263,7 +264,6 @@ class Lanes(Populations):
     llr: np.ndarray
     tau: np.ndarray
     normal_steps: np.ndarray
-    k: int = 0
     idx: Optional[np.ndarray] = None
 
 
@@ -285,12 +285,12 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
     for k in range(n + 1):
         if k > 0:
             phase = proposal.hold if k <= proposal.m else proposal.free
-            lanes.k, lanes.idx = k, draw_env_index(phase, rng, BLOCK)
+            lanes.idx = draw_env_index(phase, rng, BLOCK)
             lanes.llr += phase.step_log_lr[lanes.idx]
             if k > proposal.m:
                 _branch(env, lanes, limit, check, rng)
         if threshold is not None:
-            lanes.tau[(lanes.tau == n) & ~lanes.at_most(threshold)] = k
+            lanes.tau[(lanes.tau == n) & ~lanes.hit(threshold, "lower")] = k
         yield lanes
 
 
@@ -314,33 +314,14 @@ def run(config: SimConfig, replica: int = 0) -> Trajectory:
     """Simulate one replica: lane replica % BLOCK of block replica // BLOCK."""
     env = config.env
     lane = replica % BLOCK
-    zs: List[int] = []
-    idxs: List[int] = []
+    traj = Trajectory(z=[], env_idx=[], s=[])
     for lanes in block_lanes(env, config.n, config.z0, Proposal.naive(env),
                              config.seed, replica // BLOCK):
-        zs.append(lanes.value(lane))
+        traj.z.append(lanes.value(lane))
+        traj.s.append(float(lanes.llr[lane]))
         if lanes.idx is not None:
-            idxs.append(int(lanes.idx[lane]))
-    walk = accumulate((env.log_means[i] for i in idxs), initial=0.0)
-    return Trajectory(z=zs, env_idx=idxs, s=list(walk))
-
-
-# --- event predicates (picklable, reusable from the CLI) ---------------
-
-@dataclass(frozen=True)
-class PopulationAtMost:
-    threshold: float
-
-    def __call__(self, lanes: Lanes) -> np.ndarray:
-        return lanes.at_most(self.threshold)
-
-
-@dataclass(frozen=True)
-class PopulationAtLeast:
-    threshold: float
-
-    def __call__(self, lanes: Lanes) -> np.ndarray:
-        return lanes.at_least(self.threshold)
+            traj.env_idx.append(int(lanes.idx[lane]))
+    return traj
 
 
 # --- batched execution -------------------------------------------------
@@ -376,29 +357,72 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int) -> 
         return [out for f in futures for out in f.result()]
 
 
-def _event_block(config: SimConfig, event, lo: int, hi: int):
-    *_, lanes = block_lanes(config.env, config.n, config.z0,
-                            Proposal.naive(config.env), config.seed, lo // BLOCK)
-    return event(lanes)[:hi - lo], int(lanes.normal_steps[:hi - lo].sum())
+@dataclass(eq=False)
+class Sample(Populations):
+    """A run's final populations, one entry per replica; hit tests an event.
+
+    llr is each replica's log likelihood ratio (S_n under Proposal.naive),
+    tau its take-off step, paths its log populations at generations 0..n
+    (None unless captured), and normal_steps the run's count of
+    replica-generations in the log-z lane.
+    """
+
+    llr: np.ndarray
+    tau: np.ndarray
+    paths: Optional[np.ndarray]
+    normal_steps: int
 
 
-def run_batch(config: SimConfig, event: Callable[[Lanes], np.ndarray],
+_PER_REPLICA = ("z", "logz", "big", "llr", "tau")
+
+
+def _sample_block(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
+                  seed: int, threshold: Optional[int], capture: bool,
+                  lo: int, hi: int) -> Sample:
+    """The Sample of replicas [lo, hi), which lie in block lo // BLOCK."""
+    size = hi - lo
+    logs = []
+    for lanes in block_lanes(env, n, z0, proposal, seed, lo // BLOCK, threshold):
+        if capture:
+            logs.append(lanes.log()[:size])
+    return Sample(**{f: getattr(lanes, f)[:size] for f in _PER_REPLICA},
+                  paths=np.stack(logs, axis=1) if capture else None,
+                  normal_steps=int(lanes.normal_steps[:size].sum()))
+
+
+def sample(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal, seed: int,
+           replicas: int, workers: int = 1, threshold: Optional[int] = None,
+           capture: bool = False) -> Sample:
+    """Replicas 0..replicas-1 of proposal's paths, run block by block.
+
+    A take-off step is the first generation with population above
+    threshold, n when there is none; capture keeps every log path.
+    """
+    blocks = map_replicas(_sample_block, (env, n, z0, proposal, seed, threshold,
+                                          capture), replicas, workers)
+    cat = {f: np.concatenate([getattr(b, f) for b in blocks]) for f in _PER_REPLICA}
+    return Sample(**cat,
+                  paths=np.concatenate([b.paths for b in blocks]) if capture else None,
+                  normal_steps=sum(b.normal_steps for b in blocks))
+
+
+def run_batch(config: SimConfig, bound: float, side: str = "lower",
               workers: int = 1) -> EstimatorResult:
-    """Naive Monte Carlo estimate of P(event) over config.replicas replicas.
+    """Naive Monte Carlo estimate of P(Z_n <= bound) (side lower) or
+    P(Z_n >= bound) (upper) over config.replicas replicas.
 
-    event maps a block's final lanes to a boolean per lane, as
-    PopulationAtMost and PopulationAtLeast do.  The estimate is
-    byte-identical for any worker count.
+    The estimate is byte-identical for any worker count.
     """
     reps = config.replicas
-    hits, steps = zip(*map_replicas(_event_block, (config, event), reps, workers))
-    k = int(sum(h.sum() for h in hits))
+    s = sample(config.env, config.n, config.z0, Proposal.naive(config.env),
+               config.seed, reps, workers)
+    k = int(s.hit(bound, side).sum())
     p = k / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return EstimatorResult(
         estimate=p, stderr=stderr, ess=float(k), method=Method.NAIVE,
         n=config.n, c=math.nan, replicas=reps, seed=config.seed,
-        zero_mass=(k == 0), normal_steps=sum(steps),
+        zero_mass=(k == 0), normal_steps=s.normal_steps,
     )
 
 
@@ -409,19 +433,6 @@ class FinalStates(NamedTuple):
     normal_steps: int            # replica-generations branched in the log-z lane
 
 
-def _final_block(config: SimConfig, threshold: Optional[int], lo: int, hi: int):
-    size = hi - lo
-    s = np.zeros(BLOCK)
-    log_means = config.env.log_means_arr
-    for lanes in block_lanes(config.env, config.n, config.z0,
-                             Proposal.naive(config.env), config.seed,
-                             lo // BLOCK, threshold):
-        if lanes.idx is not None:
-            s += log_means[lanes.idx]
-    return (lanes.ints(size), s[:size], lanes.tau[:size],
-            int(lanes.normal_steps[:size].sum()))
-
-
 def final_states(config: SimConfig, threshold: Optional[int] = None,
                  workers: int = 1) -> FinalStates:
     """Per-replica final population, final walk value and capped take-off step.
@@ -429,13 +440,11 @@ def final_states(config: SimConfig, threshold: Optional[int] = None,
     A take-off step is the first generation with population above
     threshold, n when there is none; with no threshold, tau is None.
     """
-    out = map_replicas(_final_block, (config, threshold), config.replicas, workers)
-    zs, ss, taus, steps = zip(*out)
-    return FinalStates(
-        z=[z for block in zs for z in block], s=np.concatenate(ss),
-        tau=np.concatenate(taus) if threshold is not None else None,
-        normal_steps=sum(steps),
-    )
+    s = sample(config.env, config.n, config.z0, Proposal.naive(config.env),
+               config.seed, config.replicas, workers, threshold)
+    return FinalStates(z=s.ints(config.replicas), s=s.llr,
+                       tau=s.tau if threshold is not None else None,
+                       normal_steps=s.normal_steps)
 
 
 def random_lineage(env: EnvironmentLaw, n: int, seed: int = 0,

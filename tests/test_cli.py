@@ -45,14 +45,16 @@ def test_parse_grid_forms(tmp_path, capsys):
     assert parse_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
     assert parse_grid("0.5,0.75") == pytest.approx([0.5, 0.75])
     assert parse_grid([0.25]) == pytest.approx([0.25])
-    for empty in ("1:0:0.1", ",", []):
+    # "0:1:1e-300" asks for 1e300 points: refused before any list is built
+    for bad in ("1:0:0.1", ",", [], "0:inf:1", "nan:1:0.5", "0:1:1e-300"):
         with pytest.raises(InvalidArgumentError):
-            parse_grid(empty)
-    rc = main(["rate", "--config", str(CONFIG_DIR / "g2.json"), "--c-grid", "1:0:0.1",
-               "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
-    assert not (tmp_path / "rate.csv").exists()
+            parse_grid(bad)
+    for bad in ("1:0:0.1", "0:inf:1", "0:1:1e-300"):
+        rc = main(["rate", "--config", str(CONFIG_DIR / "g2.json"), "--c-grid", bad,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+        assert not (tmp_path / "rate.csv").exists()
 
 
 def test_rate_artifact_from_shipped_config(tmp_path, capsys):
@@ -325,6 +327,16 @@ def test_malformed_setting_exits_2(tmp_path, capsys, section):
     cfg = g2_cfg(tmp_path, oracle=section)
     assert main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_tol_exits_2(tmp_path, capsys, tol):
+    # the cap leaves an error bound of 0.998 at threshold 50
+    rc = main(["oracle", "--config", str(CONFIG_DIR / "g2.json"), "--n", "8",
+               "--cap", "10", "--threshold", "50", "--tol", tol, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+    assert not (tmp_path / "oracle.json").exists()
 
 
 def test_malformed_environment_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bpre import (
     BudgetExceededError,
     CapTooSmallError,
+    InvalidArgumentError,
     NotStronglySupercriticalError,
     SimConfig,
     TooManyComponentsError,
@@ -21,7 +22,6 @@ from bpre import (
 )
 from bpre import oracle
 from bpre.oracle import BLOCK_ROWS, ENTRY_BUDGET, _kernel
-from bpre.simulate import PopulationAtLeast, PopulationAtMost
 from conftest import event_threshold
 
 
@@ -98,6 +98,13 @@ def test_truncation_error_with_shrinking_law():
     assert dist.le_error_bound(5) == dist.overflow
     with pytest.raises(CapTooSmallError):
         dist.prob_le(5, tol=0.0)
+    # a NaN tol would compare False against every bound and switch the check
+    # off; NaN and negative tolerances are bad input
+    for bad in (math.nan, -1.0):
+        with pytest.raises(InvalidArgumentError):
+            dist.prob_le(5, tol=bad)
+        with pytest.raises(InvalidArgumentError):
+            dist.prob_ge(6, tol=bad)
     # without a tolerance the truncated value is still a usable lower bound
     assert 0.5 <= dist.prob_le(0) <= 1.0
 
@@ -402,7 +409,7 @@ def test_oracle_matches_naive_mc(g2, n):
     k = event_threshold(n, 0.45)
     exact = population_distribution(g2, n, z0=1, cap=k).prob_le(k)
     config = SimConfig(env=g2, n=n, z0=1, seed=137 + n, replicas=30_000)
-    res = run_batch(config, PopulationAtMost(k), workers=4)
+    res = run_batch(config, k, "lower", workers=4)
     se = math.sqrt(exact * (1.0 - exact) / config.replicas)
     assert abs(res.estimate - exact) <= 3.0 * se
 
@@ -410,6 +417,6 @@ def test_oracle_matches_naive_mc(g2, n):
     dist_up = population_distribution(g2, n, z0=1, cap=ku)
     # never-shrinking law: the tail above the cap is exactly the overflow
     exact_up = 1.0 - dist_up.prob_le(ku - 1)
-    res_up = run_batch(config, PopulationAtLeast(ku), workers=4)
+    res_up = run_batch(config, ku, "upper", workers=4)
     se_up = math.sqrt(exact_up * (1.0 - exact_up) / config.replicas)
     assert abs(res_up.estimate - exact_up) <= 3.0 * se_up

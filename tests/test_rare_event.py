@@ -87,14 +87,13 @@ def test_upper_tail_matches_exact(g2):
 
 def test_upper_tail_beats_naive_ess(g2):
     from bpre import SimConfig, run_batch
-    from bpre.simulate import PopulationAtLeast
 
     n = 20
     c = g2.mean_log_mean + 0.3
     res = estimate_upper_tail(g2, n, c, replicas=5_000, seed=1)
     naive = run_batch(
         SimConfig(env=g2, n=n, z0=1, seed=1, replicas=5_000),
-        PopulationAtLeast(math.exp(n * c)),
+        math.exp(n * c), "upper",
     )
     assert res.ess > 10.0 * max(naive.ess, 1.0)
 

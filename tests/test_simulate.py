@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bpre import (
+    InvalidArgumentError,
     Method,
     SimConfig,
     branch_step,
@@ -17,7 +18,7 @@ from bpre import (
     run,
     run_batch,
 )
-from bpre.simulate import BLOCK, PopulationAtLeast, PopulationAtMost, map_replicas
+from bpre.simulate import BLOCK, map_replicas
 from conftest import event_threshold, exact_lower
 
 
@@ -87,7 +88,7 @@ def test_run_is_deterministic_per_replica(g2):
 def test_hold_probability_matches_exact(g2):
     # z stays at 1 only while every generation draws a single child
     config = SimConfig(env=g2, n=3, z0=1, seed=2024, replicas=100_000)
-    res = run_batch(config, PopulationAtMost(1), workers=4)
+    res = run_batch(config, 1, "lower", workers=4)
     exact = 0.25**3
     se = math.sqrt(exact * (1.0 - exact) / config.replicas)
     assert res.method is Method.NAIVE
@@ -128,8 +129,30 @@ def test_final_states_match_individual_runs(g2):
         traj = run(config, replica=r)
         assert traj.final_z == zs[r]
         assert ss[r] == pytest.approx(traj.final_s, abs=1e-12)
+        assert ss[r] == sum(g2.log_means[i] for i in traj.env_idx)
         tk = traj.take_off_step(5)
         assert taus[r] == (config.n if tk is None else tk)
+
+
+def test_run_batch_agrees_with_final_states(g2, fig_law):
+    # both reduce one sampled run; fig2 at n = 40 ends in the log-z lane,
+    # and 2 BLOCK + 50 replicas end in a partial block
+    for env, n in ((g2, 6), (fig_law, 40)):
+        config = SimConfig(env=env, n=n, z0=1, seed=11, replicas=2 * BLOCK + 50)
+        zs = final_states(config).z
+        distinct = sorted(set(zs))
+        for q in (0.1, 0.5, 0.9):
+            a, b = distinct[int(q * len(distinct)):][:2]
+            t = math.sqrt(a * b)   # strictly between neighbouring populations
+            below = sum(z <= t for z in zs)
+            assert 0 < below < config.replicas
+            for workers in (1, 3):
+                low = run_batch(config, t, "lower", workers=workers)
+                high = run_batch(config, t, "upper", workers=workers)
+                assert low.estimate == below / config.replicas
+                assert high.estimate == (config.replicas - below) / config.replicas
+    with pytest.raises(InvalidArgumentError):
+        run_batch(config, 1.0, "middle")
 
 
 def test_final_states_worker_invariance(g2, fig_law):
@@ -150,17 +173,17 @@ def test_final_states_worker_invariance(g2, fig_law):
 
 def test_run_batch_sure_and_rare(dirac2, g2):
     config = SimConfig(env=dirac2, n=5, z0=3, seed=0, replicas=64)
-    res = run_batch(config, PopulationAtLeast(3 * 2**5))
+    res = run_batch(config, 3 * 2**5, "upper")
     assert res.estimate == 1.0 and res.stderr == 0.0
     assert not res.zero_mass
-    res2 = run_batch(config, PopulationAtMost(2))
+    res2 = run_batch(config, 2, "lower")
     assert res2.estimate == 0.0 and res2.zero_mass
 
     n, c = 5, 0.4
     k = event_threshold(n, c)
     exact = exact_lower(g2, n, c)
     config = SimConfig(env=g2, n=n, z0=1, seed=99, replicas=20_000)
-    res3 = run_batch(config, PopulationAtMost(k), workers=4)
+    res3 = run_batch(config, k, "lower", workers=4)
     se = math.sqrt(exact * (1.0 - exact) / config.replicas)
     assert abs(res3.estimate - exact) <= 3.0 * se
 
@@ -168,12 +191,12 @@ def test_run_batch_sure_and_rare(dirac2, g2):
     # same float; log-z lanes (z0 = 2^62 here) compare in log space
     same = build_environment([(1.0, {1: 1.0})])
     config = SimConfig(env=same, n=1, z0=2**60 + 1, seed=0, replicas=4)
-    assert run_batch(config, PopulationAtMost(float(2**60))).estimate == 0.0
-    assert run_batch(config, PopulationAtLeast(float(2**60))).estimate == 1.0
+    assert run_batch(config, float(2**60), "lower").estimate == 0.0
+    assert run_batch(config, float(2**60), "upper").estimate == 1.0
     config = SimConfig(env=dirac2, n=2, z0=2**62, seed=0, replicas=4)
-    res4 = run_batch(config, PopulationAtLeast(2.0**64 * (1 - 1e-12)))
+    res4 = run_batch(config, 2.0**64 * (1 - 1e-12), "upper")
     assert res4.estimate == 1.0 and res4.normal_steps == 8
-    assert run_batch(config, PopulationAtMost(2.0**64 * (1 - 1e-12))).zero_mass
+    assert run_batch(config, 2.0**64 * (1 - 1e-12), "lower").zero_mass
 
 
 def test_random_lineage_marginal(g2, dirac2):
