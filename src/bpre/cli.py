@@ -101,9 +101,17 @@ def parse_grid(spec) -> list:
         grid = [lo + k * step for k in range(int(math.floor(span + 1e-9)) + 1)]
     else:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not grid:
-        raise InvalidArgumentError(f"grid {text!r} has no points")
+    if not (grid and all(map(math.isfinite, grid))):
+        raise InvalidArgumentError(f"grid {text!r} needs one or more finite points")
     return grid
+
+
+def _finite(value) -> float:
+    """value as a float; InvalidArgument for NaN or an infinity."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise InvalidArgumentError(f"{value!r} is not a finite number")
+    return x
 
 
 # --- command handlers -------------------------------------------------
@@ -281,7 +289,7 @@ _SETTINGS = {
     "z0": ("--z0", {"type": int}, int),
     "threshold_n": ("--threshold-N", {"type": int}, int),
     "cap": ("--cap", {"type": int}, int),
-    "c": ("--c", {"type": float}, float),
+    "c": ("--c", {"type": float}, _finite),
     "threshold": ("--threshold", {"type": int}, int),
     "tol": ("--tol", {"type": float}, float),
     "pmf_csv": ("--pmf-csv", {"action": "store_const", "const": True}, bool),

@@ -40,7 +40,7 @@ from .ratefn import walk_atoms
 COMPOSITION_BUDGET = 500_000
 ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table
 WORK_BUDGET = 5 * 10**11    # multiply-adds of one population DP, a minute or two
-BLOCK_ROWS = 64             # baby-step rows of the population DP's composition
+BLOCK_ROWS = 128            # baby-step rows of the population DP's composition
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,24 @@ def _compose(v: np.ndarray, baby: np.ndarray, giant: np.ndarray,
 
     With B = len(baby) and V = sum_b s^(bB) V_b, deg V_b < B: V(F) = sum_b
     G^b V_b(F), G = giant = F^B, by one product with baby (F^0..F^(B-1))
-    per block and a Horner pass over b (Paterson & Stockmeyer 1973).  G^b
-    starts at degree bB low, so step b keeps degrees up to cap - bB low.
+    per block and a Horner pass over b (Paterson & Stockmeyer 1973).  G
+    starts at degree B low, so each Horner step convolves with G's nonzero
+    tail only and shifts the result by B low, and step b keeps degrees up
+    to cap - bB low.
     """
     rows, nz = baby.shape[0], np.flatnonzero(v)
-    top = min(int(nz[-1]) // rows, cap // (rows * max(low, 1))) if nz.size else -1
-    out = np.zeros(1)
+    shift = rows * low
+    top = min(int(nz[-1]) // rows, cap // max(shift, 1)) if nz.size else -1
+    out, tail = np.zeros(0), giant[shift:]
     for b in range(top, -1, -1):
-        keep = cap + 1 - b * rows * low
+        keep = cap + 1 - b * shift
         block = v[b * rows: (b + 1) * rows]
-        out = np.convolve(out, giant)[:keep]
-        out[: baby.shape[1]] += block @ baby[: block.size, :keep]
+        head = block @ baby[: block.size, :keep]
+        if out.size:   # every step after the first: out = out G + head
+            out = np.concatenate((np.zeros(shift), np.convolve(out, tail)))[:keep]
+            out[: head.size] += head
+        else:
+            out = head
     return out
 
 
@@ -148,9 +155,9 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
     """Exact truncated law of Z_n started from z0.
 
     A generation composes the pmf with each law's pgf by _compose, about
-    cap^2 max_offspring multiply-adds once the pmf spans the cap; each
-    law's baby table (B <= BLOCK_ROWS rows, <= ENTRY_BUDGET entries) is
-    built once per call.  A call whose _dp_work bound passes WORK_BUDGET
+    cap^2 (max_offspring - min_offspring) multiply-adds once the pmf spans
+    the cap; each law's baby table (B <= BLOCK_ROWS rows, <= ENTRY_BUDGET
+    entries) is built once per call.  A call whose _dp_work bound passes WORK_BUDGET
     raises BudgetExceeded before the first generation.
     """
     if n < 0:

@@ -3,11 +3,13 @@
 Two layers:
 
 * the Cramér rate function of the log-mean random walk (Legendre-Fenchel
-  transform of the log moment generating function), with the tilt
-  parameter solved by bracketed bisection on the strictly increasing
-  derivative;
-* the population lower-deviation rate, which optimizes over splitting the
-  horizon into a "hold at one individual" phase and a tilted growth phase.
+  transform of the log moment generating function phi), with the tilt
+  parameter the root of the strictly increasing phi';
+* the population lower-deviation rate: hold at one individual, then grow
+  along the one slope y* where phi(lam*) = -hold_cost; below y* the rate
+  is affine in c, the tangent to the walk rate from (0, hold_cost).
+
+One bracketed Newton solve, _increasing_root, finds both roots.
 """
 
 from __future__ import annotations
@@ -69,14 +71,45 @@ def log_mgf(env: EnvironmentLaw, lam: float) -> Tuple[float, float, float]:
     return value, d1, max(0.0, d2)
 
 
+def _increasing_root(g, target: float, what: str) -> float:
+    """Solve g(lam)[0] = target for g strictly increasing in lam.
+
+    g returns (value, derivative).  A sign-changing bracket is found by
+    doubling from [-64, 64]; then Newton steps, kept only inside the
+    bracket, with bisection otherwise.  The result has residual at most
+    DRIFT_TOL, or the solve raises OutOfHullError: the bracket passed
+    2^40, or 200 iterations did not converge.
+    """
+    lo, hi = -64.0, 64.0
+    while g(lo)[0] > target:
+        lo *= 2.0
+        if lo < -2.0 ** 40:
+            raise OutOfHullError(f"{what} numerically at the hull edge")
+    while g(hi)[0] < target:
+        hi *= 2.0
+        if hi > 2.0 ** 40:
+            raise OutOfHullError(f"{what} numerically at the hull edge")
+    lam = 0.5 * (lo + hi)
+    for _ in range(200):
+        value, slope = g(lam)
+        f = value - target
+        if abs(f) <= DRIFT_TOL:
+            return lam
+        if f > 0:
+            hi = lam
+        else:
+            lo = lam
+        step = lam - f / slope if slope > 0 else None
+        lam = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+    raise OutOfHullError(f"{what} unsolved after 200 iterations, residual {f:.3g}")
+
+
 def tilt_parameter(env: EnvironmentLaw, c: float) -> float:
     """Solve phi'(lam) = c for the tilt exponent lam.
 
     Requires c strictly inside the open hull (Lmin, Lmax) of the walk
-    atoms.  phi' is strictly increasing, so a sign-changing bracket found
-    by doubling from [-64, 64] plus bisection with a Newton polish
-    converges; the result satisfies |phi'(lam) - c| <= 1e-12, or the
-    solve raises OutOfHullError after 200 iterations.
+    atoms, where phi' is strictly increasing; _increasing_root gives
+    |phi'(lam) - c| <= 1e-12 or raises OutOfHullError.
     """
     atoms = walk_atoms(env)
     if len(atoms) == 1:
@@ -87,36 +120,7 @@ def tilt_parameter(env: EnvironmentLaw, c: float) -> float:
     lo_edge, hi_edge = atoms[0][0], atoms[-1][0]
     if not (lo_edge < c < hi_edge):
         raise OutOfHullError(f"drift {c} outside open hull ({lo_edge}, {hi_edge})")
-
-    def resid(lam):
-        return log_mgf(env, lam)[1] - c
-
-    lo, hi = -64.0, 64.0
-    flo, fhi = resid(lo), resid(hi)
-    while flo > 0:
-        lo *= 2.0
-        flo = resid(lo)
-        if lo < -2.0 ** 40:
-            raise OutOfHullError(f"drift {c} numerically at the hull edge")
-    while fhi < 0:
-        hi *= 2.0
-        fhi = resid(hi)
-        if hi > 2.0 ** 40:
-            raise OutOfHullError(f"drift {c} numerically at the hull edge")
-    lam = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = resid(lam)
-        if abs(f) <= DRIFT_TOL:
-            return lam
-        if f > 0:
-            hi = lam
-        else:
-            lo = lam
-        # Newton step from the tilted variance, kept only inside the bracket
-        d2 = log_mgf(env, lam)[2]
-        step = lam - f / d2 if d2 > 0 else None
-        lam = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-    raise OutOfHullError(f"drift {c} unsolved after 200 iterations, residual {f:.3g}")
+    return _increasing_root(lambda lam: log_mgf(env, lam)[1:], c, f"drift {c}")
 
 
 def walk_rate(env: EnvironmentLaw, c: float) -> float:
@@ -202,58 +206,32 @@ class LowerDeviationRate:
 
 
 def lower_deviation_rate(env: EnvironmentLaw, c: float) -> LowerDeviationRate:
-    """Optimize v(t) = hold_cost*t + (1-t)*walk_rate(c/(1-t)) over t.
+    """Minimize v(t) = hold_cost*t + (1-t)*walk_rate(c/(1-t)) over t.
 
-    Requires a strongly supercritical law and 0 < c < mean log-mean.  The
-    derivative simplifies to v'(t) = hold_cost + phi(lam(c/(1-t))), which
-    is strictly increasing in t (v is convex), so a sign test at the
-    endpoints plus bisection pins the minimizer to 1e-8 or better.
+    Requires a strongly supercritical law and 0 < c < mean log-mean.  With
+    rho = hold_cost, v'(t) = rho + phi(lam(c/(1-t))), so an optimum t > 0
+    grows at the one slope y* = phi'(lam*), phi(lam*) = -rho, whatever c:
+    for c < y*, t = 1 - c/y* and the rate is rho + lam* c, the tangent to
+    walk_rate from (0, rho).  For c >= y*, or with no such lam*, t = 0.
     """
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError("law admits zero offspring")
     lbar = env.mean_log_mean
     if not 0.0 < c < lbar:
         raise COutOfRangeError(f"c={c} outside (0, {lbar})")
-    rho = env.hold_cost
-    if env.mean_p1 == 0.0:
-        return LowerDeviationRate(
-            c=c, take_off=0.0, rate=walk_rate(env, c), slope=c, regime=Regime.PURE_TILT
-        )
-    atoms = walk_atoms(env)
-    t_hi = 1.0 - c / lbar
-    if len(atoms) == 1:
-        # deterministic log-mean: the growth phase has exactly one slope
-        return LowerDeviationRate(
-            c=c, take_off=t_hi, rate=rho * t_hi, slope=lbar, regime=Regime.WITH_HOLDING
-        )
-    lo_edge = atoms[0][0]
-    t_lo = 1.0 - c / lo_edge if c < lo_edge else 0.0
-
-    def dv(t):
-        y = c / (1.0 - t)
-        lam = tilt_parameter(env, y)
-        return rho + log_mgf(env, lam)[0]
-
-    if t_lo == 0.0 and dv(min(1e-13, 0.5 * t_hi)) >= 0.0:
-        t_c = 0.0
-    else:
-        # dv < 0 at t_lo ((-inf when the slope sits at the hull edge) and
-        # dv -> hold_cost > 0 as t -> t_hi: bisect on the sign
-        lo, hi = t_lo, t_hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-12:
-                break
-            if dv(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t_c = 0.5 * (lo + hi)
-    slope = c / (1.0 - t_c)
-    rate = rho * t_c + (1.0 - t_c) * walk_rate(env, slope)
-    return LowerDeviationRate(
-        c=c, take_off=t_c, rate=rate, slope=slope, regime=Regime.WITH_HOLDING
-    )
+    rho, (L0, q0) = env.hold_cost, walk_atoms(env)[0]
+    # as lam -> -inf, phi falls to log q0 if the lowest atom is L0 = 0, else to -inf
+    if (math.log(q0) if L0 == 0.0 else -math.inf) < -rho:
+        lam = _increasing_root(lambda lam: log_mgf(env, lam)[:2], -rho, f"hold cost {rho}")
+        value, y, _ = log_mgf(env, lam)
+        lam -= (value + rho) / y   # one more Newton step: residual to rounding
+        y = log_mgf(env, lam)[1]
+        if c < y:
+            return LowerDeviationRate(c=c, take_off=1.0 - c / y, rate=rho + lam * c,
+                                      slope=y, regime=Regime.WITH_HOLDING)
+    regime = Regime.WITH_HOLDING if env.mean_p1 > 0.0 else Regime.PURE_TILT
+    return LowerDeviationRate(c=c, take_off=0.0, rate=walk_rate(env, c), slope=c,
+                              regime=regime)
 
 
 def limit_profile(result: LowerDeviationRate, t: float) -> float:

@@ -192,6 +192,8 @@ class Populations:
 
     def hit(self, bound: float, side: str) -> np.ndarray:
         """Entries with population <= bound (side lower) or >= bound (upper)."""
+        if not -math.inf < bound < math.inf:   # also for ints past the float range
+            raise InvalidArgumentError(f"event bound {bound} is not a finite number")
         if side == "lower":
             cmp, edge = operator.le, math.floor(bound)
         elif side == "upper":

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from bpre import build_environment, population_distribution
+from bpre import (build_environment, log_mgf, population_distribution, tilt_parameter,
+                  walk_rate)
+from bpre.ratefn import walk_atoms
 
 
 def g2_law():
@@ -80,3 +82,36 @@ def exact_mean_take_off(env, n, c, pop_threshold, z0=1):
             if pz > 0.0:
                 num += pz * population_distribution(env, n - j, z0=z, cap=k).prob_le(k)
     return num / den / n
+
+
+def reference_lower_rate(env, c):
+    """(rate, take_off, slope) of P(Z_n <= e^{cn}) by bisection over the hold
+    fraction t, each step a tilt solve: v(t) = rho t + (1 - t) walk_rate(c/(1 - t))
+    is convex with v'(t) = rho + phi(lam(c/(1 - t))), so the sign of v' pins
+    the minimizer to 1e-12.  Needs 0 < c < mean log-mean and mean_p1 > 0.
+    """
+    rho, lbar = env.hold_cost, env.mean_log_mean
+    atoms = walk_atoms(env)
+    t_hi = 1.0 - c / lbar
+    if len(atoms) == 1:
+        return rho * t_hi, t_hi, lbar
+    t_lo = 1.0 - c / atoms[0][0] if c < atoms[0][0] else 0.0
+
+    def dv(t):
+        return rho + log_mgf(env, tilt_parameter(env, c / (1.0 - t)))[0]
+
+    if t_lo == 0.0 and dv(min(1e-13, 0.5 * t_hi)) >= 0.0:
+        t_c = 0.0
+    else:
+        lo, hi = t_lo, t_hi
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= 1e-12:
+                break
+            if dv(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        t_c = 0.5 * (lo + hi)
+    slope = c / (1.0 - t_c)
+    return rho * t_c + (1.0 - t_c) * walk_rate(env, slope), t_c, slope

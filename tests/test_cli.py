@@ -329,6 +329,22 @@ def test_malformed_setting_exits_2(tmp_path, capsys, section):
     assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
 
+@pytest.mark.parametrize("args", [
+    *(["rate", f"--c-grid={bad}"] for bad in ("nan", "0.2,inf")),
+    *([command, "--n=8", f"--c={bad}"]
+      for command in ("oracle", "estimate-lower", "estimate-upper", "trajectory",
+                      "takeoff", "cells")
+      for bad in ("nan", "inf", "-inf")),
+], ids=lambda args: "".join(args))
+def test_non_finite_c_exits_2(tmp_path, capsys, args):
+    rc = main([*args, "--config", str(CONFIG_DIR / "g2.json"), "--replicas", "10",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidArgument" and "finite" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_bad_tol_exits_2(tmp_path, capsys, tol):
     # the cap leaves an error bound of 0.998 at threshold 50
@@ -520,18 +536,18 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.5.0"
+GOLDEN_VERSION = "0.6.0"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
         "4b04b44193ef09723c0f7f51636153e750cbde686c9d81382d72745495ce59ce",
     ("simulate", "simulate.csv"):
         "214c86992d2a746461ba0d9351771583d33ca3f50f64b79c2a8a7e3fb321dcb5",
     ("estimate-lower", "estimate_lower.csv"):
-        "ac78510a2a2d6f046accfc81ebe55b26dc58d26707bf59c3bffd8bebdd0b6100",
+        "cfbad0373bb5ce1906f7973ff4b69c9ebb0192cde8e9a9f7e399d5043eef6575",
     ("estimate-upper", "estimate_upper.csv"):
         "3c1a1318fe6c54aa3b8a88f60ca9d1e8d5068308670181a46c539b25917473c2",
     ("trajectory", "trajectory.csv"):
-        "a5dcfc492982af68897e28d90f30c3e03917bac2609feb9d52a3dd7572d8089b",
+        "3e79ec08aafd1255e7cfb70fd87bef144aa21a8f91a781cd0180b855ba83e3a1",
     ("takeoff", "takeoff.csv"):
         "6c734933cad038f3de53cce702588c4a02d4069791c611c378550f4bf58dc42c",
     ("cells", "cells.csv"):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from bpre import (
     TooManyComponentsError,
     build_environment,
     conditional_trajectory,
+    environment_from_dict,
     population_distribution,
     run_batch,
     walk_tail,
@@ -23,6 +26,8 @@ from bpre import (
 from bpre import oracle
 from bpre.oracle import BLOCK_ROWS, ENTRY_BUDGET, _kernel
 from conftest import event_threshold
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_point_mass_dynamics(dirac2):
@@ -172,6 +177,13 @@ def composition_cases(draw):
 @example(case=(build_environment([(0.5, {0: 0.25, 2: 0.75}), (0.5, {1: 0.5, 3: 0.5})]),
                150, 70, 4))
 @example(case=(build_environment([(1.0, {1: 0.5, 2: 0.5})]), 300, 1, 5))
+# cap + 1 <= B low: G's nonzero tail is empty and only block 0 composes
+@example(case=(build_environment([(1.0, {1: 0.5, 2: 0.5})]), 100, 50, 3))
+@example(case=(build_environment([(0.5, {2: 0.5, 5: 0.5}), (0.5, {3: 1.0})]),
+               2 * BLOCK_ROWS - 1, 3, 4))
+# low >= 2 with several blocks: G's tail starts at 2B and 3B
+@example(case=(build_environment([(0.5, {2: 0.5, 3: 0.5}), (0.5, {3: 0.5, 4: 0.5})]),
+               7 * BLOCK_ROWS, 1, 5))
 def test_blocked_composition_matches_kernel(case):
     # the blocked DP against n products with the dense kernel on 0..cap:
     # zero offspring (no early truncation), narrow and full-width baby
@@ -191,6 +203,33 @@ def test_blocked_composition_matches_kernel(case):
     assert dist.overflow == pytest.approx(overflow, rel=0.0, abs=1e-15)
 
 
+def _compose_full_giant(v, baby, giant, low, cap):
+    """Reference Horner pass: convolves with all of G = F^B, leading zeros too."""
+    rows, nz = baby.shape[0], np.flatnonzero(v)
+    top = min(int(nz[-1]) // rows, cap // (rows * max(low, 1))) if nz.size else -1
+    out = np.zeros(1)
+    for b in range(top, -1, -1):
+        keep = cap + 1 - b * rows * low
+        block = v[b * rows: (b + 1) * rows]
+        out = np.convolve(out, giant)[:keep]
+        out[: baby.shape[1]] += block @ baby[: block.size, :keep]
+    return out
+
+
+@pytest.mark.parametrize("config", ["g2", "fig2", "subcrit"])
+@pytest.mark.parametrize("n, cap", [(8, 1000), (20, 2000), (40, 2000)])
+def test_trimmed_giant_step_matches_full(monkeypatch, config, n, cap):
+    # convolving with G's nonzero tail only reorders the float sums: every
+    # entry keeps its zero pattern and agrees within 1e-12 relative
+    env = environment_from_dict(json.loads((CONFIG_DIR / f"{config}.json").read_text()))
+    dist = population_distribution(env, n, cap=cap)
+    monkeypatch.setattr(oracle, "_compose", _compose_full_giant)
+    ref = population_distribution(env, n, cap=cap)
+    np.testing.assert_array_equal(dist.probs == 0.0, ref.probs == 0.0)
+    np.testing.assert_allclose(dist.probs, ref.probs, rtol=1e-12, atol=0.0)
+    assert dist.overflow == pytest.approx(ref.overflow, rel=1e-12, abs=1e-15)
+
+
 @pytest.mark.parametrize("n, c, exact", [(20, 0.38, 1.336339507123755e-05),
                                          (40, 0.19, 1.2440291345366695e-17)],
                          ids=["n20", "n40"])
@@ -201,8 +240,8 @@ def test_population_golden(g2, n, c, exact):
 
 
 def test_block_tables_stay_in_budget(monkeypatch):
-    # a cap at the budget with offspring counts up to 1000: a 64-row baby
-    # table would hold 64 x 20000 entries (10 MB), so it shrinks to one row
+    # a cap at the budget with offspring counts up to 1000: a 128-row baby
+    # table would hold 128 x 20000 entries (20 MB), so it shrinks to one row
     monkeypatch.setattr(oracle, "ENTRY_BUDGET", 20_000)
     law = build_environment([(1.0, {1: 0.5, 1000: 0.5})])
     tracemalloc.start()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bpre import (
@@ -24,7 +24,7 @@ from bpre import (
     walk_rate,
 )
 from bpre import ratefn
-from conftest import g2_law, two_mean_law
+from conftest import g2_law, reference_lower_rate, two_mean_law
 
 
 def test_log_mgf_dirac(dirac2):
@@ -210,6 +210,65 @@ def test_lower_rate_fixed_law_closed_form():
     assert r.take_off == pytest.approx(0.5, abs=1e-12)
     assert r.slope == pytest.approx(math.log(2.0), abs=1e-12)
     assert r.rate == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("components, take_off", [
+    # two components with one log-mean: a single walk atom
+    ([(0.5, {1: 0.5, 3: 0.5}), (0.5, {2: 1.0})], None),
+    # the {1: 1} component holds all of E p1: phi(lam) > -rho for every lam
+    ([(0.3, {1: 1.0}), (0.7, {2: 0.5, 3: 0.5})], 0.0),
+], ids=["single-atom", "all-hold-mass-at-L0"])
+def test_lower_rate_edge_laws(components, take_off):
+    env = build_environment(components)
+    for c in (0.05, 0.3, 0.6):
+        r = lower_deviation_rate(env, c)
+        rate, t_c, slope = reference_lower_rate(env, c)
+        assert r.regime is Regime.WITH_HOLDING
+        assert r.take_off == pytest.approx(t_c if take_off is None else take_off, abs=1e-12)
+        assert r.rate == pytest.approx(rate, abs=1e-12)
+        assert r.slope == pytest.approx(slope, abs=1e-12)
+        if take_off == 0.0:
+            assert r.slope == c and r.rate == walk_rate(env, c)
+
+
+def test_lower_rate_affine_below_take_off_slope(g2, fig_law):
+    # below y*, every c shares one slope and chi(c) = rho + lam* c, phi(lam*) = -rho
+    for env in (g2, fig_law):
+        y = lower_deviation_rate(env, 0.01).slope
+        cs = np.linspace(0.01, y, 12, endpoint=False)[1:]
+        rs = [lower_deviation_rate(env, float(c)) for c in cs]
+        assert all(r.slope == y and r.take_off > 0.0 for r in rs)
+        lam = (rs[-1].rate - rs[0].rate) / (cs[-1] - cs[0])
+        value, d1, _ = log_mgf(env, lam)
+        assert value == pytest.approx(-env.hold_cost, abs=1e-11)
+        assert d1 == pytest.approx(y, abs=1e-10)
+        for c1, r1 in zip(cs, rs):
+            for c2, r2 in zip(cs, rs):
+                assert r1.rate - r2.rate == pytest.approx(lam * (c1 - c2), abs=1e-12)
+
+
+@st.composite
+def no_extinction_laws(draw):
+    """One to three components on offspring 1..9, a {1: 1} component allowed."""
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        keys = draw(st.sets(st.integers(1, 9), min_size=1, max_size=3))
+        mass = {k: draw(st.integers(1, 9)) for k in sorted(keys)}
+        comps.append((draw(st.integers(1, 9)),
+                      {k: m / sum(mass.values()) for k, m in mass.items()}))
+    return build_environment([(w / sum(w for w, _ in comps), pmf) for w, pmf in comps])
+
+
+@settings(max_examples=60, deadline=None)
+@given(no_extinction_laws(), st.floats(0.02, 0.98))
+def test_lower_rate_matches_bisection_reference(env, frac):
+    c = frac * env.mean_log_mean
+    assume(0.0 < c < env.mean_log_mean and env.mean_p1 > 0.0)
+    r = lower_deviation_rate(env, c)
+    rate, t_c, slope = reference_lower_rate(env, c)
+    assert r.rate == pytest.approx(rate, abs=1e-10)
+    assert r.take_off == pytest.approx(t_c, abs=1e-9)
+    assert r.slope == pytest.approx(slope, rel=1e-8)
 
 
 def test_lower_rate_no_hold_regime(no_hold):

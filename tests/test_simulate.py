@@ -197,6 +197,16 @@ def test_run_batch_sure_and_rare(dirac2, g2):
     res4 = run_batch(config, 2.0**64 * (1 - 1e-12), "upper")
     assert res4.estimate == 1.0 and res4.normal_steps == 8
     assert run_batch(config, 2.0**64 * (1 - 1e-12), "lower").zero_mass
+    # an int bound past the float range is still finite
+    assert run_batch(config, 10**400, "lower").estimate == 1.0
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_run_batch_rejects_non_finite_bound(g2, bound, side):
+    config = SimConfig(env=g2, n=3, z0=1, seed=0, replicas=8)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        run_batch(config, bound, side)
 
 
 def test_random_lineage_marginal(g2, dirac2):
