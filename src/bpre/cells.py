@@ -20,8 +20,7 @@ tree r depends only on (seed, config, r), for any worker or replica count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,28 +40,24 @@ TREE_LEAVES = 1 << 12
 JointSampler = Callable[[np.ndarray, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
 class CellTreeConfig:
-    n: int
-    law1: OffspringDistribution
-    law2: OffspringDistribution
-    c: float
-    seed: int = 0
-    replicas: int = 1
-    z0: int = 1
+    __slots__ = ("n", "law1", "law2", "c", "seed", "replicas", "z0")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgumentError(f"n={self.n} must be >= 1")
-        if self.n > TREE_DEPTH_MAX:
+    def __init__(self, n: int, law1: OffspringDistribution, law2: OffspringDistribution,
+                 c: float, seed: int = 0, replicas: int = 1, z0: int = 1):
+        if n < 1:
+            raise InvalidArgumentError(f"n={n} must be >= 1")
+        if n > TREE_DEPTH_MAX:
             raise BudgetExceededError(
-                f"tree depth {self.n} exceeds the {TREE_DEPTH_MAX}-level budget"
+                f"tree depth {n} exceeds the {TREE_DEPTH_MAX}-level budget"
             )
-        exp_cn(self.n, self.c)   # refuses e^{cn} past the float range
-        if self.z0 < 1:
-            raise InvalidArgumentError(f"z0={self.z0} must be >= 1")
-        if self.replicas < 1:
-            raise InvalidArgumentError(f"replicas={self.replicas} must be >= 1")
+        exp_cn(n, c)   # refuses e^{cn} past the float range
+        if z0 < 1:
+            raise InvalidArgumentError(f"z0={z0} must be >= 1")
+        if replicas < 1:
+            raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
+        self.n, self.law1, self.law2, self.c = n, law1, law2, c
+        self.seed, self.replicas, self.z0 = seed, replicas, z0
 
     @property
     def threshold(self) -> float:
@@ -119,8 +114,7 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
             [leaf for group in leaves for leaf in group][:keep])
 
 
-@dataclass(frozen=True)
-class CellTreeResult:
+class CellTreeResult(NamedTuple):
     below: np.ndarray       # per replicate count of depth-n cells <= e^{cn}
     above: np.ndarray
     mean_below: float
@@ -160,8 +154,7 @@ def simulate_cell_tree(config: CellTreeConfig,
     )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Tree-side mean versus 2^n times the exact process probability.
 
     z_score is None when every tree gives the same count and it differs

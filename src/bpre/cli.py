@@ -16,8 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .rare_event import (
     estimate_upper_tail,
     take_off_statistics,
 )
-from .simulate import SimConfig, final_states
+from .simulate import SimConfig, final_states, processes
 
 LOG_NAME = "runlog.jsonl"
 GRID_POINTS_MAX = 10**5   # points of one "lo:hi:step" grid; shipped grids have 7 to 13
@@ -116,8 +115,7 @@ def _finite(value) -> float:
 
 # --- command handlers -------------------------------------------------
 
-@dataclass(frozen=True)
-class _Ctx:
+class _Ctx(NamedTuple):
     out_dir: str
     cfg_hash: str
     workers: int
@@ -368,6 +366,9 @@ def execute(command: str, effective: dict, out_dir: str,
     ctx = _Ctx(out_dir=out_dir, cfg_hash=config_hash(effective), workers=workers)
     started = time.time()
     artifacts, outputs = _COMMANDS[command][0](env, _Settings(command, section), ctx)
+    # processes the samplers ran on; every sampler reports normal_steps
+    outputs["processes"] = (processes(section["replicas"], workers)
+                            if "normal_steps" in outputs else 1)
     record = {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",
         "version": __version__,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -33,22 +32,21 @@ SUM_TOL = 1e-12
 PmfLike = Union[Mapping[int, float], Iterable[Tuple[int, float]]]
 
 
-@dataclass(frozen=True, eq=False)
 class OffspringDistribution:
-    """Immutable finite pmf over offspring counts, with cached moments."""
+    """Finite pmf over offspring counts, with cached moments; read-only by
+    convention, equal and hashed by identity."""
 
-    support: Tuple[int, ...]
-    probs: Tuple[float, ...]
-    mean: float
-    second_moment: float
-    variance: float
-    p0: float
-    p1: float
+    __slots__ = ("support", "probs", "mean", "second_moment", "variance", "p0", "p1",
+                 "support_arr", "probs_arr")
 
-    def __post_init__(self):
+    def __init__(self, support: Tuple[int, ...], probs: Tuple[float, ...], mean: float,
+                 second_moment: float, variance: float, p0: float, p1: float):
+        self.support, self.probs, self.mean = support, probs, mean
+        self.second_moment, self.variance = second_moment, variance
+        self.p0, self.p1 = p0, p1
         # numpy views used by the hot sampling paths
-        object.__setattr__(self, "support_arr", np.array(self.support, dtype=np.int64))
-        object.__setattr__(self, "probs_arr", np.array(self.probs, dtype=np.float64))
+        self.support_arr = np.array(support, dtype=np.int64)
+        self.probs_arr = np.array(probs, dtype=np.float64)
 
     @property
     def max_offspring(self) -> int:
@@ -115,28 +113,33 @@ def build_offspring(pmf: PmfLike) -> OffspringDistribution:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class EnvironmentLaw:
-    """Immutable finite mixture of offspring distributions.
+    """Finite mixture of offspring distributions; read-only by convention,
+    equal and hashed by identity.
 
     ``log_means[i]`` is the log of component i's mean offspring count; the
     partial sums of i.i.d. draws of these form the random walk that controls
-    the conditional growth of the population.
+    the conditional growth of the population.  Their average mean_log_mean
+    is the typical growth rate, the average single-offspring mass mean_p1
+    sets the cost of holding at 1, and strongly_supercritical says that no
+    component can produce zero offspring.
     """
 
-    weights: Tuple[float, ...]
-    components: Tuple[OffspringDistribution, ...]
-    log_means: Tuple[float, ...]
-    mean_log_mean: float          # average log-mean, the typical growth rate
-    mean_p1: float                # average single-offspring mass, cost of holding at 1
-    log_mean_min: float
-    log_mean_max: float
-    strongly_supercritical: bool  # no component can produce zero offspring
+    __slots__ = ("weights", "components", "log_means", "mean_log_mean", "mean_p1",
+                 "log_mean_min", "log_mean_max", "strongly_supercritical",
+                 "weights_arr", "log_means_arr", "cum_weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights_arr", np.array(self.weights, dtype=np.float64))
-        object.__setattr__(self, "log_means_arr", np.array(self.log_means, dtype=np.float64))
-        object.__setattr__(self, "cum_weights", np.cumsum(self.weights_arr))
+    def __init__(self, weights: Tuple[float, ...],
+                 components: Tuple[OffspringDistribution, ...],
+                 log_means: Tuple[float, ...], mean_log_mean: float, mean_p1: float,
+                 log_mean_min: float, log_mean_max: float, strongly_supercritical: bool):
+        self.weights, self.components, self.log_means = weights, components, log_means
+        self.mean_log_mean, self.mean_p1 = mean_log_mean, mean_p1
+        self.log_mean_min, self.log_mean_max = log_mean_min, log_mean_max
+        self.strongly_supercritical = strongly_supercritical
+        self.weights_arr = np.array(weights, dtype=np.float64)
+        self.log_means_arr = np.array(log_means, dtype=np.float64)
+        self.cum_weights = np.cumsum(self.weights_arr)
 
     @property
     def k(self) -> int:

@@ -22,8 +22,7 @@ estimated multiply-adds; a larger one raises BudgetExceeded up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +42,7 @@ WORK_BUDGET = 5 * 10**11    # multiply-adds of one population DP, a minute or tw
 BLOCK_ROWS = 128            # baby-step rows of the population DP's composition
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
+class ExactDistribution(NamedTuple):
     """Truncated exact law of Z_n: pmf on 0..cap plus overflow mass."""
 
     probs: np.ndarray
@@ -160,8 +158,8 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
     entries) is built once per call.  A call whose _dp_work bound passes WORK_BUDGET
     raises BudgetExceeded before the first generation.
     """
-    if n < 0:
-        raise InvalidArgumentError(f"n={n} must be >= 0")
+    if n < 0 or z0 < 0:
+        raise InvalidArgumentError(f"n={n} and z0={z0} must be >= 0")
     if cap < z0:
         raise CapTooSmallError(f"cap={cap} below initial population z0={z0}")
     if cap + 1 > ENTRY_BUDGET:
@@ -269,8 +267,7 @@ def walk_tail(env: EnvironmentLaw, n: int, c: float, side: str = "lower") -> flo
     return min(1.0, total)
 
 
-@dataclass(frozen=True)
-class ConditionalTrajectoryResult:
+class ConditionalTrajectoryResult(NamedTuple):
     """Exact conditional growth profile given the population stays small.
 
     ``profile[k]`` is E[(1/n) log Z_k | Z_n <= threshold]; None when the
@@ -307,6 +304,8 @@ def conditional_trajectory(env: EnvironmentLaw, n: int, c: float,
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError(
             "conditional trajectory oracle needs a no-extinction law")
+    if z0 < 0:
+        raise InvalidArgumentError(f"initial population z0={z0} must be >= 0")
     threshold = event_threshold(n, c)
     if threshold < z0:
         return ConditionalTrajectoryResult(0.0, threshold, None)

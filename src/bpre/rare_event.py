@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ from .simulate import Phase, Proposal, Sample, sample
 HULL_CLAMP = 1e-9   # tilt targets pushed this fraction of the span inside the hull
 
 
-@dataclass(frozen=True)
-class TiltedLaw:
+class TiltedLaw(NamedTuple):
     """Environment mixture reweighted by m^lambda, offspring laws untouched."""
 
     base: EnvironmentLaw
@@ -161,9 +159,11 @@ def _method(hold_steps: int) -> Method:
     return Method.TWO_PHASE if hold_steps > 0 else Method.TILT_ONLY
 
 
-def _check_env(env: EnvironmentLaw, n: int, c: float, side: str) -> None:
+def _check_env(env: EnvironmentLaw, n: int, c: float, side: str, z0: int) -> None:
     if n < 1:
         raise InvalidArgumentError(f"n={n} must be >= 1")
+    if z0 < 1:
+        raise InvalidArgumentError(f"initial population z0={z0} must be >= 1")
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError(
             "deviation estimators need every component to give at least one offspring"
@@ -186,14 +186,13 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     at or beyond the top log-mean, where the estimate is honestly tiny or
     zero).
     """
-    _check_env(env, n, c, "upper")
+    _check_env(env, n, c, "upper", z0)
     tl = tilt_toward(env, c)
     s = sample(env, n, z0, Proposal(free=tl, stream=STREAM_TILT), seed, replicas, workers)
     return _weights_result(s, n, c, seed, tl.lam, 0, "upper")
 
 
-@dataclass(frozen=True)
-class LowerTailEstimate:
+class LowerTailEstimate(NamedTuple):
     """TiltOnly estimates the full event; TwoPhase the held partial event."""
 
     tilt_only: Optional[EstimatorResult]
@@ -272,7 +271,7 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     to the pure holding event (the population cannot shrink).  two_phase
     is None for a law that cannot hold where the plan needs a hold.
     """
-    _check_env(env, n, c, "lower")
+    _check_env(env, n, c, "lower", z0)
     if event_bound(n, c) < z0:
         # population never drops below z0: the event is empty, exactly
         zero = EstimatorResult(
@@ -310,8 +309,7 @@ def empirical_rate(result: EstimatorResult) -> Tuple[float, float]:
     return rate, result.stderr / (result.estimate * result.n)
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(NamedTuple):
     n: int
     c: float
     estimate: float
@@ -365,8 +363,7 @@ def _ratio_stats(w: np.ndarray, g: np.ndarray) -> Tuple[float, float]:
     return mean, se
 
 
-@dataclass(frozen=True)
-class TakeOffResult:
+class TakeOffResult(NamedTuple):
     """Weighted law of tau/n given the population ends below e^{cn}."""
 
     mean_fraction: float
@@ -396,7 +393,7 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     conditioning event is the proposal's event: the full lower event for
     tilt_only, the held partial event for two_phase.
     """
-    _check_env(env, n, c, "lower")
+    _check_env(env, n, c, "lower", z0)
     proposal = _lower_proposal(env, n, c, z0, method, phase_fraction,
                                _rate_solver(env, c))
     s = sample(env, n, z0, proposal, seed, replicas, workers, pop_threshold)
@@ -413,8 +410,7 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     )
 
 
-@dataclass(frozen=True)
-class TrajectoryProfile:
+class TrajectoryProfile(NamedTuple):
     """Conditional growth profile on a time grid, against its straight limit."""
 
     grid: np.ndarray
@@ -446,7 +442,7 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     and the straight line c*t for the upper side; sup_distance is the
     weighted mean of each path's sup deviation from it over all n+1 steps.
     """
-    _check_env(env, n, c, side)
+    _check_env(env, n, c, side, z0)
     if grid is None:
         grid_arr = np.arange(n + 1) / n
     else:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -188,8 +187,7 @@ class Regime(enum.Enum):
     PURE_TILT = "PureTilt"         # no single-offspring mass; environments only
 
 
-@dataclass(frozen=True)
-class LowerDeviationRate:
+class LowerDeviationRate(NamedTuple):
     """Solution of the hold-then-grow optimization for P(Z_n <= exp(cn)).
 
     ``take_off`` is the optimal fraction of the horizon spent at

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Method(str, enum.Enum):
@@ -13,8 +12,7 @@ class Method(str, enum.Enum):
     TWO_PHASE = "TwoPhase"
 
 
-@dataclass(frozen=True)
-class EstimatorResult:
+class EstimatorResult(NamedTuple):
     """One probability estimate with its uncertainty bookkeeping.
 
     ``ess`` is the effective sample size (sum of weights squared over sum

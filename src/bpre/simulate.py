@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -44,6 +43,12 @@ from .rng import STREAM_LINEAGE, STREAM_SIM, replica_stream
 # Replicas per block, and per stream.
 BLOCK = 256
 
+# Fewest blocks per pool process; a map of fewer than 2 * POOL_BLOCKS blocks
+# runs in process.  On 2 cores a 2-process pool breaks even near 9 blocks
+# for fig2 at n = 40 and near 63 for g2 at n = 8; a pool from 32 blocks
+# costs g2 at most 1.3x there, and no pool costs fig2 1.3x just below.
+POOL_BLOCKS = 16
+
 # Largest population a branch step may produce as an int64.  Above it the
 # total offspring count is a moment-matched normal draw; its distributional
 # error is O(1/sqrt(z)) < 1e-9, far below any threshold resolution there.
@@ -52,30 +57,27 @@ _INT64_MAX = (1 << 63) - 1
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
 class SimConfig:
-    env: EnvironmentLaw
-    n: int
-    z0: int = 1
-    seed: int = 0
-    replicas: int = 1
+    __slots__ = ("env", "n", "z0", "seed", "replicas")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgumentError(f"horizon n={self.n} must be >= 1")
-        if self.z0 < 1:
-            raise InvalidArgumentError(f"initial population z0={self.z0} must be >= 1")
-        if self.replicas < 1:
-            raise InvalidArgumentError(f"replicas={self.replicas} must be >= 1")
+    def __init__(self, env: EnvironmentLaw, n: int, z0: int = 1, seed: int = 0,
+                 replicas: int = 1):
+        if n < 1:
+            raise InvalidArgumentError(f"horizon n={n} must be >= 1")
+        if z0 < 1:
+            raise InvalidArgumentError(f"initial population z0={z0} must be >= 1")
+        if replicas < 1:
+            raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
+        self.env, self.n, self.z0, self.seed, self.replicas = env, n, z0, seed, replicas
 
 
-@dataclass
 class Trajectory:
     """One realized path: populations, environment indices, log-mean walk."""
 
-    z: List[int]
-    env_idx: List[int]
-    s: List[float]
+    __slots__ = ("z", "env_idx", "s")
+
+    def __init__(self, z: List[int], env_idx: List[int], s: List[float]):
+        self.z, self.env_idx, self.s = z, env_idx, s
 
     @property
     def n(self) -> int:
@@ -104,8 +106,7 @@ class Phase(NamedTuple):
     step_log_lr: np.ndarray
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(NamedTuple):
     """Law a replica path is sampled under, relative to its environment law.
 
     The first m generations are held: a component is drawn from hold and
@@ -178,7 +179,6 @@ def _log_bound(bound: float) -> float:
     return math.log(bound) if bound > 0 else -math.inf
 
 
-@dataclass(eq=False)
 class Populations:
     """Populations held in two lanes.
 
@@ -186,9 +186,10 @@ class Populations:
     the exact int64 z (each array holds stale values in the other entries).
     """
 
-    z: np.ndarray
-    logz: np.ndarray
-    big: np.ndarray
+    __slots__ = ("z", "logz", "big")
+
+    def __init__(self, z: np.ndarray, logz: np.ndarray, big: np.ndarray):
+        self.z, self.logz, self.big = z, logz, big
 
     def hit(self, bound: float, side: str) -> np.ndarray:
         """Entries with population <= bound (side lower) or >= bound (upper)."""
@@ -252,7 +253,6 @@ def law_step(dist: OffspringDistribution, z: np.ndarray, logz: np.ndarray,
     return z, logz
 
 
-@dataclass(eq=False)
 class Lanes(Populations):
     """The BLOCK lanes of one block after generation k.
 
@@ -263,10 +263,12 @@ class Lanes(Populations):
     lane.  block_lanes updates the arrays in place; copy what you keep.
     """
 
-    llr: np.ndarray
-    tau: np.ndarray
-    normal_steps: np.ndarray
-    idx: Optional[np.ndarray] = None
+    __slots__ = ("llr", "tau", "normal_steps", "idx")
+
+    def __init__(self, z: np.ndarray, logz: np.ndarray, big: np.ndarray, llr: np.ndarray,
+                 tau: np.ndarray, normal_steps: np.ndarray, idx: Optional[np.ndarray] = None):
+        super().__init__(z, logz, big)
+        self.llr, self.tau, self.normal_steps, self.idx = llr, tau, normal_steps, idx
 
 
 def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
@@ -332,23 +334,28 @@ def _map_blocks(worker: Callable, args: tuple, blocks: list) -> list:
     return [worker(*args, lo, hi) for lo, hi in blocks]
 
 
+def processes(replicas: int, workers: int) -> int:
+    """Processes map_replicas runs replicas on: one per POOL_BLOCKS blocks,
+    at most workers; 1 is this process alone, with no pool."""
+    return max(1, min(workers, -(-replicas // BLOCK) // POOL_BLOCKS))
+
+
 def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int) -> list:
     """[worker(*args, lo, hi) for each block [lo, hi) of range(replicas)].
 
     Block b spans replicas b * BLOCK up to (b + 1) * BLOCK, the last one cut
-    at replicas.  With workers > 1 the blocks are split into contiguous
-    runs, one per process, and never more processes than blocks.  Results
-    come back in block order, and block b always reads its own stream, so
-    any reduction that walks them in order is independent of the worker
-    count.
+    at replicas.  With processes(replicas, workers) > 1 the blocks are split
+    into contiguous runs, one per process of a pool.  Results come back in
+    block order, and block b always reads its own stream, so any reduction
+    that walks them in order is independent of the worker count.
     """
     if replicas < 1:
         raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
     if workers < 1:
         raise InvalidArgumentError(f"workers={workers} must be >= 1")
     blocks = [(lo, min(lo + BLOCK, replicas)) for lo in range(0, replicas, BLOCK)]
-    procs = min(workers, len(blocks))
-    if procs <= 1:
+    procs = processes(replicas, workers)
+    if procs == 1:
         return _map_blocks(worker, args, blocks)
     # imported here: the pool machinery adds about 20 ms to every import
     from concurrent.futures import ProcessPoolExecutor
@@ -359,7 +366,6 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int) -> 
         return [out for f in futures for out in f.result()]
 
 
-@dataclass(eq=False)
 class Sample(Populations):
     """A run's final populations, one entry per replica; hit tests an event.
 
@@ -369,10 +375,12 @@ class Sample(Populations):
     replica-generations in the log-z lane.
     """
 
-    llr: np.ndarray
-    tau: np.ndarray
-    paths: Optional[np.ndarray]
-    normal_steps: int
+    __slots__ = ("llr", "tau", "paths", "normal_steps")
+
+    def __init__(self, z: np.ndarray, logz: np.ndarray, big: np.ndarray, llr: np.ndarray,
+                 tau: np.ndarray, paths: Optional[np.ndarray], normal_steps: int):
+        super().__init__(z, logz, big)
+        self.llr, self.tau, self.paths, self.normal_steps = llr, tau, paths, normal_steps
 
 
 _PER_REPLICA = ("z", "logz", "big", "llr", "tau")

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from bpre import (build_environment, log_mgf, population_distribution, tilt_parameter,
-                  walk_rate)
+from bpre import (build_environment, log_mgf, population_distribution, simulate,
+                  tilt_parameter, walk_rate)
 from bpre.ratefn import walk_atoms
 
 
@@ -21,6 +21,12 @@ def two_mean_law():
 
 def subcrit_law():
     return build_environment([(0.5, {0: 0.5, 1: 0.5}), (0.5, {1: 1.0})])
+
+
+@pytest.fixture
+def pool_per_block(monkeypatch):
+    """One pool process per block, so that any workers > 1 run starts a pool."""
+    monkeypatch.setattr(simulate, "POOL_BLOCKS", 1)
 
 
 @pytest.fixture

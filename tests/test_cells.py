@@ -132,7 +132,7 @@ def test_joint_sampler_stays_in_exact_lane():
             simulate_cell_tree(config, joint=coupled_double)
 
 
-def test_log_lane_tree():
+def test_log_lane_tree(pool_per_block):
     law1, law2 = g2_laws()
     # the root's 2^60 parasites branch exactly; every later cell is past
     # 2^62 // 4 and branches in the log-z lane, two draws per cell
@@ -206,7 +206,7 @@ def test_uniform_leaf_matches_marginal_law():
     assert pvalue > 0.01
 
 
-def test_worker_invariance():
+def test_worker_invariance(pool_per_block):
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=6, law1=law1, law2=law2, c=0.4, seed=9, replicas=60)
     a = simulate_cell_tree(config, workers=1)
@@ -215,7 +215,7 @@ def test_worker_invariance():
     assert np.array_equal(a.above, b.above)
 
 
-def test_worker_invariance_across_blocks():
+def test_worker_invariance_across_blocks(pool_per_block):
     # n = 10 grows S = 4 trees per stream: 64 groups in each of two blocks
     # of 256 trees and 22 in the last block of 88, one block per worker
     law1, law2 = g2_laws()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -270,6 +271,20 @@ def test_n_below_one_exits_2(tmp_path, capsys, command, n):
     assert err["error"] == "InvalidArgument" and f"n={n}" in err["message"]
 
 
+@pytest.mark.parametrize("command, z0", [
+    ("estimate-lower", -1), ("estimate-upper", -1), ("trajectory", -1), ("takeoff", -1),
+    ("estimate-lower", 0), ("oracle", -1), ("simulate", -1), ("cells", -1),
+], ids=["estimate-lower", "estimate-upper", "trajectory", "takeoff", "estimate-lower-0",
+        "oracle", "simulate", "cells"])
+def test_bad_z0_exits_2(tmp_path, capsys, command, z0):
+    c = {"simulate": [], "estimate-upper": ["--c", "1.05"]}.get(command, ["--c", "0.4"])
+    rc = main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "8", "--z0", str(z0),
+               "--replicas", "2", "--out-dir", str(tmp_path)] + c)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidArgument" and f"z0={z0}" in err["message"]
+
+
 def test_workers_below_one_exits_2(tmp_path, capsys):
     cfg = str(CONFIG_DIR / "g2.json")
     assert main(["rate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
@@ -468,7 +483,7 @@ def test_reproduce_fresh_run_passes(tmp_path, capsys):
     assert (tmp_path / f"replay-{run_id}" / "estimate_lower.csv").exists()
 
 
-def test_reproduce_worker_count_is_free(tmp_path, capsys):
+def test_reproduce_worker_count_is_free(tmp_path, capsys, pool_per_block):
     cfg = g2_cfg(tmp_path, estimate_lower={"n": 6, "c": 0.4, "replicas": 400})
     assert main(["estimate-lower", "--config", cfg, "--out-dir", str(tmp_path),
                  "--workers", "1"]) == 0
@@ -629,3 +644,45 @@ def test_normal_steps_reported_outside_artifacts(tmp_path, capsys, command):
         assert (steps == 0) if name == "g2" else (steps > 0)
         for artifact in echo["artifacts"]:
             assert "normal" not in (out / artifact).read_text()
+
+
+SAMPLERS = [("simulate", []), ("estimate-lower", ["--c", "0.4"]),
+            ("estimate-upper", ["--c", "1.05"]), ("trajectory", ["--c", "0.4"]),
+            ("takeoff", ["--c", "0.4"]), ("cells", ["--c", "0.4"])]
+
+
+@pytest.mark.parametrize("command, flags", SAMPLERS, ids=[cmd for cmd, _ in SAMPLERS])
+def test_small_run_starts_no_pool(tmp_path, capsys, monkeypatch, command, flags):
+    # 1000 replicas are 4 blocks, too few for a pool: --workers 2 runs in
+    # process and writes the bytes of --workers 1
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small run started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "8",
+                     "--replicas", "1000", "--workers", workers,
+                     "--out-dir", str(out)] + flags) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert echo["outputs"]["processes"] == 1
+        assert read_log(out)[0]["outputs"]["processes"] == 1
+    for name in echo["artifacts"]:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_processes_reported_outside_artifacts(tmp_path, capsys, pool_per_block):
+    # 600 replicas are 3 blocks: with a process per block, --workers 2 runs
+    # on 2 processes and --workers 8 on 3; rate samples nothing
+    lower = ["estimate-lower", "--n", "8", "--c", "0.4"]
+    cases = ((["rate", "--workers", "2"], 1), (lower + ["--workers", "2"], 2),
+             (lower + ["--workers", "8"], 3))
+    for j, (argv, procs) in enumerate(cases):
+        out = tmp_path / str(j)
+        assert main(argv + ["--config", str(CONFIG_DIR / "g2.json"), "--replicas", "600",
+                            "--out-dir", str(out)]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert echo["outputs"]["processes"] == procs
+        assert read_log(out)[0]["outputs"]["processes"] == procs
+        for artifact in echo["artifacts"]:
+            assert "processes" not in (out / artifact).read_text()

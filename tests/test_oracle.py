@@ -119,6 +119,20 @@ def test_cap_below_start_rejected(g2):
         population_distribution(g2, 1, z0=5, cap=3)
 
 
+def test_negative_start_rejected_and_extinct_start_allowed(g2):
+    # z0 = -1 once read the pmf from v[-1], the cap state
+    with pytest.raises(InvalidArgumentError, match="z0=-1"):
+        population_distribution(g2, 3, z0=-1, cap=50)
+    with pytest.raises(InvalidArgumentError, match="z0=-1"):
+        conditional_trajectory(g2, 8, 0.4, z0=-1)
+    # z0 = 0 is an extinct start: it stays at 0 with probability 1
+    dist = population_distribution(g2, 3, z0=0, cap=50)
+    assert dist.prob_eq(0) == 1.0 and dist.overflow == 0.0
+    res = conditional_trajectory(g2, 8, 0.4, z0=0)
+    assert res.probability == 1.0
+    assert np.all(res.profile == 0.0)
+
+
 def test_population_budget(g2):
     # raised before the pmf is allocated
     with pytest.raises(BudgetExceededError):

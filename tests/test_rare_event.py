@@ -5,6 +5,7 @@ import pytest
 
 from bpre import (
     COutOfRangeError,
+    InvalidArgumentError,
     Method,
     NoEventMassError,
     NoHoldingPossibleError,
@@ -212,6 +213,15 @@ def test_estimator_domain_guards(g2, subcrit):
         estimate_lower_tail(subcrit, 5, 0.1)
 
 
+@pytest.mark.parametrize("z0", [0, -1])
+@pytest.mark.parametrize("fn, c", [(estimate_lower_tail, 0.4), (estimate_upper_tail, 1.05),
+                                   (take_off_statistics, 0.4), (conditional_profile, 0.4)])
+def test_estimators_reject_start_below_one(g2, fn, c, z0):
+    # z0 = 0 once gave a TiltOnly lower-tail "probability" of 1.16
+    with pytest.raises(InvalidArgumentError, match=f"z0={z0}"):
+        fn(g2, 8, c, z0=z0, replicas=10)
+
+
 def test_lower_unbiased_over_seed_batches(g2):
     n, c = 6, 0.45
     exact = exact_lower(g2, n, c)
@@ -336,7 +346,7 @@ def test_profile_custom_grid(g2):
             conditional_profile(g2, 6, 0.4, grid=grid, replicas=10)
 
 
-def test_estimators_worker_invariant(g2):
+def test_estimators_worker_invariant(g2, pool_per_block):
     a = estimate_lower_tail(g2, 8, 0.4, replicas=3_000, seed=42, workers=1)
     b = estimate_lower_tail(g2, 8, 0.4, replicas=3_000, seed=42, workers=5)
     assert a.tilt_only.estimate == b.tilt_only.estimate

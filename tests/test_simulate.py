@@ -18,7 +18,8 @@ from bpre import (
     run,
     run_batch,
 )
-from bpre.simulate import BLOCK, map_replicas
+from bpre import simulate
+from bpre.simulate import BLOCK, POOL_BLOCKS, map_replicas, processes
 from conftest import event_threshold, exact_lower
 
 
@@ -134,7 +135,7 @@ def test_final_states_match_individual_runs(g2):
         assert taus[r] == (config.n if tk is None else tk)
 
 
-def test_run_batch_agrees_with_final_states(g2, fig_law):
+def test_run_batch_agrees_with_final_states(g2, fig_law, pool_per_block):
     # both reduce one sampled run; fig2 at n = 40 ends in the log-z lane,
     # and 2 BLOCK + 50 replicas end in a partial block
     for env, n in ((g2, 6), (fig_law, 40)):
@@ -155,7 +156,7 @@ def test_run_batch_agrees_with_final_states(g2, fig_law):
         run_batch(config, 1.0, "middle")
 
 
-def test_final_states_worker_invariance(g2, fig_law):
+def test_final_states_worker_invariance(g2, fig_law, pool_per_block):
     # 400 and 640 replicas end in partial blocks; fig2 at n = 40 uses the
     # log-z lane
     for env, n, reps in ((g2, 6, 400), (g2, 8, 2 * BLOCK + BLOCK // 2),
@@ -237,23 +238,59 @@ def test_final_states_without_threshold_has_no_tau(g2):
     assert res.z == with_tau.z and np.array_equal(res.s, with_tau.s)
 
 
-def test_map_replicas_hands_out_whole_blocks(monkeypatch):
-    started = []
+def recording_pool(monkeypatch):
+    """Pool sizes started and the block runs handed to each process."""
+    started, runs = [], []
 
     class Pool(ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
+        def submit(self, fn, *args):
+            runs.append(args[-1])
+            return super().submit(fn, *args)
+
     # map_replicas imports the pool class only when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return started, runs
+
+
+def test_map_replicas_hands_out_whole_blocks(monkeypatch, pool_per_block):
+    started, runs = recording_pool(monkeypatch)
     reps = 2 * BLOCK + BLOCK // 2
     spans = [slice(0, BLOCK), slice(BLOCK, 2 * BLOCK), slice(2 * BLOCK, reps)]
     assert map_replicas(slice, (), reps, 1) == spans
     assert map_replicas(slice, (), reps, 8) == spans
     assert map_replicas(slice, (), BLOCK, 8) == spans[:1]
-    # three blocks: at most three processes, one pool for the whole map
+    # three blocks: at most three processes, one pool for the whole map,
+    # each process a contiguous run of whole blocks
     assert started == [3]
+    assert runs == [[(0, BLOCK)], [(BLOCK, 2 * BLOCK)], [(2 * BLOCK, reps)]]
+
+
+def test_pool_takes_a_process_per_pool_blocks(monkeypatch):
+    started, runs = recording_pool(monkeypatch)
+    monkeypatch.setattr(simulate, "POOL_BLOCKS", 2)
+    # seven blocks: three processes of at most two blocks each would leave
+    # one over, so each takes a run of three, the last the remainder
+    reps = 6 * BLOCK + 7
+    assert processes(reps, 8) == 3 and processes(reps, 2) == 2
+    spans = map_replicas(slice, (), reps, 8)
+    assert spans == [slice(lo, min(lo + BLOCK, reps)) for lo in range(0, reps, BLOCK)]
+    assert started == [3]
+    assert [[lo for lo, _ in run] for run in runs] == [
+        [0, BLOCK, 2 * BLOCK], [3 * BLOCK, 4 * BLOCK, 5 * BLOCK], [6 * BLOCK]]
+    assert runs[-1][-1] == (6 * BLOCK, reps)
+
+
+def test_small_maps_start_no_pool(monkeypatch):
+    started, _ = recording_pool(monkeypatch)
+    below = (2 * POOL_BLOCKS - 1) * BLOCK
+    assert processes(below, 8) == 1 and processes(below + 1, 8) == 2
+    assert processes(10**9, 3) == 3 and processes(10**9, 1) == 1
+    assert len(map_replicas(slice, (), below, 8)) == 2 * POOL_BLOCKS - 1
+    assert started == []
 
 
 def test_run_matches_lanes_of_every_block(fig_law):
