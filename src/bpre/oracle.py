@@ -8,7 +8,9 @@ bucket.  Truncation commutes with convolution on the kept coefficients, so
 below-cap masses are exact; for laws that cannot shrink (no zero offspring
 and no sub-unit support) the overflow bucket is absorbing and every event
 {Z_n <= K} with K <= cap is exact regardless of how much mass overflowed.
-Each generation is a blocked (baby-step/giant-step) composition per law.
+Each generation is a blocked (baby-step/giant-step) composition per law,
+on the lattice of its support's gcd.  The DP keeps its last call's final
+pmf (at most ENTRY_BUDGET floats) and resumes from it, bytes unchanged.
 
 Environments are i.i.d. across generations, so under the annealed law Z is
 a Markov chain with one kernel M = sum_i w_i T_i; the trajectory oracle is
@@ -40,6 +42,9 @@ COMPOSITION_BUDGET = 500_000
 ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table
 WORK_BUDGET = 5 * 10**11    # multiply-adds of one population DP, a minute or two
 BLOCK_ROWS = 128            # baby-step rows of the population DP's composition
+
+# (env, z0, cap, rows) -> n, pmf, overflow of the last population DP
+_last = (None, 0, None, 0.0)
 
 
 class ExactDistribution(NamedTuple):
@@ -109,11 +114,15 @@ def _compose(v: np.ndarray, baby: np.ndarray, giant: np.ndarray,
     per block and a Horner pass over b (Paterson & Stockmeyer 1973).  G
     starts at degree B low, so each Horner step convolves with G's nonzero
     tail only and shifts the result by B low, and step b keeps degrees up
-    to cap - bB low.
+    to cap - bB low.  v may run past cap (a law composed on its lattice
+    sees the whole pmf at cap // g): blocks past cap // (B low) add nothing,
+    and with low = 0 every nonzero block counts.
     """
     rows, nz = baby.shape[0], np.flatnonzero(v)
     shift = rows * low
-    top = min(int(nz[-1]) // rows, cap // max(shift, 1)) if nz.size else -1
+    top = int(nz[-1]) // rows if nz.size else -1
+    if shift:
+        top = min(top, cap // shift)
     out, tail = np.zeros(0), giant[shift:]
     for b in range(top, -1, -1):
         keep = cap + 1 - b * shift
@@ -152,14 +161,22 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
                             cap: int = 1000) -> ExactDistribution:
     """Exact truncated law of Z_n started from z0.
 
-    A generation composes the pmf with each law's pgf by _compose, about
-    cap^2 (max_offspring - min_offspring) multiply-adds once the pmf spans
-    the cap; each law's baby table (B <= BLOCK_ROWS rows, <= ENTRY_BUDGET
-    entries) is built once per call.  A call whose _dp_work bound passes WORK_BUDGET
-    raises BudgetExceeded before the first generation.
+    A generation composes the pmf with each law's pgf by _compose, on the
+    law's lattice: with g the gcd of the support, F(s) = Q(s^g) and V(F(s))
+    = (V o Q)(s^g), so Q is composed at cap // g and added into every g-th
+    state.  Both factors of each convolution are g times shorter than on
+    all states: about cap^2 (max_offspring - min_offspring) / g^2
+    multiply-adds once the pmf spans the cap.  Each law's baby table
+    (B <= BLOCK_ROWS rows, <= ENTRY_BUDGET entries) is built once per call.
+    A call whose _dp_work bound passes WORK_BUDGET raises BudgetExceeded
+    before the first generation, whatever ran before it.  A call on the
+    same env object, z0 and cap as the last one, with n at least its n,
+    starts from its final pmf and runs only the missing generations; the
+    module keeps that one pmf (a private copy) and returns a fresh array.
     """
-    if n < 0 or z0 < 0:
-        raise InvalidArgumentError(f"n={n} and z0={z0} must be >= 0")
+    global _last
+    if n < 0 or z0 < 0 or cap < 0:
+        raise InvalidArgumentError(f"n={n}, z0={z0} and cap={cap} must be >= 0")
     if cap < z0:
         raise CapTooSmallError(f"cap={cap} below initial population z0={z0}")
     if cap + 1 > ENTRY_BUDGET:
@@ -172,22 +189,27 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
             f"population DP at n={n}, cap={cap} needs about {work:.3g} "
             f"multiply-adds, past the {WORK_BUDGET:.3g} budget")
     for w, d in zip(env.weights, env.components):
-        baby = np.zeros((rows, min(cap + 1, (rows - 1) * d.max_offspring + 1)))
-        powers = _powers(_pmf_poly(d), cap + 1)
+        g = math.gcd(*d.support)
+        top = cap // g
+        baby = np.zeros((rows, min(top + 1, (rows - 1) * (d.max_offspring // g) + 1)))
+        powers = _powers(_pmf_poly(d)[::g], top + 1)
         for row, power in zip(baby, powers):
             row[: power.size] = power
-        # zip stopped at baby's end without drawing: next(powers) is F^rows
-        tables.append((w, baby, next(powers), d.min_offspring))
-    v = np.zeros(cap + 1)
-    v[z0] = 1.0
-    overflow = 0.0
-    for _ in range(n):
+        # zip stopped at baby's end without drawing: next(powers) is Q^rows
+        tables.append((w, g, baby, next(powers), d.min_offspring // g))
+    key = (env, z0, cap, rows)   # env compares by identity
+    last_key, start, v, overflow = _last
+    if last_key != key or start > n:
+        start, v, overflow = 0, np.zeros(cap + 1), 0.0
+        v[z0] = 1.0
+    for _ in range(start, n):
         new = np.zeros(cap + 1)
-        for w, baby, giant, low in tables:
-            out = _compose(v, baby, giant, low, cap)
-            new[: out.size] += w * out
+        for w, g, baby, giant, low in tables:
+            out = _compose(v, baby, giant, low, cap // g)
+            new[: g * out.size: g] += w * out
         overflow += max(0.0, float(v.sum() - new.sum()))
         v = new
+    _last = (key, n, v.copy(), overflow)
     nondecreasing = all(d.min_offspring >= 1 for d in env.components)
     return ExactDistribution(
         probs=v, overflow=overflow, n=n, z0=z0, cap=cap, nondecreasing=nondecreasing

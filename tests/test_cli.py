@@ -370,6 +370,16 @@ def test_bad_tol_exits_2(tmp_path, capsys, tol):
     assert not (tmp_path / "oracle.json").exists()
 
 
+def test_negative_cap_exits_2(tmp_path, capsys):
+    # a negative cap is bad input, not a numeric CapTooSmall (exit 3)
+    rc = main(["oracle", "--config", str(CONFIG_DIR / "g2.json"), "--cap", "-1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidArgument" and "cap=-1" in err["message"]
+    assert not (tmp_path / "oracle.json").exists()
+
+
 def test_malformed_environment_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"environments": [{"weight": 1.0, "pmf": {"two": 1.0}}]})
     assert main(["rate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
@@ -551,7 +561,7 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.6.0"
+GOLDEN_VERSION = "0.7.0"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
         "4b04b44193ef09723c0f7f51636153e750cbde686c9d81382d72745495ce59ce",

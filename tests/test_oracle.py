@@ -25,7 +25,7 @@ from bpre import (
 )
 from bpre import oracle
 from bpre.oracle import BLOCK_ROWS, ENTRY_BUDGET, _kernel
-from conftest import event_threshold
+from conftest import event_threshold, g2_law
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -117,6 +117,10 @@ def test_truncation_error_with_shrinking_law():
 def test_cap_below_start_rejected(g2):
     with pytest.raises(CapTooSmallError):
         population_distribution(g2, 1, z0=5, cap=3)
+    # a negative cap is bad input, whatever z0 is
+    for z0 in (0, 1):
+        with pytest.raises(InvalidArgumentError, match="cap=-1"):
+            population_distribution(g2, 1, z0=z0, cap=-1)
 
 
 def test_negative_start_rejected_and_extinct_start_allowed(g2):
@@ -172,18 +176,35 @@ def test_population_work_budget_refuses_a_large_start(g2):
 
 @st.composite
 def composition_cases(draw):
-    """Small laws (zero offspring allowed) with caps below, at and past a block."""
+    """Small laws (zero offspring allowed) with caps below, at and past a block.
+
+    Each law's support is a multiple of a drawn g in {1, 2, 3}: Dirac laws,
+    laws on a sublattice with and without zero offspring, and caps below g.
+    """
     comps = []
     for _ in range(draw(st.integers(1, 3))):
-        top = draw(st.integers(1, 9))
+        g, top = draw(st.sampled_from([1, 1, 2, 3])), draw(st.integers(1, 9))
         keys = draw(st.sets(st.integers(0, top - 1), max_size=3)) | {top}
-        mass = {k: draw(st.integers(1, 9)) for k in sorted(keys)}
+        mass = {g * k: draw(st.integers(1, 9)) for k in sorted(keys)}
         comps.append((draw(st.integers(1, 9)), {k: m / sum(mass.values()) for k, m in mass.items()}))
     env = build_environment([(w / sum(w for w, _ in comps), pmf) for w, pmf in comps])
     b = BLOCK_ROWS
     cap = draw(st.one_of(st.integers(1, b - 2), st.sampled_from([b - 1, b]),
                          st.integers(b + 1, 5 * b)))
     return env, cap, draw(st.integers(1, min(cap, 2 * b + 8))), draw(st.integers(1, 5))
+
+
+def kernel_pmf(env, n, z0, cap):
+    """pmf and overflow of Z_n by n products with the dense kernel on 0..cap."""
+    m = _kernel(env, cap)
+    v = np.zeros(cap + 1)
+    v[z0] = 1.0
+    overflow = 0.0
+    for _ in range(n):
+        new = v @ m
+        overflow += max(0.0, float(v.sum() - new.sum()))
+        v = new
+    return v, overflow
 
 
 @settings(deadline=None, max_examples=80)
@@ -198,20 +219,18 @@ def composition_cases(draw):
 # low >= 2 with several blocks: G's tail starts at 2B and 3B
 @example(case=(build_environment([(0.5, {2: 0.5, 3: 0.5}), (0.5, {3: 0.5, 4: 0.5})]),
                7 * BLOCK_ROWS, 1, 5))
+# on the lattice g = 2 at cap 1: Q is composed at cap 0 from a pmf on 0..1
+@example(case=(build_environment([(1.0, {0: 0.5, 2: 0.5})]), 1, 1, 1))
+# g2: its second law lives on the even states
+@example(case=(g2_law(), 5 * BLOCK_ROWS, 1, 5))
 def test_blocked_composition_matches_kernel(case):
     # the blocked DP against n products with the dense kernel on 0..cap:
     # zero offspring (no early truncation), narrow and full-width baby
-    # tables, z0 past one block, caps below, at and across BLOCK_ROWS
+    # tables, z0 past one block, caps below, at and across BLOCK_ROWS, laws
+    # composed on their lattice
     env, cap, z0, n = case
     dist = population_distribution(env, n, z0=z0, cap=cap)
-    m = _kernel(env, cap)
-    v = np.zeros(cap + 1)
-    v[z0] = 1.0
-    overflow = 0.0
-    for _ in range(n):
-        new = v @ m
-        overflow += max(0.0, float(v.sum() - new.sum()))
-        v = new
+    v, overflow = kernel_pmf(env, n, z0, cap)
     # atol only admits subnormal entries, which carry no relative precision
     np.testing.assert_allclose(dist.probs, v, rtol=1e-12, atol=1e-300)
     assert dist.overflow == pytest.approx(overflow, rel=0.0, abs=1e-15)
@@ -242,6 +261,105 @@ def test_trimmed_giant_step_matches_full(monkeypatch, config, n, cap):
     np.testing.assert_array_equal(dist.probs == 0.0, ref.probs == 0.0)
     np.testing.assert_allclose(dist.probs, ref.probs, rtol=1e-12, atol=0.0)
     assert dist.overflow == pytest.approx(ref.overflow, rel=1e-12, abs=1e-15)
+
+
+def fresh_g2(n, z0=1, cap=200):
+    """The DP from e_{z0}: a new, equal g2 object never matches the kept state."""
+    return population_distribution(g2_law(), n, z0=z0, cap=cap)
+
+
+def assert_same_dp(got, ref):
+    assert np.array_equal(got.probs, ref.probs)
+    assert got.overflow == ref.overflow
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """Counts _compose calls: one per law and generation the DP runs."""
+    calls, compose = [], oracle._compose
+
+    def counting(*args):
+        calls.append(1)
+        return compose(*args)
+
+    monkeypatch.setattr(oracle, "_compose", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ns", [(3, 8, 20), (20, 8, 3), (8, 8, 8), (5, 12, 5, 12, 12)],
+                         ids=["ascending", "descending", "repeated", "mixed"])
+def test_resumed_dp_matches_fresh(compose_calls, ns):
+    # a call resumes from the last one when n has not gone down, runs only
+    # the missing generations, and gives the fresh call's bytes
+    refs = {n: fresh_g2(n) for n in ns}
+    env, done = g2_law(), 0
+    for n in ns:
+        compose_calls.clear()
+        assert_same_dp(population_distribution(env, n, cap=200), refs[n])
+        assert len(compose_calls) == env.k * (n - done if n >= done else n)
+        done = n
+
+
+def test_interleaved_keys_resume_only_their_own(compose_calls):
+    # the kept state is one slot: a call on another env object, z0 or cap
+    # replaces it, and a call only resumes from a state of its own key
+    env, other = g2_law(), g2_law()
+    calls = [(env, 6, 1, 200), (env, 6, 2, 200), (env, 9, 1, 200), (env, 9, 1, 150),
+             (other, 12, 1, 150), (env, 12, 1, 150), (env, 15, 1, 150),
+             (other, 15, 1, 150), (env, 15, 2, 200), (env, 18, 2, 200)]
+    refs = {(n, z0, cap): fresh_g2(n, z0, cap) for _, n, z0, cap in calls}
+    ran = []
+    for law, n, z0, cap in calls:
+        compose_calls.clear()
+        assert_same_dp(population_distribution(law, n, z0=z0, cap=cap), refs[n, z0, cap])
+        ran.append(len(compose_calls) // law.k)
+    assert ran == [6, 6, 9, 9, 12, 12, 3, 15, 15, 3]
+
+
+def test_caller_cannot_change_the_kept_state():
+    env = g2_law()
+    ref5, ref9 = fresh_g2(5, cap=100), fresh_g2(9, cap=100)
+    first = population_distribution(env, 5, cap=100)
+    first.probs[:] = np.nan
+    again = population_distribution(env, 5, cap=100)
+    assert_same_dp(again, ref5)
+    assert again.probs is not first.probs
+    again.probs[:] = 7.0
+    assert_same_dp(population_distribution(env, 9, cap=100), ref9)
+
+
+def test_work_budget_counts_every_generation_of_a_resumed_call(monkeypatch):
+    # the 4 generations a resume would run fit the budget, the 8 of the
+    # call do not: the refusal does not depend on what ran before
+    env = g2_law()
+    population_distribution(env, 4, cap=1000)
+    rows = min(BLOCK_ROWS, 1001)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", oracle._dp_work(env, 8, 1, 1000, rows) - 1)
+    assert oracle._dp_work(env, 4, 1, 1000, rows) <= oracle.WORK_BUDGET
+    with pytest.raises(BudgetExceededError, match="multiply-adds"):
+        population_distribution(env, 8, cap=1000)
+    with pytest.raises(BudgetExceededError, match="multiply-adds"):
+        fresh_g2(8, cap=1000)
+
+
+def test_no_resume_across_block_rows(monkeypatch, compose_calls):
+    # other BLOCK_ROWS give other tables (and roundings): no resume across
+    # them.  One baby row on a lattice law with zero offspring: Q composes
+    # at cap // 2 = 4 from parents up to 9, every one of which can die out
+    spec = [(0.5, {0: 0.5, 2: 0.5}), (0.5, {1: 0.5, 3: 0.5})]
+    monkeypatch.setattr(oracle, "BLOCK_ROWS", 1)
+    ref = population_distribution(build_environment(spec), 4, z0=9, cap=9)
+    monkeypatch.setattr(oracle, "BLOCK_ROWS", BLOCK_ROWS)
+    env = build_environment(spec)
+    population_distribution(env, 2, z0=9, cap=9)
+    monkeypatch.setattr(oracle, "BLOCK_ROWS", 1)
+    compose_calls.clear()
+    got = population_distribution(env, 4, z0=9, cap=9)
+    assert len(compose_calls) == 2 * 4
+    assert_same_dp(got, ref)
+    v, overflow = kernel_pmf(env, 4, 9, 9)
+    np.testing.assert_allclose(got.probs, v, rtol=1e-12, atol=1e-300)
+    assert got.overflow == pytest.approx(overflow, rel=0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n, c, exact", [(20, 0.38, 1.336339507123755e-05),
