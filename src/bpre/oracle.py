@@ -157,37 +157,14 @@ def _dp_work(env: EnvironmentLaw, n: int, z0: int, cap: int, rows: int) -> int:
     return work
 
 
-def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
-                            cap: int = 1000) -> ExactDistribution:
-    """Exact truncated law of Z_n started from z0.
+def _lattice_tables(env: EnvironmentLaw, cap: int, rows: int) -> list:
+    """Per law (weight, g, baby, giant, low) for _compose on the lattice.
 
-    A generation composes the pmf with each law's pgf by _compose, on the
-    law's lattice: with g the gcd of the support, F(s) = Q(s^g) and V(F(s))
-    = (V o Q)(s^g), so Q is composed at cap // g and added into every g-th
-    state.  Both factors of each convolution are g times shorter than on
-    all states: about cap^2 (max_offspring - min_offspring) / g^2
-    multiply-adds once the pmf spans the cap.  Each law's baby table
-    (B <= BLOCK_ROWS rows, <= ENTRY_BUDGET entries) is built once per call.
-    A call whose _dp_work bound passes WORK_BUDGET raises BudgetExceeded
-    before the first generation, whatever ran before it.  A call on the
-    same env object, z0 and cap as the last one, with n at least its n,
-    starts from its final pmf and runs only the missing generations; the
-    module keeps that one pmf (a private copy) and returns a fresh array.
+    With g the gcd of the support, Q = F(s^(1/g)) on 0..cap // g: baby holds
+    Q^0..Q^(rows-1) (<= ENTRY_BUDGET entries), giant is Q^rows and low is
+    the least offspring count over g.
     """
-    global _last
-    if n < 0 or z0 < 0 or cap < 0:
-        raise InvalidArgumentError(f"n={n}, z0={z0} and cap={cap} must be >= 0")
-    if cap < z0:
-        raise CapTooSmallError(f"cap={cap} below initial population z0={z0}")
-    if cap + 1 > ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"pmf at cap={cap} exceeds {ENTRY_BUDGET} entries")
-    rows, tables = min(BLOCK_ROWS, cap + 1, ENTRY_BUDGET // (cap + 1)), []
-    work = _dp_work(env, n, z0, cap, rows)
-    if work > WORK_BUDGET:
-        raise BudgetExceededError(
-            f"population DP at n={n}, cap={cap} needs about {work:.3g} "
-            f"multiply-adds, past the {WORK_BUDGET:.3g} budget")
+    tables = []
     for w, d in zip(env.weights, env.components):
         g = math.gcd(*d.support)
         top = cap // g
@@ -197,11 +174,47 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
             row[: power.size] = power
         # zip stopped at baby's end without drawing: next(powers) is Q^rows
         tables.append((w, g, baby, next(powers), d.min_offspring // g))
+    return tables
+
+
+def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
+                            cap: int = 1000) -> ExactDistribution:
+    """Exact truncated law of Z_n started from z0.
+
+    A generation composes the pmf with each law's pgf by _compose, on the
+    law's lattice: with g the gcd of the support, F(s) = Q(s^g) and V(F(s))
+    = (V o Q)(s^g), so Q is composed at cap // g and added into every g-th
+    state.  Both factors of each convolution are g times shorter than on
+    all states: about cap^2 (max_offspring - min_offspring) / g^2
+    multiply-adds once the pmf spans the cap.  Each law's tables
+    (_lattice_tables) are built once per call that runs a generation.  A
+    call whose _dp_work bound passes WORK_BUDGET raises BudgetExceeded
+    before the first generation, whatever ran before it.  A call on the
+    same env object, z0 and cap as the last one, with n at least its n,
+    starts from its final pmf and runs only the missing generations; the
+    module keeps that one pmf (a private copy, at most ENTRY_BUDGET floats)
+    and returns a fresh array.
+    """
+    global _last
+    if n < 0 or z0 < 0 or cap < 0:
+        raise InvalidArgumentError(f"n={n}, z0={z0} and cap={cap} must be >= 0")
+    if cap < z0:
+        raise CapTooSmallError(f"cap={cap} below initial population z0={z0}")
+    if cap + 1 > ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"pmf at cap={cap} exceeds {ENTRY_BUDGET} entries")
+    rows = min(BLOCK_ROWS, cap + 1, ENTRY_BUDGET // (cap + 1))
+    work = _dp_work(env, n, z0, cap, rows)
+    if work > WORK_BUDGET:
+        raise BudgetExceededError(
+            f"population DP at n={n}, cap={cap} needs about {work:.3g} "
+            f"multiply-adds, past the {WORK_BUDGET:.3g} budget")
     key = (env, z0, cap, rows)   # env compares by identity
     last_key, start, v, overflow = _last
     if last_key != key or start > n:
         start, v, overflow = 0, np.zeros(cap + 1), 0.0
         v[z0] = 1.0
+    tables = _lattice_tables(env, cap, rows) if start < n else []
     for _ in range(start, n):
         new = np.zeros(cap + 1)
         for w, g, baby, giant, low in tables:

@@ -236,10 +236,24 @@ def test_blocked_composition_matches_kernel(case):
     assert dist.overflow == pytest.approx(overflow, rel=0.0, abs=1e-15)
 
 
+def count_calls(monkeypatch, name):
+    """Patches oracle.<name> to record each call; returns the record."""
+    calls, fn = [], getattr(oracle, name)
+
+    def counting(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(oracle, name, counting)
+    return calls
+
+
 def _compose_full_giant(v, baby, giant, low, cap):
     """Reference Horner pass: convolves with all of G = F^B, leading zeros too."""
     rows, nz = baby.shape[0], np.flatnonzero(v)
-    top = min(int(nz[-1]) // rows, cap // (rows * max(low, 1))) if nz.size else -1
+    top = int(nz[-1]) // rows if nz.size else -1
+    if low:
+        top = min(top, cap // (rows * low))
     out = np.zeros(1)
     for b in range(top, -1, -1):
         keep = cap + 1 - b * rows * low
@@ -254,10 +268,13 @@ def _compose_full_giant(v, baby, giant, low, cap):
 def test_trimmed_giant_step_matches_full(monkeypatch, config, n, cap):
     # convolving with G's nonzero tail only reorders the float sums: every
     # entry keeps its zero pattern and agrees within 1e-12 relative
-    env = environment_from_dict(json.loads((CONFIG_DIR / f"{config}.json").read_text()))
-    dist = population_distribution(env, n, cap=cap)
+    spec = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    dist = population_distribution(environment_from_dict(spec), n, cap=cap)
     monkeypatch.setattr(oracle, "_compose", _compose_full_giant)
-    ref = population_distribution(env, n, cap=cap)
+    calls = count_calls(monkeypatch, "_compose")
+    # a distinct, equal env: the reference must not resume from dist's state
+    ref = population_distribution(environment_from_dict(spec), n, cap=cap)
+    assert len(calls) == len(spec["environments"]) * n   # the reference ran
     np.testing.assert_array_equal(dist.probs == 0.0, ref.probs == 0.0)
     np.testing.assert_allclose(dist.probs, ref.probs, rtol=1e-12, atol=0.0)
     assert dist.overflow == pytest.approx(ref.overflow, rel=1e-12, abs=1e-15)
@@ -276,27 +293,25 @@ def assert_same_dp(got, ref):
 @pytest.fixture
 def compose_calls(monkeypatch):
     """Counts _compose calls: one per law and generation the DP runs."""
-    calls, compose = [], oracle._compose
-
-    def counting(*args):
-        calls.append(1)
-        return compose(*args)
-
-    monkeypatch.setattr(oracle, "_compose", counting)
-    return calls
+    return count_calls(monkeypatch, "_compose")
 
 
 @pytest.mark.parametrize("ns", [(3, 8, 20), (20, 8, 3), (8, 8, 8), (5, 12, 5, 12, 12)],
                          ids=["ascending", "descending", "repeated", "mixed"])
-def test_resumed_dp_matches_fresh(compose_calls, ns):
+def test_resumed_dp_matches_fresh(monkeypatch, compose_calls, ns):
     # a call resumes from the last one when n has not gone down, runs only
-    # the missing generations, and gives the fresh call's bytes
+    # the missing generations, and gives the fresh call's bytes; a call
+    # that runs no generation builds no tables
     refs = {n: fresh_g2(n) for n in ns}
+    built = count_calls(monkeypatch, "_lattice_tables")
     env, done = g2_law(), 0
     for n in ns:
         compose_calls.clear()
+        built.clear()
         assert_same_dp(population_distribution(env, n, cap=200), refs[n])
-        assert len(compose_calls) == env.k * (n - done if n >= done else n)
+        ran = n - done if n >= done else n
+        assert len(compose_calls) == env.k * ran
+        assert len(built) == (ran > 0)
         done = n
 
 
