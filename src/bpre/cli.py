@@ -367,7 +367,7 @@ def execute(command: str, effective: dict, out_dir: str,
     started = time.time()
     artifacts, outputs = _COMMANDS[command][0](env, _Settings(command, section), ctx)
     # processes the samplers ran on; every sampler reports normal_steps
-    outputs["processes"] = (processes(section["replicas"], workers)
+    outputs["processes"] = (processes(section["replicas"], workers, section["n"])
                             if "normal_steps" in outputs else 1)
     record = {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",

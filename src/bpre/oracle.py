@@ -9,8 +9,9 @@ below-cap masses are exact; for laws that cannot shrink (no zero offspring
 and no sub-unit support) the overflow bucket is absorbing and every event
 {Z_n <= K} with K <= cap is exact regardless of how much mass overflowed.
 Each generation is a blocked (baby-step/giant-step) composition per law,
-on the lattice of its support's gcd.  The DP keeps its last call's final
-pmf (at most ENTRY_BUDGET floats) and resumes from it, bytes unchanged.
+on the lattice of its support's gcd: one matrix product for all baby
+steps, then a Horner pass.  The DP keeps its last call's final pmf and
+its laws' tables and resumes from them, bytes unchanged.
 
 Environments are i.i.d. across generations, so under the annealed law Z is
 a Markov chain with one kernel M = sum_i w_i T_i; the trajectory oracle is
@@ -43,8 +44,8 @@ ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table
 WORK_BUDGET = 5 * 10**11    # multiply-adds of one population DP, a minute or two
 BLOCK_ROWS = 128            # baby-step rows of the population DP's composition
 
-# (env, z0, cap, rows) -> n, pmf, overflow of the last population DP
-_last = (None, 0, None, 0.0)
+# (env, z0, cap, rows) -> n, pmf, overflow, lattice tables (or None) of the last DP
+_last = _EMPTY = (None, 0, None, 0.0, None)
 
 
 class ExactDistribution(NamedTuple):
@@ -110,8 +111,9 @@ def _compose(v: np.ndarray, baby: np.ndarray, giant: np.ndarray,
     """Coefficients of V(F(s)) up to degree cap, V(s) = sum_j v[j] s^j.
 
     With B = len(baby) and V = sum_b s^(bB) V_b, deg V_b < B: V(F) = sum_b
-    G^b V_b(F), G = giant = F^B, by one product with baby (F^0..F^(B-1))
-    per block and a Horner pass over b (Paterson & Stockmeyer 1973).  G
+    G^b V_b(F), G = giant = F^B, by one (blocks x B) @ baby product (baby
+    holds F^0..F^(B-1); split into whole blocks of at most ENTRY_BUDGET
+    entries) and a Horner pass over b (Paterson & Stockmeyer 1973).  G
     starts at degree B low, so each Horner step convolves with G's nonzero
     tail only and shifts the result by B low, and step b keeps degrees up
     to cap - bB low.  v may run past cap (a law composed on its lattice
@@ -123,11 +125,15 @@ def _compose(v: np.ndarray, baby: np.ndarray, giant: np.ndarray,
     top = int(nz[-1]) // rows if nz.size else -1
     if shift:
         top = min(top, cap // shift)
+    blocks = np.concatenate((v, np.zeros(rows)))[: (top + 1) * rows]
+    run = max(1, ENTRY_BUDGET // baby.shape[1])   # blocks per product
     out, tail = np.zeros(0), giant[shift:]
     for b in range(top, -1, -1):
+        if b == top or b % run == run - 1:   # the heads of blocks b - b % run..b
+            first = b - b % run
+            heads = blocks[first * rows: (b + 1) * rows].reshape(-1, rows) @ baby
         keep = cap + 1 - b * shift
-        block = v[b * rows: (b + 1) * rows]
-        head = block @ baby[: block.size, :keep]
+        head = heads[b - first, :keep]
         if out.size:   # every step after the first: out = out G + head
             out = np.concatenate((np.zeros(shift), np.convolve(out, tail)))[:keep]
             out[: head.size] += head
@@ -186,14 +192,14 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
     = (V o Q)(s^g), so Q is composed at cap // g and added into every g-th
     state.  Both factors of each convolution are g times shorter than on
     all states: about cap^2 (max_offspring - min_offspring) / g^2
-    multiply-adds once the pmf spans the cap.  Each law's tables
-    (_lattice_tables) are built once per call that runs a generation.  A
-    call whose _dp_work bound passes WORK_BUDGET raises BudgetExceeded
-    before the first generation, whatever ran before it.  A call on the
-    same env object, z0 and cap as the last one, with n at least its n,
-    starts from its final pmf and runs only the missing generations; the
-    module keeps that one pmf (a private copy, at most ENTRY_BUDGET floats)
-    and returns a fresh array.
+    multiply-adds once the pmf spans the cap.  A call whose _dp_work bound
+    passes WORK_BUDGET raises BudgetExceeded before the first generation,
+    whatever ran before it.  A call on the same env object, z0 and cap as
+    the last one, with n at least its n, starts from its final pmf and runs
+    only the missing generations, with the tables (_lattice_tables) of the
+    first call on that key that ran one.  The module keeps one pmf (a
+    private copy) and one table set, the pmf and each table at most
+    ENTRY_BUDGET floats, and returns a fresh array.
     """
     global _last
     if n < 0 or z0 < 0 or cap < 0:
@@ -210,11 +216,14 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
             f"population DP at n={n}, cap={cap} needs about {work:.3g} "
             f"multiply-adds, past the {WORK_BUDGET:.3g} budget")
     key = (env, z0, cap, rows)   # env compares by identity
-    last_key, start, v, overflow = _last
-    if last_key != key or start > n:
+    last_key, start, v, overflow, tables = _last
+    if last_key != key:   # free the last key's tables before this key builds its own
+        start, tables, _last = n + 1, None, _EMPTY
+    if start > n:
         start, v, overflow = 0, np.zeros(cap + 1), 0.0
         v[z0] = 1.0
-    tables = _lattice_tables(env, cap, rows) if start < n else []
+    if tables is None and start < n:
+        tables = _lattice_tables(env, cap, rows)
     for _ in range(start, n):
         new = np.zeros(cap + 1)
         for w, g, baby, giant, low in tables:
@@ -222,7 +231,7 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
             new[: g * out.size: g] += w * out
         overflow += max(0.0, float(v.sum() - new.sum()))
         v = new
-    _last = (key, n, v.copy(), overflow)
+    _last = (key, n, v.copy(), overflow, tables)
     nondecreasing = all(d.min_offspring >= 1 for d in env.components)
     return ExactDistribution(
         probs=v, overflow=overflow, n=n, z0=z0, cap=cap, nondecreasing=nondecreasing

@@ -7,22 +7,22 @@ allocation of individuals over the support is sampled, never individuals
 one by one.
 
 Replicas run in blocks of BLOCK lanes, and block b draws from the one
-stream replica_stream(seed, proposal.stream + b).  Each generation draws
-the block's environment indices as one vector, then branches all lanes
-that drew a component in one multinomial call.  A lane holds its
-population as an exact int64 while z <= EXACT_LIMIT // (largest offspring
-count), so no branch step can overflow, and as a float log z above that.
+stream replica_stream(seed, proposal.stream + b).  The blocks of a run
+step together, one numpy pass per generation, each drawing from its own
+stream.  A lane holds its population as an exact int64 while z <=
+EXACT_LIMIT // (largest offspring count), so no branch step can
+overflow, and as a float log z above that.
 In that log-z lane the step is the moment-matched normal
 z' = z * mean + g * sqrt(z * variance), written as
 log z' = log z + log(mean + g * sd * exp(-log z / 2)); it cannot
 overflow.  Threshold tests compare exact lanes as integers and log-z
 lanes in log space.  law_step branches both lanes by one offspring law;
-it is the one branching step of the block engine and of the cell tree.
+it is the one branching step of the replica engine and of the cell tree.
 
 Every block is simulated in full, so replica r's path depends only on
 (seed, stream, r): results are byte-identical for any worker count, and a
 run with more replicas extends one with fewer.  Every reader reduces one
-Sample, which sample builds block by block: run_batch and final_states
+Sample, which sample builds run by run: run_batch and final_states
 here, whose naive proposal carries the log-mean walk as its llr, and the
 estimators in rare_event.
 """
@@ -43,11 +43,13 @@ from .rng import STREAM_LINEAGE, STREAM_SIM, replica_stream
 # Replicas per block, and per stream.
 BLOCK = 256
 
-# Fewest blocks per pool process; a map of fewer than 2 * POOL_BLOCKS blocks
-# runs in process.  On 2 cores a 2-process pool breaks even near 9 blocks
-# for fig2 at n = 40 and near 63 for g2 at n = 8; a pool from 32 blocks
-# costs g2 at most 1.3x there, and no pool costs fig2 1.3x just below.
-POOL_BLOCKS = 16
+# Fewest block-generations (blocks x n) per pool process; a map of fewer
+# than 2 * POOL_STEPS runs in process.  On 2 cores a 2-process pool breaks
+# even near 80 blocks of g2 at n = 8 and 12 of fig2 at n = 40.
+POOL_STEPS = 320
+
+# Most blocks in one lockstep run: 8,192 lanes bound a run's arrays.
+RUN_BLOCKS = 32
 
 # Largest population a branch step may produce as an int64.  Above it the
 # total offspring count is a moment-matched normal draw; its distributional
@@ -135,8 +137,13 @@ def draw_env_index(env, rng: np.random.Generator, size: Optional[int] = None):
 
     With size, an array of that many independent indices.
     """
+    return _pick(env, rng.random(size))
+
+
+def _pick(env, u):
+    """The component index of each uniform in u."""
     cum = env.cum_weights
-    return np.minimum(cum.searchsorted(rng.random(size), side="right"), cum.size - 1)
+    return np.minimum(cum.searchsorted(u, side="right"), cum.size - 1)
 
 
 def _exp_int(logz: float) -> int:
@@ -238,27 +245,38 @@ class Populations:
 
 
 def law_step(dist: OffspringDistribution, z: np.ndarray, logz: np.ndarray,
-             rng: np.random.Generator):
+             rngs: List[np.random.Generator], z_mask: np.ndarray, logz_mask: np.ndarray):
     """New (z, logz) after exact populations z and log-z populations logz
     branch once by dist.
 
-    Draws one multinomial over z, then one normal per entry of logz; an
-    empty lane draws nothing.  Every entry of z must be at most
-    EXACT_LIMIT // dist.max_offspring, which Populations.promote ensures.
+    z holds the entries of z_mask, logz those of logz_mask, each mask cut
+    into len(rngs) equal parts: each stream draws a multinomial over its
+    part of z, then a normal per entry of its part of logz; an empty part
+    draws nothing.  Entries of z must be at most EXACT_LIMIT //
+    dist.max_offspring, as Populations.promote ensures.
     """
     if z.size:
-        z = rng.multinomial(z, dist.probs_arr).dot(dist.support_arr)
+        z = np.concatenate([rng.multinomial(part, dist.probs_arr)
+                            for rng, part in _parts(z, z_mask, rngs)]).dot(dist.support_arr)
     if logz.size:
-        logz = logz + _log_step(dist, logz, rng.standard_normal(logz.size))
+        g = np.concatenate([rng.standard_normal(part.size)
+                            for rng, part in _parts(logz, logz_mask, rngs)])
+        logz = logz + _log_step(dist, logz, g)
     return z, logz
 
 
+def _parts(a: np.ndarray, mask: np.ndarray, rngs: list) -> list:
+    """(stream, its nonempty part of a) per stream; a holds mask's entries."""
+    ends = mask.reshape(len(rngs), -1).sum(axis=1).cumsum().tolist()
+    return [(rng, a[lo:hi]) for rng, lo, hi in zip(rngs, [0] + ends, ends) if hi > lo]
+
+
 class Lanes(Populations):
-    """The BLOCK lanes of one block after generation k.
+    """The lanes of a pass of blocks after generation k, BLOCK per block.
 
     llr is each lane's log likelihood ratio so far, idx the components
     drawn at generation k (None at k = 0), tau the first generation with
-    population above the block's take-off threshold (n if none yet), and
+    population above the pass's take-off threshold (n if none yet), and
     normal_steps each lane's count of generations branched in the log-z
     lane.  block_lanes updates the arrays in place; copy what you keep.
     """
@@ -272,46 +290,41 @@ class Lanes(Populations):
 
 
 def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
-                seed: int, block: int,
-                threshold: Optional[int] = None) -> Iterator[Lanes]:
-    """Yield the lanes of one block after each generation 0..n.
+                seed: int, block: int, threshold: Optional[int] = None,
+                blocks: int = 1) -> Iterator[Lanes]:
+    """Yield the lanes of blocks block..block+blocks-1 after each generation 0..n.
 
-    Fully determined by (seed, proposal.stream + block).  Held generations
-    only draw their component and add its ratio; free ones branch every
-    lane by the component it drew.
+    The blocks step together (a lockstep pass), block + j in lanes j BLOCK
+    onward.  Each draws from its stream, proposal.stream + its index, what
+    it draws alone: BLOCK uniforms for the components (held generations stop
+    there), then per component a multinomial and normals (law_step).
     """
-    rng = replica_stream(seed, proposal.stream + block)
+    rngs = [replica_stream(seed, proposal.stream + b) for b in range(block, block + blocks)]
+    size = BLOCK * blocks
     limit = EXACT_LIMIT // max(d.max_offspring for d in env.components)
-    lanes = Lanes.start(z0, limit, BLOCK, llr=np.zeros(BLOCK),
-                        tau=np.full(BLOCK, n),
-                        normal_steps=np.zeros(BLOCK, dtype=np.int64))
+    lanes = Lanes.start(z0, limit, size, llr=np.zeros(size), tau=np.full(size, n),
+                        normal_steps=np.zeros(size, dtype=np.int64))
     check = env.strongly_supercritical
     for k in range(n + 1):
         if k > 0:
             phase = proposal.hold if k <= proposal.m else proposal.free
-            lanes.idx = draw_env_index(phase, rng, BLOCK)
+            lanes.idx = _pick(phase, np.concatenate([rng.random(BLOCK) for rng in rngs]))
             lanes.llr += phase.step_log_lr[lanes.idx]
-            if k > proposal.m:
-                _branch(env, lanes, limit, check, rng)
+        if k > proposal.m:
+            lanes.promote(limit)
+            z, logz, big = lanes.z, lanes.logz, lanes.big
+            lanes.normal_steps += big
+            for i, dist in enumerate(env.components):
+                on = lanes.idx == i
+                exact, normal = on & ~big, on & big
+                zs = z[exact]
+                out, logz[normal] = law_step(dist, zs, logz[normal], rngs, exact, normal)
+                if check:
+                    assert (out >= zs).all(), "population decreased under a no-extinction law"
+                z[exact] = out
         if threshold is not None:
             lanes.tau[(lanes.tau == n) & ~lanes.hit(threshold, "lower")] = k
         yield lanes
-
-
-def _branch(env: EnvironmentLaw, lanes: Lanes, limit: int, check: bool,
-            rng: np.random.Generator) -> None:
-    """One free generation: every lane branches by the component it drew."""
-    lanes.promote(limit)
-    z, logz, big = lanes.z, lanes.logz, lanes.big
-    lanes.normal_steps += big
-    for i, dist in enumerate(env.components):
-        on = lanes.idx == i
-        exact, normal = on & ~big, on & big
-        zs = z[exact]
-        out, logz[normal] = law_step(dist, zs, logz[normal], rng)
-        if check:
-            assert (out >= zs).all(), "population decreased under a no-extinction law"
-        z[exact] = out
 
 
 def run(config: SimConfig, replica: int = 0) -> Trajectory:
@@ -330,40 +343,36 @@ def run(config: SimConfig, replica: int = 0) -> Trajectory:
 
 # --- batched execution -------------------------------------------------
 
-def _map_blocks(worker: Callable, args: tuple, blocks: list) -> list:
-    return [worker(*args, lo, hi) for lo, hi in blocks]
+def processes(replicas: int, workers: int, n: int) -> int:
+    """Processes for replicas of n generations: one per POOL_STEPS blocks x n,
+    at most one per block and workers; 1 is this process, with no pool."""
+    blocks = -(-replicas // BLOCK)
+    return max(1, min(workers, blocks, blocks * n // POOL_STEPS))
 
 
-def processes(replicas: int, workers: int) -> int:
-    """Processes map_replicas runs replicas on: one per POOL_BLOCKS blocks,
-    at most workers; 1 is this process alone, with no pool."""
-    return max(1, min(workers, -(-replicas // BLOCK) // POOL_BLOCKS))
-
-
-def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int) -> list:
-    """[worker(*args, lo, hi) for each block [lo, hi) of range(replicas)].
+def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int, n: int) -> list:
+    """[worker(*args, lo, hi) for each run [lo, hi) of whole blocks of range(replicas)].
 
     Block b spans replicas b * BLOCK up to (b + 1) * BLOCK, the last one cut
-    at replicas.  With processes(replicas, workers) > 1 the blocks are split
-    into contiguous runs, one per process of a pool.  Results come back in
-    block order, and block b always reads its own stream, so any reduction
-    that walks them in order is independent of the worker count.
+    at replicas; a replica runs n generations.  A run holds at most
+    RUN_BLOCKS blocks and a 1 / processes(replicas, workers, n) share of
+    them, on a pool if that is more than one process.  Block b reads its own
+    stream, so the results, in run order, reduce the same for any workers.
     """
     if replicas < 1:
         raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
     if workers < 1:
         raise InvalidArgumentError(f"workers={workers} must be >= 1")
-    blocks = [(lo, min(lo + BLOCK, replicas)) for lo in range(0, replicas, BLOCK)]
-    procs = processes(replicas, workers)
+    procs = processes(replicas, workers, n)
+    step = min(RUN_BLOCKS, -(-replicas // (BLOCK * procs))) * BLOCK
+    runs = [(lo, min(lo + step, replicas)) for lo in range(0, replicas, step)]
     if procs == 1:
-        return _map_blocks(worker, args, blocks)
+        return [worker(*args, lo, hi) for lo, hi in runs]
     # imported here: the pool machinery adds about 20 ms to every import
     from concurrent.futures import ProcessPoolExecutor
-    step = -(-len(blocks) // procs)
     with ProcessPoolExecutor(max_workers=procs) as pool:
-        futures = [pool.submit(_map_blocks, worker, args, blocks[j:j + step])
-                   for j in range(0, len(blocks), step)]
-        return [out for f in futures for out in f.result()]
+        futures = [pool.submit(worker, *args, lo, hi) for lo, hi in runs]
+        return [f.result() for f in futures]
 
 
 class Sample(Populations):
@@ -386,13 +395,14 @@ class Sample(Populations):
 _PER_REPLICA = ("z", "logz", "big", "llr", "tau")
 
 
-def _sample_block(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
-                  seed: int, threshold: Optional[int], capture: bool,
-                  lo: int, hi: int) -> Sample:
-    """The Sample of replicas [lo, hi), which lie in block lo // BLOCK."""
-    size = hi - lo
-    logs = []
-    for lanes in block_lanes(env, n, z0, proposal, seed, lo // BLOCK, threshold):
+def _sample_run(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
+                seed: int, threshold: Optional[int], capture: bool,
+                lo: int, hi: int) -> Sample:
+    """The Sample of replicas [lo, hi), lo a multiple of BLOCK, from one
+    lockstep pass over their blocks."""
+    size, logs = hi - lo, []
+    for lanes in block_lanes(env, n, z0, proposal, seed, lo // BLOCK, threshold,
+                             -(-size // BLOCK)):
         if capture:
             logs.append(lanes.log()[:size])
     return Sample(**{f: getattr(lanes, f)[:size] for f in _PER_REPLICA},
@@ -403,17 +413,17 @@ def _sample_block(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
 def sample(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal, seed: int,
            replicas: int, workers: int = 1, threshold: Optional[int] = None,
            capture: bool = False) -> Sample:
-    """Replicas 0..replicas-1 of proposal's paths, run block by block.
+    """Replicas 0..replicas-1 of proposal's paths, run in lockstep passes.
 
     A take-off step is the first generation with population above
     threshold, n when there is none; capture keeps every log path.
     """
-    blocks = map_replicas(_sample_block, (env, n, z0, proposal, seed, threshold,
-                                          capture), replicas, workers)
-    cat = {f: np.concatenate([getattr(b, f) for b in blocks]) for f in _PER_REPLICA}
+    runs = map_replicas(_sample_run, (env, n, z0, proposal, seed, threshold,
+                                      capture), replicas, workers, n)
+    cat = {f: np.concatenate([getattr(r, f) for r in runs]) for f in _PER_REPLICA}
     return Sample(**cat,
-                  paths=np.concatenate([b.paths for b in blocks]) if capture else None,
-                  normal_steps=sum(b.normal_steps for b in blocks))
+                  paths=np.concatenate([r.paths for r in runs]) if capture else None,
+                  normal_steps=sum(r.normal_steps for r in runs))
 
 
 def run_batch(config: SimConfig, bound: float, side: str = "lower",

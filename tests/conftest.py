@@ -26,7 +26,7 @@ def subcrit_law():
 @pytest.fixture
 def pool_per_block(monkeypatch):
     """One pool process per block, so that any workers > 1 run starts a pool."""
-    monkeypatch.setattr(simulate, "POOL_BLOCKS", 1)
+    monkeypatch.setattr(simulate, "POOL_STEPS", 1)
 
 
 @pytest.fixture

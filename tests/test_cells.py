@@ -248,6 +248,26 @@ def test_more_replicas_extend_fewer(laws, c):
         assert np.array_equal(uniform_leaf_counts(short), uniform_leaf_counts(long)[:37])
 
 
+def random_joint(z, rng):
+    """A coupled sampler that draws: the daughters share a binomial split."""
+    k = rng.binomial(z, 0.5)
+    return z + k, 2 * z - k
+
+
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("joint", [None, random_joint], ids=["independent", "joint"])
+def test_trees_of_two_blocks_match_each_block_alone(n, joint):
+    # n = 2 grows all levels of both blocks' groups together, n = 6 their
+    # first three levels; each group still draws what it draws alone
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=n, law1=law1, law2=law2, c=0.4, seed=4, replicas=2 * BLOCK)
+    both = cells._trees(config, joint, 0, 2 * BLOCK)
+    alone = [cells._trees(config, joint, lo, lo + BLOCK) for lo in (0, BLOCK)]
+    for column, first, second in zip(both, *alone):
+        assert list(column) == list(first) + list(second)
+    assert both[0].std() > 0
+
+
 def test_tree_group_memory_stays_in_budget():
     # trees of 2^8 leaves grow TREE_LEAVES leaves at a time: the last
     # level's cells and their draws take about 64 bytes a leaf; a group of

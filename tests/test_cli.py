@@ -561,7 +561,7 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.7.0"
+GOLDEN_VERSION = "0.8.0"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
         "4b04b44193ef09723c0f7f51636153e750cbde686c9d81382d72745495ce59ce",

@@ -300,18 +300,17 @@ def compose_calls(monkeypatch):
                          ids=["ascending", "descending", "repeated", "mixed"])
 def test_resumed_dp_matches_fresh(monkeypatch, compose_calls, ns):
     # a call resumes from the last one when n has not gone down, runs only
-    # the missing generations, and gives the fresh call's bytes; a call
-    # that runs no generation builds no tables
+    # the missing generations, and gives the fresh call's bytes; the tables
+    # are built once for the key, by its first call, and kept with the slot
     refs = {n: fresh_g2(n) for n in ns}
     built = count_calls(monkeypatch, "_lattice_tables")
     env, done = g2_law(), 0
     for n in ns:
         compose_calls.clear()
-        built.clear()
         assert_same_dp(population_distribution(env, n, cap=200), refs[n])
         ran = n - done if n >= done else n
         assert len(compose_calls) == env.k * ran
-        assert len(built) == (ran > 0)
+        assert len(built) == 1
         done = n
 
 
@@ -402,6 +401,41 @@ def test_block_tables_stay_in_budget(monkeypatch):
     assert dist.prob_eq(1) == 0.25
     assert dist.prob_eq(1000) == pytest.approx(0.25 + 0.5 ** 1001, rel=1e-12)
     assert float(dist.probs.sum()) + dist.overflow == pytest.approx(1.0, abs=1e-12)
+
+
+class Recording(np.ndarray):
+    """A table that records the entries of every product it takes part in."""
+
+    products: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        if ufunc is np.matmul:
+            Recording.products.append(out.size)
+        return out
+
+
+def test_heads_product_splits_within_budget(monkeypatch):
+    # at cap 400 and a 4000-entry budget the baby tables keep 9 rows of 401
+    # entries, so the 45 blocks' heads take 5 products of 9 blocks each
+    env = build_environment([(0.5, {0: 0.2, 1: 0.3, 50: 0.5}), (0.5, {1: 0.5, 2: 0.5})])
+    ref, overflow = kernel_pmf(env, 4, 1, 400)
+    monkeypatch.setattr(oracle, "ENTRY_BUDGET", 4000)
+    tables, build = [], oracle._lattice_tables
+
+    def recording(*args):
+        out = build(*args)
+        tables.extend(a.size for _, _, baby, giant, _ in out for a in (baby, giant))
+        return [(w, g, baby.view(Recording), giant, low) for w, g, baby, giant, low in out]
+
+    monkeypatch.setattr(oracle, "_lattice_tables", recording)
+    calls = count_calls(monkeypatch, "_compose")
+    Recording.products = []
+    dist = population_distribution(env, 4, cap=400)
+    assert max(tables) <= 4000 and max(Recording.products) <= 4000
+    assert len(Recording.products) > len(calls) and Recording.products.count(9 * 401) >= 4
+    np.testing.assert_allclose(dist.probs, ref, rtol=1e-12, atol=1e-300)
+    assert dist.overflow == pytest.approx(overflow, rel=0.0, abs=1e-15)
 
 
 def test_query_above_cap(g2):

@@ -18,8 +18,9 @@ from bpre import (
     run,
     run_batch,
 )
-from bpre import simulate
-from bpre.simulate import BLOCK, POOL_BLOCKS, map_replicas, processes
+from bpre import rare_event, simulate
+from bpre.simulate import (BLOCK, EXACT_LIMIT, POOL_STEPS, RUN_BLOCKS, Populations,
+                            draw_env_index, map_replicas, processes)
 from conftest import event_threshold, exact_lower
 
 
@@ -239,7 +240,7 @@ def test_final_states_without_threshold_has_no_tau(g2):
 
 
 def recording_pool(monkeypatch):
-    """Pool sizes started and the block runs handed to each process."""
+    """Pool sizes started and the run of blocks of each task submitted."""
     started, runs = [], []
 
     class Pool(ProcessPoolExecutor):
@@ -248,7 +249,7 @@ def recording_pool(monkeypatch):
             super().__init__(max_workers)
 
         def submit(self, fn, *args):
-            runs.append(args[-1])
+            runs.append(args[-2:])
             return super().submit(fn, *args)
 
     # map_replicas imports the pool class only when it starts one
@@ -256,40 +257,64 @@ def recording_pool(monkeypatch):
     return started, runs
 
 
+def assert_whole_runs(spans, replicas):
+    """Contiguous runs of whole blocks, in order, covering range(replicas)."""
+    assert spans[0].start == 0 and spans[-1].stop == replicas
+    for run, after in zip(spans, spans[1:]):
+        assert run.stop == after.start
+    for run in spans:
+        assert run.start % BLOCK == 0 and (run.stop % BLOCK == 0 or run.stop == replicas)
+        assert 0 < run.stop - run.start <= RUN_BLOCKS * BLOCK
+
+
 def test_map_replicas_hands_out_whole_blocks(monkeypatch, pool_per_block):
     started, runs = recording_pool(monkeypatch)
     reps = 2 * BLOCK + BLOCK // 2
+    # in process: one call for the one run of all three blocks
+    assert map_replicas(slice, (), reps, 1, 8) == [slice(0, reps)]
     spans = [slice(0, BLOCK), slice(BLOCK, 2 * BLOCK), slice(2 * BLOCK, reps)]
-    assert map_replicas(slice, (), reps, 1) == spans
-    assert map_replicas(slice, (), reps, 8) == spans
-    assert map_replicas(slice, (), BLOCK, 8) == spans[:1]
+    assert map_replicas(slice, (), reps, 8, 8) == spans
+    assert map_replicas(slice, (), BLOCK, 8, 8) == spans[:1]
     # three blocks: at most three processes, one pool for the whole map,
-    # each process a contiguous run of whole blocks
+    # each task a contiguous run of whole blocks
     assert started == [3]
-    assert runs == [[(0, BLOCK)], [(BLOCK, 2 * BLOCK)], [(2 * BLOCK, reps)]]
+    assert runs == [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, reps)]
 
 
-def test_pool_takes_a_process_per_pool_blocks(monkeypatch):
+def test_pool_takes_a_process_per_pool_steps(monkeypatch):
     started, runs = recording_pool(monkeypatch)
-    monkeypatch.setattr(simulate, "POOL_BLOCKS", 2)
-    # seven blocks: three processes of at most two blocks each would leave
-    # one over, so each takes a run of three, the last the remainder
+    monkeypatch.setattr(simulate, "POOL_STEPS", 2)
+    # seven blocks of one generation: three processes of at most two blocks
+    # each would leave one over, so each run takes three, the last the
+    # remainder; seven blocks of two generations take a process each
     reps = 6 * BLOCK + 7
-    assert processes(reps, 8) == 3 and processes(reps, 2) == 2
-    spans = map_replicas(slice, (), reps, 8)
-    assert spans == [slice(lo, min(lo + BLOCK, reps)) for lo in range(0, reps, BLOCK)]
+    assert processes(reps, 8, 1) == 3 and processes(reps, 2, 1) == 2
+    assert processes(reps, 8, 2) == 7 and processes(reps, 9, 5) == 7
+    spans = map_replicas(slice, (), reps, 8, 1)
+    assert spans == [slice(0, 3 * BLOCK), slice(3 * BLOCK, 6 * BLOCK), slice(6 * BLOCK, reps)]
     assert started == [3]
-    assert [[lo for lo, _ in run] for run in runs] == [
-        [0, BLOCK, 2 * BLOCK], [3 * BLOCK, 4 * BLOCK, 5 * BLOCK], [6 * BLOCK]]
-    assert runs[-1][-1] == (6 * BLOCK, reps)
+    assert runs == [(0, 3 * BLOCK), (3 * BLOCK, 6 * BLOCK), (6 * BLOCK, reps)]
+    # no run holds more than RUN_BLOCKS blocks
+    monkeypatch.setattr(simulate, "RUN_BLOCKS", 2)
+    runs.clear()
+    spans = map_replicas(slice, (), reps, 3, 1)
+    assert_whole_runs(spans, reps)
+    assert started == [3, 3]
+    assert runs == [(0, 2 * BLOCK), (2 * BLOCK, 4 * BLOCK), (4 * BLOCK, 6 * BLOCK),
+                    (6 * BLOCK, reps)]
 
 
 def test_small_maps_start_no_pool(monkeypatch):
     started, _ = recording_pool(monkeypatch)
-    below = (2 * POOL_BLOCKS - 1) * BLOCK
-    assert processes(below, 8) == 1 and processes(below + 1, 8) == 2
-    assert processes(10**9, 3) == 3 and processes(10**9, 1) == 1
-    assert len(map_replicas(slice, (), below, 8)) == 2 * POOL_BLOCKS - 1
+    # g2 at n = 8 and fig2 at n = 40: the pool rule counts blocks x n
+    for n in (8, 40):
+        below = -(-2 * POOL_STEPS // n) - 1
+        assert processes(below * BLOCK, 8, n) == 1
+        assert processes((below + 1) * BLOCK, 8, n) == 2
+        spans = map_replicas(slice, (), below * BLOCK, 8, n)
+        assert_whole_runs(spans, below * BLOCK)
+        assert len(spans) == -(-below // RUN_BLOCKS)
+    assert processes(10**9, 3, 8) == 3 and processes(10**9, 1, 8) == 1
     assert started == []
 
 
@@ -305,6 +330,78 @@ def test_run_matches_lanes_of_every_block(fig_law):
         tk = traj.take_off_step(10)
         assert res.tau[r] == (config.n if tk is None else tk)
         assert all(b >= a for a, b in zip(traj.z, traj.z[1:]))
+
+
+def reference_block(env, n, z0, proposal, seed, block, threshold):
+    """One block run alone, drawing in the documented order: per generation
+    BLOCK uniforms for the components, then per component one multinomial
+    over its exact lanes and one normal per log-z lane.
+
+    Returns its lanes, llr, tau, log paths and per-lane log-z generations.
+    """
+    rng = replica_stream(seed, proposal.stream + block)
+    limit = EXACT_LIMIT // max(d.max_offspring for d in env.components)
+    lanes = Populations.start(z0, limit, BLOCK)
+    llr, tau, steps, paths = np.zeros(BLOCK), np.full(BLOCK, n), np.zeros(BLOCK, int), []
+    for k in range(n + 1):
+        if k > 0:
+            phase = proposal.hold if k <= proposal.m else proposal.free
+            idx = draw_env_index(phase, rng, BLOCK)
+            llr += phase.step_log_lr[idx]
+        if k > proposal.m:
+            lanes.promote(limit)
+            steps += lanes.big
+            for i, dist in enumerate(env.components):
+                exact, normal = (idx == i) & ~lanes.big, (idx == i) & lanes.big
+                if exact.any():
+                    lanes.z[exact] = rng.multinomial(lanes.z[exact], dist.probs_arr) @ dist.support_arr
+                if normal.any():
+                    g = rng.standard_normal(int(normal.sum()))
+                    lanes.logz[normal] += simulate._log_step(dist, lanes.logz[normal], g)
+        if threshold is not None:
+            tau[(tau == n) & ~lanes.hit(threshold, "lower")] = k
+        paths.append(lanes.log())
+    return lanes, llr, tau, np.stack(paths, axis=1), steps
+
+
+SAMPLE_CASES = {   # law, n, c, proposal, take-off threshold, capture
+    "tilt-only": ("g2", 20, 0.38, "tilt_only", None, False),
+    "two-phase": ("g2", 20, 0.38, "two_phase", None, False),
+    "threshold": ("g2", 8, 0.4, "two_phase", 10, False),
+    "capture": ("g2", 10, 0.4, "tilt_only", None, True),
+    "fig2-log-lane": ("fig2", 40, 1.1, "naive", 10, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_sample_equals_blocks_run_alone(g2, fig_law, case):
+    # a lockstep pass over three blocks and a partial fourth gives each
+    # block's own draws: the one-block runs of the documented order, cut
+    # at the replica count
+    law, n, c, method, threshold, capture = SAMPLE_CASES[case]
+    env = g2 if law == "g2" else fig_law
+    if method == "naive":
+        proposal = simulate.Proposal.naive(env)
+    else:
+        solve = rare_event._rate_solver(env, c)
+        proposal = rare_event._lower_proposal(env, n, c, 1, method, 0.3, solve)
+        assert (proposal.m > 0) == (method == "two_phase")
+    reps = 3 * BLOCK + 77
+    s = simulate.sample(env, n, 1, proposal, 5, reps, threshold=threshold, capture=capture)
+    blocks = [reference_block(env, n, 1, proposal, 5, b, threshold) for b in range(4)]
+    lanes, llr, tau, paths, steps = (
+        [part[j] for part in blocks] for j in range(5))
+    for name, got in (("z", s.z), ("logz", s.logz), ("big", s.big)):
+        ref = np.concatenate([getattr(part, name) for part in lanes])[:reps]
+        assert np.array_equal(got, ref), name
+    assert np.array_equal(s.llr, np.concatenate(llr)[:reps])
+    assert np.array_equal(s.tau, np.concatenate(tau)[:reps])
+    assert s.normal_steps == int(np.concatenate(steps)[:reps].sum())
+    assert (s.normal_steps > 0) == (law == "fig2")
+    if capture:
+        np.testing.assert_array_equal(s.paths, np.concatenate(paths)[:reps])
+    else:
+        assert s.paths is None
 
 
 def test_replica_paths_do_not_depend_on_replica_count(g2):
