@@ -10,13 +10,11 @@ with few parasites factors as 2^n times the process tail probability.
 Trees grow in groups of S = max(1, min(BLOCK, TREE_LEAVES >> n)), a level
 at a time: group g reads the one stream replica_stream(seed, STREAM_CELLS + g)
 and holds a level of its S trees as one flat array of S * 2^k cells, tree by
-tree.  The groups of a run step together while their level fits in
-TREE_LEAVES cells, then each grows alone; simulate.law_step fills the
-first daughters of all those cells from law1, then the second ones from
-law2, each group from its own stream, in the replica engine's exact int64
-and log-z lanes.  S is a power of two that divides BLOCK, so a group never
-straddles a block, and a partial last group is grown in full: tree r
-depends only on (seed, config, r), for any worker or replica count.
+tree.  simulate.law_step fills the first daughters of all those cells from
+law1, then the second ones from law2, in the block engine's exact int64 and
+log-z lanes.  S is a power of two that divides BLOCK, so a group never
+straddles a map_replicas block, and a partial last group is grown in full:
+tree r depends only on (seed, config, r), for any worker or replica count.
 """
 
 from __future__ import annotations
@@ -77,57 +75,43 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
     its draws in the log-z lane, and the parasites of one uniform leaf.
 
     A group puts the daughters of cell i at 2i and 2i + 1, so the leaves
-    of its tree j are cells j 2^n up to (j + 1) 2^n.  The groups step
-    together (a lockstep pass) while a level of all of them fits in
-    TREE_LEAVES cells, then each grows alone; after the last level one
-    integers draw per group picks its trees' uniform leaves.  lo is a
+    of its tree j are cells j 2^n up to (j + 1) 2^n.  A level draws law1's
+    daughters, then law2's, or calls joint once on all its cells; after the
+    last level one integers draw picks each tree's uniform leaf.  lo is a
     multiple of BLOCK, so the first group starts at tree lo.
     """
     n, laws = config.n, (config.law1, config.law2)
     size = max(1, min(BLOCK, TREE_LEAVES >> n))
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     bounds = [(event_bound(n, config.c, side), side) for side in ("lower", "upper")]
-    rngs = [replica_stream(config.seed, STREAM_CELLS + g)
-            for g in range(lo // size, -(-hi // size))]
-    cells = Populations.start(config.z0, limit, size * len(rngs))
-    normal_steps, level = np.zeros(size * len(rngs), dtype=np.int64), 0
-    while level < n and 2 * cells.z.size <= TREE_LEAVES:
-        cells, level = _level(cells, normal_steps, rngs, laws, joint, limit), level + 1
     groups = []
-    for rng, z, logz, big, steps in zip(rngs, *(np.split(a, len(rngs)) for a in (
-            cells.z, cells.logz, cells.big, normal_steps))):
-        group = Populations(z, logz, big)
-        for _ in range(level, n):
-            group = _level(group, steps, [rng], laws, joint, limit)
+    for g in range(lo // size, -(-hi // size)):
+        rng = replica_stream(config.seed, STREAM_CELLS + g)
+        cells = Populations.start(config.z0, limit, size)
+        normal_steps = np.zeros(size, dtype=np.int64)
+        for _ in range(n):
+            cells.promote(limit)
+            big, exact = cells.big, ~cells.big
+            zs, logzs = cells.z[exact], cells.logz[big]
+            if joint is None:
+                daughters = [law_step(law, zs, logzs, rng) for law in laws]
+            elif big.any():
+                raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
+            else:
+                daughters = [(d, logzs) for d in joint(zs, rng)]
+            normal_steps += 2 * big.reshape(size, -1).sum(axis=1)
+            z, logz = np.zeros((2, big.size), dtype=np.int64), np.zeros((2, big.size))
+            for j, (dz, dlogz) in enumerate(daughters):
+                z[j, exact], logz[j, big] = dz, dlogz
+            cells = Populations(z.T.ravel(), logz.T.ravel(), big.repeat(2))
         picks = (np.arange(size) << n) + rng.integers(1 << n, size=size)
-        counts = [group.hit(*bound).reshape(size, -1).sum(axis=1) for bound in bounds]
-        groups.append((*counts, [group.value(j) for j in picks.tolist()]))
-    below, above, leaves = zip(*groups)
+        counts = [cells.hit(*bound).reshape(size, -1).sum(axis=1) for bound in bounds]
+        groups.append((*counts, normal_steps, [cells.value(j) for j in picks.tolist()]))
+    below, above, normal_steps, leaves = zip(*groups)
     keep = hi - lo
-    return (np.concatenate(below)[:keep], np.concatenate(above)[:keep], normal_steps[:keep],
+    return (np.concatenate(below)[:keep], np.concatenate(above)[:keep],
+            np.concatenate(normal_steps)[:keep],
             [leaf for group in leaves for leaf in group][:keep])
-
-
-def _level(cells: Populations, normal_steps: np.ndarray, rngs: list, laws: tuple,
-           joint: Optional[JointSampler], limit: int) -> Populations:
-    """The next level of equal groups of trees, one stream each: per stream
-    law1's daughters, then law2's (law_step), or one joint call; adds each
-    tree's log-z draws to normal_steps."""
-    cells.promote(limit)
-    big, exact = cells.big, ~cells.big
-    zs, logzs = cells.z[exact], cells.logz[big]
-    if joint is None:
-        daughters = [law_step(law, zs, logzs, rngs, exact, big) for law in laws]
-    elif big.any():
-        raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
-    else:
-        pairs = [joint(part, rng) for rng, part in zip(rngs, np.split(zs, len(rngs)))]
-        daughters = [(np.concatenate(d), logzs) for d in zip(*pairs)]
-    normal_steps += 2 * big.reshape(normal_steps.size, -1).sum(axis=1)
-    z, logz = np.zeros(2 * big.size, dtype=np.int64), np.zeros(2 * big.size)
-    for j, (dz, dlogz) in enumerate(daughters):
-        z[j::2][exact], logz[j::2][big] = dz, dlogz
-    return Populations(z, logz, big.repeat(2))
 
 
 class CellTreeResult(NamedTuple):
@@ -154,7 +138,8 @@ def simulate_cell_tree(config: CellTreeConfig,
     EXACT_LIMIT // (largest offspring count of law1 and law2) parasites
     raises BudgetExceededError.
     """
-    blocks = map_replicas(_trees, (config, joint), config.replicas, workers, config.n)
+    blocks = map_replicas(_trees, (config, joint), config.replicas, workers,
+                          1 << config.n)
     below, above, normal_steps, _ = zip(*blocks)
     below, above, normal_steps = map(np.concatenate, (below, above, normal_steps))
 
@@ -229,7 +214,8 @@ def uniform_leaf_counts(config: CellTreeConfig,
     Marginally these follow the two-environment branching process, which is
     what the lineage consistency test checks against the exact pmf.
     """
-    blocks = map_replicas(_trees, (config, joint), config.replicas, workers, config.n)
+    blocks = map_replicas(_trees, (config, joint), config.replicas, workers,
+                          1 << config.n)
     leaves = [leaf for *_, block in blocks for leaf in block]
     if max(leaves) >= 1 << 63:
         raise BudgetExceededError(

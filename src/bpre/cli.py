@@ -365,10 +365,14 @@ def execute(command: str, effective: dict, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     ctx = _Ctx(out_dir=out_dir, cfg_hash=config_hash(effective), workers=workers)
     started = time.time()
-    artifacts, outputs = _COMMANDS[command][0](env, _Settings(command, section), ctx)
-    # processes the samplers ran on; every sampler reports normal_steps
-    outputs["processes"] = (processes(section["replicas"], workers, section["n"])
-                            if "normal_steps" in outputs else 1)
+    settings = _Settings(command, section)
+    artifacts, outputs = _COMMANDS[command][0](env, settings, ctx)
+    # processes the samplers ran on; every sampler reports normal_steps, and
+    # a cell tree of depth n costs about 2^n generations of a path
+    outputs["processes"] = 1
+    if "normal_steps" in outputs:
+        steps = 1 << settings["n"] if command == "cells" else settings["n"]
+        outputs["processes"] = processes(settings["replicas"], workers, steps)
     record = {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",
         "version": __version__,

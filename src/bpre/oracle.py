@@ -197,9 +197,13 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
     whatever ran before it.  A call on the same env object, z0 and cap as
     the last one, with n at least its n, starts from its final pmf and runs
     only the missing generations, with the tables (_lattice_tables) of the
-    first call on that key that ran one.  The module keeps one pmf (a
-    private copy) and one table set, the pmf and each table at most
-    ENTRY_BUDGET floats, and returns a fresh array.
+    first call on that key that ran one; it returns a fresh array.  Memory,
+    for k laws: the module keeps one pmf (a private copy, cap + 1 floats)
+    and per law a baby table of at most ENTRY_BUDGET floats and a giant of
+    at most cap + 1; a generation adds one _compose heads product of at
+    most ENTRY_BUDGET floats and a few arrays of cap + 1.  A call on
+    another key drops the kept tables before it builds its own, so a call
+    peaks near (k + 1) ENTRY_BUDGET floats.
     """
     global _last
     if n < 0 or z0 < 0 or cap < 0:

@@ -4,11 +4,11 @@ Each (seed, stream id) pair keys an independent Philox stream (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  The replica
 engine gives each block of simulate.BLOCK replicas one stream, keyed by its
 block index, the cell tree one per tree group (see cells), keyed by its
-group index, and the lineage sampler one per replica.  Blocks and groups
-that step together in one numpy pass still draw each from its own
-stream, in the order it draws alone.  Streams never depend on execution
-order, grouping or worker count, which is what makes parallel runs
-byte-for-byte reproducible.
+group index, and the lineage sampler one per replica.  Blocks that step
+together in one numpy pass still draw each from its own stream, in the
+order it draws alone.  Streams never depend on execution order, grouping
+or worker count, which is what makes parallel runs byte-for-byte
+reproducible.
 
 Stream ids partition into disjoint ranges per estimator kind so that, e.g.,
 a naive run and a tilted run with the same seed do not share randomness.

@@ -43,9 +43,10 @@ from .rng import STREAM_LINEAGE, STREAM_SIM, replica_stream
 # Replicas per block, and per stream.
 BLOCK = 256
 
-# Fewest block-generations (blocks x n) per pool process; a map of fewer
-# than 2 * POOL_STEPS runs in process.  On 2 cores a 2-process pool breaks
-# even near 80 blocks of g2 at n = 8 and 12 of fig2 at n = 40.
+# Fewest block-generations (blocks x steps) per pool process; a map of
+# fewer than 2 * POOL_STEPS runs in process.  On 2 cores a 2-process pool
+# breaks even near 64-80 blocks of g2 paths at n = 8 (steps = n), 8-12 of
+# fig2 paths at n = 40, and 3 of g2 cell trees at n = 8 (steps = 2^n).
 POOL_STEPS = 320
 
 # Most blocks in one lockstep run: 8,192 lanes bound a run's arrays.
@@ -244,23 +245,27 @@ class Populations:
             self.logz[grow] = np.log(self.z[grow])
 
 
-def law_step(dist: OffspringDistribution, z: np.ndarray, logz: np.ndarray,
-             rngs: List[np.random.Generator], z_mask: np.ndarray, logz_mask: np.ndarray):
+def law_step(dist: OffspringDistribution, z: np.ndarray, logz: np.ndarray, rng,
+             z_mask: Optional[np.ndarray] = None, logz_mask: Optional[np.ndarray] = None):
     """New (z, logz) after exact populations z and log-z populations logz
     branch once by dist.
 
-    z holds the entries of z_mask, logz those of logz_mask, each mask cut
-    into len(rngs) equal parts: each stream draws a multinomial over its
-    part of z, then a normal per entry of its part of logz; an empty part
-    draws nothing.  Entries of z must be at most EXACT_LIMIT //
-    dist.max_offspring, as Populations.promote ensures.
+    Draws one multinomial over z, then one normal per entry of logz; an
+    empty lane draws nothing.  With masks, rng is a list of streams, z
+    holds the entries of z_mask and logz those of logz_mask, each mask cut
+    into len(rng) equal parts, and each stream makes those draws on its parts.
+    Entries of z must be at most EXACT_LIMIT // dist.max_offspring, as
+    Populations.promote ensures.
     """
     if z.size:
-        z = np.concatenate([rng.multinomial(part, dist.probs_arr)
-                            for rng, part in _parts(z, z_mask, rngs)]).dot(dist.support_arr)
+        counts = (rng.multinomial(z, dist.probs_arr) if z_mask is None else
+                  np.concatenate([r.multinomial(part, dist.probs_arr)
+                                  for r, part in _parts(z, z_mask, rng)]))
+        z = counts.dot(dist.support_arr)
     if logz.size:
-        g = np.concatenate([rng.standard_normal(part.size)
-                            for rng, part in _parts(logz, logz_mask, rngs)])
+        g = (rng.standard_normal(logz.size) if logz_mask is None else
+             np.concatenate([r.standard_normal(part.size)
+                             for r, part in _parts(logz, logz_mask, rng)]))
         logz = logz + _log_step(dist, logz, g)
     return z, logz
 
@@ -343,19 +348,22 @@ def run(config: SimConfig, replica: int = 0) -> Trajectory:
 
 # --- batched execution -------------------------------------------------
 
-def processes(replicas: int, workers: int, n: int) -> int:
-    """Processes for replicas of n generations: one per POOL_STEPS blocks x n,
-    at most one per block and workers; 1 is this process, with no pool."""
+def processes(replicas: int, workers: int, steps: int) -> int:
+    """Processes for replicas of steps generations each: one per POOL_STEPS
+    blocks x steps, at most one per block and workers; 1 is this process,
+    with no pool."""
     blocks = -(-replicas // BLOCK)
-    return max(1, min(workers, blocks, blocks * n // POOL_STEPS))
+    return max(1, min(workers, blocks, blocks * steps // POOL_STEPS))
 
 
-def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int, n: int) -> list:
+def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
+                 steps: int) -> list:
     """[worker(*args, lo, hi) for each run [lo, hi) of whole blocks of range(replicas)].
 
     Block b spans replicas b * BLOCK up to (b + 1) * BLOCK, the last one cut
-    at replicas; a replica runs n generations.  A run holds at most
-    RUN_BLOCKS blocks and a 1 / processes(replicas, workers, n) share of
+    at replicas; a replica costs about steps generations of a path (n for a
+    path, 2^n for a cell tree of depth n).  A run holds at most
+    RUN_BLOCKS blocks and a 1 / processes(replicas, workers, steps) share of
     them, on a pool if that is more than one process.  Block b reads its own
     stream, so the results, in run order, reduce the same for any workers.
     """
@@ -363,9 +371,9 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int, n: 
         raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
     if workers < 1:
         raise InvalidArgumentError(f"workers={workers} must be >= 1")
-    procs = processes(replicas, workers, n)
-    step = min(RUN_BLOCKS, -(-replicas // (BLOCK * procs))) * BLOCK
-    runs = [(lo, min(lo + step, replicas)) for lo in range(0, replicas, step)]
+    procs = processes(replicas, workers, steps)
+    width = min(RUN_BLOCKS, -(-replicas // (BLOCK * procs))) * BLOCK
+    runs = [(lo, min(lo + width, replicas)) for lo in range(0, replicas, width)]
     if procs == 1:
         return [worker(*args, lo, hi) for lo, hi in runs]
     # imported here: the pool machinery adds about 20 ms to every import

@@ -257,8 +257,8 @@ def random_joint(z, rng):
 @pytest.mark.parametrize("n", [2, 6])
 @pytest.mark.parametrize("joint", [None, random_joint], ids=["independent", "joint"])
 def test_trees_of_two_blocks_match_each_block_alone(n, joint):
-    # n = 2 grows all levels of both blocks' groups together, n = 6 their
-    # first three levels; each group still draws what it draws alone
+    # one run of two blocks (one group of 256 trees each at n = 2, 16 of
+    # 64 at n = 6) gives what each block gives alone
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=n, law1=law1, law2=law2, c=0.4, seed=4, replicas=2 * BLOCK)
     both = cells._trees(config, joint, 0, 2 * BLOCK)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from bpre import __version__, lower_deviation_rate, tilt_parameter, walk_rate
-from bpre import InvalidArgumentError, cli, oracle
+from bpre import InvalidArgumentError, cli, oracle, simulate
 from bpre.cli import canonical_json, config_hash, main, parse_grid
 from conftest import g2_law, two_mean_law
 
@@ -658,13 +658,14 @@ def test_normal_steps_reported_outside_artifacts(tmp_path, capsys, command):
 
 SAMPLERS = [("simulate", []), ("estimate-lower", ["--c", "0.4"]),
             ("estimate-upper", ["--c", "1.05"]), ("trajectory", ["--c", "0.4"]),
-            ("takeoff", ["--c", "0.4"]), ("cells", ["--c", "0.4"])]
+            ("takeoff", ["--c", "0.4"]), ("cells", ["--c", "0.4", "--n", "6"])]
 
 
 @pytest.mark.parametrize("command, flags", SAMPLERS, ids=[cmd for cmd, _ in SAMPLERS])
 def test_small_run_starts_no_pool(tmp_path, capsys, monkeypatch, command, flags):
-    # 1000 replicas are 4 blocks, too few for a pool: --workers 2 runs in
-    # process and writes the bytes of --workers 1
+    # 1000 replicas are 4 blocks, too few for a pool (4 x 8 generations of
+    # a path, or 4 x 2^6 of a tree, below 2 POOL_STEPS): --workers 2 runs
+    # in process and writes the bytes of --workers 1
     def no_pool(*args, **kwargs):
         raise AssertionError("a small run started a process pool")
 
@@ -696,3 +697,29 @@ def test_processes_reported_outside_artifacts(tmp_path, capsys, pool_per_block):
         assert read_log(out)[0]["outputs"]["processes"] == procs
         for artifact in echo["artifacts"]:
             assert "processes" not in (out / artifact).read_text()
+
+
+def test_pool_rule_counts_a_tree_as_2_to_the_n_generations(tmp_path, capsys):
+    # 600 replicas are 3 blocks: 3 x 2^8 tree steps pass 2 POOL_STEPS, so
+    # the trees run on 2 processes; 3 x 8 path generations run in process
+    for j, (command, procs) in enumerate((("cells", 2), ("estimate-lower", 1))):
+        out = tmp_path / str(j)
+        assert main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "8",
+                     "--c", "0.4", "--replicas", "600", "--workers", "2",
+                     "--out-dir", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["processes"] == procs
+
+
+@pytest.mark.parametrize("n", ["6", 6.0])
+def test_pool_rule_reads_the_cast_setting(tmp_path, capsys, monkeypatch, n):
+    # a config file's n of "6" or 6.0 runs as 6 in the pool rule too:
+    # 3 blocks x 6 generations at 8 a process are 2 processes
+    monkeypatch.setattr(simulate, "POOL_STEPS", 8)
+    cfg = g2_cfg(tmp_path, estimate_lower={"n": n, "c": 0.4, "replicas": 600})
+    assert main(["estimate-lower", "--config", cfg, "--workers", "8",
+                 "--out-dir", str(tmp_path)]) == 0
+    echo = json.loads(capsys.readouterr().out)
+    record = read_log(tmp_path)[0]
+    assert record["config"]["estimate_lower"]["n"] == n
+    for outputs in (echo["outputs"], record["outputs"]):
+        assert outputs["processes"] == 2 and type(outputs["processes"]) is int
