@@ -94,7 +94,7 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
             big, exact = cells.big, ~cells.big
             zs, logzs = cells.z[exact], cells.logz[big]
             if joint is None:
-                daughters = [law_step(law, zs, logzs, rng) for law in laws]
+                daughters = [law_step(law, zs, logzs, [rng], exact, big) for law in laws]
             elif big.any():
                 raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
             else:
@@ -173,19 +173,14 @@ class IdentityReport(NamedTuple):
 
 
 def expected_count_identity(config: CellTreeConfig,
-                            joint: Optional[JointSampler] = None,
-                            workers: int = 1,
-                            result: Optional[CellTreeResult] = None
-                            ) -> IdentityReport:
-    """Check E(number of small cells) = 2^n P(Z_n <= e^{cn}).
+                            result: CellTreeResult) -> IdentityReport:
+    """Check E(number of small cells) = 2^n P(Z_n <= e^{cn}) on result, a
+    simulate_cell_tree run of config.
 
     The right side comes from the exact distribution of the equiprobable
     two-environment process (exact whenever the laws cannot shrink, which
     covers the supported use; otherwise the truncation bound applies).
-    Pass result to reuse an existing simulation instead of rerunning.
     """
-    if result is None:
-        result = simulate_cell_tree(config, joint=joint, workers=workers)
     k = event_threshold(config.n, config.c)
     dist = population_distribution(config.environment(), config.n,
                                    z0=config.z0, cap=max(k, config.z0))

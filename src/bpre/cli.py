@@ -113,6 +113,20 @@ def _finite(value) -> float:
     return x
 
 
+def _int(value) -> int:
+    """value as an int; InvalidArgument for a bool or a non-integral number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidArgumentError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    """value itself if it is true or false; InvalidArgument for anything else."""
+    if not isinstance(value, bool):
+        raise InvalidArgumentError(f"{value!r} is not true or false")
+    return value
+
+
 # --- command handlers -------------------------------------------------
 
 class _Ctx(NamedTuple):
@@ -283,14 +297,14 @@ def _cmd_cells(env, params: dict, ctx: _Ctx):
 # setting -> (flag, argparse keywords, cast of the flag's or the config's value)
 _SETTINGS = {
     "c_grid": ("--c-grid", {}, parse_grid),
-    "n": ("--n", {"type": int}, int),
-    "z0": ("--z0", {"type": int}, int),
-    "threshold_n": ("--threshold-N", {"type": int}, int),
-    "cap": ("--cap", {"type": int}, int),
+    "n": ("--n", {"type": int}, _int),
+    "z0": ("--z0", {"type": int}, _int),
+    "threshold_n": ("--threshold-N", {"type": int}, _int),
+    "cap": ("--cap", {"type": int}, _int),
     "c": ("--c", {"type": float}, _finite),
-    "threshold": ("--threshold", {"type": int}, int),
+    "threshold": ("--threshold", {"type": int}, _int),
     "tol": ("--tol", {"type": float}, float),
-    "pmf_csv": ("--pmf-csv", {"action": "store_const", "const": True}, bool),
+    "pmf_csv": ("--pmf-csv", {"action": "store_const", "const": True}, _bool),
     "grid": ("--grid", {}, parse_grid),
     "side": ("--side", {"choices": ("lower", "upper")}, str),
     "phase_fraction": ("--phase-fraction", {"type": float}, float),
@@ -351,8 +365,8 @@ def effective_config(command: str, cfg: dict, ns) -> dict:
                                                            cfg.get("seed", 0))
     replicas = ns.replicas if ns.replicas is not None else section.get(
         "replicas", cfg.get("replicas", 10_000))
-    section["seed"] = int(seed)
-    section["replicas"] = int(replicas)
+    section["seed"] = _int(seed)
+    section["replicas"] = _int(replicas)
     _Settings(command, section)
     return {"environments": cfg["environments"], _section_name(command): section}
 

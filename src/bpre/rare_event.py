@@ -90,16 +90,15 @@ def _rate_solver(env: EnvironmentLaw, c: float) -> Callable[[], LowerDeviationRa
     return functools.cache(functools.partial(lower_deviation_rate, env, c))
 
 
-def _lower_tilt_target(env: EnvironmentLaw, c: float,
-                       solve: Optional[Callable[[], LowerDeviationRate]] = None
-                       ) -> float:
-    """Proposal drift for a single-tilt lower-tail run.
+def _tilt_target(env: EnvironmentLaw, c: float,
+                 solve: Optional[Callable[[], LowerDeviationRate]] = None) -> float:
+    """Proposal drift for a single-tilt run toward e^{cn}.
 
-    For c inside the hull the walk itself is steered to c.  Below the
-    minimum log-mean no environment sequence has that drift; the event is
-    carried by paths that hold early and then grow along the limit slope,
-    so the tilt aims at that slope instead of a degenerate corner.  solve,
-    when given, returns lower_deviation_rate(env, c).
+    For c inside the hull, or above it, the walk itself is steered to c.
+    Below the minimum log-mean no environment sequence has that drift; the
+    event is carried by paths that hold early and then grow along the limit
+    slope, so the tilt aims at that slope instead of a degenerate corner.
+    solve, when given, returns lower_deviation_rate(env, c).
     """
     if c > env.log_mean_min or c <= 0.0:
         return c
@@ -123,27 +122,25 @@ def _hold_tables(env: EnvironmentLaw, z0: int) -> Phase:
     return Phase(cum, llr)
 
 
-def _weights(s: Sample, n: int, c: float, side: str = "lower") -> np.ndarray:
-    """exp(llr) of each replica on its side of e^{cn}, and 0 off the event."""
-    return np.exp(s.llr, where=s.hit(event_bound(n, c, side), side),
-                  out=np.zeros(s.llr.size))
+def _weigh(s: Sample, n: int, c: float, seed: int, proposal: Proposal,
+           side: str = "lower") -> Tuple[np.ndarray, EstimatorResult]:
+    """Each replica's weight, exp(llr) on its side of e^{cn} and 0 off the
+    event, and the estimate of the event that the weights make.
 
-
-def _ess(w: np.ndarray) -> float:
-    """Effective sample size (sum w)^2 / sum w^2; 0 for an all-zero sample."""
+    ess is (sum w)^2 / sum w^2, 0 for an all-zero sample; the tilt is the
+    free phase's, None when every generation is held.
+    """
+    w = np.exp(s.llr, where=s.hit(event_bound(n, c, side), side),
+               out=np.zeros(s.llr.size))
     tot, sq = float(w.sum()), float(w @ w)
-    return tot * tot / sq if sq > 0.0 else 0.0
-
-
-def _weights_result(s: Sample, n: int, c: float, seed: int, lam: Optional[float],
-                    hold_steps: int, side: str = "lower") -> EstimatorResult:
-    w = _weights(s, n, c, side)
     stderr = float(w.std(ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
-    return EstimatorResult(
-        estimate=float(w.mean()), stderr=stderr, ess=_ess(w),
-        method=_method(hold_steps), n=n, c=c, replicas=w.size, seed=seed,
-        zero_mass=not w.any(), tilt=lam, hold_steps=hold_steps,
-        normal_steps=s.normal_steps,
+    return w, EstimatorResult(
+        estimate=float(w.mean()), stderr=stderr,
+        ess=tot * tot / sq if sq > 0.0 else 0.0,
+        method=Method.TWO_PHASE if proposal.m > 0 else Method.TILT_ONLY,
+        n=n, c=c, replicas=w.size, seed=seed, zero_mass=not w.any(),
+        tilt=proposal.free.lam if proposal.m < n else None,
+        hold_steps=proposal.m, normal_steps=s.normal_steps,
     )
 
 
@@ -153,10 +150,6 @@ def _event_mass(w: np.ndarray, n: int) -> float:
     if tot == 0.0:
         raise NoEventMassError(f"no replica of {w.size} reached the event at n={n}")
     return tot
-
-
-def _method(hold_steps: int) -> Method:
-    return Method.TWO_PHASE if hold_steps > 0 else Method.TILT_ONLY
 
 
 def _check_env(env: EnvironmentLaw, n: int, c: float, side: str, z0: int) -> None:
@@ -187,9 +180,9 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     zero).
     """
     _check_env(env, n, c, "upper", z0)
-    tl = tilt_toward(env, c)
-    s = sample(env, n, z0, Proposal(free=tl, stream=STREAM_TILT), seed, replicas, workers)
-    return _weights_result(s, n, c, seed, tl.lam, 0, "upper")
+    proposal = _proposal(env, n, c, z0, "tilt_only", None, _rate_solver(env, c))
+    s = sample(env, n, z0, proposal, seed, replicas, workers)
+    return _weigh(s, n, c, seed, proposal, "upper")[1]
 
 
 class LowerTailEstimate(NamedTuple):
@@ -200,20 +193,20 @@ class LowerTailEstimate(NamedTuple):
     take_off: Optional[float]   # hold fraction behind the TwoPhase split
 
 
-def _lower_plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
-                phase_fraction: Optional[float],
-                solve: Callable[[], LowerDeviationRate]
-                ) -> Tuple[Optional[Proposal], Optional[float], Optional[float]]:
-    """Lower-tail proposal of a method, its tilt exponent and its hold fraction.
+def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
+          phase_fraction: Optional[float], solve: Callable[[], LowerDeviationRate]
+          ) -> Tuple[Optional[Proposal], Optional[float]]:
+    """Proposal of a method and its hold fraction; the tilt is proposal.free.lam.
 
-    tilt_only steers every generation toward c.  two_phase holds the first
-    m = round(fraction * n) generations, the fraction being phase_fraction
-    or else the optimal take-off, and steers the rest toward c n / (n - m).
-    That target is c itself at m = 0, so TwoPhase with m = 0 is TiltOnly
-    exactly.  The proposal is None when a law without single-offspring mass
-    is planned a hold that phase_fraction did not ask for; asking for one
-    raises NoHoldingPossibleError.  solve returns lower_deviation_rate(env,
-    c); a _rate_solver shared by a caller's plans solves it at most once.
+    tilt_only steers every generation toward c, and is the upper tail's
+    proposal too.  two_phase holds the first m = round(fraction * n)
+    generations, the fraction being phase_fraction or else the optimal
+    take-off, and steers the rest toward c n / (n - m).  That target is c
+    itself at m = 0, so TwoPhase with m = 0 is TiltOnly exactly.  The
+    proposal is None when a law without single-offspring mass is planned a
+    hold that phase_fraction did not ask for; asking for one raises
+    NoHoldingPossibleError.  solve returns lower_deviation_rate(env, c); a
+    _rate_solver shared by a caller's plans solves it at most once.
     """
     if method == "tilt_only":
         m, frac = 0, None
@@ -234,26 +227,33 @@ def _lower_plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
             raise NoHoldingPossibleError(
                 "no component has single-offspring mass; holding impossible"
             )
-        return None, None, frac
+        return None, frac
     if m == n:
-        tl, lam = tilt(env, 0.0), None   # no free generations to tilt
+        tl = tilt(env, 0.0)   # no free generations to tilt
     else:
-        target = (_lower_tilt_target(env, c, solve) if m == 0
-                  else _lower_tilt_target(env, c * n / (n - m)))
-        tl = tilt_toward(env, target)
-        lam = tl.lam
+        tl = tilt_toward(env, _tilt_target(env, c, solve) if m == 0
+                         else _tilt_target(env, c * n / (n - m)))
     # m = 0 is TiltOnly, on TiltOnly's stream, so the reduction is exact
     stream = STREAM_TWO_PHASE if m > 0 else STREAM_TILT
     hold = _hold_tables(env, z0) if m > 0 else None
-    return Proposal(free=tl, stream=stream, m=m, hold=hold), lam, frac
+    return Proposal(free=tl, stream=stream, m=m, hold=hold), frac
 
 
-def _lower_proposal(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
-                    phase_fraction: Optional[float],
-                    solve: Callable[[], LowerDeviationRate]) -> Proposal:
+def _proposal(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
+              phase_fraction: Optional[float],
+              solve: Callable[[], LowerDeviationRate]) -> Proposal:
     """The method's proposal, TiltOnly where the law cannot hold as planned."""
-    proposal = _lower_plan(env, n, c, z0, method, phase_fraction, solve)[0]
-    return proposal or _lower_plan(env, n, c, z0, "tilt_only", None, solve)[0]
+    proposal = _plan(env, n, c, z0, method, phase_fraction, solve)[0]
+    return proposal or _plan(env, n, c, z0, "tilt_only", None, solve)[0]
+
+
+def _held_zero(n: int, c: float, replicas: int, seed: int) -> EstimatorResult:
+    """The exact estimate of a lower event below z0: a population that
+    cannot shrink never gets there."""
+    return EstimatorResult(
+        estimate=0.0, stderr=0.0, ess=0.0, method=Method.TWO_PHASE, n=n, c=c,
+        replicas=replicas, seed=seed, zero_mass=True, tilt=None, hold_steps=n,
+    )
 
 
 def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
@@ -273,13 +273,8 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     """
     _check_env(env, n, c, "lower", z0)
     if event_bound(n, c) < z0:
-        # population never drops below z0: the event is empty, exactly
-        zero = EstimatorResult(
-            estimate=0.0, stderr=0.0, ess=0.0, method=Method.TWO_PHASE, n=n,
-            c=c, replicas=replicas, seed=seed, zero_mass=True, tilt=None,
-            hold_steps=n,
-        )
-        return LowerTailEstimate(tilt_only=None, two_phase=zero, take_off=1.0)
+        return LowerTailEstimate(tilt_only=None, take_off=1.0,
+                                 two_phase=_held_zero(n, c, replicas, seed))
 
     legs = {}
     used_fraction: Optional[float] = None
@@ -287,13 +282,12 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     for method in ("tilt_only", "two_phase"):
         if method not in methods:
             continue
-        proposal, lam, frac = _lower_plan(env, n, c, z0, method, phase_fraction,
-                                          solve)
+        proposal, frac = _plan(env, n, c, z0, method, phase_fraction, solve)
         if method == "two_phase":
             used_fraction = frac
         if proposal is not None:
             s = sample(env, n, z0, proposal, seed, replicas, workers)
-            legs[method] = _weights_result(s, n, c, seed, lam, proposal.m)
+            legs[method] = _weigh(s, n, c, seed, proposal)[1]
     return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
                              two_phase=legs.get("two_phase"),
                              take_off=used_fraction)
@@ -326,24 +320,24 @@ def rate_curve(env: EnvironmentLaw, c: float, n_list: Sequence[int],
                phase_fraction: Optional[float] = None) -> list:
     """Empirical decay rates -log(estimate)/n over horizons.
 
-    Lower side uses the TwoPhase proposal (TiltOnly when the law has no
-    single-offspring mass), upper side TiltOnly.  A zero estimate is
-    recorded with an infinite rate and the curve stops there.
+    Lower side uses the TwoPhase proposal (TiltOnly where the law cannot
+    hold as planned; a phase_fraction that asks for a hold it cannot make
+    raises NoHoldingPossibleError), upper side TiltOnly.  A zero estimate
+    is recorded with an infinite rate and the curve stops there.
     """
     if side not in ("lower", "upper"):
         raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
+    method = "two_phase" if side == "lower" else "tilt_only"
+    solve = _rate_solver(env, c)   # one solve for every horizon
     points = []
     for n in n_list:
-        if side == "upper":
-            res = estimate_upper_tail(env, n, c, z0=z0, replicas=replicas,
-                                      seed=seed, workers=workers)
+        _check_env(env, n, c, side, z0)
+        if side == "lower" and event_bound(n, c) < z0:
+            res = _held_zero(n, c, replicas, seed)
         else:
-            both = estimate_lower_tail(
-                env, n, c, z0=z0, replicas=replicas, seed=seed,
-                workers=workers, phase_fraction=phase_fraction,
-                methods=("two_phase",) if env.mean_p1 > 0.0 else ("tilt_only",),
-            )
-            res = both.two_phase if both.two_phase is not None else both.tilt_only
+            proposal = _proposal(env, n, c, z0, method, phase_fraction, solve)
+            s = sample(env, n, z0, proposal, seed, replicas, workers)
+            res = _weigh(s, n, c, seed, proposal, side)[1]
         if res.zero_mass:
             points.append(RatePoint(n, c, 0.0, math.inf, math.nan, 0.0,
                                     res.method, True))
@@ -394,19 +388,18 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     tilt_only, the held partial event for two_phase.
     """
     _check_env(env, n, c, "lower", z0)
-    proposal = _lower_proposal(env, n, c, z0, method, phase_fraction,
-                               _rate_solver(env, c))
+    proposal = _proposal(env, n, c, z0, method, phase_fraction, _rate_solver(env, c))
     s = sample(env, n, z0, proposal, seed, replicas, workers, pop_threshold)
-    w = _weights(s, n, c)
+    w, res = _weigh(s, n, c, seed, proposal)
     tot = _event_mass(w, n)
     frac = s.tau / n
     mean, se = _ratio_stats(w, frac)
     on = w > 0.0
     return TakeOffResult(
-        mean_fraction=mean, stderr=se, ess=_ess(w), event_estimate=float(w.mean()),
+        mean_fraction=mean, stderr=se, ess=res.ess, event_estimate=res.estimate,
         fractions=frac[on], weights=w[on] / tot, n=n, c=c,
         pop_threshold=pop_threshold, replicas=replicas, seed=seed,
-        method=_method(proposal.m), normal_steps=s.normal_steps,
+        method=res.method, normal_steps=res.normal_steps,
     )
 
 
@@ -452,8 +445,8 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     grid_idx = np.minimum(n, np.floor(grid_arr * n + 1e-9).astype(np.int64))
     steps = np.arange(n + 1) / n
 
+    solve = _rate_solver(env, c)
     if side == "lower":
-        solve = _rate_solver(env, c)
         ldr = solve() if c > 0.0 else None
         if ldr is not None:
             ref_at_k = np.array([limit_profile(ldr, t) for t in steps])
@@ -461,15 +454,15 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
         else:
             ref_at_k = np.zeros(n + 1)
             reference = np.zeros(grid_arr.size)
-        proposal = _lower_proposal(env, n, c, z0, method or "two_phase",
-                                   phase_fraction, solve)
+        method = method or "two_phase"
     else:
         ref_at_k = c * steps
         reference = c * grid_arr
-        proposal = Proposal(free=tilt_toward(env, c), stream=STREAM_TILT)
+        method = "tilt_only"
 
+    proposal = _proposal(env, n, c, z0, method, phase_fraction, solve)
     s = sample(env, n, z0, proposal, seed, replicas, workers, capture=True)
-    w = _weights(s, n, c, side)
+    w, res = _weigh(s, n, c, seed, proposal, side)
     _event_mass(w, n)
     # replicas of zero weight add nothing to a weighted mean: drop them
     on = w > 0.0
@@ -483,7 +476,7 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     return TrajectoryProfile(
         grid=grid_arr, values=values, stderr=stderr, reference=reference,
         sup_distance=d_mean, sup_distance_stderr=d_se,
-        ess=_ess(w), event_estimate=float(w.mean()),
-        n=n, c=c, replicas=replicas, seed=seed, method=_method(proposal.m),
-        normal_steps=s.normal_steps,
+        ess=res.ess, event_estimate=res.estimate,
+        n=n, c=c, replicas=replicas, seed=seed, method=res.method,
+        normal_steps=res.normal_steps,
     )

@@ -16,8 +16,9 @@ In that log-z lane the step is the moment-matched normal
 z' = z * mean + g * sqrt(z * variance), written as
 log z' = log z + log(mean + g * sd * exp(-log z / 2)); it cannot
 overflow.  Threshold tests compare exact lanes as integers and log-z
-lanes in log space.  law_step branches both lanes by one offspring law;
-it is the one branching step of the replica engine and of the cell tree.
+lanes in log space.  law_step branches both lanes by one offspring law,
+each stream on its part of the lanes; it is the one branching step of the
+replica engine, of the cell tree and of branch_step.
 
 Every block is simulated in full, so replica r's path depends only on
 (seed, stream, r): results are byte-identical for any worker count, and a
@@ -163,22 +164,6 @@ def _log_step(dist: OffspringDistribution, logz, g):
     return np.log(np.minimum(np.maximum(ratio, dist.min_offspring), dist.max_offspring))
 
 
-def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -> int:
-    """Total offspring of z individuals reproducing independently via dist."""
-    if z < 0:
-        raise InvalidArgumentError(f"population {z} is negative")
-    if z == 0:
-        return 0
-    if len(dist.support) == 1:
-        return z * dist.support[0]
-    if z <= EXACT_LIMIT:
-        counts = rng.multinomial(int(z), dist.probs_arr)
-        # the k-weighted sum can exceed int64, so accumulate in Python ints
-        return sum(int(k) * int(c) for k, c in zip(dist.support, counts) if c)
-    logz = math.log(z)
-    return _exp_int(logz + float(_log_step(dist, logz, rng.standard_normal())))
-
-
 def _clamp_int64(value: int) -> int:
     return max(-_INT64_MAX, min(value, _INT64_MAX))
 
@@ -245,29 +230,44 @@ class Populations:
             self.logz[grow] = np.log(self.z[grow])
 
 
-def law_step(dist: OffspringDistribution, z: np.ndarray, logz: np.ndarray, rng,
-             z_mask: Optional[np.ndarray] = None, logz_mask: Optional[np.ndarray] = None):
+def law_step(dist: OffspringDistribution, z: np.ndarray, logz: np.ndarray, rngs: list,
+             z_mask: np.ndarray, logz_mask: np.ndarray):
     """New (z, logz) after exact populations z and log-z populations logz
     branch once by dist.
 
-    Draws one multinomial over z, then one normal per entry of logz; an
-    empty lane draws nothing.  With masks, rng is a list of streams, z
-    holds the entries of z_mask and logz those of logz_mask, each mask cut
-    into len(rng) equal parts, and each stream makes those draws on its parts.
-    Entries of z must be at most EXACT_LIMIT // dist.max_offspring, as
-    Populations.promote ensures.
+    z holds the entries of z_mask and logz those of logz_mask, each mask
+    cut into len(rngs) equal parts.  Each stream draws one multinomial over
+    its part of z, then one normal per entry of its part of logz; an empty
+    part draws nothing.  Entries of z must be at most
+    EXACT_LIMIT // dist.max_offspring, as Populations.promote ensures.
     """
     if z.size:
-        counts = (rng.multinomial(z, dist.probs_arr) if z_mask is None else
-                  np.concatenate([r.multinomial(part, dist.probs_arr)
-                                  for r, part in _parts(z, z_mask, rng)]))
+        counts = np.concatenate([r.multinomial(part, dist.probs_arr)
+                                 for r, part in _parts(z, z_mask, rngs)])
         z = counts.dot(dist.support_arr)
     if logz.size:
-        g = (rng.standard_normal(logz.size) if logz_mask is None else
-             np.concatenate([r.standard_normal(part.size)
-                             for r, part in _parts(logz, logz_mask, rng)]))
+        g = np.concatenate([r.standard_normal(part.size)
+                            for r, part in _parts(logz, logz_mask, rngs)])
         logz = logz + _log_step(dist, logz, g)
     return z, logz
+
+
+def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -> int:
+    """Total offspring of z individuals reproducing independently via dist.
+
+    One lane of law_step: exact while z <= EXACT_LIMIT // dist.max_offspring,
+    the log-z step above, rounded to an int as Populations.value does.  A
+    one-point law needs no draw and stays exact at any z.
+    """
+    if z < 0:
+        raise InvalidArgumentError(f"population {z} is negative")
+    if len(dist.support) == 1:
+        return z * dist.support[0]
+    lane = Populations.start(z, EXACT_LIMIT // dist.max_offspring, 1)
+    exact, big = ~lane.big, lane.big
+    lane.z[exact], lane.logz[big] = law_step(dist, lane.z[exact], lane.logz[big], [rng],
+                                             exact, big)
+    return lane.value(0)
 
 
 def _parts(a: np.ndarray, mask: np.ndarray, rngs: list) -> list:

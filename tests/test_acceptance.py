@@ -27,6 +27,7 @@ from bpre import (
     lower_deviation_rate,
     population_distribution,
     rate_curve,
+    simulate_cell_tree,
     take_off_statistics,
     tilt_parameter,
     two_env_walk_rate,
@@ -326,7 +327,8 @@ def test_criterion_12_cell_count_identity():
     for j, c in enumerate((0.3, 0.4, 0.5)):
         config = CellTreeConfig(n=8, law1=law1, law2=law2, c=c, seed=1200 + j,
                                 replicas=600)
-        report = expected_count_identity(config, workers=8)
+        result = simulate_cell_tree(config, workers=8)
+        report = expected_count_identity(config, result=result)
         zs[c] = report.z_score
     ok = all(abs(z) <= 3.0 for z in zs.values())
     detail = " ".join(f"c={c}:z={z:+.2f}" for c, z in zs.items())

@@ -1,0 +1,69 @@
+"""The names and call shapes that the benchmark in bench/ takes from bpre.
+
+bench/ changes only with the benchmark itself, so bpre keeps what it uses:
+the names it imports from bpre modules, the functions its traced pass
+wraps (bench/layers.py's TRACED table), and the argument shapes of the
+calls it times.  A rename or a signature change in src/bpre would break
+the benchmark without failing any other test.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+from bpre.cells import expected_count_identity
+from bpre.simulate import branch_step
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_imports():
+    """(file, module, name) of every `from bpre... import name` in bench/."""
+    found = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "bpre"):
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+    return found
+
+
+def traced():
+    """(module, function) of every entry of bench/layers.py's TRACED."""
+    for node in ast.parse((BENCH / "layers.py").read_text()).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+        if isinstance(node, ast.Assign) and targets == ["TRACED"]:
+            return [(module, name) for module, names in ast.literal_eval(node.value).items()
+                    for name in names]
+    raise AssertionError("bench/layers.py has no TRACED table")
+
+
+def resolves(module: str, name: str) -> bool:
+    """`from module import name` works: an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_bench_imports_resolve():
+    names = bench_imports()
+    assert {module for _, module, _ in names} >= {"bpre", "bpre.simulate", "bpre.cells"}
+    assert [entry for entry in names if not resolves(*entry[1:])] == []
+
+
+def test_traced_functions_resolve():
+    entries = traced()
+    assert ("bpre.cells", "expected_count_identity") in entries
+    assert [(module, name) for module, name in entries
+            if not callable(getattr(importlib.import_module(module), name, None))] == []
+
+
+def test_bench_call_shapes_bind():
+    # bench/layers.py: expected_count_identity(tree, result=res), branch_step(z, law, rng)
+    inspect.signature(expected_count_identity).bind("tree", result="res")
+    inspect.signature(branch_step).bind("z", "law", "rng")

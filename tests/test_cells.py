@@ -82,7 +82,7 @@ def test_below_above_partition():
 def test_identity_matches_exact_marginal():
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=8, law1=law1, law2=law2, c=0.4, seed=12, replicas=400)
-    report = expected_count_identity(config, workers=4)
+    report = expected_count_identity(config, simulate_cell_tree(config, workers=4))
     assert report.probability == pytest.approx(0.012010430361483361, abs=1e-12)
     assert report.expected == pytest.approx(2.0**8 * report.probability, rel=1e-12)
     assert abs(report.z_score) <= 3.0
@@ -161,7 +161,7 @@ def test_tree_at_depth_max():
 def test_identity_at_depth_12():
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=12, law1=law1, law2=law2, c=0.4, seed=12, replicas=400)
-    report = expected_count_identity(config, workers=2)
+    report = expected_count_identity(config, simulate_cell_tree(config, workers=2))
     env = build_environment([(0.5, law1.pmf_dict()), (0.5, law2.pmf_dict())])
     exact = population_distribution(env, 12, cap=121).prob_le(121)
     assert report.threshold == 121

@@ -336,12 +336,25 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "--config" in json.loads(capsys.readouterr().err)["message"]
 
 
-@pytest.mark.parametrize("section", [{"n": "eight", "c": 0.4}, {"n": 8, "c": [0.4]},
-                                     {"c": 0.4}], ids=["n", "c", "missing-n"])
-def test_malformed_setting_exits_2(tmp_path, capsys, section):
-    cfg = g2_cfg(tmp_path, oracle=section)
+OK_ORACLE = {"n": 8, "c": 0.4}
+
+
+@pytest.mark.parametrize("sections", [
+    {"oracle": {"n": "eight", "c": 0.4}}, {"oracle": {"n": 8, "c": [0.4]}},
+    {"oracle": {"c": 0.4}},
+    # an int setting takes no bool and no fraction; pmf_csv takes only true/false
+    {"oracle": {"n": 8.7, "c": 0.4}}, {"oracle": {"n": True, "c": 0.4}},
+    {"oracle": {**OK_ORACLE, "pmf_csv": "false"}},
+    {"oracle": {**OK_ORACLE, "seed": 1.5}}, {"oracle": OK_ORACLE, "seed": 2.5},
+    {"oracle": OK_ORACLE, "replicas": True},
+], ids=["n", "c", "missing-n", "n-fraction", "n-bool", "pmf_csv-string",
+        "section-seed-fraction", "seed-fraction", "replicas-bool"])
+def test_malformed_setting_exits_2(tmp_path, capsys, sections):
+    cfg = g2_cfg(tmp_path, **sections)
     assert main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-    assert json.loads(capsys.readouterr().err)["kind"] == "config"
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and err["error"] == "InvalidArgument"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("args", [

@@ -151,8 +151,16 @@ def test_lower_zero_phase_reduces_to_tilt_only(g2):
         assert res.two_phase.stderr == res.tilt_only.stderr
         assert res.two_phase.ess == res.tilt_only.ess
         assert res.two_phase.tilt == res.tilt_only.tilt
-        off = take_off_statistics(g2, n, c, replicas=2_000, seed=3, method="tilt_only")
-        assert off.event_estimate == res.tilt_only.estimate
+        # the readers weigh the same sample as the estimator's leg of their method
+        default = estimate_lower_tail(g2, n, c, replicas=2_000, seed=3)
+        for method, leg in (("tilt_only", res.tilt_only), (None, default.two_phase)):
+            kw = {"replicas": 2_000, "seed": 3, **({"method": method} if method else {})}
+            for reader in (take_off_statistics(g2, n, c, **kw),
+                           conditional_profile(g2, n, c, **kw)):
+                assert reader.event_estimate == leg.estimate
+                assert reader.ess == leg.ess
+                assert reader.normal_steps == leg.normal_steps
+                assert reader.method is leg.method
 
 
 def test_lower_two_phase_with_larger_start(g2):
@@ -198,6 +206,8 @@ def test_lower_no_holding_law(no_hold):
         estimate_lower_tail(no_hold, 8, 0.75, replicas=10, seed=2, phase_fraction=0.5)
     with pytest.raises(NoHoldingPossibleError):
         take_off_statistics(no_hold, 8, 0.75, replicas=10, seed=2, phase_fraction=0.5)
+    with pytest.raises(NoHoldingPossibleError):
+        rate_curve(no_hold, 0.75, [8], phase_fraction=0.5)
     for method in (None, "two_phase"):
         with pytest.raises(NoHoldingPossibleError):
             conditional_profile(no_hold, 8, 0.75, replicas=10, seed=2,

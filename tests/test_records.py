@@ -46,6 +46,7 @@ def records(g2):
     cells = CellTreeConfig(n=3, law1=g2.components[0], law2=g2.components[1], c=0.4,
                            replicas=4)
     lower = estimate_lower_tail(g2, 6, 0.4, replicas=20, seed=1)
+    tree = simulate_cell_tree(cells)
     return [
         lower_deviation_rate(g2, 0.4),
         lower,
@@ -57,8 +58,8 @@ def records(g2):
         rate_curve(g2, 0.4, [6], replicas=20, seed=1)[0],
         take_off_statistics(g2, 6, 0.4, replicas=20, seed=1),
         conditional_profile(g2, 6, 0.4, replicas=20, seed=1),
-        simulate_cell_tree(cells),
-        expected_count_identity(cells),
+        tree,
+        expected_count_identity(cells, tree),
         cli._Ctx(out_dir=".", cfg_hash="0" * 64, workers=1),
     ]
 

@@ -29,6 +29,7 @@ def test_branch_step_trivial():
     rng = replica_stream(0, 0)
     assert branch_step(0, d, rng) == 0
     assert branch_step(5, d, rng) == 10
+    assert branch_step(1 << 70, d, rng) == 1 << 71   # a one-point law stays exact
     with pytest.raises(ValueError):
         branch_step(-1, d, rng)
 
@@ -46,11 +47,12 @@ def test_branch_step_mean_band():
 def test_branch_step_huge_population_moment_match():
     d = build_offspring({1: 0.5, 2: 0.5})
     rng = replica_stream(0, 1)
-    z = 1 << 63
-    out = branch_step(z, d, rng)
-    assert z <= out <= 2 * z
-    # relative fluctuation is ~sqrt(z)/z, invisible at this scale
-    assert abs(out / z - 1.5) <= 1e-6
+    # past EXACT_LIMIT // 2 the lane is log z, like the engine's
+    for z in (1 << 62, 1 << 63):
+        out = branch_step(z, d, rng)
+        assert z <= out <= 2 * z
+        # relative fluctuation is ~sqrt(z)/z, invisible at this scale
+        assert abs(out / z - 1.5) <= 1e-6
     # past float range (2^1024) the step still returns an int
     out = branch_step(1 << 1100, d, rng)
     assert abs(math.log(out) - math.log(1.5) - 1100 * math.log(2.0)) <= 1e-9
@@ -384,7 +386,7 @@ def test_sample_equals_blocks_run_alone(g2, fig_law, case):
         proposal = simulate.Proposal.naive(env)
     else:
         solve = rare_event._rate_solver(env, c)
-        proposal = rare_event._lower_proposal(env, n, c, 1, method, 0.3, solve)
+        proposal = rare_event._proposal(env, n, c, 1, method, 0.3, solve)
         assert (proposal.m > 0) == (method == "two_phase")
     reps = 3 * BLOCK + 77
     s = simulate.sample(env, n, 1, proposal, 5, reps, threshold=threshold, capture=capture)
