@@ -90,7 +90,7 @@ def parse_grid(spec) -> list:
     """Accept a list, "lo:hi:step", or a comma-separated list of values."""
     text = str(spec)
     if isinstance(spec, (list, tuple)):
-        grid = [float(x) for x in spec]
+        grid = [_float(x) for x in spec]
     elif ":" in text:
         lo, hi, step = (float(x) for x in text.split(":"))
         span = (hi - lo) / step if step > 0 else math.nan
@@ -105,9 +105,16 @@ def parse_grid(spec) -> list:
     return grid
 
 
+def _float(value) -> float:
+    """value as a float; a bool is no number."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _finite(value) -> float:
     """value as a float; InvalidArgument for NaN or an infinity."""
-    x = float(value)
+    x = _float(value)
     if not math.isfinite(x):
         raise InvalidArgumentError(f"{value!r} is not a finite number")
     return x
@@ -303,11 +310,11 @@ _SETTINGS = {
     "cap": ("--cap", {"type": int}, _int),
     "c": ("--c", {"type": float}, _finite),
     "threshold": ("--threshold", {"type": int}, _int),
-    "tol": ("--tol", {"type": float}, float),
+    "tol": ("--tol", {"type": float}, _float),
     "pmf_csv": ("--pmf-csv", {"action": "store_const", "const": True}, _bool),
     "grid": ("--grid", {}, parse_grid),
     "side": ("--side", {"choices": ("lower", "upper")}, str),
-    "phase_fraction": ("--phase-fraction", {"type": float}, float),
+    "phase_fraction": ("--phase-fraction", {"type": float}, _float),
     "method": ("--method", {"choices": ("tilt_only", "two_phase")}, str),
 }
 
@@ -333,11 +340,23 @@ _COMMANDS = {
 }
 
 
+_CASTS = {"seed": _int, "replicas": _int, **{key: spec[2] for key, spec in _SETTINGS.items()}}
+
+
+def _cast(key: str, value):
+    """value through key's cast, if it has one; InvalidArgument for a value
+    the cast refuses."""
+    try:
+        return _CASTS[key](value) if key in _CASTS else value
+    except (TypeError, ValueError) as err:
+        raise InvalidArgumentError(f"setting {key!r}: {err}") from err
+
+
 class _Settings(dict):
     """A config section with each setting given cast once; null is unset."""
 
     def __init__(self, command: str, section: dict):
-        super().__init__((key, _SETTINGS[key][2](value) if key in _SETTINGS else value)
+        super().__init__((key, _cast(key, value))
                          for key, value in section.items() if value is not None)
         self.command = command
 

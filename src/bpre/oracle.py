@@ -14,12 +14,12 @@ steps, then a Horner pass.  The DP keeps its last call's final pmf and
 its laws' tables and resumes from them, bytes unchanged.
 
 Environments are i.i.d. across generations, so under the annealed law Z is
-a Markov chain with one kernel M = sum_i w_i T_i; the trajectory oracle is
-a forward and a backward pass over M on the states at or below the event
-threshold.  M's rows and the DP's blocks are pgf powers F^z from one helper,
-_powers.  A dense table (the kernel, the DP's pmf) holds at most
-ENTRY_BUDGET floats, 32 MB, and a population DP at most WORK_BUDGET
-estimated multiply-adds; a larger one raises BudgetExceeded up front.
+a Markov chain; the trajectory oracle is a forward pass over it and a
+backward one, by the transposed composition, on the states at or below the
+event threshold.  Both oracles build their tables by _lattice_tables, step
+forward by _generation and pass one guard, _budget: a dense table holds at
+most ENTRY_BUDGET floats (32 MB) and the passes at most WORK_BUDGET
+estimated multiply-adds, or the call raises BudgetExceeded up front.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .envmodel import EnvironmentLaw, OffspringDistribution
+from .envmodel import EnvironmentLaw
 from .errors import (
     BudgetExceededError,
     CapTooSmallError,
@@ -91,21 +91,6 @@ class ExactDistribution(NamedTuple):
         return 1.0 - self.prob_le(k - 1, tol)
 
 
-def _pmf_poly(dist: OffspringDistribution) -> np.ndarray:
-    f = np.zeros(dist.max_offspring + 1)
-    for k, p in zip(dist.support, dist.probs):
-        f[k] = p
-    return f
-
-
-def _powers(f: np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """F^0, F^1, ... for pgf coefficients f, each cut (exactly) to width."""
-    row = np.ones(1)
-    while True:
-        yield row
-        row = np.convolve(row, f)[:width]
-
-
 def _compose(v: np.ndarray, baby: np.ndarray, giant: np.ndarray,
              low: int, cap: int) -> np.ndarray:
     """Coefficients of V(F(s)) up to degree cap, V(s) = sum_j v[j] s^j.
@@ -142,6 +127,36 @@ def _compose(v: np.ndarray, baby: np.ndarray, giant: np.ndarray,
     return out
 
 
+def _compose_t(u: np.ndarray, baby: np.ndarray, giant: np.ndarray,
+               low: int, size: int) -> np.ndarray:
+    """Transpose of _compose: out[z] = sum_j [F^z]_j u[j] for z < size.
+
+    With z = bB + r, F^z = G^b F^r, so out[bB + r] = baby[r] . u_b, where
+    u_0 = u and u_{b+1}[m] = sum_l G[l] u_b[m + l] is u_b correlated with
+    G's nonzero tail, shifted by B low (Tellegen's principle; Bostan, Lecerf
+    & Schost 2003).  u_b has len(u) - bB low entries; blocks past it are 0.
+    """
+    rows, width = baby.shape
+    shift = rows * low
+    tail = giant[shift:][::-1]
+    out = np.zeros(size + rows)
+    for start in range(0, size, rows):
+        out[start: start + rows] = baby[:, : u.size] @ u[:width]
+        if u.size <= shift or start + rows >= size:
+            break
+        u = np.convolve(u, tail)[tail.size - 1 + shift: tail.size - 1 + u.size]
+    return out[:size]
+
+
+def _generation(v: np.ndarray, tables: list, cap: int) -> np.ndarray:
+    """Z_{k+1}'s pmf on 0..cap from Z_k's, v: one _compose per law."""
+    new = np.zeros(cap + 1)
+    for w, g, baby, giant, low in tables:
+        out = _compose(v, baby, giant, low, cap // g)
+        new[: g * out.size: g] += w * out
+    return new
+
+
 def _dp_work(env: EnvironmentLaw, n: int, z0: int, cap: int, rows: int) -> int:
     """Upper bound on the multiply-adds of _compose's convolutions over n
     generations.
@@ -163,6 +178,23 @@ def _dp_work(env: EnvironmentLaw, n: int, z0: int, cap: int, rows: int) -> int:
     return work
 
 
+def _budget(env: EnvironmentLaw, n: int, z0: int, cap: int, entries: int,
+            passes: int = 1) -> int:
+    """Baby-step rows of a DP on 0..cap; BudgetExceeded, before any table is
+    built, for a dense table of more than ENTRY_BUDGET entries or for passes
+    of n generations from z0 past WORK_BUDGET multiply-adds (_dp_work)."""
+    if entries > ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"{entries} table entries at cap={cap} exceed the {ENTRY_BUDGET} budget")
+    rows = min(BLOCK_ROWS, cap + 1, ENTRY_BUDGET // (cap + 1))
+    work = passes * _dp_work(env, n, z0, cap, rows)
+    if work > WORK_BUDGET:
+        raise BudgetExceededError(
+            f"DP at n={n}, cap={cap} needs about {work:.3g} "
+            f"multiply-adds, past the {WORK_BUDGET:.3g} budget")
+    return rows
+
+
 def _lattice_tables(env: EnvironmentLaw, cap: int, rows: int) -> list:
     """Per law (weight, g, baby, giant, low) for _compose on the lattice.
 
@@ -173,13 +205,14 @@ def _lattice_tables(env: EnvironmentLaw, cap: int, rows: int) -> list:
     tables = []
     for w, d in zip(env.weights, env.components):
         g = math.gcd(*d.support)
-        top = cap // g
-        baby = np.zeros((rows, min(top + 1, (rows - 1) * (d.max_offspring // g) + 1)))
-        powers = _powers(_pmf_poly(d)[::g], top + 1)
-        for row, power in zip(baby, powers):
+        q = np.zeros(d.max_offspring // g + 1)
+        q[d.support_arr // g] = d.probs_arr
+        baby = np.zeros((rows, min(cap // g + 1, (rows - 1) * (q.size - 1) + 1)))
+        power = np.ones(1)
+        for row in baby:
             row[: power.size] = power
-        # zip stopped at baby's end without drawing: next(powers) is Q^rows
-        tables.append((w, g, baby, next(powers), d.min_offspring // g))
+            power = np.convolve(power, q)[: cap // g + 1]
+        tables.append((w, g, baby, power, d.min_offspring // g))   # power is Q^rows
     return tables
 
 
@@ -210,15 +243,7 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
         raise InvalidArgumentError(f"n={n}, z0={z0} and cap={cap} must be >= 0")
     if cap < z0:
         raise CapTooSmallError(f"cap={cap} below initial population z0={z0}")
-    if cap + 1 > ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"pmf at cap={cap} exceeds {ENTRY_BUDGET} entries")
-    rows = min(BLOCK_ROWS, cap + 1, ENTRY_BUDGET // (cap + 1))
-    work = _dp_work(env, n, z0, cap, rows)
-    if work > WORK_BUDGET:
-        raise BudgetExceededError(
-            f"population DP at n={n}, cap={cap} needs about {work:.3g} "
-            f"multiply-adds, past the {WORK_BUDGET:.3g} budget")
+    rows = _budget(env, n, z0, cap, cap + 1)
     key = (env, z0, cap, rows)   # env compares by identity
     last_key, start, v, overflow, tables = _last
     if last_key != key:   # free the last key's tables before this key builds its own
@@ -229,10 +254,7 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
     if tables is None and start < n:
         tables = _lattice_tables(env, cap, rows)
     for _ in range(start, n):
-        new = np.zeros(cap + 1)
-        for w, g, baby, giant, low in tables:
-            out = _compose(v, baby, giant, low, cap // g)
-            new[: g * out.size: g] += w * out
+        new = _generation(v, tables, cap)
         overflow += max(0.0, float(v.sum() - new.sum()))
         v = new
     _last = (key, n, v.copy(), overflow, tables)
@@ -327,27 +349,17 @@ class ConditionalTrajectoryResult(NamedTuple):
     profile: Optional[np.ndarray]
 
 
-def _kernel(env: EnvironmentLaw, cap: int) -> np.ndarray:
-    """M = sum_i w_i T_i on 0..cap; row z of T_i is law i's z-fold convolution."""
-    if (cap + 1) ** 2 > ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"kernel at cap={cap} exceeds {ENTRY_BUDGET} entries")
-    m = np.zeros((cap + 1, cap + 1))
-    for w, d in zip(env.weights, env.components):
-        for row, power in zip(m, _powers(_pmf_poly(d), cap + 1)):
-            row[: power.size] += w * power
-    return m
-
-
 def conditional_trajectory(env: EnvironmentLaw, n: int, c: float,
                            z0: int = 1) -> ConditionalTrajectoryResult:
     """Exact P(Z_n <= T) and E[(1/n) log Z_k | Z_n <= T], T = floor(e^{cn}).
 
-    fwd[k] is the law of Z_k under the annealed kernel M and beta_k[z] =
-    P(Z_n <= T | Z_k = z), so fwd[k] @ (beta_k * log z) is the joint mass.
-    The law must not shrink (log of an extinct population is undefined), so
-    a state above T never re-enters the event: M is kept on 0..T, (T + 1)^2
-    entries, at most ENTRY_BUDGET.
+    fwd[k] is the law of Z_k and beta_k[z] = P(Z_n <= T | Z_k = z), so
+    fwd[k] @ (beta_k * log z) is the joint mass.  The law must not shrink
+    (log of an extinct population is undefined), so a state above T never
+    re-enters the event: both passes run on 0..T with the DP's tables, the
+    backward one by _compose_t on each law's lattice and on the states Z_k
+    can reach, so each costs at most one DP's _dp_work.  The DP's kept
+    state is neither read nor written.
     """
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError(
@@ -357,18 +369,22 @@ def conditional_trajectory(env: EnvironmentLaw, n: int, c: float,
     threshold = event_threshold(n, c)
     if threshold < z0:
         return ConditionalTrajectoryResult(0.0, threshold, None)
-    m = _kernel(env, threshold)
-    fwd = np.zeros((n + 1, threshold + 1))
+    size = threshold + 1
+    rows = _budget(env, n, z0, threshold, (n + 1) * size, passes=2)   # fwd's entries
+    tables = _lattice_tables(env, threshold, rows)
+    fwd = np.zeros((n + 1, size))
     fwd[0, z0] = 1.0
     for k in range(n):
-        fwd[k + 1] = fwd[k] @ m
-    logs = np.log(np.maximum(np.arange(threshold + 1), 1))
-    beta = np.ones(threshold + 1)
-    num = np.empty(n + 1)
+        fwd[k + 1] = _generation(fwd[k], tables, threshold)
+    logs = np.log(np.maximum(np.arange(size), 1))
+    top = max(d.max_offspring for d in env.components)
+    beta, num = np.ones(size), np.empty(n + 1)
     for k in range(n, -1, -1):
-        num[k] = fwd[k] @ (beta * logs)
-        if k:
-            beta = m @ beta
+        num[k] = fwd[k, : beta.size] @ (beta * logs[: beta.size])
+        if k:   # Z_{k-1} <= z0 top^(k-1): beta_{k-1} is needed only there
+            span = min(threshold, z0 * top ** (k - 1)) + 1
+            beta = sum(w * _compose_t(beta[::g], baby, giant, low, span)
+                       for w, g, baby, giant, low in tables)
     probability = float(beta[z0])
     if probability <= 0.0:
         return ConditionalTrajectoryResult(0.0, threshold, None)

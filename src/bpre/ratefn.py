@@ -146,17 +146,6 @@ def walk_rate(env: EnvironmentLaw, c: float) -> float:
     return float(max(0.0, c * lam - value))
 
 
-def clipped_walk_rate(env: EnvironmentLaw, c: float) -> float:
-    """Walk rate clipped to zero at and above the mean log-mean.
-
-    This is the effective cost of keeping the walk below nc: above the
-    mean the typical path already qualifies.
-    """
-    if c >= env.mean_log_mean:
-        return 0.0
-    return walk_rate(env, c)
-
-
 def two_env_walk_rate(L1: float, L2: float, q: float, c: float) -> float:
     """Closed-form walk rate for a two-atom step law.
 

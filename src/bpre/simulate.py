@@ -39,7 +39,7 @@ import numpy as np
 from .envmodel import EnvironmentLaw, OffspringDistribution
 from .errors import InvalidArgumentError
 from .results import EstimatorResult, Method
-from .rng import STREAM_LINEAGE, STREAM_SIM, replica_stream
+from .rng import STREAM_SIM, replica_stream
 
 # Replicas per block, and per stream.
 BLOCK = 256
@@ -474,21 +474,3 @@ def final_states(config: SimConfig, threshold: Optional[int] = None,
                        tau=s.tau if threshold is not None else None,
                        normal_steps=s.normal_steps)
 
-
-def random_lineage(env: EnvironmentLaw, n: int, seed: int = 0,
-                   replica: int = 0) -> np.ndarray:
-    """Offspring counts along one uniformly chosen line of descent.
-
-    Each count is an independent draw from the weight-mixture pmf
-    sum_i w_i * pmf_i: picking a uniform child makes the parent's count
-    appear with its plain (unsized) probability.
-    """
-    support: dict = {}
-    for w, d in zip(env.weights, env.components):
-        for k, p in zip(d.support, d.probs):
-            support[k] = support.get(k, 0.0) + w * p
-    ks = np.array(sorted(support), dtype=np.int64)
-    ps = np.array([support[k] for k in sorted(support)])
-    ps = ps / ps.sum()
-    rng = replica_stream(seed, STREAM_LINEAGE + replica)
-    return rng.choice(ks, size=n, p=ps)

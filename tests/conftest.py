@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bpre import (build_environment, log_mgf, population_distribution, simulate,
@@ -88,6 +89,20 @@ def exact_mean_take_off(env, n, c, pop_threshold, z0=1):
             if pz > 0.0:
                 num += pz * population_distribution(env, n - j, z0=z, cap=k).prob_le(k)
     return num / den / n
+
+
+def dense_kernel(env, cap):
+    """The annealed one-generation kernel M = sum_i w_i T_i on 0..cap, as
+    (cap + 1)^2 floats: row z of T_i is law i's pmf convolved z times."""
+    m = np.zeros((cap + 1, cap + 1))
+    for w, d in zip(env.weights, env.components):
+        f = np.zeros(d.max_offspring + 1)
+        f[list(d.support)] = d.probs
+        power = np.ones(1)
+        for row in m:
+            row[: power.size] += w * power
+            power = np.convolve(power, f)[: cap + 1]
+    return m
 
 
 def reference_lower_rate(env, c):

@@ -13,6 +13,7 @@ import inspect
 from pathlib import Path
 
 from bpre.cells import expected_count_identity
+from bpre.oracle import conditional_trajectory
 from bpre.simulate import branch_step
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -64,6 +65,8 @@ def test_traced_functions_resolve():
 
 
 def test_bench_call_shapes_bind():
-    # bench/layers.py: expected_count_identity(tree, result=res), branch_step(z, law, rng)
+    # bench/layers.py: expected_count_identity(tree, result=res), branch_step(z, law, rng);
+    # bench/libclient.py and layers.py: conditional_trajectory(env, n, c)
     inspect.signature(expected_count_identity).bind("tree", result="res")
     inspect.signature(branch_step).bind("z", "law", "rng")
+    inspect.signature(conditional_trajectory).bind("env", "n", "c")

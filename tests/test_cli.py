@@ -347,8 +347,13 @@ OK_ORACLE = {"n": 8, "c": 0.4}
     {"oracle": {**OK_ORACLE, "pmf_csv": "false"}},
     {"oracle": {**OK_ORACLE, "seed": 1.5}}, {"oracle": OK_ORACLE, "seed": 2.5},
     {"oracle": OK_ORACLE, "replicas": True},
+    # a float setting takes no bool either
+    {"oracle": {"n": 8, "c": True, "cap": 1000}}, {"oracle": {**OK_ORACLE, "tol": True}},
+    {"oracle": {**OK_ORACLE, "phase_fraction": False}},
+    {"oracle": {**OK_ORACLE, "grid": [0.5, True]}},
 ], ids=["n", "c", "missing-n", "n-fraction", "n-bool", "pmf_csv-string",
-        "section-seed-fraction", "seed-fraction", "replicas-bool"])
+        "section-seed-fraction", "seed-fraction", "replicas-bool", "c-bool", "tol-bool",
+        "phase_fraction-bool", "grid-bool"])
 def test_malformed_setting_exits_2(tmp_path, capsys, sections):
     cfg = g2_cfg(tmp_path, **sections)
     assert main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
@@ -544,6 +549,23 @@ def test_reproduce_selects_run_id(tmp_path, capsys):
     rc = main(["reproduce", "--out-dir", str(tmp_path), "--run-id", "nope"])
     assert rc == 2
     assert "not found" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("key, bad", [("n", "eight"), ("c", [0.4]), ("replicas", "ten")],
+                         ids=["n", "c", "replicas"])
+def test_reproduce_bad_record_setting_exits_2(tmp_path, capsys, key, bad):
+    # the record's config skips config resolution, so its casts refuse it
+    cfg = g2_cfg(tmp_path, oracle={"n": 8, "c": 0.4})
+    assert main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "runlog.jsonl"
+    rec = json.loads(log.read_text().splitlines()[0])
+    rec["config"]["oracle"][key] = bad
+    log.write_text(canonical_json(rec) + "\n")
+    assert main(["reproduce", "--out-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and err["error"] == "InvalidArgument"
+    assert key in err["message"]
 
 
 def test_reproduce_version_mismatch(tmp_path, capsys):

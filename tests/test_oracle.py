@@ -24,8 +24,8 @@ from bpre import (
     walk_tail,
 )
 from bpre import oracle
-from bpre.oracle import BLOCK_ROWS, ENTRY_BUDGET, _kernel
-from conftest import event_threshold, g2_law
+from bpre.oracle import BLOCK_ROWS, ENTRY_BUDGET
+from conftest import dense_kernel, event_threshold, g2_law
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -143,19 +143,24 @@ def test_population_budget(g2):
         population_distribution(g2, 1, z0=1, cap=ENTRY_BUDGET)
 
 
-@pytest.mark.parametrize("n, z0, cap", [(8, 1, 1000), (3, 900, 900), (5, 1, 40)])
-def test_population_work_budget(g2, monkeypatch, n, z0, cap):
-    # the bound covers the multiply-adds of every convolution the DP makes,
-    # and a call past the budget raises before the first one
-    work = oracle._dp_work(g2, n, z0, cap, min(BLOCK_ROWS, cap + 1))
-    done = []
-    convolve = np.convolve
+def count_convolutions(monkeypatch):
+    """Patches np.convolve to record the multiply-adds of each call."""
+    done, convolve = [], np.convolve
 
     def counting(a, b):
         done.append(a.size * b.size)
         return convolve(a, b)
 
     monkeypatch.setattr(np, "convolve", counting)
+    return done
+
+
+@pytest.mark.parametrize("n, z0, cap", [(8, 1, 1000), (3, 900, 900), (5, 1, 40)])
+def test_population_work_budget(g2, monkeypatch, n, z0, cap):
+    # the bound covers the multiply-adds of every convolution the DP makes,
+    # and a call past the budget raises before the first one
+    work = oracle._dp_work(g2, n, z0, cap, min(BLOCK_ROWS, cap + 1))
+    done = count_convolutions(monkeypatch)
     monkeypatch.setattr(oracle, "WORK_BUDGET", work)
     population_distribution(g2, n, z0=z0, cap=cap)
     assert 0 < sum(done) <= work
@@ -196,7 +201,7 @@ def composition_cases(draw):
 
 def kernel_pmf(env, n, z0, cap):
     """pmf and overflow of Z_n by n products with the dense kernel on 0..cap."""
-    m = _kernel(env, cap)
+    m = dense_kernel(env, cap)
     v = np.zeros(cap + 1)
     v[z0] = 1.0
     overflow = 0.0
@@ -234,6 +239,13 @@ def test_blocked_composition_matches_kernel(case):
     # atol only admits subnormal entries, which carry no relative precision
     np.testing.assert_allclose(dist.probs, v, rtol=1e-12, atol=1e-300)
     assert dist.overflow == pytest.approx(overflow, rel=0.0, abs=1e-15)
+    # the transposed composition, one law at a time on its lattice, is the
+    # backward step M @ beta on the same tables
+    beta = np.random.default_rng(cap).random(cap + 1)
+    tables = oracle._lattice_tables(env, cap, min(BLOCK_ROWS, cap + 1))
+    back = sum(w * oracle._compose_t(beta[::g], baby, giant, low, cap + 1)
+               for w, g, baby, giant, low in tables)
+    np.testing.assert_allclose(back, dense_kernel(env, cap) @ beta, rtol=1e-12, atol=1e-300)
 
 
 def count_calls(monkeypatch, name):
@@ -513,12 +525,55 @@ def test_conditional_trajectory_matches_marginal(g2):
     assert all(b >= a - 1e-12 for a, b in zip(res.profile, res.profile[1:]))
 
 
-def test_conditional_trajectory_guards(g2, subcrit):
-    # T = 13359: the kernel would hold 1.8e8 entries, refused before allocation
-    with pytest.raises(BudgetExceededError):
-        conditional_trajectory(g2, 25, 0.38)
+def test_conditional_trajectory_guards(g2, subcrit, monkeypatch):
+    # T = 13359 runs on the lattice tables; P is the population DP's
+    # P(Z_25 <= T) at cap T
+    res = conditional_trajectory(g2, 25, 0.38)
+    assert res.threshold == 13359
+    assert res.probability == pytest.approx(8.574736420216668e-07, rel=1e-12)
+    # T = 3992786: the forward array would hold 41 (T + 1) = 1.6e8 entries,
+    # refused before any table is built or allocated
+    built = count_calls(monkeypatch, "_lattice_tables")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="entries"):
+            conditional_trajectory(g2, 40, 0.38)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [] and peak < 1e5
     with pytest.raises(NotStronglySupercriticalError):
         conditional_trajectory(subcrit, 4, 0.1)
+
+
+@pytest.mark.parametrize("config, n, c", [("g2", 10, 0.4), ("fig2", 5, 1.0)])
+def test_conditional_trajectory_work_budget(monkeypatch, config, n, c):
+    # both passes' convolutions, the table build's too, fit twice one DP's
+    # bound: the backward pass steps only the states the forward one reaches
+    env = environment_from_dict(json.loads((CONFIG_DIR / f"{config}.json").read_text()))
+    t = event_threshold(n, c)
+    work = 2 * oracle._dp_work(env, n, 1, t, min(BLOCK_ROWS, t + 1))
+    done = count_convolutions(monkeypatch)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", work)
+    conditional_trajectory(env, n, c)
+    assert 0 < sum(done) <= work
+    done.clear()
+    monkeypatch.setattr(oracle, "WORK_BUDGET", work - 1)
+    with pytest.raises(BudgetExceededError, match="multiply-adds"):
+        conditional_trajectory(env, n, c)
+    assert done == []
+
+
+def test_conditional_trajectory_keeps_the_dp_slot(compose_calls):
+    # the trajectory neither reads nor replaces the population DP's kept state
+    env = g2_law()
+    population_distribution(env, 6, cap=200)
+    kept = oracle._last
+    conditional_trajectory(env, 6, 0.4)
+    assert oracle._last is kept
+    compose_calls.clear()
+    assert_same_dp(population_distribution(env, 9, cap=200), fresh_g2(9))
+    assert len(compose_calls) == env.k * (3 + 9)   # the resumed call, then the fresh one
 
 
 def test_conditional_trajectory_threshold_past_float_range(g2):
@@ -528,21 +583,49 @@ def test_conditional_trajectory_threshold_past_float_range(g2):
 
 
 def test_conditional_trajectory_holds_one_dense_table(g2):
-    # T = 1998: the kernel is 1999^2 floats, 32.0 MB; a second dense
-    # temporary while filling it would double the peak
+    # T = 1998: the one dense table is the forward array, 21 x 1999 floats
+    # (0.34 MB), beside two 128 x 255 baby tables (0.52 MB); the peak
+    # measured 1.0 MB
     tracemalloc.start()
     try:
         conditional_trajectory(g2, 20, 0.38)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 33e6
+    assert peak <= 1.5e6
 
 
 def test_conditional_trajectory_golden(g2):
     res = conditional_trajectory(g2, 10, 0.4)
     assert res.threshold == 54
     assert res.probability == pytest.approx(0.004548628277750656, rel=1e-12)
+
+
+def dense_trajectory(env, n, c, z0=1):
+    """P(Z_n <= T) and the profile by n forward and n backward products with
+    the dense kernel on 0..T."""
+    t = event_threshold(n, c)
+    m = dense_kernel(env, t)
+    fwd = [np.eye(t + 1)[z0]]
+    for _ in range(n):
+        fwd.append(fwd[-1] @ m)
+    logs = np.log(np.maximum(np.arange(t + 1), 1))
+    beta, num = np.ones(t + 1), np.zeros(n + 1)
+    for k in range(n, -1, -1):
+        num[k] = fwd[k] @ (beta * logs)
+        if k:
+            beta = m @ beta
+    return beta[z0], num / beta[z0] / n
+
+
+@pytest.mark.parametrize("config, n, c", [("g2", 20, 0.38), ("fig2", 6, 1.1)])
+def test_conditional_trajectory_matches_dense_kernel(config, n, c):
+    # T = 1998 and 735: the lattice passes against the dense (T + 1)^2 kernel
+    env = environment_from_dict(json.loads((CONFIG_DIR / f"{config}.json").read_text()))
+    res = conditional_trajectory(env, n, c)
+    prob, profile = dense_trajectory(env, n, c)
+    assert res.probability == pytest.approx(prob, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(res.profile, profile, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, c", [(13, 0.4), (20, 0.38)], ids=["n13", "n20"])

@@ -15,7 +15,6 @@ from bpre import (
     TOutOfRangeError,
     build_environment,
     chernoff_bound,
-    clipped_walk_rate,
     limit_profile,
     log_mgf,
     lower_deviation_rate,
@@ -90,8 +89,6 @@ def test_tilt_parameter_errors(dirac2, g2, monkeypatch):
 def test_walk_rate_zero_at_mean(g2, fig_law):
     for env in (g2, fig_law):
         assert walk_rate(env, env.mean_log_mean) == pytest.approx(0.0, abs=1e-12)
-        assert clipped_walk_rate(env, env.mean_log_mean) == 0.0
-        assert clipped_walk_rate(env, env.mean_log_mean + 1.0) == 0.0
 
 
 def test_walk_rate_closed_form_value(fig_law):

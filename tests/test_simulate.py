@@ -13,7 +13,6 @@ from bpre import (
     build_environment,
     build_offspring,
     final_states,
-    random_lineage,
     replica_stream,
     run,
     run_batch,
@@ -211,14 +210,6 @@ def test_run_batch_rejects_non_finite_bound(g2, bound, side):
     config = SimConfig(env=g2, n=3, z0=1, seed=0, replicas=8)
     with pytest.raises(InvalidArgumentError, match="finite"):
         run_batch(config, bound, side)
-
-
-def test_random_lineage_marginal(g2, dirac2):
-    draws = random_lineage(g2, 100_000, seed=5)
-    se = math.sqrt(0.25 * 0.75 / draws.size)
-    for value in (1, 4):
-        assert abs(np.mean(draws == value) - 0.25) <= 3.0 * se
-    assert np.all(random_lineage(dirac2, 50, seed=1) == 2)
 
 
 def test_sim_config_validation(g2):
