@@ -6,6 +6,8 @@ into the second.  A uniformly random lineage through the tree then sees the
 two laws in equiprobable random order, so leaf counts along it follow the
 two-environment branching process, and the expected number of depth-n cells
 with few parasites factors as 2^n times the process tail probability.
+simulate_cell_tree returns, from one run, each tree's counts for that
+identity and the parasites of one uniform leaf, the tree's lineage draw.
 
 Trees grow in groups of S = max(1, min(BLOCK, TREE_LEAVES >> n)), a level
 at a time: group g reads the one stream replica_stream(seed, STREAM_CELLS + g)
@@ -117,6 +119,7 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
 class CellTreeResult(NamedTuple):
     below: np.ndarray       # per replicate count of depth-n cells <= e^{cn}
     above: np.ndarray
+    leaves: list            # per replicate lineage draw: a uniform leaf's parasites, exact
     mean_below: float
     stderr_below: float
     mean_above: float
@@ -140,14 +143,14 @@ def simulate_cell_tree(config: CellTreeConfig,
     """
     blocks = map_replicas(_trees, (config, joint), config.replicas, workers,
                           1 << config.n)
-    below, above, normal_steps, _ = zip(*blocks)
+    below, above, normal_steps, leaves = zip(*blocks)
     below, above, normal_steps = map(np.concatenate, (below, above, normal_steps))
 
     def _se(x: np.ndarray) -> float:
         return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
 
     return CellTreeResult(
-        below=below, above=above,
+        below=below, above=above, leaves=[leaf for run in leaves for leaf in run],
         mean_below=float(below.mean()), stderr_below=_se(below),
         mean_above=float(above.mean()), stderr_above=_se(above),
         threshold=config.threshold, normal_steps=int(normal_steps.sum()),
@@ -200,19 +203,3 @@ def expected_count_identity(config: CellTreeConfig,
         replicas=config.replicas,
     )
 
-
-def uniform_leaf_counts(config: CellTreeConfig,
-                        joint: Optional[JointSampler] = None,
-                        workers: int = 1) -> np.ndarray:
-    """Parasite count of one uniformly chosen depth-n cell per replicate.
-
-    Marginally these follow the two-environment branching process, which is
-    what the lineage consistency test checks against the exact pmf.
-    """
-    blocks = map_replicas(_trees, (config, joint), config.replicas, workers,
-                          1 << config.n)
-    leaves = [leaf for *_, block in blocks for leaf in block]
-    if max(leaves) >= 1 << 63:
-        raise BudgetExceededError(
-            f"a picked leaf of {max(leaves)} parasites does not fit int64 (< 2^63)")
-    return np.array(leaves, dtype=np.int64)

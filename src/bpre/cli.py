@@ -394,26 +394,26 @@ def execute(command: str, effective: dict, out_dir: str,
             workers: int) -> Tuple[dict, dict, dict]:
     """Run one command from its effective config; returns (record, artifacts, outputs)."""
     env = environment_from_dict(effective)
-    section = effective[_section_name(command)]
+    settings = _Settings(command, effective[_section_name(command)])
+    seed, replicas = settings["seed"], settings["replicas"]   # a record may lack them
     os.makedirs(out_dir, exist_ok=True)
     ctx = _Ctx(out_dir=out_dir, cfg_hash=config_hash(effective), workers=workers)
     started = time.time()
-    settings = _Settings(command, section)
     artifacts, outputs = _COMMANDS[command][0](env, settings, ctx)
     # processes the samplers ran on; every sampler reports normal_steps, and
     # a cell tree of depth n costs about 2^n generations of a path
     outputs["processes"] = 1
     if "normal_steps" in outputs:
         steps = 1 << settings["n"] if command == "cells" else settings["n"]
-        outputs["processes"] = processes(settings["replicas"], workers, steps)
+        outputs["processes"] = processes(replicas, workers, steps)
     record = {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",
         "version": __version__,
         "command": command,
         "started": started,
         "finished": time.time(),
-        "seed": section["seed"],
-        "replicas": section["replicas"],
+        "seed": seed,
+        "replicas": replicas,
         "workers": workers,
         "config_hash": ctx.cfg_hash,
         "config": effective,
@@ -452,6 +452,14 @@ def _workers(ns) -> int:
     return workers
 
 
+def _field(record, key: str, kind: type):
+    """record[key] if record is a dict holding a kind there; else InvalidArgument."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not isinstance(value, kind):
+        raise InvalidArgumentError(f"run record field {key!r} is not a {kind.__name__}")
+    return value
+
+
 def _cmd_reproduce(ns) -> int:
     out_dir = ns.out_dir or "."
     log_path = ns.log or os.path.join(out_dir, LOG_NAME)
@@ -463,21 +471,24 @@ def _cmd_reproduce(ns) -> int:
     if not records:
         raise InvalidArgumentError(f"no run records in {log_path}")
     if ns.run_id is not None:
-        matches = [r for r in records if r["run_id"] == ns.run_id]
+        matches = [r for r in records if isinstance(r, dict) and r.get("run_id") == ns.run_id]
         if not matches:
             raise InvalidArgumentError(f"run id {ns.run_id!r} not found in {log_path}")
         record = matches[-1]
     else:
         record = records[-1]
-    if record["version"] != __version__:
-        raise VersionMismatchError(
-            f"record from version {record['version']}, this is {__version__}"
-        )
-    replay_dir = os.path.join(out_dir, f"replay-{record['run_id']}")
-    _, artifacts, _ = execute(record["command"], record["config"], replay_dir,
-                              _workers(ns))
+    version = _field(record, "version", str)
+    if version != __version__:
+        raise VersionMismatchError(f"record from version {version}, this is {__version__}")
+    command, config = _field(record, "command", str), _field(record, "config", dict)
+    if command not in _COMMANDS:
+        raise InvalidArgumentError(f"run record names no command {command!r}")
+    _field(config, _section_name(command), dict)
+    recorded = _field(record, "artifacts", dict)
+    replay_dir = os.path.join(out_dir, f"replay-{_field(record, 'run_id', str)}")
+    _, artifacts, _ = execute(command, config, replay_dir, _workers(ns))
     all_pass = True
-    for name, recorded_hash in record["artifacts"].items():
+    for name, recorded_hash in recorded.items():
         new_path = artifacts.get(name)
         if new_path is None or not os.path.exists(new_path):
             print(f"FAIL {name}: artifact not regenerated")
@@ -540,6 +551,8 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         with open(ns.config) as fh:
             cfg = json.load(fh, object_pairs_hook=reject_duplicate_keys)
         effective = effective_config(ns.command, cfg, ns)
+    except BPREError:   # a cast's own message names the setting
+        raise
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise InvalidArgumentError(f"config {ns.config}: {err!r}") from err
     out_dir = ns.out_dir or "."

@@ -9,7 +9,6 @@ support keeps every moment finite and makes exact enumeration possible.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
@@ -230,11 +229,3 @@ def reject_duplicate_keys(pairs) -> dict:
         out[key] = value
     return out
 
-
-def environment_to_json(env: EnvironmentLaw) -> str:
-    return json.dumps(environment_to_dict(env), indent=2)
-
-
-def environment_from_json(text: str) -> EnvironmentLaw:
-    data = json.loads(text, object_pairs_hook=reject_duplicate_keys)
-    return environment_from_dict(data)

@@ -7,7 +7,6 @@ from typing import NamedTuple, Optional
 
 
 class Method(str, enum.Enum):
-    NAIVE = "Naive"
     TILT_ONLY = "TiltOnly"
     TWO_PHASE = "TwoPhase"
 
@@ -16,11 +15,10 @@ class EstimatorResult(NamedTuple):
     """One probability estimate with its uncertainty bookkeeping.
 
     ``ess`` is the effective sample size (sum of weights squared over sum
-    of squared weights) of the event-weighted sample; for a naive run it
-    equals the raw hit count.  ``estimate`` equal to 0.0 is an exact "no
-    event mass seen" outcome, flagged by ``zero_mass``.  ``normal_steps``
-    counts the replica-generations that branched by the normal
-    approximation of the simulator's log-z lane.
+    of squared weights) of the event-weighted sample.  ``estimate`` equal
+    to 0.0 is an exact "no event mass seen" outcome, flagged by
+    ``zero_mass``.  ``normal_steps`` counts the replica-generations that
+    branched by the normal approximation of the simulator's log-z lane.
     """
 
     estimate: float

@@ -23,9 +23,11 @@ replica engine, of the cell tree and of branch_step.
 Every block is simulated in full, so replica r's path depends only on
 (seed, stream, r): results are byte-identical for any worker count, and a
 run with more replicas extends one with fewer.  Every reader reduces one
-Sample, which sample builds run by run: run_batch and final_states
-here, whose naive proposal carries the log-mean walk as its llr, and the
-estimators in rare_event.
+Sample, which sample builds run by run: final_states here, whose naive
+proposal carries the log-mean walk as its llr, and the estimators in
+rare_event.  A naive Monte Carlo estimate is the hit fraction of the
+naive proposal's Sample.  run, Trajectory, branch_step and draw_env_index
+stay only for bench/, until ROADMAP item 1 moves it off them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 
 from .envmodel import EnvironmentLaw, OffspringDistribution
 from .errors import InvalidArgumentError
-from .results import EstimatorResult, Method
 from .rng import STREAM_SIM, replica_stream
 
 # Replicas per block, and per stream.
@@ -57,7 +58,6 @@ RUN_BLOCKS = 32
 # total offspring count is a moment-matched normal draw; its distributional
 # error is O(1/sqrt(z)) < 1e-9, far below any threshold resolution there.
 EXACT_LIMIT = 1 << 62
-_INT64_MAX = (1 << 63) - 1
 _LN2 = math.log(2.0)
 
 
@@ -164,14 +164,6 @@ def _log_step(dist: OffspringDistribution, logz, g):
     return np.log(np.minimum(np.maximum(ratio, dist.min_offspring), dist.max_offspring))
 
 
-def _clamp_int64(value: int) -> int:
-    return max(-_INT64_MAX, min(value, _INT64_MAX))
-
-
-def _log_bound(bound: float) -> float:
-    return math.log(bound) if bound > 0 else -math.inf
-
-
 class Populations:
     """Populations held in two lanes.
 
@@ -194,9 +186,10 @@ class Populations:
             cmp, edge = operator.ge, math.ceil(bound)
         else:
             raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
-        hit = cmp(self.z, _clamp_int64(edge))
+        hit = cmp(self.z, max(1 - (1 << 63), min(edge, (1 << 63) - 1)))   # an int64 edge
         if self.big.any():
-            hit[self.big] = cmp(self.logz[self.big], _log_bound(bound))
+            log_bound = math.log(bound) if bound > 0 else -math.inf
+            hit[self.big] = cmp(self.logz[self.big], log_bound)
         return hit
 
     def log(self) -> np.ndarray:
@@ -432,26 +425,6 @@ def sample(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal, seed: int,
     return Sample(**cat,
                   paths=np.concatenate([r.paths for r in runs]) if capture else None,
                   normal_steps=sum(r.normal_steps for r in runs))
-
-
-def run_batch(config: SimConfig, bound: float, side: str = "lower",
-              workers: int = 1) -> EstimatorResult:
-    """Naive Monte Carlo estimate of P(Z_n <= bound) (side lower) or
-    P(Z_n >= bound) (upper) over config.replicas replicas.
-
-    The estimate is byte-identical for any worker count.
-    """
-    reps = config.replicas
-    s = sample(config.env, config.n, config.z0, Proposal.naive(config.env),
-               config.seed, reps, workers)
-    k = int(s.hit(bound, side).sum())
-    p = k / reps
-    stderr = math.sqrt(p * (1.0 - p) / reps)
-    return EstimatorResult(
-        estimate=p, stderr=stderr, ess=float(k), method=Method.NAIVE,
-        n=config.n, c=math.nan, replicas=reps, seed=config.seed,
-        zero_mass=(k == 0), normal_steps=s.normal_steps,
-    )
 
 
 class FinalStates(NamedTuple):

@@ -56,6 +56,14 @@ def no_hold():
     return build_environment([(0.5, {2: 1.0}), (0.5, {3: 1.0})])
 
 
+def naive_sample(config, workers=1):
+    """config's replicas under the environment law itself; an event's hit
+    fraction is its naive Monte Carlo estimate."""
+    return simulate.sample(config.env, config.n, config.z0,
+                           simulate.Proposal.naive(config.env), config.seed,
+                           config.replicas, workers)
+
+
 def event_threshold(n: int, c: float) -> int:
     return int(math.floor(math.exp(c * n) + 1e-12))
 

@@ -13,7 +13,6 @@ from bpre import (
     expected_count_identity,
     population_distribution,
     simulate_cell_tree,
-    uniform_leaf_counts,
 )
 from bpre import cells
 from bpre.cells import TREE_DEPTH_MAX, TREE_LEAVES
@@ -169,11 +168,14 @@ def test_identity_at_depth_12():
     assert abs(report.z_score) <= 3.0
 
 
-def test_uniform_leaf_past_int64_raises():
+def test_uniform_leaf_past_int64_stays_exact():
+    # the log-z lane rounds a leaf to an int, and an int past 2^63 stays exact
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=2, law1=law1, law2=law2, c=22.0, z0=2**61, replicas=3)
-    with pytest.raises(BudgetExceededError, match="2\\^63"):
-        uniform_leaf_counts(config)
+    leaves = simulate_cell_tree(config).leaves
+    assert len(leaves) == 3 and all(type(leaf) is int for leaf in leaves)
+    assert max(leaves) >= 1 << 63
+    assert leaves == cells._trees(config, None, 0, 3)[3]
 
 
 def test_uniform_leaf_matches_marginal_law():
@@ -181,7 +183,7 @@ def test_uniform_leaf_matches_marginal_law():
     env = build_environment([(0.5, law1.pmf_dict()), (0.5, law2.pmf_dict())])
     n = 6
     config = CellTreeConfig(n=n, law1=law1, law2=law2, c=0.4, seed=21, replicas=4_000)
-    counts = uniform_leaf_counts(config, workers=4)
+    counts = np.array(simulate_cell_tree(config, workers=4).leaves)
     assert counts.shape == (4_000,)
     dist = population_distribution(env, n, z0=1, cap=4**n)
     values = [z for z in range(4**n + 1) if dist.prob_eq(z) > 0.0]
@@ -224,8 +226,7 @@ def test_worker_invariance_across_blocks(pool_per_block):
     b = simulate_cell_tree(config, workers=3)
     assert np.array_equal(a.below, b.below)
     assert np.array_equal(a.above, b.above)
-    assert np.array_equal(uniform_leaf_counts(config, workers=1),
-                          uniform_leaf_counts(config, workers=3))
+    assert a.leaves == b.leaves
 
 
 @pytest.mark.parametrize("laws, c", [(g2_laws(), 0.6), (jump_laws(), 5.0)],
@@ -244,8 +245,7 @@ def test_more_replicas_extend_fewer(laws, c):
     for column, full in zip(mine, theirs):
         assert list(column) == list(full[:37])
     assert a.normal_steps == int(theirs[2][:37].sum())
-    if max(theirs[3]) < 1 << 63:
-        assert np.array_equal(uniform_leaf_counts(short), uniform_leaf_counts(long)[:37])
+    assert a.leaves == b.leaves[:37]
 
 
 def random_joint(z, rng):

@@ -58,6 +58,16 @@ def test_parse_grid_forms(tmp_path, capsys):
         assert not (tmp_path / "rate.csv").exists()
 
 
+def test_cast_error_keeps_its_message(tmp_path, capsys):
+    # a cast's InvalidArgument passes config resolution unwrapped
+    rc = main(["rate", "--config", str(CONFIG_DIR / "g2.json"), "--c-grid", "0.1:0.1:0",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidArgument"
+    assert err["message"].startswith("setting 'c_grid'")
+
+
 def test_rate_artifact_from_shipped_config(tmp_path, capsys):
     rc = main([
         "rate", "--config", str(CONFIG_DIR / "fig2.json"), "--out-dir", str(tmp_path),
@@ -551,21 +561,46 @@ def test_reproduce_selects_run_id(tmp_path, capsys):
     assert "not found" in json.loads(capsys.readouterr().err)["message"]
 
 
-@pytest.mark.parametrize("key, bad", [("n", "eight"), ("c", [0.4]), ("replicas", "ten")],
-                         ids=["n", "c", "replicas"])
-def test_reproduce_bad_record_setting_exits_2(tmp_path, capsys, key, bad):
-    # the record's config skips config resolution, so its casts refuse it
+DROP = object()   # deletes the field instead of setting it
+
+
+@pytest.mark.parametrize("path, bad, named", [
+    (("config", "oracle", "n"), "eight", "'n'"),
+    (("config", "oracle", "c"), [0.4], "'c'"),
+    (("config", "oracle", "replicas"), "ten", "'replicas'"),
+    (("config", "oracle", "seed"), DROP, "'seed'"),
+    (("config", "oracle"), DROP, "'oracle'"),
+    (("config",), DROP, "'config'"),
+    (("command",), "bogus", "'bogus'"),
+    (("command",), ["oracle"], "'command'"),
+    (("artifacts",), DROP, "'artifacts'"),
+    (("run_id",), 7, "'run_id'"),
+    (("version",), DROP, "'version'"),
+], ids=["n", "c", "replicas", "no-seed", "no-section", "no-config", "command",
+        "command-list", "no-artifacts", "run_id-int", "no-version"])
+def test_reproduce_bad_record_setting_exits_2(tmp_path, capsys, path, bad, named):
+    # a record is outside input: its fields are checked, and its config
+    # skips config resolution, so its casts refuse a bad setting
     cfg = g2_cfg(tmp_path, oracle={"n": 8, "c": 0.4})
     assert main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     log = tmp_path / "runlog.jsonl"
     rec = json.loads(log.read_text().splitlines()[0])
-    rec["config"]["oracle"][key] = bad
+    *keys, last = path
+    target = rec
+    for key in keys:
+        target = target[key]
+    if bad is DROP:
+        del target[last]
+    else:
+        target[last] = bad
     log.write_text(canonical_json(rec) + "\n")
     assert main(["reproduce", "--out-dir", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "config" and err["error"] == "InvalidArgument"
-    assert key in err["message"]
+    assert named in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "oracle.json",
+                                                         "runlog.jsonl"]   # no replay
 
 
 def test_reproduce_version_mismatch(tmp_path, capsys):

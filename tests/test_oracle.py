@@ -20,12 +20,11 @@ from bpre import (
     conditional_trajectory,
     environment_from_dict,
     population_distribution,
-    run_batch,
     walk_tail,
 )
 from bpre import oracle
 from bpre.oracle import BLOCK_ROWS, ENTRY_BUDGET
-from conftest import dense_kernel, event_threshold, g2_law
+from conftest import dense_kernel, event_threshold, g2_law, naive_sample
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -712,14 +711,13 @@ def test_oracle_matches_naive_mc(g2, n):
     k = event_threshold(n, 0.45)
     exact = population_distribution(g2, n, z0=1, cap=k).prob_le(k)
     config = SimConfig(env=g2, n=n, z0=1, seed=137 + n, replicas=30_000)
-    res = run_batch(config, k, "lower", workers=4)
+    s = naive_sample(config, workers=4)
     se = math.sqrt(exact * (1.0 - exact) / config.replicas)
-    assert abs(res.estimate - exact) <= 3.0 * se
+    assert abs(s.hit(k, "lower").mean() - exact) <= 3.0 * se
 
     ku = math.ceil(math.exp(n * (g2.mean_log_mean + 0.2)))
     dist_up = population_distribution(g2, n, z0=1, cap=ku)
     # never-shrinking law: the tail above the cap is exactly the overflow
     exact_up = 1.0 - dist_up.prob_le(ku - 1)
-    res_up = run_batch(config, ku, "upper", workers=4)
     se_up = math.sqrt(exact_up * (1.0 - exact_up) / config.replicas)
-    assert abs(res_up.estimate - exact_up) <= 3.0 * se_up
+    assert abs(s.hit(ku, "upper").mean() - exact_up) <= 3.0 * se_up

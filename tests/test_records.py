@@ -75,7 +75,7 @@ def test_record_fields_stay_read_only(g2):
 
 
 def test_records_build_by_keyword_and_position():
-    fields = dict(estimate=0.5, stderr=0.1, ess=3.0, method=Method.NAIVE, n=4, c=0.2,
+    fields = dict(estimate=0.5, stderr=0.1, ess=3.0, method=Method.TILT_ONLY, n=4, c=0.2,
                   replicas=10, seed=7)
     by_name = EstimatorResult(**fields)
     assert by_name == EstimatorResult(*fields.values())

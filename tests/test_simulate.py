@@ -7,7 +7,6 @@ import pytest
 
 from bpre import (
     InvalidArgumentError,
-    Method,
     SimConfig,
     branch_step,
     build_environment,
@@ -15,12 +14,11 @@ from bpre import (
     final_states,
     replica_stream,
     run,
-    run_batch,
 )
 from bpre import rare_event, simulate
 from bpre.simulate import (BLOCK, EXACT_LIMIT, POOL_STEPS, RUN_BLOCKS, Populations,
                             draw_env_index, map_replicas, processes)
-from conftest import event_threshold, exact_lower
+from conftest import event_threshold, exact_lower, naive_sample
 
 
 def test_branch_step_trivial():
@@ -91,12 +89,10 @@ def test_run_is_deterministic_per_replica(g2):
 def test_hold_probability_matches_exact(g2):
     # z stays at 1 only while every generation draws a single child
     config = SimConfig(env=g2, n=3, z0=1, seed=2024, replicas=100_000)
-    res = run_batch(config, 1, "lower", workers=4)
+    estimate = naive_sample(config, workers=4).hit(1, "lower").mean()
     exact = 0.25**3
     se = math.sqrt(exact * (1.0 - exact) / config.replicas)
-    assert res.method is Method.NAIVE
-    assert abs(res.estimate - exact) <= 3.0 * se
-    assert res.ess == pytest.approx(res.estimate * config.replicas)
+    assert abs(estimate - exact) <= 3.0 * se
 
 
 def test_walk_mean_matches_env_average(g2):
@@ -150,12 +146,11 @@ def test_run_batch_agrees_with_final_states(g2, fig_law, pool_per_block):
             below = sum(z <= t for z in zs)
             assert 0 < below < config.replicas
             for workers in (1, 3):
-                low = run_batch(config, t, "lower", workers=workers)
-                high = run_batch(config, t, "upper", workers=workers)
-                assert low.estimate == below / config.replicas
-                assert high.estimate == (config.replicas - below) / config.replicas
+                s = naive_sample(config, workers=workers)
+                assert s.hit(t, "lower").sum() == below
+                assert s.hit(t, "upper").sum() == config.replicas - below
     with pytest.raises(InvalidArgumentError):
-        run_batch(config, 1.0, "middle")
+        naive_sample(config).hit(1.0, "middle")
 
 
 def test_final_states_worker_invariance(g2, fig_law, pool_per_block):
@@ -176,40 +171,37 @@ def test_final_states_worker_invariance(g2, fig_law, pool_per_block):
 
 def test_run_batch_sure_and_rare(dirac2, g2):
     config = SimConfig(env=dirac2, n=5, z0=3, seed=0, replicas=64)
-    res = run_batch(config, 3 * 2**5, "upper")
-    assert res.estimate == 1.0 and res.stderr == 0.0
-    assert not res.zero_mass
-    res2 = run_batch(config, 2, "lower")
-    assert res2.estimate == 0.0 and res2.zero_mass
+    s = naive_sample(config)
+    assert s.hit(3 * 2**5, "upper").all()
+    assert not s.hit(2, "lower").any()
 
     n, c = 5, 0.4
     k = event_threshold(n, c)
     exact = exact_lower(g2, n, c)
     config = SimConfig(env=g2, n=n, z0=1, seed=99, replicas=20_000)
-    res3 = run_batch(config, k, "lower", workers=4)
+    estimate = naive_sample(config, workers=4).hit(k, "lower").mean()
     se = math.sqrt(exact * (1.0 - exact) / config.replicas)
-    assert abs(res3.estimate - exact) <= 3.0 * se
+    assert abs(estimate - exact) <= 3.0 * se
 
     # exact lanes compare as ints: 2^60 + 1 > 2^60, though both are the
     # same float; log-z lanes (z0 = 2^62 here) compare in log space
     same = build_environment([(1.0, {1: 1.0})])
-    config = SimConfig(env=same, n=1, z0=2**60 + 1, seed=0, replicas=4)
-    assert run_batch(config, float(2**60), "lower").estimate == 0.0
-    assert run_batch(config, float(2**60), "upper").estimate == 1.0
-    config = SimConfig(env=dirac2, n=2, z0=2**62, seed=0, replicas=4)
-    res4 = run_batch(config, 2.0**64 * (1 - 1e-12), "upper")
-    assert res4.estimate == 1.0 and res4.normal_steps == 8
-    assert run_batch(config, 2.0**64 * (1 - 1e-12), "lower").zero_mass
+    s = naive_sample(SimConfig(env=same, n=1, z0=2**60 + 1, seed=0, replicas=4))
+    assert not s.hit(float(2**60), "lower").any()
+    assert s.hit(float(2**60), "upper").all()
+    s = naive_sample(SimConfig(env=dirac2, n=2, z0=2**62, seed=0, replicas=4))
+    assert s.hit(2.0**64 * (1 - 1e-12), "upper").all() and s.normal_steps == 8
+    assert not s.hit(2.0**64 * (1 - 1e-12), "lower").any()
     # an int bound past the float range is still finite
-    assert run_batch(config, 10**400, "lower").estimate == 1.0
+    assert s.hit(10**400, "lower").all()
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_run_batch_rejects_non_finite_bound(g2, bound, side):
-    config = SimConfig(env=g2, n=3, z0=1, seed=0, replicas=8)
+    s = naive_sample(SimConfig(env=g2, n=3, z0=1, seed=0, replicas=8))
     with pytest.raises(InvalidArgumentError, match="finite"):
-        run_batch(config, bound, side)
+        s.hit(bound, side)
 
 
 def test_sim_config_validation(g2):
