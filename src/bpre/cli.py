@@ -485,7 +485,10 @@ def _cmd_reproduce(ns) -> int:
         raise InvalidArgumentError(f"run record names no command {command!r}")
     _field(config, _section_name(command), dict)
     recorded = _field(record, "artifacts", dict)
-    replay_dir = os.path.join(out_dir, f"replay-{_field(record, 'run_id', str)}")
+    run_id = _field(record, "run_id", str)
+    if not run_id or ".." in run_id or os.path.basename(run_id) != run_id:
+        raise InvalidArgumentError(f"run record field 'run_id' {run_id!r} is not a file name")
+    replay_dir = os.path.join(out_dir, f"replay-{run_id}")
     _, artifacts, _ = execute(command, config, replay_dir, _workers(ns))
     all_pass = True
     for name, recorded_hash in recorded.items():

@@ -253,9 +253,11 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
         v[z0] = 1.0
     if tables is None and start < n:
         tables = _lattice_tables(env, cap, rows)
+    edge = cap // max(d.max_offspring for d in env.components) + 1
     for _ in range(start, n):
         new = _generation(v, tables, cap)
-        overflow += max(0.0, float(v.sum() - new.sum()))
+        if v[edge:].any():   # only a state above cap // max_offspring can pass cap
+            overflow += max(0.0, float(v.sum() - new.sum()))
         v = new
     _last = (key, n, v.copy(), overflow, tables)
     nondecreasing = all(d.min_offspring >= 1 for d in env.components)
@@ -280,8 +282,9 @@ def event_bound(n: int, c: float, side: str = "lower") -> float:
 
 
 def event_threshold(n: int, c: float) -> int:
-    """T = floor(e^{cn}), slack 1e-12, so Z_n <= e^{cn} is Z_n <= T."""
-    return int(math.floor(exp_cn(n, c) + 1e-12))
+    """T = floor(event_bound(n, c)), so Z_n <= e^{cn} is Z_n <= T: the same
+    integer population is on the event here as in the estimators."""
+    return math.floor(event_bound(n, c))
 
 
 def _compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:

@@ -18,9 +18,8 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .ratefn import (LowerDeviationRate, limit_profile, log_mgf,
                      lower_deviation_rate, tilt_parameter)
 from .results import EstimatorResult, Method
 from .rng import STREAM_TILT, STREAM_TWO_PHASE
-from .simulate import Phase, Proposal, Sample, sample
+from .simulate import Lanes, Phase, Proposal, sample
 
 HULL_CLAMP = 1e-9   # tilt targets pushed this fraction of the span inside the hull
 
@@ -85,24 +84,19 @@ def tilt_toward(env: EnvironmentLaw, drift: float) -> TiltedLaw:
     return tilt(env, tilt_parameter(env, target))
 
 
-def _rate_solver(env: EnvironmentLaw, c: float) -> Callable[[], LowerDeviationRate]:
-    """lower_deviation_rate(env, c), solved on the first call only."""
-    return functools.cache(functools.partial(lower_deviation_rate, env, c))
-
-
 def _tilt_target(env: EnvironmentLaw, c: float,
-                 solve: Optional[Callable[[], LowerDeviationRate]] = None) -> float:
+                 ldr: Optional[LowerDeviationRate] = None) -> float:
     """Proposal drift for a single-tilt run toward e^{cn}.
 
     For c inside the hull, or above it, the walk itself is steered to c.
     Below the minimum log-mean no environment sequence has that drift; the
     event is carried by paths that hold early and then grow along the limit
     slope, so the tilt aims at that slope instead of a degenerate corner.
-    solve, when given, returns lower_deviation_rate(env, c).
+    ldr, when given, is lower_deviation_rate(env, c).
     """
     if c > env.log_mean_min or c <= 0.0:
         return c
-    return (solve() if solve else lower_deviation_rate(env, c)).slope
+    return (ldr or lower_deviation_rate(env, c)).slope
 
 
 def _hold_tables(env: EnvironmentLaw, z0: int) -> Phase:
@@ -122,28 +116,6 @@ def _hold_tables(env: EnvironmentLaw, z0: int) -> Phase:
     return Phase(cum, llr)
 
 
-def _weigh(s: Sample, n: int, c: float, seed: int, proposal: Proposal,
-           side: str = "lower") -> Tuple[np.ndarray, EstimatorResult]:
-    """Each replica's weight, exp(llr) on its side of e^{cn} and 0 off the
-    event, and the estimate of the event that the weights make.
-
-    ess is (sum w)^2 / sum w^2, 0 for an all-zero sample; the tilt is the
-    free phase's, None when every generation is held.
-    """
-    w = np.exp(s.llr, where=s.hit(event_bound(n, c, side), side),
-               out=np.zeros(s.llr.size))
-    tot, sq = float(w.sum()), float(w @ w)
-    stderr = float(w.std(ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
-    return w, EstimatorResult(
-        estimate=float(w.mean()), stderr=stderr,
-        ess=tot * tot / sq if sq > 0.0 else 0.0,
-        method=Method.TWO_PHASE if proposal.m > 0 else Method.TILT_ONLY,
-        n=n, c=c, replicas=w.size, seed=seed, zero_mass=not w.any(),
-        tilt=proposal.free.lam if proposal.m < n else None,
-        hold_steps=proposal.m, normal_steps=s.normal_steps,
-    )
-
-
 def _event_mass(w: np.ndarray, n: int) -> float:
     """Total weight of a sample that conditions on the event; none is an error."""
     tot = float(w.sum())
@@ -152,7 +124,10 @@ def _event_mass(w: np.ndarray, n: int) -> float:
     return tot
 
 
-def _check_env(env: EnvironmentLaw, n: int, c: float, side: str, z0: int) -> None:
+def _check_env(env: EnvironmentLaw, n: int, c: float, side: str,
+               z0: int) -> Optional[LowerDeviationRate]:
+    """Refuse a call the estimators cannot serve; else lower_deviation_rate(env,
+    c) on the lower side with c > 0, the one rate solve of the call, or None."""
     if n < 1:
         raise InvalidArgumentError(f"n={n} must be >= 1")
     if z0 < 1:
@@ -168,6 +143,7 @@ def _check_env(env: EnvironmentLaw, n: int, c: float, side: str, z0: int) -> Non
         raise COutOfRangeError(f"lower deviation needs c < {lbar:.6g}, got {c}")
     if side == "upper" and c <= lbar:
         raise COutOfRangeError(f"upper deviation needs c > {lbar:.6g}, got {c}")
+    return lower_deviation_rate(env, c) if side == "lower" and c > 0.0 else None
 
 
 def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
@@ -180,9 +156,7 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     zero).
     """
     _check_env(env, n, c, "upper", z0)
-    proposal = _proposal(env, n, c, z0, "tilt_only", None, _rate_solver(env, c))
-    s = sample(env, n, z0, proposal, seed, replicas, workers)
-    return _weigh(s, n, c, seed, proposal, "upper")[1]
+    return _sample_and_weigh(env, n, c, z0, "upper", None, None, seed, replicas, workers)[2]
 
 
 class LowerTailEstimate(NamedTuple):
@@ -194,7 +168,7 @@ class LowerTailEstimate(NamedTuple):
 
 
 def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
-          phase_fraction: Optional[float], solve: Callable[[], LowerDeviationRate]
+          phase_fraction: Optional[float], ldr: Optional[LowerDeviationRate]
           ) -> Tuple[Optional[Proposal], Optional[float]]:
     """Proposal of a method and its hold fraction; the tilt is proposal.free.lam.
 
@@ -205,8 +179,7 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
     itself at m = 0, so TwoPhase with m = 0 is TiltOnly exactly.  The
     proposal is None when a law without single-offspring mass is planned a
     hold that phase_fraction did not ask for; asking for one raises
-    NoHoldingPossibleError.  solve returns lower_deviation_rate(env, c); a
-    _rate_solver shared by a caller's plans solves it at most once.
+    NoHoldingPossibleError.  ldr is _check_env's rate solve.
     """
     if method == "tilt_only":
         m, frac = 0, None
@@ -220,7 +193,7 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
         # threshold at or below the floor: the event forces holding throughout
         m, frac = n, 1.0
     else:
-        frac = solve().take_off
+        frac = ldr.take_off
         m = int(round(frac * n))
     if m > 0 and env.mean_p1 == 0.0:
         if phase_fraction is not None and phase_fraction > 0.0:
@@ -231,7 +204,7 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
     if m == n:
         tl = tilt(env, 0.0)   # no free generations to tilt
     else:
-        tl = tilt_toward(env, _tilt_target(env, c, solve) if m == 0
+        tl = tilt_toward(env, _tilt_target(env, c, ldr) if m == 0
                          else _tilt_target(env, c * n / (n - m)))
     # m = 0 is TiltOnly, on TiltOnly's stream, so the reduction is exact
     stream = STREAM_TWO_PHASE if m > 0 else STREAM_TILT
@@ -239,12 +212,33 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
     return Proposal(free=tl, stream=stream, m=m, hold=hold), frac
 
 
-def _proposal(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
-              phase_fraction: Optional[float],
-              solve: Callable[[], LowerDeviationRate]) -> Proposal:
-    """The method's proposal, TiltOnly where the law cannot hold as planned."""
-    proposal = _plan(env, n, c, z0, method, phase_fraction, solve)[0]
-    return proposal or _plan(env, n, c, z0, "tilt_only", None, solve)[0]
+def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
+                      ldr: Optional[LowerDeviationRate], proposal: Optional[Proposal],
+                      seed: int, replicas: int, workers: int,
+                      threshold: Optional[int] = None, capture: bool = False
+                      ) -> Tuple[Lanes, np.ndarray, EstimatorResult]:
+    """Replicas of proposal's paths (TiltOnly's when None: a law that cannot
+    hold as planned), each one's weight, exp(llr) on its side of e^{cn} and
+    0 off the event, and the estimate of the event that the weights make.
+
+    threshold and capture go to sample.  ess is (sum w)^2 / sum w^2, 0 for
+    an all-zero sample; the tilt is the free phase's, None when every
+    generation is held.
+    """
+    proposal = proposal or _plan(env, n, c, z0, "tilt_only", None, ldr)[0]
+    s = sample(env, n, z0, proposal, seed, replicas, workers, threshold, capture)
+    w = np.exp(s.llr, where=s.hit(event_bound(n, c, side), side),
+               out=np.zeros(s.llr.size))
+    tot, sq = float(w.sum()), float(w @ w)
+    stderr = float(w.std(ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
+    return s, w, EstimatorResult(
+        estimate=float(w.mean()), stderr=stderr,
+        ess=tot * tot / sq if sq > 0.0 else 0.0,
+        method=Method.TWO_PHASE if proposal.m > 0 else Method.TILT_ONLY,
+        n=n, c=c, replicas=w.size, seed=seed, zero_mass=not w.any(),
+        tilt=proposal.free.lam if proposal.m < n else None,
+        hold_steps=proposal.m, normal_steps=int(s.normal_steps.sum()),
+    )
 
 
 def _held_zero(n: int, c: float, replicas: int, seed: int) -> EstimatorResult:
@@ -271,26 +265,21 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     to the pure holding event (the population cannot shrink).  two_phase
     is None for a law that cannot hold where the plan needs a hold.
     """
-    _check_env(env, n, c, "lower", z0)
+    ldr = _check_env(env, n, c, "lower", z0)
     if event_bound(n, c) < z0:
         return LowerTailEstimate(tilt_only=None, take_off=1.0,
                                  two_phase=_held_zero(n, c, replicas, seed))
 
-    legs = {}
-    used_fraction: Optional[float] = None
-    solve = _rate_solver(env, c)
+    legs, fractions = {}, {}
     for method in ("tilt_only", "two_phase"):
-        if method not in methods:
-            continue
-        proposal, frac = _plan(env, n, c, z0, method, phase_fraction, solve)
-        if method == "two_phase":
-            used_fraction = frac
-        if proposal is not None:
-            s = sample(env, n, z0, proposal, seed, replicas, workers)
-            legs[method] = _weigh(s, n, c, seed, proposal)[1]
+        if method in methods:
+            proposal, fractions[method] = _plan(env, n, c, z0, method, phase_fraction, ldr)
+            if proposal is not None:
+                legs[method] = _sample_and_weigh(env, n, c, z0, "lower", ldr, proposal,
+                                                 seed, replicas, workers)[2]
     return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
                              two_phase=legs.get("two_phase"),
-                             take_off=used_fraction)
+                             take_off=fractions.get("two_phase"))
 
 
 def empirical_rate(result: EstimatorResult) -> Tuple[float, float]:
@@ -325,19 +314,16 @@ def rate_curve(env: EnvironmentLaw, c: float, n_list: Sequence[int],
     raises NoHoldingPossibleError), upper side TiltOnly.  A zero estimate
     is recorded with an infinite rate and the curve stops there.
     """
-    if side not in ("lower", "upper"):
-        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
     method = "two_phase" if side == "lower" else "tilt_only"
-    solve = _rate_solver(env, c)   # one solve for every horizon
     points = []
     for n in n_list:
-        _check_env(env, n, c, side, z0)
+        ldr = _check_env(env, n, c, side, z0)
         if side == "lower" and event_bound(n, c) < z0:
             res = _held_zero(n, c, replicas, seed)
         else:
-            proposal = _proposal(env, n, c, z0, method, phase_fraction, solve)
-            s = sample(env, n, z0, proposal, seed, replicas, workers)
-            res = _weigh(s, n, c, seed, proposal, side)[1]
+            proposal = _plan(env, n, c, z0, method, phase_fraction, ldr)[0]
+            res = _sample_and_weigh(env, n, c, z0, side, ldr, proposal, seed,
+                                    replicas, workers)[2]
         if res.zero_mass:
             points.append(RatePoint(n, c, 0.0, math.inf, math.nan, 0.0,
                                     res.method, True))
@@ -387,10 +373,10 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     conditioning event is the proposal's event: the full lower event for
     tilt_only, the held partial event for two_phase.
     """
-    _check_env(env, n, c, "lower", z0)
-    proposal = _proposal(env, n, c, z0, method, phase_fraction, _rate_solver(env, c))
-    s = sample(env, n, z0, proposal, seed, replicas, workers, pop_threshold)
-    w, res = _weigh(s, n, c, seed, proposal)
+    ldr = _check_env(env, n, c, "lower", z0)
+    s, w, res = _sample_and_weigh(env, n, c, z0, "lower", ldr,
+                                  _plan(env, n, c, z0, method, phase_fraction, ldr)[0],
+                                  seed, replicas, workers, pop_threshold)
     tot = _event_mass(w, n)
     frac = s.tau / n
     mean, se = _ratio_stats(w, frac)
@@ -435,7 +421,7 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     and the straight line c*t for the upper side; sup_distance is the
     weighted mean of each path's sup deviation from it over all n+1 steps.
     """
-    _check_env(env, n, c, side, z0)
+    ldr = _check_env(env, n, c, side, z0)
     if grid is None:
         grid_arr = np.arange(n + 1) / n
     else:
@@ -443,26 +429,18 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
         if grid_arr.size == 0 or not np.all((grid_arr >= 0.0) & (grid_arr <= 1.0)):
             raise InvalidArgumentError("grid must be a nonempty subset of [0, 1]")
     grid_idx = np.minimum(n, np.floor(grid_arr * n + 1e-9).astype(np.int64))
-    steps = np.arange(n + 1) / n
 
-    solve = _rate_solver(env, c)
-    if side == "lower":
-        ldr = solve() if c > 0.0 else None
-        if ldr is not None:
-            ref_at_k = np.array([limit_profile(ldr, t) for t in steps])
-            reference = np.array([limit_profile(ldr, t) for t in grid_arr])
-        else:
-            ref_at_k = np.zeros(n + 1)
-            reference = np.zeros(grid_arr.size)
-        method = method or "two_phase"
-    else:
-        ref_at_k = c * steps
-        reference = c * grid_arr
-        method = "tilt_only"
+    def limit(t: np.ndarray) -> np.ndarray:
+        """The reference curve at times t; flat at 0 for a lower c <= 0."""
+        if ldr is None:
+            return c * t if side == "upper" else np.zeros(t.size)
+        return np.array([limit_profile(ldr, x) for x in t])
 
-    proposal = _proposal(env, n, c, z0, method, phase_fraction, solve)
-    s = sample(env, n, z0, proposal, seed, replicas, workers, capture=True)
-    w, res = _weigh(s, n, c, seed, proposal, side)
+    ref_at_k, reference = limit(np.arange(n + 1) / n), limit(grid_arr)
+    method = "tilt_only" if side == "upper" else method or "two_phase"
+    s, w, res = _sample_and_weigh(env, n, c, z0, side, ldr,
+                                  _plan(env, n, c, z0, method, phase_fraction, ldr)[0],
+                                  seed, replicas, workers, capture=True)
     _event_mass(w, n)
     # replicas of zero weight add nothing to a weighted mean: drop them
     on = w > 0.0

@@ -22,12 +22,14 @@ replica engine, of the cell tree and of branch_step.
 
 Every block is simulated in full, so replica r's path depends only on
 (seed, stream, r): results are byte-identical for any worker count, and a
-run with more replicas extends one with fewer.  Every reader reduces one
-Sample, which sample builds run by run: final_states here, whose naive
-proposal carries the log-mean walk as its llr, and the estimators in
-rare_event.  A naive Monte Carlo estimate is the hit fraction of the
-naive proposal's Sample.  run, Trajectory, branch_step and draw_env_index
-stay only for bench/, until ROADMAP item 1 moves it off them.
+run with more replicas extends one with fewer.  A lockstep pass and a
+finished run share one record, Lanes, one entry per replica; sample
+joins its runs' lanes and every reader reduces them: final_states here,
+whose naive proposal carries the log-mean walk as its llr, and the
+estimators in rare_event.  A naive Monte Carlo estimate is the hit
+fraction of the naive proposal's lanes.  run, Trajectory, branch_step and
+draw_env_index stay only for bench/, until ROADMAP item 1 moves it off
+them.
 """
 
 from __future__ import annotations
@@ -270,21 +272,26 @@ def _parts(a: np.ndarray, mask: np.ndarray, rngs: list) -> list:
 
 
 class Lanes(Populations):
-    """The lanes of a pass of blocks after generation k, BLOCK per block.
+    """Lanes of replicas, BLOCK per block: a lockstep pass after generation
+    k, or a finished run's replicas in order.
 
-    llr is each lane's log likelihood ratio so far, idx the components
-    drawn at generation k (None at k = 0), tau the first generation with
-    population above the pass's take-off threshold (n if none yet), and
-    normal_steps each lane's count of generations branched in the log-z
-    lane.  block_lanes updates the arrays in place; copy what you keep.
+    llr is each lane's log likelihood ratio so far (S_k under
+    Proposal.naive), idx the components drawn at generation k (None at
+    k = 0), tau the first generation with population above the run's
+    take-off threshold (n if none yet), normal_steps each lane's count of
+    generations branched in the log-z lane, and paths its log populations
+    at generations 0..n (None unless captured).  block_lanes updates the
+    arrays in place; copy what you keep.
     """
 
-    __slots__ = ("llr", "tau", "normal_steps", "idx")
+    __slots__ = ("llr", "tau", "normal_steps", "idx", "paths")
 
     def __init__(self, z: np.ndarray, logz: np.ndarray, big: np.ndarray, llr: np.ndarray,
-                 tau: np.ndarray, normal_steps: np.ndarray, idx: Optional[np.ndarray] = None):
+                 tau: np.ndarray, normal_steps: np.ndarray, idx: Optional[np.ndarray] = None,
+                 paths: Optional[np.ndarray] = None):
         super().__init__(z, logz, big)
-        self.llr, self.tau, self.normal_steps, self.idx = llr, tau, normal_steps, idx
+        self.llr, self.tau, self.normal_steps = llr, tau, normal_steps
+        self.idx, self.paths = idx, paths
 
 
 def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
@@ -376,44 +383,26 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
         return [f.result() for f in futures]
 
 
-class Sample(Populations):
-    """A run's final populations, one entry per replica; hit tests an event.
-
-    llr is each replica's log likelihood ratio (S_n under Proposal.naive),
-    tau its take-off step, paths its log populations at generations 0..n
-    (None unless captured), and normal_steps the run's count of
-    replica-generations in the log-z lane.
-    """
-
-    __slots__ = ("llr", "tau", "paths", "normal_steps")
-
-    def __init__(self, z: np.ndarray, logz: np.ndarray, big: np.ndarray, llr: np.ndarray,
-                 tau: np.ndarray, paths: Optional[np.ndarray], normal_steps: int):
-        super().__init__(z, logz, big)
-        self.llr, self.tau, self.paths, self.normal_steps = llr, tau, paths, normal_steps
-
-
-_PER_REPLICA = ("z", "logz", "big", "llr", "tau")
+_PER_REPLICA = ("z", "logz", "big", "llr", "tau", "normal_steps")
 
 
 def _sample_run(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
                 seed: int, threshold: Optional[int], capture: bool,
-                lo: int, hi: int) -> Sample:
-    """The Sample of replicas [lo, hi), lo a multiple of BLOCK, from one
+                lo: int, hi: int) -> Lanes:
+    """The lanes of replicas [lo, hi), lo a multiple of BLOCK, from one
     lockstep pass over their blocks."""
     size, logs = hi - lo, []
     for lanes in block_lanes(env, n, z0, proposal, seed, lo // BLOCK, threshold,
                              -(-size // BLOCK)):
         if capture:
             logs.append(lanes.log()[:size])
-    return Sample(**{f: getattr(lanes, f)[:size] for f in _PER_REPLICA},
-                  paths=np.stack(logs, axis=1) if capture else None,
-                  normal_steps=int(lanes.normal_steps[:size].sum()))
+    return Lanes(**{f: getattr(lanes, f)[:size] for f in _PER_REPLICA},
+                 paths=np.stack(logs, axis=1) if capture else None)
 
 
 def sample(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal, seed: int,
            replicas: int, workers: int = 1, threshold: Optional[int] = None,
-           capture: bool = False) -> Sample:
+           capture: bool = False) -> Lanes:
     """Replicas 0..replicas-1 of proposal's paths, run in lockstep passes.
 
     A take-off step is the first generation with population above
@@ -421,10 +410,8 @@ def sample(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal, seed: int,
     """
     runs = map_replicas(_sample_run, (env, n, z0, proposal, seed, threshold,
                                       capture), replicas, workers, n)
-    cat = {f: np.concatenate([getattr(r, f) for r in runs]) for f in _PER_REPLICA}
-    return Sample(**cat,
-                  paths=np.concatenate([r.paths for r in runs]) if capture else None,
-                  normal_steps=sum(r.normal_steps for r in runs))
+    fields = _PER_REPLICA + ("paths",) * capture
+    return Lanes(**{f: np.concatenate([getattr(r, f) for r in runs]) for f in fields})
 
 
 class FinalStates(NamedTuple):
@@ -445,5 +432,5 @@ def final_states(config: SimConfig, threshold: Optional[int] = None,
                config.seed, config.replicas, workers, threshold)
     return FinalStates(z=s.ints(config.replicas), s=s.llr,
                        tau=s.tau if threshold is not None else None,
-                       normal_steps=s.normal_steps)
+                       normal_steps=int(s.normal_steps.sum()))
 

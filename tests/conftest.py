@@ -5,6 +5,7 @@ import pytest
 
 from bpre import (build_environment, log_mgf, population_distribution, simulate,
                   tilt_parameter, walk_rate)
+from bpre.oracle import event_threshold  # noqa: F401 -- the one e^{cn} rule, for every test
 from bpre.ratefn import walk_atoms
 
 
@@ -62,10 +63,6 @@ def naive_sample(config, workers=1):
     return simulate.sample(config.env, config.n, config.z0,
                            simulate.Proposal.naive(config.env), config.seed,
                            config.replicas, workers)
-
-
-def event_threshold(n: int, c: float) -> int:
-    return int(math.floor(math.exp(c * n) + 1e-12))
 
 
 def exact_lower(env, n, c, z0=1, cap=None):

@@ -13,8 +13,13 @@ import inspect
 from pathlib import Path
 
 from bpre.cells import expected_count_identity
-from bpre.oracle import conditional_trajectory
-from bpre.simulate import branch_step
+from bpre.oracle import (ConditionalTrajectoryResult, conditional_trajectory,
+                         population_distribution)
+from bpre.rare_event import (LowerTailEstimate, TakeOffResult, TrajectoryProfile,
+                             conditional_profile, estimate_lower_tail,
+                             estimate_upper_tail, take_off_statistics)
+from bpre.results import EstimatorResult
+from bpre.simulate import SimConfig, branch_step
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -70,3 +75,35 @@ def test_bench_call_shapes_bind():
     inspect.signature(expected_count_identity).bind("tree", result="res")
     inspect.signature(branch_step).bind("z", "law", "rng")
     inspect.signature(conditional_trajectory).bind("env", "n", "c")
+
+
+def test_bench_estimator_calls_bind():
+    # bench/layers.py: fn(env, n, c, replicas=, seed=) for each estimator,
+    # estimate_lower_tail(..., workers=), SimConfig(env=, n=, seed=,
+    # replicas=) and population_distribution(env, n, cap=); bench/libclient.py
+    # also calls conditional_profile(..., method=)
+    for fn in (estimate_lower_tail, estimate_upper_tail, take_off_statistics,
+               conditional_profile):
+        inspect.signature(fn).bind("env", "n", "c", replicas=10, seed=0)
+    inspect.signature(estimate_lower_tail).bind("env", "n", "c", replicas=10, seed=0,
+                                                workers=2)
+    inspect.signature(conditional_profile).bind("env", "n", "c", replicas=10, seed=0,
+                                                method="tilt_only")
+    inspect.signature(SimConfig).bind(env="env", n=8, seed=0, replicas=300)
+    inspect.signature(population_distribution).bind("env", "n", cap=1000)
+
+
+# the fields bench/layers.py and bench/libclient.py read from each result
+BENCH_READS = {
+    EstimatorResult: ("estimate", "stderr", "ess"),
+    LowerTailEstimate: ("tilt_only", "two_phase"),
+    TakeOffResult: ("ess", "weights"),
+    TrajectoryProfile: ("values", "stderr", "ess", "event_estimate"),
+    ConditionalTrajectoryResult: ("probability", "profile"),
+}
+
+
+def test_bench_result_fields_exist():
+    missing = {record.__name__: [f for f in fields if f not in record._fields]
+               for record, fields in BENCH_READS.items()}
+    assert missing == {record.__name__: [] for record in BENCH_READS}

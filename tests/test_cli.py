@@ -575,9 +575,16 @@ DROP = object()   # deletes the field instead of setting it
     (("command",), ["oracle"], "'command'"),
     (("artifacts",), DROP, "'artifacts'"),
     (("run_id",), 7, "'run_id'"),
+    # the replay directory is named after the run id: one that is not a
+    # plain file name could put it outside --out-dir
+    (("run_id",), "a/../../escaped", "'run_id'"),
+    (("run_id",), "a/b", "'run_id'"),
+    (("run_id",), "..", "'run_id'"),
+    (("run_id",), "", "'run_id'"),
     (("version",), DROP, "'version'"),
 ], ids=["n", "c", "replicas", "no-seed", "no-section", "no-config", "command",
-        "command-list", "no-artifacts", "run_id-int", "no-version"])
+        "command-list", "no-artifacts", "run_id-int", "run_id-escape", "run_id-separator",
+        "run_id-dotdot", "run_id-empty", "no-version"])
 def test_reproduce_bad_record_setting_exits_2(tmp_path, capsys, path, bad, named):
     # a record is outside input: its fields are checked, and its config
     # skips config resolution, so its casts refuse a bad setting
@@ -631,10 +638,10 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.8.0"
+GOLDEN_VERSION = "0.9.0"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
-        "4b04b44193ef09723c0f7f51636153e750cbde686c9d81382d72745495ce59ce",
+        "f582946eab2554860801672d5968345688baa91b9b9c8478c711e20ebfd405e8",
     ("simulate", "simulate.csv"):
         "214c86992d2a746461ba0d9351771583d33ca3f50f64b79c2a8a7e3fb321dcb5",
     ("estimate-lower", "estimate_lower.csv"):

@@ -24,9 +24,25 @@ from bpre import (
 )
 from bpre import oracle
 from bpre.oracle import BLOCK_ROWS, ENTRY_BUDGET
+from bpre.simulate import EXACT_LIMIT, Populations
 from conftest import dense_kernel, event_threshold, g2_law, naive_sample
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 40])
+def test_event_threshold_is_the_estimators_bound(n):
+    # one e^{cn} rule: T is the largest population on the lower event of the
+    # estimators' hit test, and at c = log(K) / n it is K itself wherever the
+    # bound's relative slack is below one individual
+    for k in (1, 2, 24, 1995, 1996, 10**6 + 3, 2**40 + 1):
+        c = math.log(k) / n
+        t = oracle.event_threshold(n, c)
+        assert t == k or (k > 10**9 and 0 <= t - k <= 1e-9 * k + 1)
+        lanes = Populations.start(t, EXACT_LIMIT, 2)
+        lanes.z[1] += 1
+        assert lanes.hit(oracle.event_bound(n, c), "lower").tolist() == [True, False]
+    assert oracle.event_threshold(8, 0.4) == 24
 
 
 def test_point_mass_dynamics(dirac2):
@@ -199,14 +215,20 @@ def composition_cases(draw):
 
 
 def kernel_pmf(env, n, z0, cap):
-    """pmf and overflow of Z_n by n products with the dense kernel on 0..cap."""
+    """pmf and overflow of Z_n by n products with the dense kernel on 0..cap.
+
+    A generation adds its lost mass to the overflow only when a state above
+    cap // max_offspring holds mass: below it the loss is rounding alone.
+    """
     m = dense_kernel(env, cap)
+    edge = cap // max(d.max_offspring for d in env.components) + 1
     v = np.zeros(cap + 1)
     v[z0] = 1.0
     overflow = 0.0
     for _ in range(n):
         new = v @ m
-        overflow += max(0.0, float(v.sum() - new.sum()))
+        if v[edge:].any():
+            overflow += max(0.0, float(v.sum() - new.sum()))
         v = new
     return v, overflow
 
@@ -227,6 +249,9 @@ def kernel_pmf(env, n, z0, cap):
 @example(case=(build_environment([(1.0, {0: 0.5, 2: 0.5})]), 1, 1, 1))
 # g2: its second law lives on the even states
 @example(case=(g2_law(), 5 * BLOCK_ROWS, 1, 5))
+# a law that cannot pass the cap: the overflow is 0, not the two passes'
+# different rounding of the mass they keep
+@example(case=(build_environment([(1.0, {0: 1 / 3, 1: 2 / 3})]), 217, 217, 3))
 def test_blocked_composition_matches_kernel(case):
     # the blocked DP against n products with the dense kernel on 0..cap:
     # zero offspring (no early truncation), narrow and full-width baby

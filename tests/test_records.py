@@ -88,7 +88,7 @@ def test_records_build_by_keyword_and_position():
 
 
 def test_laws_equal_and_hash_by_identity(g2):
-    # rare_event._rate_solver caches one rate solve per law object
+    # the population DP resumes its last call on the same law object
     twin = environment_from_dict(environment_to_dict(g2))
     assert g2 == g2 and twin != g2 and len({g2, twin}) == 2
     assert hash(g2) == object.__hash__(g2)
