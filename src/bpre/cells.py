@@ -12,11 +12,12 @@ identity and the parasites of one uniform leaf, the tree's lineage draw.
 Trees grow in groups of S = max(1, min(BLOCK, TREE_LEAVES >> n)), a level
 at a time: group g reads the one stream replica_stream(seed, STREAM_CELLS + g)
 and holds a level of its S trees as one flat array of S * 2^k cells, tree by
-tree.  simulate.law_step fills the first daughters of all those cells from
-law1, then the second ones from law2, in the block engine's exact int64 and
-log-z lanes.  S is a power of two that divides BLOCK, so a group never
-straddles a map_replicas block, and a partial last group is grown in full:
-tree r depends only on (seed, config, r), for any worker or replica count.
+tree.  Each level repeats every cell twice, so the daughters of cell i sit
+at 2i and 2i + 1, and simulate.branch steps the even ones by law1 and the
+odd ones by law2, in the block engine's exact int64 and log-z lanes.  S is
+a power of two that divides BLOCK, so a group never straddles a
+map_replicas block, and a partial last group is grown in full: tree r
+depends only on (seed, config, r), for any worker or replica count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .envmodel import EnvironmentLaw, OffspringDistribution, build_environment
 from .errors import BudgetExceededError, InvalidArgumentError
 from .oracle import event_bound, event_threshold, exp_cn, population_distribution
 from .rng import STREAM_CELLS, replica_stream
-from .simulate import BLOCK, EXACT_LIMIT, Populations, law_step, map_replicas
+from .simulate import BLOCK, EXACT_LIMIT, Populations, branch, map_replicas
 
 TREE_DEPTH_MAX = 20
 
@@ -86,26 +87,23 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
     size = max(1, min(BLOCK, TREE_LEAVES >> n))
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     bounds = [(event_bound(n, config.c, side), side) for side in ("lower", "upper")]
+    parity = np.arange(size << n) & 1
     groups = []
     for g in range(lo // size, -(-hi // size)):
         rng = replica_stream(config.seed, STREAM_CELLS + g)
         cells = Populations.start(config.z0, limit, size)
         normal_steps = np.zeros(size, dtype=np.int64)
         for _ in range(n):
-            cells.promote(limit)
-            big, exact = cells.big, ~cells.big
-            zs, logzs = cells.z[exact], cells.logz[big]
+            parents = cells.z
+            cells = Populations(parents.repeat(2), cells.logz.repeat(2), cells.big.repeat(2))
             if joint is None:
-                daughters = [law_step(law, zs, logzs, [rng], exact, big) for law in laws]
-            elif big.any():
-                raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
+                branch(cells, parity[:cells.z.size], laws, [rng], limit)
             else:
-                daughters = [(d, logzs) for d in joint(zs, rng)]
-            normal_steps += 2 * big.reshape(size, -1).sum(axis=1)
-            z, logz = np.zeros((2, big.size), dtype=np.int64), np.zeros((2, big.size))
-            for j, (dz, dlogz) in enumerate(daughters):
-                z[j, exact], logz[j, big] = dz, dlogz
-            cells = Populations(z.T.ravel(), logz.T.ravel(), big.repeat(2))
+                cells.promote(limit)
+                if cells.big.any():
+                    raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
+                cells.z[0::2], cells.z[1::2] = joint(parents, rng)
+            normal_steps += cells.big.reshape(size, -1).sum(axis=1)
         picks = (np.arange(size) << n) + rng.integers(1 << n, size=size)
         counts = [cells.hit(*bound).reshape(size, -1).sum(axis=1) for bound in bounds]
         groups.append((*counts, normal_steps, [cells.value(j) for j in picks.tolist()]))

@@ -268,6 +268,8 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
 
 def exp_cn(n: int, c: float) -> float:
     """The event bound e^{cn} as a float; BudgetExceeded past the float range."""
+    if math.isnan(c):
+        raise InvalidArgumentError("c is not a number")
     if not c * n <= 709.0:   # e^709 < 1.8e308, the largest float
         raise BudgetExceededError(f"threshold e^(cn) at cn={c * n:g} is past the float range")
     return math.exp(c * n)

@@ -132,6 +132,8 @@ def _check_env(env: EnvironmentLaw, n: int, c: float, side: str,
         raise InvalidArgumentError(f"n={n} must be >= 1")
     if z0 < 1:
         raise InvalidArgumentError(f"initial population z0={z0} must be >= 1")
+    if math.isnan(c):
+        raise InvalidArgumentError("c is not a number")
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError(
             "deviation estimators need every component to give at least one offspring"
@@ -266,20 +268,16 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     is None for a law that cannot hold where the plan needs a hold.
     """
     ldr = _check_env(env, n, c, "lower", z0)
+    plans = {method: _plan(env, n, c, z0, method, phase_fraction, ldr) for method in methods}
     if event_bound(n, c) < z0:
         return LowerTailEstimate(tilt_only=None, take_off=1.0,
                                  two_phase=_held_zero(n, c, replicas, seed))
-
-    legs, fractions = {}, {}
-    for method in ("tilt_only", "two_phase"):
-        if method in methods:
-            proposal, fractions[method] = _plan(env, n, c, z0, method, phase_fraction, ldr)
-            if proposal is not None:
-                legs[method] = _sample_and_weigh(env, n, c, z0, "lower", ldr, proposal,
-                                                 seed, replicas, workers)[2]
+    legs = {method: _sample_and_weigh(env, n, c, z0, "lower", ldr, proposal,
+                                      seed, replicas, workers)[2]
+            for method, (proposal, _) in plans.items() if proposal is not None}
     return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
                              two_phase=legs.get("two_phase"),
-                             take_off=fractions.get("two_phase"))
+                             take_off=plans.get("two_phase", (None, None))[1])
 
 
 def empirical_rate(result: EstimatorResult) -> Tuple[float, float]:
@@ -437,7 +435,9 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
         return np.array([limit_profile(ldr, x) for x in t])
 
     ref_at_k, reference = limit(np.arange(n + 1) / n), limit(grid_arr)
-    method = "tilt_only" if side == "upper" else method or "two_phase"
+    if side == "upper" and method == "two_phase":
+        raise InvalidArgumentError("the upper side has no two_phase proposal")
+    method = method or ("tilt_only" if side == "upper" else "two_phase")
     s, w, res = _sample_and_weigh(env, n, c, z0, side, ldr,
                                   _plan(env, n, c, z0, method, phase_fraction, ldr)[0],
                                   seed, replicas, workers, capture=True)

@@ -16,9 +16,9 @@ In that log-z lane the step is the moment-matched normal
 z' = z * mean + g * sqrt(z * variance), written as
 log z' = log z + log(mean + g * sd * exp(-log z / 2)); it cannot
 overflow.  Threshold tests compare exact lanes as integers and log-z
-lanes in log space.  law_step branches both lanes by one offspring law,
-each stream on its part of the lanes; it is the one branching step of the
-replica engine, of the cell tree and of branch_step.
+lanes in log space.  branch, the one branching step of the replica
+engine, the cell tree and branch_step, steps each entry in place by the
+law its index names, each stream on its part of the entries.
 
 Every block is simulated in full, so replica r's path depends only on
 (seed, stream, r): results are byte-identical for any worker count, and a
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterator, List, NamedTuple, Optional
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -225,32 +225,39 @@ class Populations:
             self.logz[grow] = np.log(self.z[grow])
 
 
-def law_step(dist: OffspringDistribution, z: np.ndarray, logz: np.ndarray, rngs: list,
-             z_mask: np.ndarray, logz_mask: np.ndarray):
-    """New (z, logz) after exact populations z and log-z populations logz
-    branch once by dist.
+def branch(pop: Populations, idx: np.ndarray, laws: Sequence[OffspringDistribution],
+           rngs: list, limit: int) -> None:
+    """Branch entry j of pop once by laws[idx[j]], in place, after moving
+    the exact entries above limit (at most EXACT_LIMIT // the largest
+    offspring count) to the log-z lane.
 
-    z holds the entries of z_mask and logz those of logz_mask, each mask
-    cut into len(rngs) equal parts.  Each stream draws one multinomial over
-    its part of z, then one normal per entry of its part of logz; an empty
-    part draws nothing.  Entries of z must be at most
-    EXACT_LIMIT // dist.max_offspring, as Populations.promote ensures.
+    The entries are cut into len(rngs) equal parts, one per stream.  Per
+    law, in order, each stream draws one multinomial over its part's exact
+    entries, then one normal per log-z entry; an empty part draws nothing.
+    No exact population decreases under a law with p0 == 0 (asserted).
     """
-    if z.size:
-        counts = np.concatenate([r.multinomial(part, dist.probs_arr)
-                                 for r, part in _parts(z, z_mask, rngs)])
-        z = counts.dot(dist.support_arr)
-    if logz.size:
-        g = np.concatenate([r.standard_normal(part.size)
-                            for r, part in _parts(logz, logz_mask, rngs)])
-        logz = logz + _log_step(dist, logz, g)
-    return z, logz
+    pop.promote(limit)
+    z, logz, big = pop.z, pop.logz, pop.big
+    for i, law in enumerate(laws):
+        on = idx == i
+        exact, normal = on & ~big, on & big
+        zs, lz = z[exact], logz[normal]
+        if zs.size:
+            out = np.concatenate([r.multinomial(part, law.probs_arr)
+                                  for r, part in _parts(zs, exact, rngs)]).dot(law.support_arr)
+            assert law.p0 > 0.0 or (out >= zs).all(), \
+                "population decreased under a no-extinction law"
+            z[exact] = out
+        if lz.size:
+            g = np.concatenate([r.standard_normal(part.size)
+                                for r, part in _parts(lz, normal, rngs)])
+            logz[normal] = lz + _log_step(law, lz, g)
 
 
 def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -> int:
     """Total offspring of z individuals reproducing independently via dist.
 
-    One lane of law_step: exact while z <= EXACT_LIMIT // dist.max_offspring,
+    One lane of branch: exact while z <= EXACT_LIMIT // dist.max_offspring,
     the log-z step above, rounded to an int as Populations.value does.  A
     one-point law needs no draw and stays exact at any z.
     """
@@ -258,10 +265,9 @@ def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -
         raise InvalidArgumentError(f"population {z} is negative")
     if len(dist.support) == 1:
         return z * dist.support[0]
-    lane = Populations.start(z, EXACT_LIMIT // dist.max_offspring, 1)
-    exact, big = ~lane.big, lane.big
-    lane.z[exact], lane.logz[big] = law_step(dist, lane.z[exact], lane.logz[big], [rng],
-                                             exact, big)
+    limit = EXACT_LIMIT // dist.max_offspring
+    lane = Populations.start(z, limit, 1)
+    branch(lane, np.zeros(1, dtype=np.int64), (dist,), [rng], limit)
     return lane.value(0)
 
 
@@ -302,31 +308,21 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
     The blocks step together (a lockstep pass), block + j in lanes j BLOCK
     onward.  Each draws from its stream, proposal.stream + its index, what
     it draws alone: BLOCK uniforms for the components (held generations stop
-    there), then per component a multinomial and normals (law_step).
+    there), then per component a multinomial and normals (branch).
     """
     rngs = [replica_stream(seed, proposal.stream + b) for b in range(block, block + blocks)]
     size = BLOCK * blocks
     limit = EXACT_LIMIT // max(d.max_offspring for d in env.components)
     lanes = Lanes.start(z0, limit, size, llr=np.zeros(size), tau=np.full(size, n),
                         normal_steps=np.zeros(size, dtype=np.int64))
-    check = env.strongly_supercritical
     for k in range(n + 1):
         if k > 0:
             phase = proposal.hold if k <= proposal.m else proposal.free
             lanes.idx = _pick(phase, np.concatenate([rng.random(BLOCK) for rng in rngs]))
             lanes.llr += phase.step_log_lr[lanes.idx]
         if k > proposal.m:
-            lanes.promote(limit)
-            z, logz, big = lanes.z, lanes.logz, lanes.big
-            lanes.normal_steps += big
-            for i, dist in enumerate(env.components):
-                on = lanes.idx == i
-                exact, normal = on & ~big, on & big
-                zs = z[exact]
-                out, logz[normal] = law_step(dist, zs, logz[normal], rngs, exact, normal)
-                if check:
-                    assert (out >= zs).all(), "population decreased under a no-extinction law"
-                z[exact] = out
+            branch(lanes, lanes.idx, env.components, rngs, limit)
+            lanes.normal_steps += lanes.big
         if threshold is not None:
             lanes.tau[(lanes.tau == n) & ~lanes.hit(threshold, "lower")] = k
         yield lanes

@@ -14,9 +14,11 @@ from bpre import (
     population_distribution,
     simulate_cell_tree,
 )
-from bpre import cells
+from bpre import cells, simulate
 from bpre.cells import TREE_DEPTH_MAX, TREE_LEAVES
-from bpre.simulate import BLOCK
+from bpre.oracle import event_bound
+from bpre.rng import STREAM_CELLS, replica_stream
+from bpre.simulate import BLOCK, EXACT_LIMIT, Populations
 
 
 def g2_laws():
@@ -246,6 +248,59 @@ def test_more_replicas_extend_fewer(laws, c):
         assert list(column) == list(full[:37])
     assert a.normal_steps == int(theirs[2][:37].sum())
     assert a.leaves == b.leaves[:37]
+
+
+def reference_tree(config, g):
+    """Group g of config's trees regrown from its stream in the documented
+    order: per level, law1's multinomial over the exact cells and then one
+    normal per log-z cell, then law2's; after the last level one integers
+    draw of each tree's uniform leaf.
+
+    Returns per tree its leaves below and above e^{cn}, its log-z daughter
+    draws and the parasites of its uniform leaf.
+    """
+    n, laws = config.n, (config.law1, config.law2)
+    size = max(1, min(BLOCK, TREE_LEAVES >> n))
+    limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
+    rng = replica_stream(config.seed, STREAM_CELLS + g)
+    level = Populations.start(config.z0, limit, size)
+    steps = np.zeros(size, dtype=np.int64)
+    for _ in range(n):
+        level.promote(limit)
+        exact, big = ~level.big, level.big
+        steps += 2 * big.reshape(size, -1).sum(axis=1)
+        daughters = []
+        for law in laws:
+            z, logz = level.z.copy(), level.logz.copy()
+            if exact.any():
+                z[exact] = rng.multinomial(z[exact], law.probs_arr) @ law.support_arr
+            if big.any():
+                g_big = rng.standard_normal(int(big.sum()))
+                logz[big] += simulate._log_step(law, logz[big], g_big)
+            daughters.append((z, logz))
+        (z1, logz1), (z2, logz2) = daughters
+        level = Populations(np.column_stack([z1, z2]).ravel(),
+                            np.column_stack([logz1, logz2]).ravel(), big.repeat(2))
+    leaves = (np.arange(size) << n) + rng.integers(1 << n, size=size)
+    below, above = (level.hit(event_bound(n, config.c, side), side).reshape(size, -1).sum(axis=1)
+                    for side in ("lower", "upper"))
+    return below, above, steps, [level.value(j) for j in leaves.tolist()]
+
+
+@pytest.mark.parametrize("laws, n, c, z0", [(g2_laws(), 6, 0.4, 1), (jump_laws(), 10, 5.0, 1),
+                                            (g2_laws(), 3, 14.6, 2**60)],
+                         ids=["g2", "log-lane", "big-root"])
+def test_trees_equal_groups_regrown_alone(laws, n, c, z0):
+    # _trees' columns over three groups are each group's draws in the
+    # documented order, cut at the replica count
+    size = max(1, min(BLOCK, TREE_LEAVES >> n))
+    config = CellTreeConfig(n=n, law1=laws[0], law2=laws[1], c=c, seed=8, z0=z0,
+                            replicas=2 * size + 1)
+    got = cells._trees(config, None, 0, config.replicas)
+    groups = [reference_tree(config, g) for g in range(3)]
+    for column, parts in zip(got, zip(*groups)):
+        assert list(column) == [x for part in parts for x in part][:config.replicas]
+    assert (got[2].sum() > 0) == (n != 6)
 
 
 def random_joint(z, rng):

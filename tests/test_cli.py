@@ -388,6 +388,15 @@ def test_non_finite_c_exits_2(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_trajectory_upper_two_phase_exits_2(tmp_path, capsys):
+    rc = main(["trajectory", "--config", str(CONFIG_DIR / "g2.json"), "--side", "upper",
+               "--method", "two_phase", "--c", "1.05", "--replicas", "10",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_bad_tol_exits_2(tmp_path, capsys, tol):
     # the cap leaves an error bound of 0.998 at threshold 50

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bpre import (
+    CellTreeConfig,
     COutOfRangeError,
     InvalidArgumentError,
     Method,
@@ -229,6 +230,33 @@ def test_estimators_reject_start_below_one(g2, fn, c, z0):
     # z0 = 0 once gave a TiltOnly lower-tail "probability" of 1.16
     with pytest.raises(InvalidArgumentError, match=f"z0={z0}"):
         fn(g2, 8, c, z0=z0, replicas=10)
+
+
+@pytest.mark.parametrize("fn", [
+    estimate_lower_tail, estimate_upper_tail, take_off_statistics, conditional_profile,
+    conditional_trajectory, lambda env, n, c: CellTreeConfig(n, *env.components, c),
+], ids=["lower", "upper", "takeoff", "profile", "trajectory", "cells"])
+def test_nan_c_is_invalid_argument(g2, fn):
+    # NaN compares False against every bound: it once ended in an
+    # AttributeError, a BudgetExceeded "past the float range" or a COutOfRange
+    with pytest.raises(InvalidArgumentError, match="c is not a number"):
+        fn(g2, 8, math.nan)
+
+
+@pytest.mark.parametrize("c", [0.4, -0.5], ids=["sampled", "impossible"])
+def test_lower_tail_rejects_unknown_method(g2, c):
+    # ("tilt",) once returned no estimate at all, and a bad name next to a
+    # good one was dropped
+    for methods in (("tilt",), ("tilt_only", "bogus")):
+        with pytest.raises(InvalidArgumentError, match="unknown method"):
+            estimate_lower_tail(g2, 8, c, replicas=10, methods=methods)
+
+
+def test_upper_profile_has_no_two_phase(g2):
+    # it once ran TiltOnly in silence
+    with pytest.raises(InvalidArgumentError, match="two_phase"):
+        conditional_profile(g2, 8, g2.mean_log_mean + 0.3, side="upper",
+                            method="two_phase", replicas=10)
 
 
 def test_lower_unbiased_over_seed_batches(g2):
