@@ -489,22 +489,21 @@ def _cmd_reproduce(ns) -> int:
     if not run_id or ".." in run_id or os.path.basename(run_id) != run_id:
         raise InvalidArgumentError(f"run record field 'run_id' {run_id!r} is not a file name")
     replay_dir = os.path.join(out_dir, f"replay-{run_id}")
-    _, artifacts, _ = execute(command, config, replay_dir, _workers(ns))
+    replay, artifacts, _ = execute(command, config, replay_dir, _workers(ns))
     all_pass = True
     for name, recorded_hash in recorded.items():
-        new_path = artifacts.get(name)
-        if new_path is None or not os.path.exists(new_path):
+        new_hash = replay["artifacts"].get(name)
+        if new_hash is None:
             print(f"FAIL {name}: artifact not regenerated")
             all_pass = False
             continue
-        new_hash = _sha256_file(new_path)
         if new_hash == recorded_hash:
             print(f"PASS {name}")
             continue
         all_pass = False
         original = os.path.join(out_dir, name)
         if os.path.exists(original):
-            div = _first_divergence(original, new_path)
+            div = _first_divergence(original, artifacts[name])
             if div is not None:
                 print(f"FAIL {name}: first divergence at byte {div[0]} "
                       f"(line {div[1]})")

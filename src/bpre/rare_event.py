@@ -8,8 +8,8 @@ generations (environments biased by the single-offspring probability, each
 individual forced to one child, exact path weight kept) and then switches
 to a tilted phase; for m = round(take_off * n) the weighted indicator is an
 unbiased estimate of the partial event {hold through m, Z_n <= e^{cn}},
-whose decay rate matches the full event's.  TwoPhase with m = 0 is
-TiltOnly exactly.
+whose decay rate matches the full event's.  TwoPhase with m = 0, the plan
+of a law without single-offspring mass, is TiltOnly exactly.
 
 All estimators run on the block engine of simulate, where each block of
 replicas draws from its own counter-based stream, so results are
@@ -158,7 +158,8 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     zero).
     """
     _check_env(env, n, c, "upper", z0)
-    return _sample_and_weigh(env, n, c, z0, "upper", None, None, seed, replicas, workers)[2]
+    proposal = _plan(env, n, c, z0, "upper", None, None, None)[0]
+    return _sample_and_weigh(env, n, c, z0, "upper", proposal, seed, replicas, workers)[2]
 
 
 class LowerTailEstimate(NamedTuple):
@@ -169,40 +170,46 @@ class LowerTailEstimate(NamedTuple):
     take_off: Optional[float]   # hold fraction behind the TwoPhase split
 
 
-def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
-          phase_fraction: Optional[float], ldr: Optional[LowerDeviationRate]
-          ) -> Tuple[Optional[Proposal], Optional[float]]:
-    """Proposal of a method and its hold fraction; the tilt is proposal.free.lam.
+def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
+          method: Optional[str], phase_fraction: Optional[float],
+          ldr: Optional[LowerDeviationRate]) -> Tuple[Proposal, Optional[float]]:
+    """The one planner: a side's proposal and its hold fraction (None for
+    tilt_only); the tilt is proposal.free.lam.
 
-    tilt_only steers every generation toward c, and is the upper tail's
-    proposal too.  two_phase holds the first m = round(fraction * n)
-    generations, the fraction being phase_fraction or else the optimal
-    take-off, and steers the rest toward c n / (n - m).  That target is c
-    itself at m = 0, so TwoPhase with m = 0 is TiltOnly exactly.  The
-    proposal is None when a law without single-offspring mass is planned a
-    hold that phase_fraction did not ask for; asking for one raises
+    method defaults to two_phase below and tilt_only above.  tilt_only
+    steers every generation toward c.  two_phase holds the first
+    m = round(fraction * n) generations, the fraction being phase_fraction
+    or else the optimal take-off (0 for a law without single-offspring
+    mass), and steers the rest toward c n / (n - m), which is c at m = 0:
+    TwoPhase with m = 0 is TiltOnly exactly.  An unknown method, two_phase
+    above, a phase_fraction under tilt_only or outside [0, 1] raise
+    InvalidArgumentError; a hold asked of a law that cannot hold raises
     NoHoldingPossibleError.  ldr is _check_env's rate solve.
     """
-    if method == "tilt_only":
-        m, frac = 0, None
-    elif method != "two_phase":
+    method = method or ("two_phase" if side == "lower" else "tilt_only")
+    if method not in ("tilt_only", "two_phase"):
         raise InvalidArgumentError(f"unknown method {method!r}")
+    if method == "two_phase" and side == "upper":
+        raise InvalidArgumentError("the upper side has no two_phase proposal")
+    if method == "tilt_only":
+        if phase_fraction is not None:
+            raise InvalidArgumentError(f"phase_fraction={phase_fraction} needs two_phase")
+        m, frac = 0, None
     elif phase_fraction is not None:
         if not 0.0 <= phase_fraction <= 1.0:
             raise InvalidArgumentError(f"phase_fraction={phase_fraction} outside [0, 1]")
         m, frac = int(round(phase_fraction * n)), phase_fraction
+        if m > 0 and env.mean_p1 == 0.0:
+            raise NoHoldingPossibleError("no component has single-offspring mass; "
+                                         "holding impossible")
+    elif env.mean_p1 == 0.0:
+        m, frac = 0, 0.0   # nothing to hold with
     elif c <= 0.0:
         # threshold at or below the floor: the event forces holding throughout
         m, frac = n, 1.0
     else:
         frac = ldr.take_off
         m = int(round(frac * n))
-    if m > 0 and env.mean_p1 == 0.0:
-        if phase_fraction is not None and phase_fraction > 0.0:
-            raise NoHoldingPossibleError(
-                "no component has single-offspring mass; holding impossible"
-            )
-        return None, frac
     if m == n:
         tl = tilt(env, 0.0)   # no free generations to tilt
     else:
@@ -215,19 +222,16 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, method: str,
 
 
 def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
-                      ldr: Optional[LowerDeviationRate], proposal: Optional[Proposal],
-                      seed: int, replicas: int, workers: int,
+                      proposal: Proposal, seed: int, replicas: int, workers: int,
                       threshold: Optional[int] = None, capture: bool = False
                       ) -> Tuple[Lanes, np.ndarray, EstimatorResult]:
-    """Replicas of proposal's paths (TiltOnly's when None: a law that cannot
-    hold as planned), each one's weight, exp(llr) on its side of e^{cn} and
-    0 off the event, and the estimate of the event that the weights make.
+    """Replicas of proposal's paths, each one's weight, exp(llr) on its side
+    of e^{cn} and 0 off the event, and the estimate the weights make.
 
     threshold and capture go to sample.  ess is (sum w)^2 / sum w^2, 0 for
     an all-zero sample; the tilt is the free phase's, None when every
     generation is held.
     """
-    proposal = proposal or _plan(env, n, c, z0, "tilt_only", None, ldr)[0]
     s = sample(env, n, z0, proposal, seed, replicas, workers, threshold, capture)
     w = np.exp(s.llr, where=s.hit(event_bound(n, c, side), side),
                out=np.zeros(s.llr.size))
@@ -243,15 +247,6 @@ def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
     )
 
 
-def _held_zero(n: int, c: float, replicas: int, seed: int) -> EstimatorResult:
-    """The exact estimate of a lower event below z0: a population that
-    cannot shrink never gets there."""
-    return EstimatorResult(
-        estimate=0.0, stderr=0.0, ess=0.0, method=Method.TWO_PHASE, n=n, c=c,
-        replicas=replicas, seed=seed, zero_mass=True, tilt=None, hold_steps=n,
-    )
-
-
 def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
                         replicas: int = 10_000, seed: int = 0, workers: int = 1,
                         phase_fraction: Optional[float] = None,
@@ -264,17 +259,24 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     generations; it is the one that survives at large n, and its estimate
     is a lower bound for the full probability with the same decay rate.
     c above the typical drift is rejected; c <= 0 is allowed and collapses
-    to the pure holding event (the population cannot shrink).  two_phase
-    is None for a law that cannot hold where the plan needs a hold.
+    to the pure holding event (the population cannot shrink).  A law that
+    cannot hold plans no hold, so its two_phase leg is TiltOnly's run.
+    phase_fraction goes to the two_phase leg, which it needs.
     """
     ldr = _check_env(env, n, c, "lower", z0)
-    plans = {method: _plan(env, n, c, z0, method, phase_fraction, ldr) for method in methods}
+    if phase_fraction is not None and "two_phase" not in methods:
+        raise InvalidArgumentError(f"phase_fraction={phase_fraction} needs two_phase")
+    plans = {method: _plan(env, n, c, z0, "lower", method,
+                           phase_fraction if method == "two_phase" else None, ldr)
+             for method in methods}
     if event_bound(n, c) < z0:
-        return LowerTailEstimate(tilt_only=None, take_off=1.0,
-                                 two_phase=_held_zero(n, c, replicas, seed))
-    legs = {method: _sample_and_weigh(env, n, c, z0, "lower", ldr, proposal,
+        # a population that cannot shrink never gets below z0: exactly 0
+        return LowerTailEstimate(tilt_only=None, take_off=1.0, two_phase=EstimatorResult(
+            estimate=0.0, stderr=0.0, ess=0.0, method=Method.TWO_PHASE, n=n, c=c,
+            replicas=replicas, seed=seed, zero_mass=True, tilt=None, hold_steps=n))
+    legs = {method: _sample_and_weigh(env, n, c, z0, "lower", proposal,
                                       seed, replicas, workers)[2]
-            for method, (proposal, _) in plans.items() if proposal is not None}
+            for method, (proposal, _) in plans.items()}
     return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
                              two_phase=legs.get("two_phase"),
                              take_off=plans.get("two_phase", (None, None))[1])
@@ -307,21 +309,21 @@ def rate_curve(env: EnvironmentLaw, c: float, n_list: Sequence[int],
                phase_fraction: Optional[float] = None) -> list:
     """Empirical decay rates -log(estimate)/n over horizons.
 
-    Lower side uses the TwoPhase proposal (TiltOnly where the law cannot
-    hold as planned; a phase_fraction that asks for a hold it cannot make
-    raises NoHoldingPossibleError), upper side TiltOnly.  A zero estimate
-    is recorded with an infinite rate and the curve stops there.
+    A point is estimate_lower_tail's two_phase leg, or estimate_upper_tail,
+    which has no phase_fraction.  A zero estimate is recorded with an
+    infinite rate and the curve stops there.
     """
-    method = "two_phase" if side == "lower" else "tilt_only"
+    if side not in ("lower", "upper"):
+        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
+    if side == "upper" and phase_fraction is not None:
+        raise InvalidArgumentError(f"phase_fraction={phase_fraction} needs two_phase")
     points = []
     for n in n_list:
-        ldr = _check_env(env, n, c, side, z0)
-        if side == "lower" and event_bound(n, c) < z0:
-            res = _held_zero(n, c, replicas, seed)
+        if side == "lower":
+            res = estimate_lower_tail(env, n, c, z0, replicas, seed, workers,
+                                      phase_fraction, ("two_phase",)).two_phase
         else:
-            proposal = _plan(env, n, c, z0, method, phase_fraction, ldr)[0]
-            res = _sample_and_weigh(env, n, c, z0, side, ldr, proposal, seed,
-                                    replicas, workers)[2]
+            res = estimate_upper_tail(env, n, c, z0, replicas, seed, workers)
         if res.zero_mass:
             points.append(RatePoint(n, c, 0.0, math.inf, math.nan, 0.0,
                                     res.method, True))
@@ -372,9 +374,9 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     tilt_only, the held partial event for two_phase.
     """
     ldr = _check_env(env, n, c, "lower", z0)
-    s, w, res = _sample_and_weigh(env, n, c, z0, "lower", ldr,
-                                  _plan(env, n, c, z0, method, phase_fraction, ldr)[0],
-                                  seed, replicas, workers, pop_threshold)
+    proposal = _plan(env, n, c, z0, "lower", method, phase_fraction, ldr)[0]
+    s, w, res = _sample_and_weigh(env, n, c, z0, "lower", proposal, seed, replicas,
+                                  workers, pop_threshold)
     tot = _event_mass(w, n)
     frac = s.tau / n
     mean, se = _ratio_stats(w, frac)
@@ -435,12 +437,9 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
         return np.array([limit_profile(ldr, x) for x in t])
 
     ref_at_k, reference = limit(np.arange(n + 1) / n), limit(grid_arr)
-    if side == "upper" and method == "two_phase":
-        raise InvalidArgumentError("the upper side has no two_phase proposal")
-    method = method or ("tilt_only" if side == "upper" else "two_phase")
-    s, w, res = _sample_and_weigh(env, n, c, z0, side, ldr,
-                                  _plan(env, n, c, z0, method, phase_fraction, ldr)[0],
-                                  seed, replicas, workers, capture=True)
+    proposal = _plan(env, n, c, z0, side, method, phase_fraction, ldr)[0]
+    s, w, res = _sample_and_weigh(env, n, c, z0, side, proposal, seed, replicas,
+                                  workers, capture=True)
     _event_mass(w, n)
     # replicas of zero weight add nothing to a weighted mean: drop them
     on = w > 0.0

@@ -195,8 +195,9 @@ class Populations:
         return hit
 
     def log(self) -> np.ndarray:
-        """Log population of every entry."""
-        return np.where(self.big, self.logz, np.log(self.z))
+        """Log population of every entry; -inf for an extinct exact entry."""
+        with np.errstate(divide="ignore"):
+            return np.where(self.big, self.logz, np.log(self.z))
 
     def ints(self, size: int) -> List[int]:
         """Populations of the first size entries as ints, log-z entries rounded."""

@@ -389,12 +389,13 @@ def test_non_finite_c_exits_2(tmp_path, capsys, args):
 
 
 def test_trajectory_upper_two_phase_exits_2(tmp_path, capsys):
-    rc = main(["trajectory", "--config", str(CONFIG_DIR / "g2.json"), "--side", "upper",
-               "--method", "two_phase", "--c", "1.05", "--replicas", "10",
-               "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
-    assert list(tmp_path.iterdir()) == []
+    # the upper side's TiltOnly holds nothing: a hold fraction once ran dropped
+    for ask in (["--method", "two_phase"], ["--phase-fraction", "0.5"]):
+        rc = main(["trajectory", "--config", str(CONFIG_DIR / "g2.json"), "--side", "upper",
+                   *ask, "--c", "1.05", "--replicas", "10", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -553,6 +554,38 @@ def test_reproduce_detects_tampered_seed(tmp_path, capsys):
     assert rc == 3
     assert "FAIL estimate_lower.csv" in out
     assert "first divergence at byte" in out
+
+
+def test_reproduce_reports_artifact_not_regenerated(tmp_path, capsys):
+    cfg = g2_cfg(tmp_path, estimate_lower={"n": 6, "c": 0.4, "replicas": 200})
+    assert main(["estimate-lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "runlog.jsonl"
+    rec = json.loads(log.read_text().splitlines()[0])
+    rec["artifacts"]["ghost.csv"] = "0" * 64
+    log.write_text(canonical_json(rec) + "\n")
+    rc = main(["reproduce", "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "PASS estimate_lower.csv" in out
+    assert "FAIL ghost.csv: artifact not regenerated" in out
+
+
+def test_reproduce_reports_hash_without_original(tmp_path, capsys):
+    # with the original file gone there is nothing to diff: the digests speak
+    cfg = g2_cfg(tmp_path, estimate_lower={"n": 6, "c": 0.4, "replicas": 200})
+    assert main(["estimate-lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "runlog.jsonl"
+    rec = json.loads(log.read_text().splitlines()[0])
+    rec["config"]["estimate_lower"]["seed"] = 999
+    log.write_text(canonical_json(rec) + "\n")
+    (tmp_path / "estimate_lower.csv").unlink()
+    rc = main(["reproduce", "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 3
+    recorded = rec["artifacts"]["estimate_lower.csv"][:12]
+    assert re.search(rf"FAIL estimate_lower.csv: hash [0-9a-f]{{12}} != recorded {recorded}", out)
 
 
 def test_reproduce_selects_run_id(tmp_path, capsys):

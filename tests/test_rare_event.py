@@ -196,12 +196,14 @@ def test_lower_impossible_event_short_circuit(g2):
 
 def test_lower_no_holding_law(no_hold):
     # nothing to hold with: the planned hold length is zero and the second
-    # leg collapses onto the plain tilted estimator
-    res = estimate_lower_tail(no_hold, 8, 0.75, replicas=2_000, seed=2)
-    assert res.take_off == 0.0
-    assert res.two_phase.hold_steps == 0
-    assert res.two_phase.method is Method.TILT_ONLY
-    assert res.two_phase.estimate == res.tilt_only.estimate
+    # leg collapses onto the plain tilted estimator, also at c = 0, whose
+    # event asks for a hold throughout (that leg was once None, take-off 1.0)
+    for c in (0.75, 0.0):
+        res = estimate_lower_tail(no_hold, 8, c, replicas=2_000, seed=2)
+        assert res.take_off == 0.0
+        assert res.two_phase.hold_steps == 0
+        assert res.two_phase.method is Method.TILT_ONLY
+        assert res.two_phase == res.tilt_only
     with pytest.raises(NoHoldingPossibleError):
         estimate_lower_tail(no_hold, 8, 0.75, replicas=10, seed=2, phase_fraction=0.5)
     with pytest.raises(NoHoldingPossibleError):
@@ -250,6 +252,40 @@ def test_lower_tail_rejects_unknown_method(g2, c):
     for methods in (("tilt",), ("tilt_only", "bogus")):
         with pytest.raises(InvalidArgumentError, match="unknown method"):
             estimate_lower_tail(g2, 8, c, replicas=10, methods=methods)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g2: take_off_statistics(g2, 8, 0.4, method="tilt_only", phase_fraction=0.5),
+    lambda g2: conditional_profile(g2, 8, 1.05, side="upper", phase_fraction=0.5),
+    lambda g2: rate_curve(g2, 1.05, [8], side="upper", phase_fraction=0.5),
+    lambda g2: estimate_lower_tail(g2, 8, 0.4, methods=("tilt_only",), phase_fraction=0.5),
+], ids=["takeoff", "profile", "rate", "lower"])
+def test_phase_fraction_without_two_phase_is_refused(g2, call):
+    # a hold fraction asked of TiltOnly was once dropped in silence
+    with pytest.raises(InvalidArgumentError, match="phase_fraction=0.5"):
+        call(g2)
+
+
+def test_rate_curve_is_the_estimators(g2):
+    # each lower point is estimate_lower_tail's two_phase leg, the last one
+    # a held-zero horizon (e^{0.8} < z0 = 3), and each upper point is
+    # estimate_upper_tail
+    kw = dict(replicas=400, seed=6)
+    lower = rate_curve(g2, 0.4, [6, 8, 2], z0=3, **kw)
+    assert [p.zero_mass for p in lower] == [False, False, True]
+    for point in lower:
+        leg = estimate_lower_tail(g2, point.n, 0.4, z0=3, methods=("two_phase",), **kw).two_phase
+        assert (point.estimate, point.ess, point.method) == (leg.estimate, leg.ess, leg.method)
+        if not point.zero_mass:
+            assert (point.rate, point.rate_stderr) == empirical_rate(leg)
+    upper = rate_curve(g2, 1.05, [4, 8], side="upper", **kw)
+    assert len(upper) == 2
+    for point in upper:
+        res = estimate_upper_tail(g2, point.n, 1.05, **kw)
+        assert (point.estimate, point.ess, point.method) == (res.estimate, res.ess, res.method)
+        assert (point.rate, point.rate_stderr) == empirical_rate(res)
+    with pytest.raises(InvalidArgumentError, match="side"):
+        rate_curve(g2, 0.4, [8], side="middle", **kw)
 
 
 def test_upper_profile_has_no_two_phase(g2):

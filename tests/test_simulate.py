@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -369,7 +370,8 @@ def test_sample_equals_blocks_run_alone(g2, fig_law, case):
         proposal = simulate.Proposal.naive(env)
     else:
         ldr = rare_event._check_env(env, n, c, "lower", 1)
-        proposal = rare_event._plan(env, n, c, 1, method, 0.3, ldr)[0]
+        proposal = rare_event._plan(env, n, c, 1, "lower", method,
+                                    0.3 if method == "two_phase" else None, ldr)[0]
         assert (proposal.m > 0) == (method == "two_phase")
     reps = 3 * BLOCK + 77
     s = simulate.sample(env, n, 1, proposal, 5, reps, threshold=threshold, capture=capture)
@@ -387,6 +389,19 @@ def test_sample_equals_blocks_run_alone(g2, fig_law, case):
         np.testing.assert_array_equal(s.paths, np.concatenate(paths)[:reps])
     else:
         assert s.paths is None
+
+
+def test_captured_extinct_lane_logs_minus_inf_quietly():
+    # the log of a dead lane once raised numpy's divide-by-zero RuntimeWarning
+    env = build_environment([(1.0, {0: 0.2, 1: 0.3, 5: 0.5})])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = simulate.sample(env, 30, 2, simulate.Proposal.naive(env), 4, 700,
+                            threshold=10, capture=True)
+    dead = s.z == 0
+    assert dead.any() and not dead.all()
+    assert np.all(s.paths[dead, -1] == -math.inf)
+    assert np.all(np.isfinite(s.paths[~dead]))
 
 
 def test_replica_paths_do_not_depend_on_replica_count(g2):
