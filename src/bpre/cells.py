@@ -68,8 +68,7 @@ class CellTreeConfig:
 
     def environment(self) -> EnvironmentLaw:
         """The equiprobable two-environment law seen by a random lineage."""
-        return build_environment([(0.5, self.law1.pmf_dict()),
-                                  (0.5, self.law2.pmf_dict())])
+        return build_environment([(0.5, self.law1), (0.5, self.law2)])
 
 
 def _trees(config: CellTreeConfig, joint: Optional[JointSampler],

@@ -33,16 +33,21 @@ PmfLike = Union[Mapping[int, float], Iterable[Tuple[int, float]]]
 
 class OffspringDistribution:
     """Finite pmf over offspring counts, with cached moments; read-only by
-    convention, equal and hashed by identity."""
+    convention, equal and hashed by identity.
+
+    support is sorted and every count in it has positive mass (build_offspring
+    drops the others), so p0 == 0 exactly when min_offspring >= 1.
+    """
 
     __slots__ = ("support", "probs", "mean", "second_moment", "variance", "p0", "p1",
                  "support_arr", "probs_arr")
 
-    def __init__(self, support: Tuple[int, ...], probs: Tuple[float, ...], mean: float,
-                 second_moment: float, variance: float, p0: float, p1: float):
-        self.support, self.probs, self.mean = support, probs, mean
-        self.second_moment, self.variance = second_moment, variance
-        self.p0, self.p1 = p0, p1
+    def __init__(self, support: Tuple[int, ...], probs: Tuple[float, ...]):
+        self.support, self.probs = support, probs
+        self.mean = math.fsum(k * p for k, p in zip(support, probs))
+        self.second_moment = math.fsum(k * k * p for k, p in zip(support, probs))
+        self.variance = max(0.0, self.second_moment - self.mean * self.mean)
+        self.p0, self.p1 = self.prob(0), self.prob(1)
         # numpy views used by the hot sampling paths
         self.support_arr = np.array(support, dtype=np.int64)
         self.probs_arr = np.array(probs, dtype=np.float64)
@@ -56,10 +61,7 @@ class OffspringDistribution:
         return self.support[0]
 
     def prob(self, k: int) -> float:
-        try:
-            return self.probs[self.support.index(k)]
-        except ValueError:
-            return 0.0
+        return self.pmf_dict().get(k, 0.0)
 
     def pmf_dict(self) -> dict:
         return dict(zip(self.support, self.probs))
@@ -69,47 +71,47 @@ class OffspringDistribution:
         return f"OffspringDistribution({{{body}}})"
 
 
+def _number(x, what: str, cast=float):
+    """cast(x), float or int; a boolean, NaN, a non-number or, for int, a
+    number that is not whole (a decimal string is whole) is InvalidArgument."""
+    try:
+        value = cast(x)
+        ok = (not isinstance(x, (bool, np.bool_)) and value == value   # NaN != NaN
+              and (cast is float or isinstance(x, str) or value == x))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        kind = "whole number" if cast is int else "number"
+        raise InvalidArgumentError(f"{what} is {x!r}, not a {kind}")
+    return value
+
+
 def build_offspring(pmf: PmfLike) -> OffspringDistribution:
     """Validate and freeze a pmf given as {count: prob} or (count, prob) pairs.
 
-    Rejects negative masses, duplicate counts, and total mass further than
-    1e-9 from 1; smaller drift is renormalized rather than rejected.
+    Rejects negative masses, duplicate counts, NaN or boolean masses,
+    counts that are not whole numbers, and total mass further than 1e-9
+    from 1; smaller drift is renormalized rather than rejected.  Counts of
+    zero mass are dropped: the law keeps the counts it can draw.
     """
     items = list(pmf.items()) if isinstance(pmf, Mapping) else list(pmf)
     if not items:
         raise MassNotOneError("empty pmf")
-    seen = set()
-    cleaned = []
+    masses = {}
     for k, p in items:
-        k = int(k)
-        if k < 0:
-            raise NegativeProbError(f"offspring count {k} is negative")
-        if p < 0:
-            raise NegativeProbError(f"prob of count {k} is negative ({p})")
-        if k in seen:
+        k, p = _number(k, "offspring count", int), _number(p, f"prob of count {k!r}")
+        if k < 0 or p < 0:
+            raise NegativeProbError(f"count {k} with prob {p}: neither may be negative")
+        if k in masses:
             raise DuplicateKeyError(f"count {k} appears twice")
-        seen.add(k)
-        cleaned.append((k, float(p)))
-    total = math.fsum(p for _, p in cleaned)
+        masses[k] = p
+    total = math.fsum(masses.values())
     if abs(total - 1.0) > REJECT_TOL:
         raise MassNotOneError(f"pmf mass is {total!r}, not 1")
-    cleaned.sort()
-    support = tuple(k for k, _ in cleaned)
-    probs = tuple(p / total for _, p in cleaned)
+    support = tuple(sorted(k for k, p in masses.items() if p > 0.0))
+    probs = tuple(masses[k] / total for k in support)
     assert abs(math.fsum(probs) - 1.0) <= SUM_TOL
-    mean = math.fsum(k * p for k, p in zip(support, probs))
-    m2 = math.fsum(k * k * p for k, p in zip(support, probs))
-    var = max(0.0, m2 - mean * mean)
-    lookup = dict(zip(support, probs))
-    return OffspringDistribution(
-        support=support,
-        probs=probs,
-        mean=mean,
-        second_moment=m2,
-        variance=var,
-        p0=lookup.get(0, 0.0),
-        p1=lookup.get(1, 0.0),
-    )
+    return OffspringDistribution(support, probs)
 
 
 class EnvironmentLaw:
@@ -120,24 +122,26 @@ class EnvironmentLaw:
     partial sums of i.i.d. draws of these form the random walk that controls
     the conditional growth of the population.  Their average mean_log_mean
     is the typical growth rate, the average single-offspring mass mean_p1
-    sets the cost of holding at 1, and strongly_supercritical says that no
-    component can produce zero offspring.
+    sets the cost of holding at 1, and strongly_supercritical says that the
+    law cannot shrink: no component has mass at zero offspring (p0 = 0).
+    max_offspring is the largest count of any component.
     """
 
     __slots__ = ("weights", "components", "log_means", "mean_log_mean", "mean_p1",
                  "log_mean_min", "log_mean_max", "strongly_supercritical",
-                 "weights_arr", "log_means_arr", "cum_weights")
+                 "max_offspring", "weights_arr", "log_means_arr", "cum_weights")
 
     def __init__(self, weights: Tuple[float, ...],
-                 components: Tuple[OffspringDistribution, ...],
-                 log_means: Tuple[float, ...], mean_log_mean: float, mean_p1: float,
-                 log_mean_min: float, log_mean_max: float, strongly_supercritical: bool):
-        self.weights, self.components, self.log_means = weights, components, log_means
-        self.mean_log_mean, self.mean_p1 = mean_log_mean, mean_p1
-        self.log_mean_min, self.log_mean_max = log_mean_min, log_mean_max
-        self.strongly_supercritical = strongly_supercritical
+                 components: Tuple[OffspringDistribution, ...]):
+        self.weights, self.components = weights, components
+        self.log_means = tuple(math.log(d.mean) for d in components)
+        self.mean_log_mean = math.fsum(w * L for w, L in zip(weights, self.log_means))
+        self.mean_p1 = math.fsum(w * d.p1 for w, d in zip(weights, components))
+        self.log_mean_min, self.log_mean_max = min(self.log_means), max(self.log_means)
+        self.strongly_supercritical = all(d.p0 == 0.0 for d in components)
+        self.max_offspring = max(d.max_offspring for d in components)
         self.weights_arr = np.array(weights, dtype=np.float64)
-        self.log_means_arr = np.array(log_means, dtype=np.float64)
+        self.log_means_arr = np.array(self.log_means, dtype=np.float64)
         self.cum_weights = np.cumsum(self.weights_arr)
 
     @property
@@ -157,40 +161,30 @@ class EnvironmentLaw:
 
 
 def build_environment(components: Sequence[Tuple[float, PmfLike]]) -> EnvironmentLaw:
-    """Build an environment law from (weight, pmf) pairs.
+    """Build an environment law from (weight, pmf) pairs; a pmf may be an
+    OffspringDistribution already built.
 
-    Weights must be positive and sum to 1 within 1e-9 (renormalized below
-    that).  Every component must have positive mean so its log-mean exists.
+    Weights must be positive numbers (not NaN or booleans) and sum to 1
+    within 1e-9 (renormalized below that).  Every component must have
+    positive mean so its log-mean exists.
     """
     if not components:
         raise WeightsNotOneError("no components")
     ws = []
     dists = []
     for w, pmf in components:
+        w = _number(w, "component weight")
         if w <= 0:
             raise WeightsNotOneError(f"component weight {w!r} is not positive")
-        ws.append(float(w))
+        ws.append(w)
         dists.append(pmf if isinstance(pmf, OffspringDistribution) else build_offspring(pmf))
     total = math.fsum(ws)
     if abs(total - 1.0) > REJECT_TOL:
         raise WeightsNotOneError(f"weights sum to {total!r}, not 1")
-    weights = tuple(w / total for w in ws)
     for d in dists:
         if d.mean <= 0:
             raise ZeroMeanComponentError(f"component {d!r} has zero mean")
-    log_means = tuple(math.log(d.mean) for d in dists)
-    lbar = math.fsum(w * L for w, L in zip(weights, log_means))
-    mean_p1 = math.fsum(w * d.p1 for w, d in zip(weights, dists))
-    return EnvironmentLaw(
-        weights=weights,
-        components=tuple(dists),
-        log_means=log_means,
-        mean_log_mean=lbar,
-        mean_p1=mean_p1,
-        log_mean_min=min(log_means),
-        log_mean_max=max(log_means),
-        strongly_supercritical=all(d.p0 == 0.0 for d in dists),
-    )
+    return EnvironmentLaw(tuple(w / total for w in ws), tuple(dists))
 
 
 # --- serialization -----------------------------------------------------
@@ -213,9 +207,8 @@ def environment_from_dict(data: Mapping) -> EnvironmentLaw:
         raise MassNotOneError("config lacks an 'environments' list")
     try:
         # pairs, not a dict, so that keys such as "1" and "01" clash loudly
-        comps = [(float(entry["weight"]), [(int(k), float(p)) for k, p in entry["pmf"].items()])
-                 for entry in entries]
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        comps = [(entry["weight"], list(entry["pmf"].items())) for entry in entries]
+    except (AttributeError, KeyError, TypeError) as err:
         raise InvalidArgumentError(f"malformed environment entry: {err!r}") from err
     return build_environment(comps)
 

@@ -5,9 +5,9 @@ sampling, so simulator and estimator output can be checked against it.
 
 The population DP keeps the exact pmf of Z_n on {0..cap} plus one overflow
 bucket.  Truncation commutes with convolution on the kept coefficients, so
-below-cap masses are exact; for laws that cannot shrink (no zero offspring
-and no sub-unit support) the overflow bucket is absorbing and every event
-{Z_n <= K} with K <= cap is exact regardless of how much mass overflowed.
+below-cap masses are exact; for a law that cannot shrink (p0 = 0 in every
+component: env.strongly_supercritical) the overflow bucket is absorbing
+and every event {Z_n <= K} with K <= cap is exact whatever overflowed.
 Each generation is a blocked (baby-step/giant-step) composition per law,
 on the lattice of its support's gcd: one matrix product for all baby
 steps, then a Horner pass.  The DP keeps its last call's final pmf and
@@ -166,7 +166,7 @@ def _dp_work(env: EnvironmentLaw, n: int, z0: int, cap: int, rows: int) -> int:
     min(span, cap // low) // rows + 1 blocks, each one convolution of at
     most cap + 1 kept coefficients with G, rows hi + 1 of them.
     """
-    top = max(d.max_offspring for d in env.components)
+    top = env.max_offspring
     work, span = 0, z0
     for k in range(n):
         gen = sum((min(span, cap // max(d.min_offspring, 1)) // rows + 1)
@@ -253,17 +253,15 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
         v[z0] = 1.0
     if tables is None and start < n:
         tables = _lattice_tables(env, cap, rows)
-    edge = cap // max(d.max_offspring for d in env.components) + 1
+    edge = cap // env.max_offspring + 1
     for _ in range(start, n):
         new = _generation(v, tables, cap)
         if v[edge:].any():   # only a state above cap // max_offspring can pass cap
             overflow += max(0.0, float(v.sum() - new.sum()))
         v = new
     _last = (key, n, v.copy(), overflow, tables)
-    nondecreasing = all(d.min_offspring >= 1 for d in env.components)
-    return ExactDistribution(
-        probs=v, overflow=overflow, n=n, z0=z0, cap=cap, nondecreasing=nondecreasing
-    )
+    return ExactDistribution(probs=v, overflow=overflow, n=n, z0=z0, cap=cap,
+                             nondecreasing=env.strongly_supercritical)
 
 
 def exp_cn(n: int, c: float) -> float:
@@ -310,6 +308,8 @@ def walk_tail(env: EnvironmentLaw, n: int, c: float, side: str = "lower") -> flo
         raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
     if n < 1:
         raise InvalidArgumentError(f"n={n} must be >= 1")
+    if math.isnan(c):
+        raise InvalidArgumentError("c is not a number")
     atoms = walk_atoms(env)
     k = len(atoms)
     n_terms = math.comb(n + k - 1, k - 1)
@@ -382,12 +382,11 @@ def conditional_trajectory(env: EnvironmentLaw, n: int, c: float,
     for k in range(n):
         fwd[k + 1] = _generation(fwd[k], tables, threshold)
     logs = np.log(np.maximum(np.arange(size), 1))
-    top = max(d.max_offspring for d in env.components)
     beta, num = np.ones(size), np.empty(n + 1)
     for k in range(n, -1, -1):
         num[k] = fwd[k, : beta.size] @ (beta * logs[: beta.size])
-        if k:   # Z_{k-1} <= z0 top^(k-1): beta_{k-1} is needed only there
-            span = min(threshold, z0 * top ** (k - 1)) + 1
+        if k:   # Z_{k-1} <= z0 max_offspring^(k-1): beta_{k-1} is needed only there
+            span = min(threshold, z0 * env.max_offspring ** (k - 1)) + 1
             beta = sum(w * _compose_t(beta[::g], baby, giant, low, span)
                        for w, g, baby, giant, low in tables)
     probability = float(beta[z0])

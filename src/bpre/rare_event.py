@@ -261,7 +261,9 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     c above the typical drift is rejected; c <= 0 is allowed and collapses
     to the pure holding event (the population cannot shrink).  A law that
     cannot hold plans no hold, so its two_phase leg is TiltOnly's run.
-    phase_fraction goes to the two_phase leg, which it needs.
+    phase_fraction goes to the two_phase leg, which it needs.  A held-zero
+    horizon, e^{cn} < z0, samples nothing: each leg asked for is its exact
+    zero under its own method, and take_off is 1.0 when two_phase is asked.
     """
     ldr = _check_env(env, n, c, "lower", z0)
     if phase_fraction is not None and "two_phase" not in methods:
@@ -271,15 +273,18 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
              for method in methods}
     if event_bound(n, c) < z0:
         # a population that cannot shrink never gets below z0: exactly 0
-        return LowerTailEstimate(tilt_only=None, take_off=1.0, two_phase=EstimatorResult(
-            estimate=0.0, stderr=0.0, ess=0.0, method=Method.TWO_PHASE, n=n, c=c,
-            replicas=replicas, seed=seed, zero_mass=True, tilt=None, hold_steps=n))
-    legs = {method: _sample_and_weigh(env, n, c, z0, "lower", proposal,
-                                      seed, replicas, workers)[2]
-            for method, (proposal, _) in plans.items()}
+        legs = {method: EstimatorResult(
+            estimate=0.0, stderr=0.0, ess=0.0, method=Method[method.upper()], n=n, c=c,
+            replicas=replicas, seed=seed, zero_mass=True,
+            hold_steps=n if method == "two_phase" else 0) for method in plans}
+        take_off = 1.0 if "two_phase" in plans else None
+    else:
+        legs = {method: _sample_and_weigh(env, n, c, z0, "lower", proposal,
+                                          seed, replicas, workers)[2]
+                for method, (proposal, _) in plans.items()}
+        take_off = plans.get("two_phase", (None, None))[1]
     return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
-                             two_phase=legs.get("two_phase"),
-                             take_off=plans.get("two_phase", (None, None))[1])
+                             two_phase=legs.get("two_phase"), take_off=take_off)
 
 
 def empirical_rate(result: EstimatorResult) -> Tuple[float, float]:

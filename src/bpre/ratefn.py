@@ -227,7 +227,7 @@ def limit_profile(result: LowerDeviationRate, t: float) -> float:
     Value at t of the curve that (1/n) log Z_{[tn]} concentrates on,
     conditionally on the population staying below exp(cn).
     """
-    if t < 0.0 or t > 1.0:
+    if not 0.0 <= t <= 1.0:
         raise TOutOfRangeError(f"t={t} outside [0, 1]")
     if t <= result.take_off:
         return 0.0

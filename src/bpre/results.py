@@ -1,4 +1,4 @@
-"""Result records shared by the simulators and the rare-event estimators."""
+"""Result records of the rare-event estimators."""
 
 from __future__ import annotations
 

@@ -313,7 +313,7 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
     """
     rngs = [replica_stream(seed, proposal.stream + b) for b in range(block, block + blocks)]
     size = BLOCK * blocks
-    limit = EXACT_LIMIT // max(d.max_offspring for d in env.components)
+    limit = EXACT_LIMIT // env.max_offspring
     lanes = Lanes.start(z0, limit, size, llr=np.zeros(size), tau=np.full(size, n),
                         normal_steps=np.zeros(size, dtype=np.int64))
     for k in range(n + 1):

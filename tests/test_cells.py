@@ -159,6 +159,14 @@ def test_tree_at_depth_max():
     assert res.normal_steps == 0
 
 
+def test_environment_holds_the_config_laws():
+    # the laws are passed as built, not rebuilt from their pmfs
+    law1, law2 = g2_laws()
+    env = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4).environment()
+    assert env.components[0] is law1 and env.components[1] is law2
+    assert env.weights == (0.5, 0.5)
+
+
 def test_identity_at_depth_12():
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=12, law1=law1, law2=law2, c=0.4, seed=12, replicas=400)

@@ -424,6 +424,48 @@ def test_malformed_environment_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
 
 
+@pytest.mark.parametrize("env", [
+    {"weight": math.nan, "pmf": {"1": 1.0}},
+    {"weight": True, "pmf": {"1": 1.0}},
+    {"weight": 1.0, "pmf": {"1": math.nan, "2": 1.0}},
+    {"weight": 1.0, "pmf": {"1": True}},
+    {"weight": 1.0, "pmf": {"1.5": 1.0}},
+], ids=["nan-weight", "true-weight", "nan-prob", "true-prob", "half-count"])
+def test_non_number_environment_exits_2(tmp_path, capsys, env):
+    # a NaN weight once wrote a rate.csv of inf and nan, a NaN prob exited 3
+    # as an internal error and true was read as 1.0
+    cfg = write_cfg(tmp_path, {"environments": [env], "rate": {"c_grid": [0.1]}})
+    assert main(["rate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+    assert not (tmp_path / "rate.csv").exists()
+
+
+def test_zero_mass_count_keeps_oracle_exact(tmp_path, capsys):
+    # the zero-mass count 0 once made the law "shrinkable" to the oracle alone:
+    # error bound 0.19 and CapTooSmall under --tol
+    outs = []
+    for name, first in (("zero", {"0": 0.0, "1": 0.5, "2": 0.5}), ("plain", G2_ENVS[0]["pmf"])):
+        cfg = write_cfg(tmp_path, {"environments": [{"weight": 0.5, "pmf": first}, G2_ENVS[1]],
+                                   "oracle": {"n": 8, "c": 0.4}}, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["oracle", "--config", cfg, "--tol", "1e-9", "--out-dir", str(out)]) == 0
+        outs.append(json.loads((out / "oracle.json").read_text()))
+    capsys.readouterr()
+    assert outs[0]["error_bound"] == 0.0
+    assert outs[0]["probs_below"] == outs[1]["probs_below"] == pytest.approx(0.01201043036148)
+
+
+def test_held_zero_estimate_lower_writes_both_legs(tmp_path, capsys):
+    # e^{cn} < z0: both legs are exact zeros (TiltOnly's row was once missing)
+    cfg = g2_cfg(tmp_path, estimate_lower={"n": 4, "c": -0.5, "replicas": 10})
+    assert main(["estimate-lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    _, _, rows = read_csv(tmp_path / "estimate_lower.csv")
+    assert [row["method"] for row in rows] == ["TiltOnly", "TwoPhase"]
+    assert all(float(row["estimate"]) == 0.0 for row in rows)
+    assert summary["outputs"]["zero_mass"] and summary["outputs"]["take_off"] == 1.0
+
+
 @pytest.mark.parametrize("error", [KeyError, ValueError])
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, error):
     # a KeyError or ValueError from inside a handler is a bug, not bad input
@@ -680,7 +722,7 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.9.0"
+GOLDEN_VERSION = "0.9.1"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
         "f582946eab2554860801672d5968345688baa91b9b9c8478c711e20ebfd405e8",

@@ -1,12 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpre import (
     DuplicateKeyError,
+    InvalidArgumentError,
     MassNotOneError,
     NegativeProbError,
     WeightsNotOneError,
@@ -15,8 +17,10 @@ from bpre import (
     build_offspring,
     environment_from_dict,
     environment_to_dict,
+    estimate_lower_tail,
+    population_distribution,
 )
-from bpre.envmodel import reject_duplicate_keys
+from bpre.envmodel import EnvironmentLaw, OffspringDistribution, reject_duplicate_keys
 
 
 def to_json(env):
@@ -71,12 +75,41 @@ def test_offspring_renormalizes_tiny_drift():
         ([(1, 0.5), (1, 0.5)], DuplicateKeyError),
         ({1: 0.7}, MassNotOneError),
         ({}, MassNotOneError),
+        # a NaN mass once failed an internal assert, a boolean was read as 1.0
+        # and the count 1.5 quietly became 1
+        ({1: math.nan, 2: 1.0}, InvalidArgumentError),
+        ({1: True}, InvalidArgumentError),
+        ({1: 1.0, 2: False}, InvalidArgumentError),
+        ({1: "half", 2: 0.5}, InvalidArgumentError),
+        ({1.5: 1.0}, InvalidArgumentError),
+        ({True: 1.0}, InvalidArgumentError),
+        ({"two": 1.0}, InvalidArgumentError),
+        ({None: 1.0}, InvalidArgumentError),
     ],
-    ids=["neg-prob", "neg-count", "dup-key", "short-mass", "empty"],
+    ids=["neg-prob", "neg-count", "dup-key", "short-mass", "empty", "nan-prob",
+         "true-prob", "false-prob", "text-prob", "half-count", "bool-count",
+         "text-count", "none-count"],
 )
 def test_offspring_rejects(pmf, err):
     with pytest.raises(err):
         build_offspring(pmf)
+
+
+def test_offspring_accepts_whole_counts_in_any_form():
+    d = build_offspring([(1.0, 0.5), (np.int64(2), 0.25), ("4", np.float64(0.25))])
+    assert d.support == (1, 2, 4) and d.probs == (0.5, 0.25, 0.25)
+
+
+def test_constructors_derive_their_fields(g2):
+    d = OffspringDistribution((0, 1, 3), (0.25, 0.25, 0.5))
+    assert (d.mean, d.second_moment, d.p0, d.p1) == (1.75, 4.75, 0.25, 0.25)
+    assert d.variance == pytest.approx(4.75 - 1.75**2, abs=1e-15)
+    env = EnvironmentLaw(g2.weights, g2.components)
+    for name in ("log_means", "mean_log_mean", "mean_p1", "log_mean_min",
+                 "log_mean_max", "strongly_supercritical", "max_offspring"):
+        assert getattr(env, name) == getattr(g2, name), name
+    assert env.max_offspring == 4
+    assert env.cum_weights.tolist() == [0.5, 1.0]
 
 
 def test_g2_summary_stats(g2):
@@ -108,6 +141,55 @@ def test_no_hold_law(no_hold):
     assert no_hold.strongly_supercritical
 
 
+def test_zero_mass_counts_are_dropped():
+    d = build_offspring({0: 0.0, 1: 0.5, 2: 0.5, 5: 0.0})
+    assert d.support == (1, 2) and d.probs == (0.5, 0.5)
+    assert (d.p0, d.min_offspring, d.max_offspring) == (0.0, 1, 2)
+    env = build_environment([(0.5, {0: 0.0, 1: 0.5, 2: 0.5}), (0.5, {2: 0.5, 4: 0.5})])
+    assert env.strongly_supercritical and env.max_offspring == 4
+    with pytest.raises(DuplicateKeyError):
+        build_offspring([(1, 1.0), (1, 0.0)])
+    with pytest.raises(NegativeProbError):
+        build_offspring({-1: 0.0, 1: 1.0})
+
+
+pmfs = st.lists(st.tuples(st.integers(1, 6), st.floats(0.05, 1.0)),
+                min_size=1, max_size=3, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(pmfs, st.integers(0, 1), st.integers(1, 3)), min_size=1, max_size=2),
+       st.booleans())
+def test_zero_mass_counts_change_nothing(laws, shrink):
+    # zero-mass counts below and above a support describe the same law:
+    # support, wire form, exact pmf, the error bound (0 when p0 = 0) and
+    # a seeded estimate all agree with the law written without them
+    plain, padded = [], []
+    for pairs, low, high in laws:
+        total = math.fsum(p for _, p in pairs)
+        pmf = {k: p / total for k, p in pairs}
+        if shrink:   # give the first law mass at 0, so it can shrink
+            shrink, pmf = False, {0: 0.5, **{k: p / 2 for k, p in pmf.items()}}
+        zeros = {k: 0.0 for k in range(low if 0 not in pmf else 0, min(pmf))}
+        zeros.update({max(pmf) + j: 0.0 for j in range(1, high + 1)})
+        plain.append((1.0 / len(laws), pmf))
+        padded.append((1.0 / len(laws), {**zeros, **pmf}))
+    a, b = build_environment(plain), build_environment(padded)
+    assert [d.support for d in a.components] == [d.support for d in b.components]
+    assert environment_to_dict(a) == environment_to_dict(b)
+    assert b.strongly_supercritical == all(d.min_offspring >= 1 for d in b.components)
+    da, db = (population_distribution(env, 4, cap=60) for env in (a, b))
+    assert np.array_equal(da.probs, db.probs) and da.overflow == db.overflow
+    for k in (5, 60):
+        assert da.le_error_bound(k) == db.le_error_bound(k)
+        if b.strongly_supercritical:
+            assert db.le_error_bound(k) == 0.0
+    if b.strongly_supercritical and b.mean_log_mean > 0.0:
+        c = b.mean_log_mean / 2
+        assert (estimate_lower_tail(a, 5, c, replicas=64, seed=3)
+                == estimate_lower_tail(b, 5, c, replicas=64, seed=3))
+
+
 def test_hull_ordering(g2):
     assert g2.log_mean_min < g2.mean_log_mean < g2.log_mean_max
 
@@ -119,8 +201,14 @@ def test_hull_ordering(g2):
         ([(0.6, {1: 1.0}), (0.6, {2: 1.0})], WeightsNotOneError),
         ([(0.0, {1: 1.0}), (1.0, {2: 1.0})], WeightsNotOneError),
         ([(1.0, {0: 1.0})], ZeroMeanComponentError),
+        # a NaN weight once built a law whose rates were all inf and nan
+        ([(math.nan, {1: 1.0})], InvalidArgumentError),
+        ([(True, {1: 1.0})], InvalidArgumentError),
+        ([("heavy", {1: 1.0})], InvalidArgumentError),
+        ([(None, {1: 1.0})], InvalidArgumentError),
     ],
-    ids=["empty", "bad-sum", "zero-weight", "zero-mean"],
+    ids=["empty", "bad-sum", "zero-weight", "zero-mean", "nan-weight", "true-weight",
+         "text-weight", "none-weight"],
 )
 def test_environment_rejects(entries, err):
     with pytest.raises(err):

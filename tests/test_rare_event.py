@@ -28,6 +28,7 @@ from bpre import (
     tilt,
     tilt_toward,
     walk_rate,
+    walk_tail,
 )
 from bpre import rare_event
 from bpre.simulate import BLOCK
@@ -194,6 +195,21 @@ def test_lower_impossible_event_short_circuit(g2):
     assert res.two_phase.estimate == 0.0
 
 
+@pytest.mark.parametrize("methods", [("tilt_only",), ("two_phase",),
+                                     ("tilt_only", "two_phase")])
+def test_held_zero_answers_the_legs_asked_for(g2, methods):
+    # e^{cn} < z0 once answered a TwoPhase zero and take-off 1.0 whatever was asked
+    res = estimate_lower_tail(g2, 4, -0.5, replicas=10, seed=0, methods=methods)
+    for leg, method in ((res.tilt_only, Method.TILT_ONLY), (res.two_phase, Method.TWO_PHASE)):
+        if method.name.lower() not in methods:
+            assert leg is None
+            continue
+        assert (leg.method, leg.estimate, leg.stderr, leg.ess) == (method, 0.0, 0.0, 0.0)
+        assert leg.zero_mass and leg.replicas == 10 and leg.normal_steps == 0
+        assert leg.hold_steps == (4 if method is Method.TWO_PHASE else 0)
+    assert res.take_off == (1.0 if "two_phase" in methods else None)
+
+
 def test_lower_no_holding_law(no_hold):
     # nothing to hold with: the planned hold length is zero and the second
     # leg collapses onto the plain tilted estimator, also at c = 0, whose
@@ -237,7 +253,8 @@ def test_estimators_reject_start_below_one(g2, fn, c, z0):
 @pytest.mark.parametrize("fn", [
     estimate_lower_tail, estimate_upper_tail, take_off_statistics, conditional_profile,
     conditional_trajectory, lambda env, n, c: CellTreeConfig(n, *env.components, c),
-], ids=["lower", "upper", "takeoff", "profile", "trajectory", "cells"])
+    walk_tail,
+], ids=["lower", "upper", "takeoff", "profile", "trajectory", "cells", "walk_tail"])
 def test_nan_c_is_invalid_argument(g2, fn):
     # NaN compares False against every bound: it once ended in an
     # AttributeError, a BudgetExceeded "past the float range" or a COutOfRange

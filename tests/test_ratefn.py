@@ -328,6 +328,8 @@ def test_limit_profile_domain(fig_law):
         limit_profile(r, -0.01)
     with pytest.raises(TOutOfRangeError):
         limit_profile(r, 1.01)
+    with pytest.raises(TOutOfRangeError):   # NaN once returned nan
+        limit_profile(r, math.nan)
 
 
 def test_chernoff_trivial_cases(g2):
