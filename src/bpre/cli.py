@@ -247,8 +247,8 @@ def _cmd_trajectory(env, params: dict, ctx: _Ctx):
     outputs = {
         "sup_distance": prof.sup_distance,
         "sup_distance_stderr": prof.sup_distance_stderr,
-        "ess": prof.ess, "event_estimate": prof.event_estimate,
-        "method": prof.method.value, "normal_steps": prof.normal_steps,
+        "ess": prof.ess, "event_estimate": prof.event_estimate, "method": prof.method.value,
+        "normal_steps": prof.normal_steps, "hold_steps": prof.hold_steps,
     }
     return (ctx.artifact("trajectory.csv", write_csv, "trajectory-v1",
                          ("t", "value", "stderr", "reference"), rows), outputs)
@@ -268,8 +268,8 @@ def _cmd_takeoff(env, params: dict, ctx: _Ctx):
     rows = [(float(f), float(w)) for f, w in zip(uniq, sums)]
     outputs = {
         "mean_fraction": res.mean_fraction, "stderr": res.stderr,
-        "ess": res.ess, "event_estimate": res.event_estimate,
-        "method": res.method.value, "normal_steps": res.normal_steps,
+        "ess": res.ess, "event_estimate": res.event_estimate, "method": res.method.value,
+        "normal_steps": res.normal_steps, "hold_steps": res.hold_steps,
     }
     return (ctx.artifact("takeoff.csv", write_csv, "takeoff-v1",
                          ("fraction", "weight"), rows), outputs)
@@ -400,12 +400,12 @@ def execute(command: str, effective: dict, out_dir: str,
     ctx = _Ctx(out_dir=out_dir, cfg_hash=config_hash(effective), workers=workers)
     started = time.time()
     artifacts, outputs = _COMMANDS[command][0](env, settings, ctx)
-    # processes the samplers ran on; every sampler reports normal_steps, and
-    # a cell tree of depth n costs about 2^n generations of a path
+    # processes the samplers ran on; every sampler reports normal_steps, a cell
+    # tree of depth n costs about 2^n path generations, a held generation none
     outputs["processes"] = 1
     if "normal_steps" in outputs:
-        steps = 1 << settings["n"] if command == "cells" else settings["n"]
-        outputs["processes"] = processes(replicas, workers, steps)
+        n = settings["n"] - outputs.get("hold_steps", 0)
+        outputs["processes"] = processes(replicas, workers, 1 << n if command == "cells" else n)
     record = {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",
         "version": __version__,

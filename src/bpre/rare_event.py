@@ -3,13 +3,13 @@
 Two proposals are used.  TiltOnly reweights the environment mixture by
 m^lambda every generation and carries the exact per-step likelihood ratio;
 it is efficient for upper deviations and for lower deviations at small n.
-TwoPhase holds the population at its initial size for the first m
-generations (environments biased by the single-offspring probability, each
-individual forced to one child, exact path weight kept) and then switches
-to a tilted phase; for m = round(take_off * n) the weighted indicator is an
-unbiased estimate of the partial event {hold through m, Z_n <= e^{cn}},
-whose decay rate matches the full event's.  TwoPhase with m = 0, the plan
-of a law without single-offspring mass, is TiltOnly exactly.
+TwoPhase estimates the partial event {Z_1 = ... = Z_m = z0, Z_n <= e^{cn}}
+for m = round(take_off * n), whose decay rate matches the full event's.
+By the Markov property at generation m it factors as
+(E p1^{z0})^m P_{z0}(Z_{n-m} <= e^{cn}): the hold is weighed by its exact
+probability and only the n - m free generations are sampled, by a tilted
+run from z0.  TwoPhase with m = 0, the plan of a law without
+single-offspring mass, is TiltOnly exactly.
 
 All estimators run on the block engine of simulate, where each block of
 replicas draws from its own counter-based stream, so results are
@@ -37,7 +37,7 @@ from .ratefn import (LowerDeviationRate, limit_profile, log_mgf,
                      lower_deviation_rate, tilt_parameter)
 from .results import EstimatorResult, Method
 from .rng import STREAM_TILT, STREAM_TWO_PHASE
-from .simulate import Lanes, Phase, Proposal, sample
+from .simulate import Lanes, Proposal, sample
 
 HULL_CLAMP = 1e-9   # tilt targets pushed this fraction of the span inside the hull
 
@@ -99,21 +99,13 @@ def _tilt_target(env: EnvironmentLaw, c: float,
     return (ldr or lower_deviation_rate(env, c)).slope
 
 
-def _hold_tables(env: EnvironmentLaw, z0: int) -> Phase:
-    """Sampling cdf and per-step log likelihood ratio for held generations.
-
-    Proposal weight for component i is q_i p1_i / E(p(1)); the true
-    probability of (component i, every one of z0 individuals has exactly one
-    child) is q_i p1_i^{z0}, so the ratio is E(p(1)) * p1_i^{z0-1}.
-    """
+def _log_hold(env: EnvironmentLaw, z0: int) -> float:
+    """log E(p1^{z0}), the log probability that z0 individuals have one child
+    each in a generation; summed in log space, where p1^{z0} cannot
+    underflow.  Needs single-offspring mass."""
     p1 = np.array([d.p1 for d in env.components])
-    raw = env.weights_arr * p1
-    total = raw.sum()
-    cum = np.cumsum(raw / total)
-    llr = np.full(p1.size, -math.inf)   # components without p1 mass are never drawn
     pos = p1 > 0.0
-    llr[pos] = math.log(total) + (z0 - 1) * np.log(p1[pos])
-    return Phase(cum, llr)
+    return float(np.logaddexp.reduce(np.log(env.weights_arr[pos]) + z0 * np.log(p1[pos])))
 
 
 def _event_mass(w: np.ndarray, n: int) -> float:
@@ -158,8 +150,8 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     zero).
     """
     _check_env(env, n, c, "upper", z0)
-    proposal = _plan(env, n, c, z0, "upper", None, None, None)[0]
-    return _sample_and_weigh(env, n, c, z0, "upper", proposal, seed, replicas, workers)[2]
+    plan = _plan(env, n, c, z0, "upper", None, None, None)
+    return _sample_and_weigh(env, n, c, z0, "upper", plan, seed, replicas, workers)[2]
 
 
 class LowerTailEstimate(NamedTuple):
@@ -172,9 +164,9 @@ class LowerTailEstimate(NamedTuple):
 
 def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
           method: Optional[str], phase_fraction: Optional[float],
-          ldr: Optional[LowerDeviationRate]) -> Tuple[Proposal, Optional[float]]:
-    """The one planner: a side's proposal and its hold fraction (None for
-    tilt_only); the tilt is proposal.free.lam.
+          ldr: Optional[LowerDeviationRate]) -> Tuple[Proposal, int, Optional[float]]:
+    """The one planner: a side's free-run proposal, its held generations m
+    and hold fraction (None for tilt_only); the tilt is proposal.free.lam.
 
     method defaults to two_phase below and tilt_only above.  tilt_only
     steers every generation toward c.  two_phase holds the first
@@ -215,35 +207,45 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
     else:
         tl = tilt_toward(env, _tilt_target(env, c, ldr) if m == 0
                          else _tilt_target(env, c * n / (n - m)))
-    # m = 0 is TiltOnly, on TiltOnly's stream, so the reduction is exact
+    # m = 0 is TiltOnly exactly, on its stream; a hold gets its own, so the legs stay independent
     stream = STREAM_TWO_PHASE if m > 0 else STREAM_TILT
-    hold = _hold_tables(env, z0) if m > 0 else None
-    return Proposal(free=tl, stream=stream, m=m, hold=hold), frac
+    return Proposal(free=tl, stream=stream), m, frac
 
 
 def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
-                      proposal: Proposal, seed: int, replicas: int, workers: int,
+                      plan: tuple, seed: int, replicas: int, workers: int,
                       threshold: Optional[int] = None, capture: bool = False
-                      ) -> Tuple[Lanes, np.ndarray, EstimatorResult]:
-    """Replicas of proposal's paths, each one's weight, exp(llr) on its side
-    of e^{cn} and 0 off the event, and the estimate the weights make.
+                      ) -> Tuple[Optional[Lanes], np.ndarray, EstimatorResult]:
+    """Replicas of _plan's paths, each one's weight, exp(llr) on its side of
+    e^{cn} and 0 off the event, and the estimate the weights make.
 
-    threshold and capture go to sample.  ess is (sum w)^2 / sum w^2, 0 for
-    an all-zero sample; the tilt is the free phase's, None when every
-    generation is held.
+    A plan holding m generations samples the last n - m, from z0, and adds
+    the hold's exact log probability, m log E(p1^{z0}), to each llr; a
+    held-zero horizon, e^{cn} < z0 below, samples nothing (lanes None, all
+    weights 0).  threshold and capture go to sample.  ess is (sum w)^2 /
+    sum w^2, 0 for an all-zero sample; the tilt is the free run's, None
+    when every generation is held.
     """
-    s = sample(env, n, z0, proposal, seed, replicas, workers, threshold, capture)
-    w = np.exp(s.llr, where=s.hit(event_bound(n, c, side), side),
-               out=np.zeros(s.llr.size))
+    proposal, m, _ = plan
+    bound = event_bound(n, c, side)
+    if side == "lower" and bound < z0:
+        # a population that cannot shrink never gets below z0: exactly 0
+        if replicas < 1:
+            raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
+        s, w = None, np.zeros(replicas)
+    else:
+        s = sample(env, n - m, z0, proposal, seed, replicas, workers, threshold, capture)
+        llr = s.llr + m * _log_hold(env, z0) if m > 0 else s.llr
+        w = np.exp(llr, where=s.hit(bound, side), out=np.zeros(llr.size))
     tot, sq = float(w.sum()), float(w @ w)
     stderr = float(w.std(ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
     return s, w, EstimatorResult(
         estimate=float(w.mean()), stderr=stderr,
         ess=tot * tot / sq if sq > 0.0 else 0.0,
-        method=Method.TWO_PHASE if proposal.m > 0 else Method.TILT_ONLY,
+        method=Method.TWO_PHASE if m > 0 else Method.TILT_ONLY,
         n=n, c=c, replicas=w.size, seed=seed, zero_mass=not w.any(),
-        tilt=proposal.free.lam if proposal.m < n else None,
-        hold_steps=proposal.m, normal_steps=int(s.normal_steps.sum()),
+        tilt=proposal.free.lam if m < n else None, hold_steps=m,
+        normal_steps=0 if s is None else int(s.normal_steps.sum()),
     )
 
 
@@ -263,7 +265,7 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     cannot hold plans no hold, so its two_phase leg is TiltOnly's run.
     phase_fraction goes to the two_phase leg, which it needs.  A held-zero
     horizon, e^{cn} < z0, samples nothing: each leg asked for is its exact
-    zero under its own method, and take_off is 1.0 when two_phase is asked.
+    zero, labelled, like a sampled leg and take_off, by its plan.
     """
     ldr = _check_env(env, n, c, "lower", z0)
     if phase_fraction is not None and "two_phase" not in methods:
@@ -271,20 +273,11 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     plans = {method: _plan(env, n, c, z0, "lower", method,
                            phase_fraction if method == "two_phase" else None, ldr)
              for method in methods}
-    if event_bound(n, c) < z0:
-        # a population that cannot shrink never gets below z0: exactly 0
-        legs = {method: EstimatorResult(
-            estimate=0.0, stderr=0.0, ess=0.0, method=Method[method.upper()], n=n, c=c,
-            replicas=replicas, seed=seed, zero_mass=True,
-            hold_steps=n if method == "two_phase" else 0) for method in plans}
-        take_off = 1.0 if "two_phase" in plans else None
-    else:
-        legs = {method: _sample_and_weigh(env, n, c, z0, "lower", proposal,
-                                          seed, replicas, workers)[2]
-                for method, (proposal, _) in plans.items()}
-        take_off = plans.get("two_phase", (None, None))[1]
+    legs = {method: _sample_and_weigh(env, n, c, z0, "lower", plan, seed, replicas, workers)[2]
+            for method, plan in plans.items()}
     return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
-                             two_phase=legs.get("two_phase"), take_off=take_off)
+                             two_phase=legs.get("two_phase"),
+                             take_off=plans["two_phase"][2] if "two_phase" in plans else None)
 
 
 def empirical_rate(result: EstimatorResult) -> Tuple[float, float]:
@@ -364,6 +357,7 @@ class TakeOffResult(NamedTuple):
     seed: int
     method: Method
     normal_steps: int        # replica-generations in the log-z lane
+    hold_steps: int          # held generations, weighed exactly and not sampled
 
 
 def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
@@ -379,18 +373,19 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     tilt_only, the held partial event for two_phase.
     """
     ldr = _check_env(env, n, c, "lower", z0)
-    proposal = _plan(env, n, c, z0, "lower", method, phase_fraction, ldr)[0]
-    s, w, res = _sample_and_weigh(env, n, c, z0, "lower", proposal, seed, replicas,
+    plan = _plan(env, n, c, z0, "lower", method, phase_fraction, ldr)
+    s, w, res = _sample_and_weigh(env, n, c, z0, "lower", plan, seed, replicas,
                                   workers, pop_threshold)
     tot = _event_mass(w, n)
-    frac = s.tau / n
+    # a held path is above the threshold from the start or takes off after the hold
+    frac = (s.tau + (res.hold_steps if z0 <= pop_threshold else 0)) / n
     mean, se = _ratio_stats(w, frac)
     on = w > 0.0
     return TakeOffResult(
         mean_fraction=mean, stderr=se, ess=res.ess, event_estimate=res.estimate,
         fractions=frac[on], weights=w[on] / tot, n=n, c=c,
         pop_threshold=pop_threshold, replicas=replicas, seed=seed,
-        method=res.method, normal_steps=res.normal_steps,
+        method=res.method, normal_steps=res.normal_steps, hold_steps=res.hold_steps,
     )
 
 
@@ -411,6 +406,7 @@ class TrajectoryProfile(NamedTuple):
     seed: int
     method: Method
     normal_steps: int        # replica-generations in the log-z lane
+    hold_steps: int          # held generations, weighed exactly and not sampled
 
 
 def conditional_profile(env: EnvironmentLaw, n: int, c: float,
@@ -442,13 +438,14 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
         return np.array([limit_profile(ldr, x) for x in t])
 
     ref_at_k, reference = limit(np.arange(n + 1) / n), limit(grid_arr)
-    proposal = _plan(env, n, c, z0, side, method, phase_fraction, ldr)[0]
-    s, w, res = _sample_and_weigh(env, n, c, z0, side, proposal, seed, replicas,
+    plan = _plan(env, n, c, z0, side, method, phase_fraction, ldr)
+    s, w, res = _sample_and_weigh(env, n, c, z0, side, plan, seed, replicas,
                                   workers, capture=True)
     _event_mass(w, n)
-    # replicas of zero weight add nothing to a weighted mean: drop them
-    on = w > 0.0
-    w_on, paths = w[on], s.paths[on] / n
+    # replicas of zero weight add nothing to a weighted mean: drop them; a
+    # held path sits at log z0, its free run's first entry, through the hold
+    on, m = w > 0.0, res.hold_steps
+    w_on, paths = w[on], np.repeat(s.paths[on], [m + 1] + [1] * (n - m), axis=1) / n
     gmat = paths[:, grid_idx]
     values = np.empty(grid_arr.size)
     stderr = np.empty(grid_arr.size)
@@ -460,5 +457,5 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
         sup_distance=d_mean, sup_distance_stderr=d_se,
         ess=res.ess, event_estimate=res.estimate,
         n=n, c=c, replicas=replicas, seed=seed, method=res.method,
-        normal_steps=res.normal_steps,
+        normal_steps=res.normal_steps, hold_steps=res.hold_steps,
     )

@@ -31,5 +31,5 @@ class EstimatorResult(NamedTuple):
     seed: int
     zero_mass: bool = False
     tilt: Optional[float] = None        # tilt exponent used, if any
-    hold_steps: int = 0                 # forced-holding phase length, if any
+    hold_steps: int = 0                 # held generations, weighed exactly, not sampled
     normal_steps: int = 0               # replica-generations in the log-z lane

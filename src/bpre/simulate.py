@@ -6,6 +6,9 @@ is O(support size), independent of z, because only the multinomial
 allocation of individuals over the support is sampled, never individuals
 one by one.
 
+A proposal is one law over the environment components, with each draw's
+log likelihood ratio, and every sampled generation draws from it and
+branches; rare_event weighs held generations exactly and samples none.
 Replicas run in blocks of BLOCK lanes, and block b draws from the one
 stream replica_stream(seed, proposal.stream + b).  The blocks of a run
 step together, one numpy pass per generation, each drawing from its own
@@ -115,20 +118,17 @@ class Phase(NamedTuple):
 class Proposal(NamedTuple):
     """Law a replica path is sampled under, relative to its environment law.
 
-    The first m generations are held: a component is drawn from hold and
-    every individual has exactly one child.  The other generations draw
-    from free and branch.  Each draw adds its phase's step_log_lr to the
-    path's log likelihood ratio.  Block b reads the stream stream + b.
+    Every generation draws a component from free and branches; each draw
+    adds free's step_log_lr to the path's log likelihood ratio.  Block b
+    reads the stream stream + b.
     """
 
     free: Phase
     stream: int = STREAM_SIM
-    m: int = 0
-    hold: Optional[Phase] = None
 
     @classmethod
     def naive(cls, env: EnvironmentLaw) -> "Proposal":
-        """The environment law itself, no hold.
+        """The environment law itself.
 
         Its likelihood ratio is 1, so the llr slot carries the log-mean
         walk S_k instead: each step adds log m of the drawn component.
@@ -308,8 +308,8 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
 
     The blocks step together (a lockstep pass), block + j in lanes j BLOCK
     onward.  Each draws from its stream, proposal.stream + its index, what
-    it draws alone: BLOCK uniforms for the components (held generations stop
-    there), then per component a multinomial and normals (branch).
+    it draws alone: BLOCK uniforms for the components, then per component
+    a multinomial and normals (branch).
     """
     rngs = [replica_stream(seed, proposal.stream + b) for b in range(block, block + blocks)]
     size = BLOCK * blocks
@@ -318,10 +318,9 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
                         normal_steps=np.zeros(size, dtype=np.int64))
     for k in range(n + 1):
         if k > 0:
-            phase = proposal.hold if k <= proposal.m else proposal.free
-            lanes.idx = _pick(phase, np.concatenate([rng.random(BLOCK) for rng in rngs]))
-            lanes.llr += phase.step_log_lr[lanes.idx]
-        if k > proposal.m:
+            lanes.idx = _pick(proposal.free,
+                              np.concatenate([rng.random(BLOCK) for rng in rngs]))
+            lanes.llr += proposal.free.step_log_lr[lanes.idx]
             branch(lanes, lanes.idx, env.components, rngs, limit)
             lanes.normal_steps += lanes.big
         if threshold is not None:

@@ -74,6 +74,16 @@ def exact_lower(env, n, c, z0=1, cap=None):
     return population_distribution(env, n, z0=z0, cap=cap).prob_le(k)
 
 
+def exact_held(env, n, c, m, z0=1):
+    """P(Z_1 = ... = Z_m = z0, Z_n <= e^{cn}), by the Markov property at m:
+    (E p1^{z0})^m P_{z0}(Z_{n-m} <= e^{cn})."""
+    k = event_threshold(n, c)
+    if k < z0:
+        return 0.0
+    hold = sum(w * d.p1**z0 for w, d in zip(env.weights, env.components))
+    return hold**m * population_distribution(env, n - m, z0=z0, cap=k).prob_le(k)
+
+
 def exact_mean_take_off(env, n, c, pop_threshold, z0=1):
     """Conditional mean of tau/n given the lower event, by exact enumeration.
 

@@ -466,6 +466,18 @@ def test_held_zero_estimate_lower_writes_both_legs(tmp_path, capsys):
     assert summary["outputs"]["zero_mass"] and summary["outputs"]["take_off"] == 1.0
 
 
+def test_hold_past_the_float_range_exits_0(tmp_path, capsys):
+    # (E p1^1500)^5 underflows: an honest zero estimate, once an internal
+    # "math domain error" (exit 3)
+    cfg = g2_cfg(tmp_path, estimate_lower={"n": 10, "c": 0.75, "z0": 1500, "replicas": 300,
+                                           "phase_fraction": 0.5})
+    assert main(["estimate-lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    _, _, rows = read_csv(tmp_path / "estimate_lower.csv")
+    assert rows[-1]["method"] == "TwoPhase" and float(rows[-1]["estimate"]) == 0.0
+    assert summary["outputs"]["zero_mass"] and summary["outputs"]["take_off"] == 0.5
+
+
 @pytest.mark.parametrize("error", [KeyError, ValueError])
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, error):
     # a KeyError or ValueError from inside a handler is a bug, not bad input
@@ -722,20 +734,20 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.9.1"
+GOLDEN_VERSION = "0.10.0"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
         "f582946eab2554860801672d5968345688baa91b9b9c8478c711e20ebfd405e8",
     ("simulate", "simulate.csv"):
         "214c86992d2a746461ba0d9351771583d33ca3f50f64b79c2a8a7e3fb321dcb5",
     ("estimate-lower", "estimate_lower.csv"):
-        "cfbad0373bb5ce1906f7973ff4b69c9ebb0192cde8e9a9f7e399d5043eef6575",
+        "39fa5ff11b12005a84280a8890b328524e2d45d8c90cfc7a5e7d3310f14903f0",
     ("estimate-upper", "estimate_upper.csv"):
         "3c1a1318fe6c54aa3b8a88f60ca9d1e8d5068308670181a46c539b25917473c2",
     ("trajectory", "trajectory.csv"):
-        "3e79ec08aafd1255e7cfb70fd87bef144aa21a8f91a781cd0180b855ba83e3a1",
+        "a5cf2aebcfb8e1dc802f3af57df18c7ae588e2c38a6070dec95f088033133e23",
     ("takeoff", "takeoff.csv"):
-        "6c734933cad038f3de53cce702588c4a02d4069791c611c378550f4bf58dc42c",
+        "a8db1bb87fdb5a8b92b1d8b70abfbf2f9fa4fe8c163355dbfcdbae133771b8e0",
     ("cells", "cells.csv"):
         "acc6f5b67a0b0d91c5e173f590f3dfb61ead375f06543b856c4434e6a9f7c964",
     ("cells", "cells_summary.json"):
@@ -884,3 +896,19 @@ def test_pool_rule_reads_the_cast_setting(tmp_path, capsys, monkeypatch, n):
     assert record["config"]["estimate_lower"]["n"] == n
     for outputs in (echo["outputs"], record["outputs"]):
         assert outputs["processes"] == 2 and type(outputs["processes"]) is int
+
+
+def test_pool_rule_counts_the_sampled_generations(tmp_path, capsys, monkeypatch):
+    # g2 at n = 8, c = 0.4 holds m = 2 generations that take_off_statistics
+    # and conditional_profile weigh without sampling: 3 blocks x 6 sampled
+    # generations at 8 a process are 2 processes; estimate-lower's TiltOnly
+    # leg samples all 8 (3 processes)
+    monkeypatch.setattr(simulate, "POOL_STEPS", 8)
+    for command, procs in (("takeoff", 2), ("trajectory", 2), ("estimate-lower", 3)):
+        out = tmp_path / command
+        assert main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "8",
+                     "--c", "0.4", "--replicas", "600", "--workers", "8",
+                     "--out-dir", str(out)]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs["processes"] == procs, command
+        assert outputs.get("hold_steps", 0) == (2 if procs == 2 else 0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bpre import (
     CellTreeConfig,
@@ -32,7 +34,8 @@ from bpre import (
 )
 from bpre import rare_event
 from bpre.simulate import BLOCK
-from conftest import event_threshold, exact_lower, exact_mean_take_off, naive_sample
+from conftest import (event_threshold, exact_held, exact_lower, exact_mean_take_off,
+                      naive_sample)
 
 
 def test_tilt_identity_at_zero(g2):
@@ -127,12 +130,83 @@ def test_lower_two_phase_partial_event_exact(g2):
     m = tp.hold_steps
     assert m == round(res.take_off * n)
     assert m >= 1
-    k = event_threshold(n, c)
-    exact_partial = g2.mean_p1**m * population_distribution(
-        g2, n - m, z0=1, cap=k
-    ).prob_le(k)
-    assert abs(tp.estimate - exact_partial) <= 3.0 * tp.stderr
+    assert abs(tp.estimate - exact_held(g2, n, c, m)) <= 3.0 * tp.stderr
     assert tp.method is Method.TWO_PHASE
+
+
+def test_lower_two_phase_holds_a_mixture_exactly():
+    # both components have single-offspring mass, so holding z0 = 2 is a
+    # mixture over components; its weight was once sampled with the hold
+    env = build_environment([(0.5, {1: 0.6, 3: 0.4}), (0.5, {1: 0.2, 2: 0.8})])
+    tp = estimate_lower_tail(env, 8, 0.35, z0=2, replicas=4_000, seed=17,
+                             phase_fraction=0.5, methods=("two_phase",)).two_phase
+    assert (tp.method, tp.hold_steps) == (Method.TWO_PHASE, 4)
+    exact = exact_held(env, 8, 0.35, 4, 2)
+    assert exact == pytest.approx(5.2493e-4, rel=1e-4)
+    assert abs(tp.estimate - exact) <= 3.0 * tp.stderr
+    assert tp.stderr < 0.1 * exact
+
+
+_counts = st.lists(st.tuples(st.integers(1, 4), st.floats(0.1, 1.0)),
+                   min_size=1, max_size=3, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(0.2, 1.0), _counts), min_size=1, max_size=2),
+       st.floats(0.1, 1.0), st.integers(3, 7), st.floats(0.2, 0.8), st.integers(1, 2),
+       st.floats(0.2, 0.9))
+def test_two_phase_matches_exact_held_on_laws_that_cannot_shrink(comps, p1, n, fraction,
+                                                                  z0, drift):
+    # the first component holds with mass p1; c keeps the free run's slope
+    # c n / (n - m) inside the hull, and the held event is not too rare for
+    # 4,000 replicas at desk scale
+    comps[0][1].append((1, p1))
+    laws = []
+    for weight, counts in comps:
+        pmf = dict(counts)   # the appended single-offspring mass wins
+        total = sum(pmf.values())
+        laws.append((weight, {k: v / total for k, v in pmf.items()}))
+    total = sum(w for w, _ in laws)
+    env = build_environment([(w / total, pmf) for w, pmf in laws])
+    assume(env.mean_log_mean > 0.05)
+    m = round(fraction * n)
+    c = drift * env.mean_log_mean * (n - m) / n
+    exact = exact_held(env, n, c, m, z0)
+    assume(exact >= 1e-3)
+    tp = estimate_lower_tail(env, n, c, z0=z0, replicas=4_000, seed=5,
+                             phase_fraction=fraction, methods=("two_phase",)).two_phase
+    assert (tp.method, tp.hold_steps) == (Method.TWO_PHASE, m)
+    assert abs(tp.estimate - exact) <= 4.0 * tp.stderr + 1e-12 * exact
+
+
+def test_hold_past_the_float_range_is_a_zero_estimate(g2):
+    # (E p1^1500)^5 underflows; its log does not, and the estimate is an
+    # honest zero (a log of the underflowed factor once raised)
+    res = estimate_lower_tail(g2, 10, 0.75, z0=1500, replicas=300, seed=1,
+                              phase_fraction=0.5)
+    tp = res.two_phase
+    assert (tp.method, tp.hold_steps, tp.estimate, tp.zero_mass) == (
+        Method.TWO_PHASE, 5, 0.0, True)
+    assert exact_held(g2, 10, 0.75, 5, 1500) == 0.0
+    assert rare_event._log_hold(g2, 1500) == pytest.approx(1501 * math.log(0.5), rel=1e-15)
+
+
+def test_held_zero_samples_nothing(g2, monkeypatch):
+    # e^{cn} < z0: every weight is 0 without a draw, and the readers that
+    # condition on the event refuse it (they once sampled first)
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a held-zero horizon sampled")
+
+    monkeypatch.setattr(rare_event, "sample", no_sample)
+    res = estimate_lower_tail(g2, 4, -0.5, replicas=10, seed=0)
+    assert res.two_phase.zero_mass and res.tilt_only.zero_mass
+    with pytest.raises(NoEventMassError):
+        take_off_statistics(g2, 4, -0.5, replicas=10, seed=0)
+    for method in (None, "tilt_only"):
+        with pytest.raises(NoEventMassError):
+            conditional_profile(g2, 4, -0.5, replicas=10, seed=0, method=method)
+    with pytest.raises(InvalidArgumentError, match="replicas=0"):
+        estimate_lower_tail(g2, 4, -0.5, replicas=0)
 
 
 def test_lower_partial_below_full(g2):
@@ -213,8 +287,9 @@ def test_held_zero_answers_the_legs_asked_for(g2, methods):
 def test_lower_no_holding_law(no_hold):
     # nothing to hold with: the planned hold length is zero and the second
     # leg collapses onto the plain tilted estimator, also at c = 0, whose
-    # event asks for a hold throughout (that leg was once None, take-off 1.0)
-    for c in (0.75, 0.0):
+    # event asks for a hold throughout (that leg was once None, take-off 1.0),
+    # and at the held-zero c = -0.5 (once labelled TwoPhase, n held steps)
+    for c in (0.75, 0.0, -0.5):
         res = estimate_lower_tail(no_hold, 8, c, replicas=2_000, seed=2)
         assert res.take_off == 0.0
         assert res.two_phase.hold_steps == 0
@@ -391,6 +466,29 @@ def test_take_off_no_hold_law(no_hold):
     # growth is at least geometric, so the threshold falls by generation 4
     assert res.mean_fraction <= 0.5 + 1e-12
     assert abs(res.mean_fraction - exact) <= 3.0 * res.stderr
+
+
+def test_take_off_after_the_hold(g2):
+    # a held path takes off after its m held steps, or at 0 from z0 above
+    # the threshold; held throughout, it reads 1.0 with the exact weight
+    res = take_off_statistics(g2, 8, 0.4, pop_threshold=2, z0=3, replicas=500, seed=1)
+    assert res.hold_steps == 2
+    assert np.all(res.fractions == 0.0) and res.mean_fraction == 0.0
+    low = take_off_statistics(g2, 8, 0.4, pop_threshold=10, replicas=500, seed=1)
+    assert low.hold_steps == 2 and np.all(low.fractions >= 2 / 8)
+    full = take_off_statistics(g2, 8, 0.4, replicas=200, seed=1, phase_fraction=1.0)
+    assert full.hold_steps == 8 and full.fractions.size == 200
+    assert np.all(full.fractions == 1.0) and full.mean_fraction == 1.0
+    assert full.event_estimate == pytest.approx(exact_held(g2, 8, 0.4, 8), rel=1e-12)
+
+
+def test_profile_sits_at_z0_through_the_hold(g2):
+    # the m held columns are log z0 on every path
+    prof = conditional_profile(g2, 8, 0.4, z0=3, replicas=500, seed=1)
+    assert prof.hold_steps == 2 and prof.grid.size == 9
+    np.testing.assert_allclose(prof.values[:3], math.log(3) / 8, rtol=1e-12)
+    np.testing.assert_allclose(prof.stderr[:3], 0.0, atol=1e-12)
+    assert prof.values[3] > prof.values[2]
 
 
 def test_take_off_requires_event_mass(dirac2):

@@ -83,7 +83,7 @@ def test_records_build_by_keyword_and_position():
         False, None, 0, 0)
     assert repr(by_name).startswith("EstimatorResult(estimate=0.5, stderr=0.1,")
     naive = Proposal.naive(bpre.build_environment([(1.0, {2: 1.0})]))
-    assert (naive.stream, naive.m, naive.hold) == (0, 0, None)
+    assert naive._fields == ("free", "stream") and naive.stream == 0
     assert np.array_equal(naive.free.step_log_lr, [math.log(2.0)])
 
 

@@ -19,6 +19,7 @@ from bpre import (
 from bpre import rare_event, simulate
 from bpre.simulate import (BLOCK, EXACT_LIMIT, POOL_STEPS, RUN_BLOCKS, Populations,
                             draw_env_index, map_replicas, processes)
+from bpre.rng import STREAM_TILT, STREAM_TWO_PHASE
 from conftest import event_threshold, exact_lower, naive_sample
 
 
@@ -331,10 +332,8 @@ def reference_block(env, n, z0, proposal, seed, block, threshold):
     llr, tau, steps, paths = np.zeros(BLOCK), np.full(BLOCK, n), np.zeros(BLOCK, int), []
     for k in range(n + 1):
         if k > 0:
-            phase = proposal.hold if k <= proposal.m else proposal.free
-            idx = draw_env_index(phase, rng, BLOCK)
-            llr += phase.step_log_lr[idx]
-        if k > proposal.m:
+            idx = draw_env_index(proposal.free, rng, BLOCK)
+            llr += proposal.free.step_log_lr[idx]
             lanes.promote(limit)
             steps += lanes.big
             for i, dist in enumerate(env.components):
@@ -363,16 +362,19 @@ SAMPLE_CASES = {   # law, n, c, proposal, take-off threshold, capture
 def test_sample_equals_blocks_run_alone(g2, fig_law, case):
     # a lockstep pass over three blocks and a partial fourth gives each
     # block's own draws: the one-block runs of the documented order, cut
-    # at the replica count
+    # at the replica count; a two_phase plan samples the n - m generations
+    # after its hold
     law, n, c, method, threshold, capture = SAMPLE_CASES[case]
     env = g2 if law == "g2" else fig_law
     if method == "naive":
         proposal = simulate.Proposal.naive(env)
     else:
         ldr = rare_event._check_env(env, n, c, "lower", 1)
-        proposal = rare_event._plan(env, n, c, 1, "lower", method,
-                                    0.3 if method == "two_phase" else None, ldr)[0]
-        assert (proposal.m > 0) == (method == "two_phase")
+        proposal, m, _ = rare_event._plan(env, n, c, 1, "lower", method,
+                                          0.3 if method == "two_phase" else None, ldr)
+        assert (m > 0) == (method == "two_phase")
+        assert proposal.stream == (STREAM_TWO_PHASE if m > 0 else STREAM_TILT)
+        n -= m
     reps = 3 * BLOCK + 77
     s = simulate.sample(env, n, 1, proposal, 5, reps, threshold=threshold, capture=capture)
     blocks = [reference_block(env, n, 1, proposal, 5, b, threshold) for b in range(4)]
