@@ -1,15 +1,18 @@
 """Importance-sampling estimators for rare population events.
 
-Two proposals are used.  TiltOnly reweights the environment mixture by
-m^lambda every generation and carries the exact per-step likelihood ratio;
-it is efficient for upper deviations and for lower deviations at small n.
-TwoPhase estimates the partial event {Z_1 = ... = Z_m = z0, Z_n <= e^{cn}}
-for m = round(take_off * n), whose decay rate matches the full event's.
+Every path is sampled under one exponential tilt of the environment
+mixture, tilt(env, lam): a simulate.Proposal that reweights component i
+by m_i^lam and carries the exact per-step likelihood ratio; _plan picks
+its drift.  TiltOnly tilts every generation; it is efficient for upper
+deviations and for lower deviations at small n.  TwoPhase estimates the
+partial event {Z_1 = ... = Z_m = z0, Z_n <= e^{cn}} for
+m = round(take_off * n), whose decay rate matches the full event's.
 By the Markov property at generation m it factors as
 (E p1^{z0})^m P_{z0}(Z_{n-m} <= e^{cn}): the hold is weighed by its exact
 probability and only the n - m free generations are sampled, by a tilted
 run from z0.  TwoPhase with m = 0, the plan of a law without
-single-offspring mass, is TiltOnly exactly.
+single-offspring mass, is TiltOnly exactly.  Each estimate is one
+EstimatorResult, labelled by its Method.
 
 All estimators run on the block engine of simulate, where each block of
 replicas draws from its own counter-based stream, so results are
@@ -18,6 +21,7 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
+import enum
 import math
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -35,41 +39,53 @@ from .errors import (
 from .oracle import event_bound
 from .ratefn import (LowerDeviationRate, limit_profile, log_mgf,
                      lower_deviation_rate, tilt_parameter)
-from .results import EstimatorResult, Method
 from .rng import STREAM_TILT, STREAM_TWO_PHASE
 from .simulate import Lanes, Proposal, sample
 
 HULL_CLAMP = 1e-9   # tilt targets pushed this fraction of the span inside the hull
 
 
-class TiltedLaw(NamedTuple):
-    """Environment mixture reweighted by m^lambda, offspring laws untouched."""
-
-    base: EnvironmentLaw
-    lam: float
-    log_norm: float          # log E(m^lambda)
-    weights: np.ndarray
-    cum_weights: np.ndarray
-    step_log_lr: np.ndarray  # per component: log_norm - lam * L_i
-
-    @property
-    def mean_log_mean(self) -> float:
-        """Drift of the log-mean walk under the tilt."""
-        return float(self.weights @ self.base.log_means_arr)
+class Method(str, enum.Enum):
+    TILT_ONLY = "TiltOnly"
+    TWO_PHASE = "TwoPhase"
 
 
-def tilt(env: EnvironmentLaw, lam: float) -> TiltedLaw:
+class EstimatorResult(NamedTuple):
+    """One probability estimate with its uncertainty bookkeeping.
+
+    ``ess`` is the effective sample size (sum of weights squared over sum
+    of squared weights) of the event-weighted sample.  ``estimate`` equal
+    to 0.0 is an exact "no event mass seen" outcome, flagged by
+    ``zero_mass``.  ``normal_steps`` counts the replica-generations that
+    branched by the normal approximation of the simulator's log-z lane.
+    """
+
+    estimate: float
+    stderr: float
+    ess: float
+    method: Method
+    n: int
+    c: float
+    replicas: int
+    seed: int
+    zero_mass: bool = False
+    tilt: Optional[float] = None        # tilt exponent used, if any
+    hold_steps: int = 0                 # held generations, weighed exactly, not sampled
+    normal_steps: int = 0               # replica-generations in the log-z lane
+
+
+def tilt(env: EnvironmentLaw, lam: float) -> Proposal:
+    """The environment mixture reweighted by m^lam, offspring laws untouched.
+
+    Component i is drawn with weight w_i m_i^lam / E(m^lam), and each draw
+    adds log E(m^lam) - lam L_i to the path's log likelihood ratio.
+    """
     value, _, _ = log_mgf(env, lam)
-    logw = np.log(env.weights_arr) + lam * env.log_means_arr - value
-    w = np.exp(logw)
-    w = w / w.sum()
-    return TiltedLaw(
-        base=env, lam=lam, log_norm=value, weights=w,
-        cum_weights=np.cumsum(w), step_log_lr=value - lam * env.log_means_arr,
-    )
+    w = np.exp(np.log(env.weights_arr) + lam * env.log_means_arr - value)
+    return Proposal(np.cumsum(w / w.sum()), value - lam * env.log_means_arr, lam)
 
 
-def tilt_toward(env: EnvironmentLaw, drift: float) -> TiltedLaw:
+def tilt_toward(env: EnvironmentLaw, drift: float) -> Proposal:
     """Tilt whose mean log-mean is drift, clamped just inside the hull.
 
     Clamping keeps the root-find well posed for targets at or beyond the
@@ -82,21 +98,6 @@ def tilt_toward(env: EnvironmentLaw, drift: float) -> TiltedLaw:
         return tilt(env, 0.0)
     target = min(max(drift, lo + HULL_CLAMP * span), hi - HULL_CLAMP * span)
     return tilt(env, tilt_parameter(env, target))
-
-
-def _tilt_target(env: EnvironmentLaw, c: float,
-                 ldr: Optional[LowerDeviationRate] = None) -> float:
-    """Proposal drift for a single-tilt run toward e^{cn}.
-
-    For c inside the hull, or above it, the walk itself is steered to c.
-    Below the minimum log-mean no environment sequence has that drift; the
-    event is carried by paths that hold early and then grow along the limit
-    slope, so the tilt aims at that slope instead of a degenerate corner.
-    ldr, when given, is lower_deviation_rate(env, c).
-    """
-    if c > env.log_mean_min or c <= 0.0:
-        return c
-    return (ldr or lower_deviation_rate(env, c)).slope
 
 
 def _log_hold(env: EnvironmentLaw, z0: int) -> float:
@@ -166,15 +167,21 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
           method: Optional[str], phase_fraction: Optional[float],
           ldr: Optional[LowerDeviationRate]) -> Tuple[Proposal, int, Optional[float]]:
     """The one planner: a side's free-run proposal, its held generations m
-    and hold fraction (None for tilt_only); the tilt is proposal.free.lam.
+    and hold fraction (None for tilt_only).
 
     method defaults to two_phase below and tilt_only above.  tilt_only
     steers every generation toward c.  two_phase holds the first
     m = round(fraction * n) generations, the fraction being phase_fraction
     or else the optimal take-off (0 for a law without single-offspring
-    mass), and steers the rest toward c n / (n - m), which is c at m = 0:
-    TwoPhase with m = 0 is TiltOnly exactly.  An unknown method, two_phase
-    above, a phase_fraction under tilt_only or outside [0, 1] raise
+    mass), and steers the n - m free ones toward c n / (n - m), which is c
+    at m = 0: TwoPhase with m = 0 is TiltOnly exactly.  Below the least
+    log-mean no environment sequence has that drift; the event is carried
+    by paths that hold and then grow along the limit slope y*, which does
+    not depend on c, so the run steers toward ldr.slope instead of a
+    degenerate corner.  A lower drift past the typical one, L-bar, is
+    capped there: past it the free event is typical, and steering toward
+    faster growth only adds variance.  An unknown method, two_phase above,
+    a phase_fraction under tilt_only or outside [0, 1] raise
     InvalidArgumentError; a hold asked of a law that cannot hold raises
     NoHoldingPossibleError.  ldr is _check_env's rate solve.
     """
@@ -203,13 +210,15 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
         frac = ldr.take_off
         m = int(round(frac * n))
     if m == n:
-        tl = tilt(env, 0.0)   # no free generations to tilt
+        proposal = tilt(env, 0.0)   # no free generations to tilt
     else:
-        tl = tilt_toward(env, _tilt_target(env, c, ldr) if m == 0
-                         else _tilt_target(env, c * n / (n - m)))
+        drift = c * n / (n - m)
+        if side == "lower":
+            drift = (ldr.slope if 0.0 < drift <= env.log_mean_min
+                     else min(drift, env.mean_log_mean))
+        proposal = tilt_toward(env, drift)
     # m = 0 is TiltOnly exactly, on its stream; a hold gets its own, so the legs stay independent
-    stream = STREAM_TWO_PHASE if m > 0 else STREAM_TILT
-    return Proposal(free=tl, stream=stream), m, frac
+    return proposal._replace(stream=STREAM_TWO_PHASE if m > 0 else STREAM_TILT), m, frac
 
 
 def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
@@ -244,7 +253,7 @@ def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
         ess=tot * tot / sq if sq > 0.0 else 0.0,
         method=Method.TWO_PHASE if m > 0 else Method.TILT_ONLY,
         n=n, c=c, replicas=w.size, seed=seed, zero_mass=not w.any(),
-        tilt=proposal.free.lam if m < n else None, hold_steps=m,
+        tilt=proposal.lam if m < n else None, hold_steps=m,
         normal_steps=0 if s is None else int(s.normal_steps.sum()),
     )
 

@@ -6,9 +6,11 @@ is O(support size), independent of z, because only the multinomial
 allocation of individuals over the support is sampled, never individuals
 one by one.
 
-A proposal is one law over the environment components, with each draw's
-log likelihood ratio, and every sampled generation draws from it and
-branches; rare_event weighs held generations exactly and samples none.
+Proposal is the one record a path is sampled under: a cdf over the
+environment components with each draw's log likelihood ratio, built by
+Proposal.naive or rare_event.tilt.  Every sampled generation draws from
+it and branches; rare_event weighs held generations exactly and samples
+none.
 Replicas run in blocks of BLOCK lanes, and block b draws from the one
 stream replica_stream(seed, proposal.stream + b).  The blocks of a run
 step together, one numpy pass per generation, each drawing from its own
@@ -105,25 +107,18 @@ class Trajectory:
         return next((k for k, zk in enumerate(self.z) if zk > threshold), None)
 
 
-class Phase(NamedTuple):
-    """Sampling cdf over environment components and each draw's log likelihood ratio.
+class Proposal(NamedTuple):
+    """Law a replica path is sampled under, relative to its environment law.
 
-    A TiltedLaw has both fields too and serves as a phase directly.
+    Every generation draws a component from the cdf cum_weights and
+    branches; each draw adds its step_log_lr to the path's log likelihood
+    ratio.  lam is the exponent of rare_event.tilt's reweighting by m^lam,
+    None for the naive proposal.  Block b reads the stream stream + b.
     """
 
     cum_weights: np.ndarray
     step_log_lr: np.ndarray
-
-
-class Proposal(NamedTuple):
-    """Law a replica path is sampled under, relative to its environment law.
-
-    Every generation draws a component from free and branches; each draw
-    adds free's step_log_lr to the path's log likelihood ratio.  Block b
-    reads the stream stream + b.
-    """
-
-    free: Phase
+    lam: Optional[float] = None
     stream: int = STREAM_SIM
 
     @classmethod
@@ -133,11 +128,11 @@ class Proposal(NamedTuple):
         Its likelihood ratio is 1, so the llr slot carries the log-mean
         walk S_k instead: each step adds log m of the drawn component.
         """
-        return cls(free=Phase(env.cum_weights, env.log_means_arr))
+        return cls(env.cum_weights, env.log_means_arr)
 
 
 def draw_env_index(env, rng: np.random.Generator, size: Optional[int] = None):
-    """Component index drawn from env.cum_weights (a law, a tilt or a Phase).
+    """Component index drawn from env.cum_weights (a law or a Proposal).
 
     With size, an array of that many independent indices.
     """
@@ -318,9 +313,8 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
                         normal_steps=np.zeros(size, dtype=np.int64))
     for k in range(n + 1):
         if k > 0:
-            lanes.idx = _pick(proposal.free,
-                              np.concatenate([rng.random(BLOCK) for rng in rngs]))
-            lanes.llr += proposal.free.step_log_lr[lanes.idx]
+            lanes.idx = _pick(proposal, np.concatenate([rng.random(BLOCK) for rng in rngs]))
+            lanes.llr += proposal.step_log_lr[lanes.idx]
             branch(lanes, lanes.idx, env.components, rngs, limit)
             lanes.normal_steps += lanes.big
         if threshold is not None:

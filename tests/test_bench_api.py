@@ -15,10 +15,9 @@ from pathlib import Path
 from bpre.cells import expected_count_identity
 from bpre.oracle import (ConditionalTrajectoryResult, conditional_trajectory,
                          population_distribution)
-from bpre.rare_event import (LowerTailEstimate, TakeOffResult, TrajectoryProfile,
-                             conditional_profile, estimate_lower_tail,
+from bpre.rare_event import (EstimatorResult, LowerTailEstimate, TakeOffResult,
+                             TrajectoryProfile, conditional_profile, estimate_lower_tail,
                              estimate_upper_tail, take_off_statistics)
-from bpre.results import EstimatorResult
 from bpre.simulate import SimConfig, branch_step
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -734,7 +734,7 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.10.0"
+GOLDEN_VERSION = "0.10.1"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
         "f582946eab2554860801672d5968345688baa91b9b9c8478c711e20ebfd405e8",

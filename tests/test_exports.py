@@ -1,9 +1,10 @@
 """Every name bpre exports has a caller outside its own definition.
 
 A use is a name, an attribute, an imported name or a string equal to the
-name (bench/layers.py's TRACED table names what it wraps as strings), in
-a bpre module other than __init__.py, in bench/ or in the acceptance
-tests.  Uses inside the name's own function or class body do not count.
+name, in a bpre module other than __init__.py or in the acceptance tests.
+Uses inside the name's own function or class body do not count.  bench/
+is no caller: what only the benchmark uses stays in its module, off the
+package's exports (tests/test_bench_api.py binds those names).
 """
 
 import ast
@@ -14,7 +15,6 @@ import bpre
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [*(path for path in sorted((ROOT / "src" / "bpre").glob("*.py"))
              if path.name != "__init__.py"),
-           *sorted((ROOT / "bench").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 
 

@@ -38,12 +38,20 @@ from conftest import (event_threshold, exact_held, exact_lower, exact_mean_take_
                       naive_sample)
 
 
+def tilt_weights(proposal):
+    """Per-component sampling weights of a proposal's cdf."""
+    return np.diff(proposal.cum_weights, prepend=0.0)
+
+
 def test_tilt_identity_at_zero(g2):
     tl = tilt(g2, 0.0)
-    np.testing.assert_allclose(tl.weights, g2.weights_arr, atol=1e-15)
+    np.testing.assert_allclose(tilt_weights(tl), g2.weights_arr, atol=1e-15)
+    # each step's llr is log E(m^lam) - lam L_i, so log E(m^0) = 0 at every step
     np.testing.assert_allclose(tl.step_log_lr, 0.0, atol=1e-15)
-    assert tl.log_norm == pytest.approx(0.0, abs=1e-15)
     assert tl.lam == 0.0
+    lam = 0.7
+    np.testing.assert_allclose(tilt(g2, lam).step_log_lr + lam * g2.log_means_arr,
+                               log_mgf(g2, lam)[0], atol=1e-15)
 
 
 def test_tilt_toward_moves_the_mean(g2, fig_law):
@@ -52,15 +60,15 @@ def test_tilt_toward_moves_the_mean(g2, fig_law):
         for frac in (0.1, 0.5, 0.9):
             drift = lo + frac * (hi - lo)
             tl = tilt_toward(env, drift)
-            assert tl.mean_log_mean == pytest.approx(drift, abs=1e-9)
+            assert tilt_weights(tl) @ env.log_means_arr == pytest.approx(drift, abs=1e-9)
     # targets at or beyond the hull edge clamp instead of failing
     edge = tilt_toward(g2, g2.log_mean_max + 1.0)
-    assert edge.mean_log_mean <= g2.log_mean_max
+    assert tilt_weights(edge) @ g2.log_means_arr <= g2.log_mean_max
 
 
 def test_tilt_degenerate_law_unchanged(dirac2):
     tl = tilt(dirac2, 3.7)
-    np.testing.assert_allclose(tl.weights, [1.0], atol=1e-15)
+    np.testing.assert_allclose(tilt_weights(tl), [1.0], atol=1e-15)
     assert tilt_toward(dirac2, 5.0).lam == 0.0
 
 
@@ -177,6 +185,77 @@ def test_two_phase_matches_exact_held_on_laws_that_cannot_shrink(comps, p1, n, f
                              phase_fraction=fraction, methods=("two_phase",)).two_phase
     assert (tp.method, tp.hold_steps) == (Method.TWO_PHASE, m)
     assert abs(tp.estimate - exact) <= 4.0 * tp.stderr + 1e-12 * exact
+
+
+def test_free_slope_past_the_hull_top_is_capped_at_the_typical_drift():
+    # m = 2 of n = 3 leave a free slope of 1.8, past the top log-mean 1.139;
+    # a tilt clamped at the hull top once drew only the fast component and
+    # read 0.109 with stderr 0.  Capped at L-bar the tilt is 0, and every
+    # free run ends below e^{1.8}, so each weight is the exact hold
+    env = build_environment([(0.5, {1: .825, 2: .175}), (0.5, {1: .109, 2: .274, 4: .617})])
+    assert 0.6 * 3 / (3 - 2) > env.log_mean_max > env.mean_log_mean
+    tp = estimate_lower_tail(env, 3, 0.6, replicas=4_000, seed=0, phase_fraction=0.6,
+                             methods=("two_phase",)).two_phase
+    assert (tp.hold_steps, tp.tilt) == (2, pytest.approx(0.0, abs=1e-12))
+    assert tp.estimate == pytest.approx(exact_held(env, 3, 0.6, 2), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(0.2, 1.0), _counts), min_size=1, max_size=2),
+       st.floats(0.1, 1.0), st.integers(3, 7), st.floats(0.4, 0.9), st.integers(1, 2),
+       st.floats(1.05, 2.5))
+def test_two_phase_matches_exact_held_past_the_typical_drift(comps, p1, n, fraction, z0,
+                                                             past):
+    # as above, but the free run's slope c n / (n - m) is past L-bar, up to
+    # beyond the top log-mean; the free event must be rare enough that a
+    # miss shows in 4,000 replicas, or a stderr of 0 hides a rare miss
+    comps[0][1].append((1, p1))
+    laws = []
+    for weight, counts in comps:
+        pmf = dict(counts)
+        total = sum(pmf.values())
+        laws.append((weight, {k: v / total for k, v in pmf.items()}))
+    total = sum(w for w, _ in laws)
+    env = build_environment([(w / total, pmf) for w, pmf in laws])
+    assume(env.mean_log_mean > 0.05)
+    m = round(fraction * n)
+    assume(m < n)
+    c = past * env.mean_log_mean * (n - m) / n
+    assume(c < env.mean_log_mean)
+    exact = exact_held(env, n, c, m, z0)
+    assume(exact >= 1e-3)
+    assume(exact / math.exp(m * rare_event._log_hold(env, z0)) <= 0.99)
+    tp = estimate_lower_tail(env, n, c, z0=z0, replicas=4_000, seed=5,
+                             phase_fraction=fraction, methods=("two_phase",)).two_phase
+    assert (tp.method, tp.hold_steps) == (Method.TWO_PHASE, m)
+    assert abs(tp.estimate - exact) <= 4.0 * tp.stderr + 1e-12 * exact
+
+
+def test_limit_slope_does_not_depend_on_c(g2, fig_law):
+    # _plan steers a drift below the least log-mean to the slope of its own
+    # c's rate solve, which serves any c below the slope
+    for env in (g2, fig_law):
+        slope = lower_deviation_rate(env, 0.05).slope
+        assert 0.05 < slope <= env.mean_log_mean
+        for c in np.linspace(0.0, slope, 52)[1:-1]:
+            assert lower_deviation_rate(env, c).slope == slope
+
+
+def test_drift_below_the_least_log_mean_tilts_as_its_own_rate_solve(g2, fig_law):
+    # the plan reuses the call's rate solve where a second one at the free
+    # drift c n / (n - m) gives the same slope
+    for env, n, c, method, fraction in ((g2, 10, 0.1, "two_phase", 0.3),
+                                        (g2, 8, 0.3, "tilt_only", None),
+                                        (fig_law, 20, 0.3, "two_phase", 0.4),
+                                        (fig_law, 20, 0.9, "two_phase", 0.0)):
+        ldr = lower_deviation_rate(env, c)
+        proposal, m, _ = rare_event._plan(env, n, c, 1, "lower", method, fraction, ldr)
+        drift = c * n / (n - m)
+        assert 0.0 < drift <= env.log_mean_min
+        old = tilt_toward(env, lower_deviation_rate(env, drift).slope)
+        assert proposal.lam == old.lam
+        assert np.array_equal(proposal.cum_weights, old.cum_weights)
+        assert np.array_equal(proposal.step_log_lr, old.step_log_lr)
 
 
 def test_hold_past_the_float_range_is_a_zero_estimate(g2):

@@ -9,16 +9,14 @@ import pytest
 from bpre import (
     InvalidArgumentError,
     SimConfig,
-    branch_step,
     build_environment,
     build_offspring,
     final_states,
     replica_stream,
-    run,
 )
 from bpre import rare_event, simulate
 from bpre.simulate import (BLOCK, EXACT_LIMIT, POOL_STEPS, RUN_BLOCKS, Populations,
-                            draw_env_index, map_replicas, processes)
+                            branch_step, draw_env_index, map_replicas, processes, run)
 from bpre.rng import STREAM_TILT, STREAM_TWO_PHASE
 from conftest import event_threshold, exact_lower, naive_sample
 
@@ -332,8 +330,8 @@ def reference_block(env, n, z0, proposal, seed, block, threshold):
     llr, tau, steps, paths = np.zeros(BLOCK), np.full(BLOCK, n), np.zeros(BLOCK, int), []
     for k in range(n + 1):
         if k > 0:
-            idx = draw_env_index(proposal.free, rng, BLOCK)
-            llr += proposal.free.step_log_lr[idx]
+            idx = draw_env_index(proposal, rng, BLOCK)
+            llr += proposal.step_log_lr[idx]
             lanes.promote(limit)
             steps += lanes.big
             for i, dist in enumerate(env.components):
