@@ -10,14 +10,20 @@ simulate_cell_tree returns, from one run, each tree's counts for that
 identity and the parasites of one uniform leaf, the tree's lineage draw.
 
 Trees grow in groups of S = max(1, min(BLOCK, TREE_LEAVES >> n)), a level
-at a time: group g reads the one stream replica_stream(seed, STREAM_CELLS + g)
-and holds a level of its S trees as one flat array of S * 2^k cells, tree by
-tree.  Each level repeats every cell twice, so the daughters of cell i sit
-at 2i and 2i + 1, and simulate.branch steps the even ones by law1 and the
-odd ones by law2, in the block engine's exact int64 and log-z lanes.  S is
-a power of two that divides BLOCK, so a group never straddles a
-map_replicas block, and a partial last group is grown in full: tree r
-depends only on (seed, config, r), for any worker or replica count.
+at a time: group g reads the one stream replica_stream(seed, STREAM_CELLS + g),
+first for each tree's uniform leaf, and holds a level of its S trees as one
+flat array of cells, tree by tree, each with its index in the full level of
+S * 2^k cells.  Each level repeats every cell twice, so the daughters of
+cell i sit at 2i and 2i + 1, and simulate.branch steps the even ones by law1
+and the odd ones by law2, in the block engine's exact int64 and log-z lanes.
+When neither law can shrink (p0 = 0 for both: strongly_supercritical), a
+parasite count never decreases down the tree, so a cell at depth k < n
+above e^{cn} has all its 2^(n - k) leaves above: unless it lies on the path
+to its tree's uniform leaf, it settles, adds them to the tree's count above
+and is not grown further.  Under a law that can shrink every level is grown
+in full.  S is a power of two that divides BLOCK, so a group never
+straddles a map_replicas block, and a partial last group is grown in full:
+tree r depends only on (seed, config, r), for any worker or replica count.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ from .simulate import BLOCK, EXACT_LIMIT, Populations, branch, map_replicas
 TREE_DEPTH_MAX = 20
 
 # Most leaves in one group of trees, and so on one stream; a group holds
-# 1 to BLOCK trees, so a level holds at most max(TREE_LEAVES, 2^n) cells.
+# 1 to BLOCK trees, so a level holds at most max(TREE_LEAVES, 2^n) cells,
+# all of them when no cell settles.
 TREE_LEAVES = 1 << 12
 
-# joint offspring hook per level: (parasites of its cells, rng) -> daughter totals
+# joint offspring hook per level: (parasites of its kept cells, rng) -> daughter totals
 JointSampler = Callable[[np.ndarray, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
 
 
@@ -76,36 +83,58 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
     """Per tree r in [lo, hi): its leaves at or below and at or above e^{cn},
     its draws in the log-z lane, and the parasites of one uniform leaf.
 
-    A group puts the daughters of cell i at 2i and 2i + 1, so the leaves
-    of its tree j are cells j 2^n up to (j + 1) 2^n.  A level draws law1's
-    daughters, then law2's, or calls joint once on all its cells; after the
-    last level one integers draw picks each tree's uniform leaf.  lo is a
-    multiple of BLOCK, so the first group starts at tree lo.
+    A group first draws each tree's uniform leaf.  at holds each kept
+    cell's index in the group's full level k, so tree j holds indices j 2^k
+    up to (j + 1) 2^k.  A level settles the cells that can settle (a cell
+    off its tree's path to the leaf, above the lower event bound, under laws
+    that cannot shrink), then draws law1's daughters of the kept cells and
+    law2's, or calls joint once on them.  lo is a multiple of BLOCK, so the
+    first group starts at tree lo.
     """
     n, laws = config.n, (config.law1, config.law2)
     size = max(1, min(BLOCK, TREE_LEAVES >> n))
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
-    bounds = [(event_bound(n, config.c, side), side) for side in ("lower", "upper")]
+    lower, upper = (event_bound(n, config.c, side) for side in ("lower", "upper"))
+    settles = config.environment().strongly_supercritical
     parity = np.arange(size << n) & 1
     groups = []
     for g in range(lo // size, -(-hi // size)):
         rng = replica_stream(config.seed, STREAM_CELLS + g)
-        cells = Populations.start(config.z0, limit, size)
+        pick = (np.arange(size) << n) + rng.integers(1 << n, size=size)
+        cells, at = Populations.start(config.z0, limit, size), np.arange(size)
+        above = np.zeros(size, dtype=np.int64)
         normal_steps = np.zeros(size, dtype=np.int64)
-        for _ in range(n):
-            parents = cells.z
+        for k in range(n):
+            if settles:
+                done = ~cells.hit(lower, "lower")
+                if done.any():
+                    done &= at != pick[at >> k] >> (n - k)
+                    above += np.bincount(at[done] >> k, minlength=size) << (n - k)
+                    keep = ~done
+                    cells = Populations(cells.z[keep], cells.logz[keep], cells.big[keep])
+                    at = at[keep]
+            parents, step = cells.z, parity[:2 * at.size]
             cells = Populations(parents.repeat(2), cells.logz.repeat(2), cells.big.repeat(2))
+            at = (at << 1).repeat(2) | step
             if joint is None:
-                branch(cells, parity[:cells.z.size], laws, [rng], limit)
+                branch(cells, step, laws, [rng], limit)
             else:
                 cells.promote(limit)
                 if cells.big.any():
                     raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
                 cells.z[0::2], cells.z[1::2] = joint(parents, rng)
-            normal_steps += cells.big.reshape(size, -1).sum(axis=1)
-        picks = (np.arange(size) << n) + rng.integers(1 << n, size=size)
-        counts = [cells.hit(*bound).reshape(size, -1).sum(axis=1) for bound in bounds]
-        groups.append((*counts, normal_steps, [cells.value(j) for j in picks.tolist()]))
+                for law, daughters in zip(laws, (cells.z[0::2], cells.z[1::2])):
+                    if law.p0 == 0.0 and (daughters < parents).any():
+                        raise InvalidArgumentError(
+                            "joint sampler: a daughter has fewer parasites than its cell "
+                            "under a law with p0 == 0")
+            if cells.big.any():
+                normal_steps += np.bincount(at[cells.big] >> (k + 1), minlength=size)
+        tree = at >> n
+        below = np.bincount(tree[cells.hit(lower, "lower")], minlength=size)
+        above += np.bincount(tree[cells.hit(upper, "upper")], minlength=size)
+        rows = np.flatnonzero(at == pick[tree])
+        groups.append((below, above, normal_steps, [cells.value(j) for j in rows.tolist()]))
     below, above, normal_steps, leaves = zip(*groups)
     keep = hi - lo
     return (np.concatenate(below)[:keep], np.concatenate(above)[:keep],
@@ -122,21 +151,24 @@ class CellTreeResult(NamedTuple):
     mean_above: float
     stderr_above: float
     threshold: float
-    normal_steps: int       # daughter draws in the log-z lane, over all trees
+    normal_steps: int       # log-z daughter draws made, over all trees (settled cells draw none)
     config: CellTreeConfig
 
 
 def simulate_cell_tree(config: CellTreeConfig,
                        joint: Optional[JointSampler] = None,
                        workers: int = 1) -> CellTreeResult:
-    """Replicated full trees; cells exactly on the threshold count on both sides.
+    """Replicated trees; leaves exactly on the threshold count on both sides.
 
     joint overrides the default independent daughter draws with a coupled
     sampler, called once per level of each group of trees on the parasite
-    counts of all S 2^k cells of that level; it must be picklable when
-    workers > 1.  Under joint, a cell that would divide with more than
-    EXACT_LIMIT // (largest offspring count of law1 and law2) parasites
-    raises BudgetExceededError.
+    counts of its kept cells (all S 2^k cells of the level when a law can
+    shrink), and returns law1's and law2's daughters in their order; it must
+    be picklable when workers > 1.  Under joint, a cell that would divide
+    with more than EXACT_LIMIT // (largest offspring count of law1 and law2)
+    parasites raises BudgetExceededError, and a daughter with fewer
+    parasites than its cell under a law with p0 == 0 raises
+    InvalidArgumentError: settling relies on it.
     """
     blocks = map_replicas(_trees, (config, joint), config.replicas, workers,
                           1 << config.n)

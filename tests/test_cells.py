@@ -8,6 +8,7 @@ import scipy.stats
 from bpre import (
     BudgetExceededError,
     CellTreeConfig,
+    InvalidArgumentError,
     build_environment,
     build_offspring,
     expected_count_identity,
@@ -29,6 +30,11 @@ def jump_laws():
     # a parasite stays single or jumps to 2^10: a cell passes 2^62 // 2^10
     # a random number of levels down, so each tree has its own log-z count
     return build_offspring({1: 0.5, 1024: 0.5}), build_offspring({2: 0.5, 1024: 0.5})
+
+
+def shrink_laws():
+    # p0 > 0: a cell above e^{cn} can still have leaves below it
+    return build_offspring({0: 0.25, 2: 0.75}), build_offspring({0: 0.25, 4: 0.75})
 
 
 def coupled_double(z, rng):
@@ -111,12 +117,40 @@ class CountingDouble:
 
 
 def test_joint_sampler_called_once_per_level():
+    # one group of S = 2^12 >> 4 = 256 trees, the 3 asked for and 253 more
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4, seed=0, replicas=3)
     joint = CountingDouble()
     simulate_cell_tree(config, joint=joint)
-    # one group of S = 2^12 >> 4 = 256 trees, the 3 asked for and 253 more
+    # the cell at position p of depth k holds 2^popcount(p) parasites, so
+    # only p = 7 at depth 3 passes e^1.6 and settles, unless a tree's
+    # uniform leaf (drawn first from the group's stream) lies below it
+    leaves = replica_stream(config.seed, STREAM_CELLS).integers(1 << 4, size=256)
+    assert joint.sizes == [256, 512, 1024, 2048 - 256 + int(np.sum(leaves >> 1 == 7))]
+    # under laws that can shrink every level is grown in full
+    law1, law2 = shrink_laws()
+    config = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4, seed=0, replicas=3)
+    joint = CountingDouble()
+    simulate_cell_tree(config, joint=joint)
     assert joint.sizes == [256, 512, 1024, 2048]
+
+
+def shrinking_joint(z, rng):
+    return z, z - (z > 1)
+
+
+def test_shrinking_joint_sampler_raises():
+    # settling a cell assumes no daughter has fewer parasites than its
+    # cell; a sampler that breaks that under laws with p0 == 0 is refused
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=3, law1=law1, law2=law2, c=0.4, z0=5)
+    with pytest.raises(InvalidArgumentError, match="joint sampler"):
+        simulate_cell_tree(config, joint=shrinking_joint)
+    # laws that can shrink make no such promise
+    law1, law2 = shrink_laws()
+    config = CellTreeConfig(n=3, law1=law1, law2=law2, c=0.4, z0=5)
+    res = simulate_cell_tree(config, joint=shrinking_joint)
+    assert res.below[0] + res.above[0] == 2**3
 
 
 def test_joint_sampler_stays_in_exact_lane():
@@ -260,9 +294,11 @@ def test_more_replicas_extend_fewer(laws, c):
 
 def reference_tree(config, g):
     """Group g of config's trees regrown from its stream in the documented
-    order: per level, law1's multinomial over the exact cells and then one
-    normal per log-z cell, then law2's; after the last level one integers
-    draw of each tree's uniform leaf.
+    order: first one integers draw of each tree's uniform leaf; then per
+    level, when neither law can shrink, every cell above the lower event
+    bound and off its tree's path to that leaf settles, adding its 2^(n - k)
+    leaves to the tree's count above; then law1's multinomial over the
+    kept exact cells and one normal per kept log-z cell, then law2's.
 
     Returns per tree its leaves below and above e^{cn}, its log-z daughter
     draws and the parasites of its uniform leaf.
@@ -270,13 +306,24 @@ def reference_tree(config, g):
     n, laws = config.n, (config.law1, config.law2)
     size = max(1, min(BLOCK, TREE_LEAVES >> n))
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
+    lower, upper = (event_bound(n, config.c, side) for side in ("lower", "upper"))
     rng = replica_stream(config.seed, STREAM_CELLS + g)
+    picks = rng.integers(1 << n, size=size)
     level = Populations.start(config.z0, limit, size)
+    tree, pos = np.arange(size), np.zeros(size, dtype=np.int64)
+    above = np.zeros(size, dtype=np.int64)
     steps = np.zeros(size, dtype=np.int64)
-    for _ in range(n):
+    for k in range(n):
+        if all(law.p0 == 0.0 for law in laws):
+            settled = ~level.hit(lower, "lower") & (pos != picks[tree] >> (n - k))
+            for j in tree[settled]:
+                above[j] += 2 ** (n - k)
+            level = Populations(level.z[~settled], level.logz[~settled], level.big[~settled])
+            tree, pos = tree[~settled], pos[~settled]
         level.promote(limit)
         exact, big = ~level.big, level.big
-        steps += 2 * big.reshape(size, -1).sum(axis=1)
+        for j in tree[big]:
+            steps[j] += 2
         daughters = []
         for law in laws:
             z, logz = level.z.copy(), level.logz.copy()
@@ -289,18 +336,26 @@ def reference_tree(config, g):
         (z1, logz1), (z2, logz2) = daughters
         level = Populations(np.column_stack([z1, z2]).ravel(),
                             np.column_stack([logz1, logz2]).ravel(), big.repeat(2))
-    leaves = (np.arange(size) << n) + rng.integers(1 << n, size=size)
-    below, above = (level.hit(event_bound(n, config.c, side), side).reshape(size, -1).sum(axis=1)
-                    for side in ("lower", "upper"))
-    return below, above, steps, [level.value(j) for j in leaves.tolist()]
+        tree, pos = tree.repeat(2), np.column_stack([2 * pos, 2 * pos + 1]).ravel()
+    below = np.zeros(size, dtype=np.int64)
+    leaves = [None] * size
+    hits = zip(level.hit(lower, "lower").tolist(), level.hit(upper, "upper").tolist())
+    for i, (j, p, (low, high)) in enumerate(zip(tree.tolist(), pos.tolist(), hits)):
+        below[j] += low
+        above[j] += high
+        if p == picks[j]:
+            leaves[j] = level.value(i)
+    return below, above, steps, leaves
 
 
 @pytest.mark.parametrize("laws, n, c, z0", [(g2_laws(), 6, 0.4, 1), (jump_laws(), 10, 5.0, 1),
-                                            (g2_laws(), 3, 14.6, 2**60)],
-                         ids=["g2", "log-lane", "big-root"])
+                                            (g2_laws(), 3, 14.6, 2**60),
+                                            (shrink_laws(), 6, 0.4, 1)],
+                         ids=["g2", "log-lane", "big-root", "can-shrink"])
 def test_trees_equal_groups_regrown_alone(laws, n, c, z0):
     # _trees' columns over three groups are each group's draws in the
-    # documented order, cut at the replica count
+    # documented order, cut at the replica count; cells settle in the g2
+    # and log-lane trees
     size = max(1, min(BLOCK, TREE_LEAVES >> n))
     config = CellTreeConfig(n=n, law1=laws[0], law2=laws[1], c=c, seed=8, z0=z0,
                             replicas=2 * size + 1)
@@ -344,6 +399,48 @@ def test_tree_group_memory_stays_in_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 100 * TREE_LEAVES
+
+
+def test_tree_group_memory_stays_in_budget_when_nothing_settles():
+    # at c = 1.5 every leaf (at most 4^8 < e^12 parasites) is at or below
+    # e^{cn}: no cell settles, and each level is grown in full
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=8, law1=law1, law2=law2, c=1.5, seed=0, replicas=512)
+    tracemalloc.start()
+    try:
+        res = simulate_cell_tree(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(res.below == 2**8)
+    assert peak <= 100 * TREE_LEAVES
+
+
+def step_laws():
+    # a parasite stays single or leaps to 30: a tree's cells settle at
+    # random depths, and most leaves sit far above e^{cn}
+    return build_offspring({1: 0.8, 30: 0.2}), build_offspring({2: 0.7, 30: 0.3})
+
+
+@pytest.mark.parametrize("laws, n, c", [(g2_laws(), 8, 0.4), (jump_laws(), 6, 1.2),
+                                        (step_laws(), 5, 0.9), (g2_laws(), 6, math.log(16) / 6)],
+                         ids=["g2", "jump", "step", "integer-bound"])
+def test_mean_above_matches_upper_tail(laws, n, c):
+    # E(number of leaves >= e^{cn}) = 2^n P(Z_n >= e^{cn}): the count that
+    # settled cells fill in, against the exact law of the two-environment
+    # process; at an integer e^{cn} = 16 a leaf on it counts on both sides
+    law1, law2 = laws
+    config = CellTreeConfig(n=n, law1=law1, law2=law2, c=c, seed=40, replicas=600)
+    res = simulate_cell_tree(config)
+    k = math.ceil(event_bound(n, c, "upper"))
+    prob = population_distribution(config.environment(), n, cap=k).prob_ge(k)
+    assert 0.0 < prob < 1.0 and res.stderr_above > 0.0
+    assert abs(res.mean_above - 2**n * prob) <= 6 * res.stderr_above
+    if math.exp(c * n) == pytest.approx(16, rel=1e-12):
+        assert k == 16 and np.any(res.below + res.above > 2**n)
+        assert abs(expected_count_identity(config, res).z_score) <= 6
+    else:
+        assert np.all(res.below + res.above == 2**n)
 
 
 def test_config_validation():
