@@ -9,9 +9,11 @@ with few parasites factors as 2^n times the process tail probability.
 simulate_cell_tree returns, from one run, each tree's counts for that
 identity and the parasites of one uniform leaf, the tree's lineage draw.
 
-Trees grow in groups of S = max(1, min(BLOCK, TREE_LEAVES >> n)), a level
-at a time: group g reads the one stream replica_stream(seed, STREAM_CELLS + g),
-first for each tree's uniform leaf, and holds a level of its S trees as one
+Trees grow in groups of S = group_size(n) = max(1, min(BLOCK, TREE_LEAVES >> n))
+trees (1,024 at n <= 2, 512 at n = 3, 256 at n = 4, 16 at n = 8, 1 from
+n = 12; only n <= 3 is capped by BLOCK), a level at a time: group g reads
+the one stream replica_stream(seed, STREAM_CELLS + g), first for each
+tree's uniform leaf, and holds a level of its S trees as one
 flat array of cells, tree by tree, each with its index in the full level of
 S * 2^k cells.  Each level repeats every cell twice, so the daughters of
 cell i sit at 2i and 2i + 1, and simulate.branch steps the even ones by law1
@@ -41,10 +43,25 @@ from .simulate import BLOCK, EXACT_LIMIT, Populations, branch, map_replicas
 
 TREE_DEPTH_MAX = 20
 
-# Most leaves in one group of trees, and so on one stream; a group holds
-# 1 to BLOCK trees, so a level holds at most max(TREE_LEAVES, 2^n) cells,
-# all of them when no cell settles.
+# Most leaves in one group of trees, and so on one stream (group_size);
+# a level holds them all when no cell settles.
 TREE_LEAVES = 1 << 12
+
+
+def group_size(n: int) -> int:
+    """Trees of depth n grown together on one stream: a power of two that
+    divides BLOCK, whose levels hold at most max(TREE_LEAVES, 2^n) cells."""
+    return max(1, min(BLOCK, TREE_LEAVES >> n))
+
+
+def tree_steps(n: int) -> int:
+    """Path generations a tree of depth n costs, as the pool rule counts them.
+
+    On 2 cores a block of settling g2 trees at c = 0.4 took 1.0-1.5 times
+    the time of 2^n generations of a block of g2 paths, from n = 4 to 10.
+    """
+    return 1 << n
+
 
 # joint offspring hook per level: (parasites of its kept cells, rng) -> daughter totals
 JointSampler = Callable[[np.ndarray, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
@@ -92,7 +109,7 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
     first group starts at tree lo.
     """
     n, laws = config.n, (config.law1, config.law2)
-    size = max(1, min(BLOCK, TREE_LEAVES >> n))
+    size = group_size(n)
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     lower, upper = (event_bound(n, config.c, side) for side in ("lower", "upper"))
     settles = config.environment().strongly_supercritical
@@ -171,7 +188,7 @@ def simulate_cell_tree(config: CellTreeConfig,
     InvalidArgumentError: settling relies on it.
     """
     blocks = map_replicas(_trees, (config, joint), config.replicas, workers,
-                          1 << config.n)
+                          tree_steps(config.n))
     below, above, normal_steps, leaves = zip(*blocks)
     below, above, normal_steps = map(np.concatenate, (below, above, normal_steps))
 

@@ -21,7 +21,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .cells import CellTreeConfig, expected_count_identity, simulate_cell_tree
+from .cells import (CellTreeConfig, expected_count_identity, simulate_cell_tree,
+                    tree_steps)
 from .envmodel import (environment_from_dict, environment_to_dict,
                        reject_duplicate_keys)
 from .errors import BPREError, InvalidArgumentError, VersionMismatchError
@@ -400,12 +401,13 @@ def execute(command: str, effective: dict, out_dir: str,
     ctx = _Ctx(out_dir=out_dir, cfg_hash=config_hash(effective), workers=workers)
     started = time.time()
     artifacts, outputs = _COMMANDS[command][0](env, settings, ctx)
-    # processes the samplers ran on; every sampler reports normal_steps, a cell
-    # tree of depth n costs about 2^n path generations, a held generation none
+    # processes the samplers ran on; every sampler reports normal_steps, a
+    # held generation costs nothing
     outputs["processes"] = 1
     if "normal_steps" in outputs:
         n = settings["n"] - outputs.get("hold_steps", 0)
-        outputs["processes"] = processes(replicas, workers, 1 << n if command == "cells" else n)
+        outputs["processes"] = processes(replicas, workers,
+                                         tree_steps(n) if command == "cells" else n)
     record = {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",
         "version": __version__,

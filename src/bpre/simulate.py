@@ -49,17 +49,23 @@ from .envmodel import EnvironmentLaw, OffspringDistribution
 from .errors import InvalidArgumentError
 from .rng import STREAM_SIM, replica_stream
 
-# Replicas per block, and per stream.
-BLOCK = 256
+# Replicas per block, and per stream.  Each generation a block makes one
+# uniform call and one multinomial per law, about 12 us of fixed cost
+# each, so a bigger block makes fewer calls but leaves more lanes unused
+# in a run's last block; 1024 beat 256, 512 and 2048 on the g2 and fig2
+# estimators at 1,000 and 3,000 replicas (README's sweep).
+BLOCK = 1024
 
 # Fewest block-generations (blocks x steps) per pool process; a map of
 # fewer than 2 * POOL_STEPS runs in process.  On 2 cores a 2-process pool
-# breaks even near 64-80 blocks of g2 paths at n = 8 (steps = n), 8-12 of
-# fig2 paths at n = 40, and 3 of g2 cell trees at n = 8 (steps = 2^n).
-POOL_STEPS = 320
+# breaks even near 24-28 blocks of g2 paths at n = 8 (192-224
+# block-generations, steps = n), 3-4 of fig2 paths at n = 40 (120-160),
+# and 1-2 of g2 cell trees at n = 8 and about 4 at n = 6 (at most 512
+# and 256; steps = cells.tree_steps(n) = 2^n).
+POOL_STEPS = 128
 
 # Most blocks in one lockstep run: 8,192 lanes bound a run's arrays.
-RUN_BLOCKS = 32
+RUN_BLOCKS = 8
 
 # Largest population a branch step may produce as an int64.  Above it the
 # total offspring count is a moment-matched normal draw; its distributional
@@ -352,7 +358,7 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
 
     Block b spans replicas b * BLOCK up to (b + 1) * BLOCK, the last one cut
     at replicas; a replica costs about steps generations of a path (n for a
-    path, 2^n for a cell tree of depth n).  A run holds at most
+    path, cells.tree_steps(n) for a cell tree of depth n).  A run holds at most
     RUN_BLOCKS blocks and a 1 / processes(replicas, workers, steps) share of
     them, on a pool if that is more than one process.  Block b reads its own
     stream, so the results, in run order, reduce the same for any workers.

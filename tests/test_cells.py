@@ -170,11 +170,12 @@ def test_joint_sampler_stays_in_exact_lane():
 def test_log_lane_tree(pool_per_block):
     law1, law2 = g2_laws()
     # the root's 2^60 parasites branch exactly; every later cell is past
-    # 2^62 // 4 and branches in the log-z lane, two draws per cell
+    # 2^62 // 4 and branches in the log-z lane, two draws per cell; the trees
+    # span two blocks, one per worker
     config = CellTreeConfig(n=3, law1=law1, law2=law2, c=14.6, seed=4,
-                            z0=2**60, replicas=300)
+                            z0=2**60, replicas=BLOCK + 44)
     res = simulate_cell_tree(config)
-    assert res.normal_steps == 300 * 2 * (2 + 4)
+    assert res.normal_steps == config.replicas * 2 * (2 + 4)
     assert np.all(res.below + res.above == 2**3)
     # leaves sit near 2^60 * 1.5^a * 3^(3-a), relative noise ~2^-30; the
     # threshold e^43.8 ~ 2^63.2 keeps the four with a >= 2 below
@@ -262,10 +263,11 @@ def test_worker_invariance(pool_per_block):
 
 
 def test_worker_invariance_across_blocks(pool_per_block):
-    # n = 10 grows S = 4 trees per stream: 64 groups in each of two blocks
-    # of 256 trees and 22 in the last block of 88, one block per worker
+    # n = 8 grows S = 16 trees per stream: 64 groups in each of two blocks
+    # of 1,024 trees and 22 in the last block of 352, one block per worker
     law1, law2 = g2_laws()
-    config = CellTreeConfig(n=10, law1=law1, law2=law2, c=0.4, seed=9, replicas=600)
+    config = CellTreeConfig(n=8, law1=law1, law2=law2, c=0.4, seed=9,
+                            replicas=2 * BLOCK + 352)
     a = simulate_cell_tree(config, workers=1)
     b = simulate_cell_tree(config, workers=3)
     assert np.array_equal(a.below, b.below)
@@ -285,7 +287,7 @@ def test_more_replicas_extend_fewer(laws, c):
     assert np.array_equal(a.below, b.below[:37])
     assert np.array_equal(a.above, b.above[:37])
     # per tree: below, above, log-z draws and the uniform leaf
-    mine, theirs = cells._trees(short, None, 0, 37), cells._trees(long, None, 0, BLOCK)
+    mine, theirs = cells._trees(short, None, 0, 37), cells._trees(long, None, 0, 600)
     for column, full in zip(mine, theirs):
         assert list(column) == list(full[:37])
     assert a.normal_steps == int(theirs[2][:37].sum())
@@ -304,7 +306,7 @@ def reference_tree(config, g):
     draws and the parasites of its uniform leaf.
     """
     n, laws = config.n, (config.law1, config.law2)
-    size = max(1, min(BLOCK, TREE_LEAVES >> n))
+    size = cells.group_size(n)
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     lower, upper = (event_bound(n, config.c, side) for side in ("lower", "upper"))
     rng = replica_stream(config.seed, STREAM_CELLS + g)
@@ -356,7 +358,7 @@ def test_trees_equal_groups_regrown_alone(laws, n, c, z0):
     # _trees' columns over three groups are each group's draws in the
     # documented order, cut at the replica count; cells settle in the g2
     # and log-lane trees
-    size = max(1, min(BLOCK, TREE_LEAVES >> n))
+    size = cells.group_size(n)
     config = CellTreeConfig(n=n, law1=laws[0], law2=laws[1], c=c, seed=8, z0=z0,
                             replicas=2 * size + 1)
     got = cells._trees(config, None, 0, config.replicas)
@@ -375,7 +377,7 @@ def random_joint(z, rng):
 @pytest.mark.parametrize("n", [2, 6])
 @pytest.mark.parametrize("joint", [None, random_joint], ids=["independent", "joint"])
 def test_trees_of_two_blocks_match_each_block_alone(n, joint):
-    # one run of two blocks (one group of 256 trees each at n = 2, 16 of
+    # one run of two blocks (one group of 1,024 trees each at n = 2, 16 of
     # 64 at n = 6) gives what each block gives alone
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=n, law1=law1, law2=law2, c=0.4, seed=4, replicas=2 * BLOCK)
@@ -389,7 +391,7 @@ def test_trees_of_two_blocks_match_each_block_alone(n, joint):
 def test_tree_group_memory_stays_in_budget():
     # trees of 2^8 leaves grow TREE_LEAVES leaves at a time: the last
     # level's cells and their draws take about 64 bytes a leaf; a group of
-    # all 256 trees of a block would hold 2^16 leaves, about 3.5 MB
+    # all 1,024 trees of a block would hold 2^18 leaves, about 14 MB
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=8, law1=law1, law2=law2, c=0.4, seed=0, replicas=512)
     tracemalloc.start()
@@ -398,6 +400,31 @@ def test_tree_group_memory_stays_in_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 100 * TREE_LEAVES
+
+
+def test_group_size_divides_blocks_and_bounds_levels():
+    # a group never straddles a map_replicas block, and its deepest level
+    # holds S 2^n cells, at most max(TREE_LEAVES, 2^n)
+    for n in range(1, TREE_DEPTH_MAX + 1):
+        size = cells.group_size(n)
+        assert size & (size - 1) == 0 and BLOCK % size == 0, n
+        assert size << n <= max(TREE_LEAVES, 1 << n), n
+
+
+def test_tree_group_memory_stays_in_budget_at_depth_2():
+    # at n = 2 a group is a whole block of trees, BLOCK of them, and at c = 3
+    # (e^6 > 4^2) no cell settles: two groups stay in the n = 8 budget
+    law1, law2 = g2_laws()
+    config = CellTreeConfig(n=2, law1=law1, law2=law2, c=3.0, seed=0, replicas=2 * BLOCK)
+    assert cells.group_size(2) == BLOCK
+    tracemalloc.start()
+    try:
+        res = simulate_cell_tree(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(res.below == 2**2)
     assert peak <= 100 * TREE_LEAVES
 
 

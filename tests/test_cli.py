@@ -11,6 +11,7 @@ import pytest
 from bpre import __version__, lower_deviation_rate, tilt_parameter, walk_rate
 from bpre import InvalidArgumentError, cli, oracle, simulate
 from bpre.cli import canonical_json, config_hash, main, parse_grid
+from bpre.simulate import BLOCK
 from conftest import g2_law, two_mean_law
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -588,7 +589,8 @@ def test_reproduce_fresh_run_passes(tmp_path, capsys):
 
 
 def test_reproduce_worker_count_is_free(tmp_path, capsys, pool_per_block):
-    cfg = g2_cfg(tmp_path, estimate_lower={"n": 6, "c": 0.4, "replicas": 400})
+    # two blocks, the last partial: the replay runs on 2 processes
+    cfg = g2_cfg(tmp_path, estimate_lower={"n": 6, "c": 0.4, "replicas": BLOCK + 144})
     assert main(["estimate-lower", "--config", cfg, "--out-dir", str(tmp_path),
                  "--workers", "1"]) == 0
     capsys.readouterr()
@@ -736,20 +738,20 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.11.0"
+GOLDEN_VERSION = "0.12.0"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
         "f582946eab2554860801672d5968345688baa91b9b9c8478c711e20ebfd405e8",
     ("simulate", "simulate.csv"):
-        "214c86992d2a746461ba0d9351771583d33ca3f50f64b79c2a8a7e3fb321dcb5",
+        "fa2c54f53a018f9d04a802ddd00f536a0660f87696a86799208feceb9a5d04d1",
     ("estimate-lower", "estimate_lower.csv"):
-        "39fa5ff11b12005a84280a8890b328524e2d45d8c90cfc7a5e7d3310f14903f0",
+        "af4089f4422ff441e9ca5a6ab1d5b93adb3e6b4e3f85b3f24b7090cb55774c6e",
     ("estimate-upper", "estimate_upper.csv"):
-        "3c1a1318fe6c54aa3b8a88f60ca9d1e8d5068308670181a46c539b25917473c2",
+        "97e9fe68aa0d15ddf3314bd026dcf11798adbd3c11b9437bde1cac8439a6ad36",
     ("trajectory", "trajectory.csv"):
-        "a5cf2aebcfb8e1dc802f3af57df18c7ae588e2c38a6070dec95f088033133e23",
+        "ff2d0d7d2fc88a976a2d19c840b395a6f68278d49b4f533e1a5aba1ba3db23d6",
     ("takeoff", "takeoff.csv"):
-        "a8db1bb87fdb5a8b92b1d8b70abfbf2f9fa4fe8c163355dbfcdbae133771b8e0",
+        "86e7e352929adbf0acfcfb6b0650fa6b020e4591799c970032e303783ce0d9e9",
     ("cells", "cells.csv"):
         "0b3bd56d98390ec6d438cabfa9ea3662417a36c9b50baa0f89d1cc02aa869e1d",
     ("cells", "cells_summary.json"):
@@ -831,6 +833,9 @@ def test_normal_steps_reported_outside_artifacts(tmp_path, capsys, command):
             assert "normal" not in (out / artifact).read_text()
 
 
+# replicas in three blocks, the last one partial
+THREE_BLOCKS = 2 * BLOCK + BLOCK // 2
+
 SAMPLERS = [("simulate", []), ("estimate-lower", ["--c", "0.4"]),
             ("estimate-upper", ["--c", "1.05"]), ("trajectory", ["--c", "0.4"]),
             ("takeoff", ["--c", "0.4"]), ("cells", ["--c", "0.4", "--n", "6"])]
@@ -838,9 +843,9 @@ SAMPLERS = [("simulate", []), ("estimate-lower", ["--c", "0.4"]),
 
 @pytest.mark.parametrize("command, flags", SAMPLERS, ids=[cmd for cmd, _ in SAMPLERS])
 def test_small_run_starts_no_pool(tmp_path, capsys, monkeypatch, command, flags):
-    # 1000 replicas are 4 blocks, too few for a pool (4 x 8 generations of
-    # a path, or 4 x 2^6 of a tree, below 2 POOL_STEPS): --workers 2 runs
-    # in process and writes the bytes of --workers 1
+    # three blocks are too few for a pool (3 x 8 generations of a path, or
+    # 3 x 2^6 of a tree, below 2 POOL_STEPS): --workers 2 runs in process
+    # and writes the bytes of --workers 1
     def no_pool(*args, **kwargs):
         raise AssertionError("a small run started a process pool")
 
@@ -848,7 +853,7 @@ def test_small_run_starts_no_pool(tmp_path, capsys, monkeypatch, command, flags)
     for workers in ("1", "2"):
         out = tmp_path / workers
         assert main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "8",
-                     "--replicas", "1000", "--workers", workers,
+                     "--replicas", str(THREE_BLOCKS), "--workers", workers,
                      "--out-dir", str(out)] + flags) == 0
         echo = json.loads(capsys.readouterr().out)
         assert echo["outputs"]["processes"] == 1
@@ -857,16 +862,33 @@ def test_small_run_starts_no_pool(tmp_path, capsys, monkeypatch, command, flags)
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_settling_trees_of_one_block_run_in_process(tmp_path, capsys, monkeypatch):
+    # 600 settling g2 trees at n = 8, c = 0.4 took longer on a 2-process
+    # pool than in process: --workers 2 runs them in process and writes the
+    # bytes of --workers 1
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small run started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for workers in ("1", "2"):
+        assert main(["cells", "--config", str(CONFIG_DIR / "g2.json"), "--n", "8",
+                     "--c", "0.4", "--replicas", "600", "--workers", workers,
+                     "--out-dir", str(tmp_path / workers)]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["processes"] == 1
+    for name in ("cells.csv", "cells_summary.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_processes_reported_outside_artifacts(tmp_path, capsys, pool_per_block):
-    # 600 replicas are 3 blocks: with a process per block, --workers 2 runs
-    # on 2 processes and --workers 8 on 3; rate samples nothing
+    # three blocks: with a process per block, --workers 2 runs on 2
+    # processes and --workers 8 on 3; rate samples nothing
     lower = ["estimate-lower", "--n", "8", "--c", "0.4"]
     cases = ((["rate", "--workers", "2"], 1), (lower + ["--workers", "2"], 2),
              (lower + ["--workers", "8"], 3))
     for j, (argv, procs) in enumerate(cases):
         out = tmp_path / str(j)
-        assert main(argv + ["--config", str(CONFIG_DIR / "g2.json"), "--replicas", "600",
-                            "--out-dir", str(out)]) == 0
+        assert main(argv + ["--config", str(CONFIG_DIR / "g2.json"),
+                            "--replicas", str(THREE_BLOCKS), "--out-dir", str(out)]) == 0
         echo = json.loads(capsys.readouterr().out)
         assert echo["outputs"]["processes"] == procs
         assert read_log(out)[0]["outputs"]["processes"] == procs
@@ -875,12 +897,12 @@ def test_processes_reported_outside_artifacts(tmp_path, capsys, pool_per_block):
 
 
 def test_pool_rule_counts_a_tree_as_2_to_the_n_generations(tmp_path, capsys):
-    # 600 replicas are 3 blocks: 3 x 2^8 tree steps pass 2 POOL_STEPS, so
-    # the trees run on 2 processes; 3 x 8 path generations run in process
+    # three blocks: 3 x 2^8 tree steps pass 2 POOL_STEPS, so the trees run
+    # on 2 processes; 3 x 8 path generations run in process
     for j, (command, procs) in enumerate((("cells", 2), ("estimate-lower", 1))):
         out = tmp_path / str(j)
         assert main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "8",
-                     "--c", "0.4", "--replicas", "600", "--workers", "2",
+                     "--c", "0.4", "--replicas", str(THREE_BLOCKS), "--workers", "2",
                      "--out-dir", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["outputs"]["processes"] == procs
 
@@ -890,7 +912,7 @@ def test_pool_rule_reads_the_cast_setting(tmp_path, capsys, monkeypatch, n):
     # a config file's n of "6" or 6.0 runs as 6 in the pool rule too:
     # 3 blocks x 6 generations at 8 a process are 2 processes
     monkeypatch.setattr(simulate, "POOL_STEPS", 8)
-    cfg = g2_cfg(tmp_path, estimate_lower={"n": n, "c": 0.4, "replicas": 600})
+    cfg = g2_cfg(tmp_path, estimate_lower={"n": n, "c": 0.4, "replicas": THREE_BLOCKS})
     assert main(["estimate-lower", "--config", cfg, "--workers", "8",
                  "--out-dir", str(tmp_path)]) == 0
     echo = json.loads(capsys.readouterr().out)
@@ -909,7 +931,7 @@ def test_pool_rule_counts_the_sampled_generations(tmp_path, capsys, monkeypatch)
     for command, procs in (("takeoff", 2), ("trajectory", 2), ("estimate-lower", 3)):
         out = tmp_path / command
         assert main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "8",
-                     "--c", "0.4", "--replicas", "600", "--workers", "8",
+                     "--c", "0.4", "--replicas", str(THREE_BLOCKS), "--workers", "8",
                      "--out-dir", str(out)]) == 0
         outputs = json.loads(capsys.readouterr().out)["outputs"]
         assert outputs["processes"] == procs, command

@@ -15,6 +15,7 @@ from bpre import (
     replica_stream,
 )
 from bpre import rare_event, simulate
+from bpre.cells import tree_steps
 from bpre.simulate import (BLOCK, EXACT_LIMIT, POOL_STEPS, RUN_BLOCKS, Populations,
                             branch_step, draw_env_index, map_replicas, processes, run)
 from bpre.rng import STREAM_TILT, STREAM_TWO_PHASE
@@ -154,9 +155,9 @@ def test_run_batch_agrees_with_final_states(g2, fig_law, pool_per_block):
 
 
 def test_final_states_worker_invariance(g2, fig_law, pool_per_block):
-    # 400 and 640 replicas end in partial blocks; fig2 at n = 40 uses the
-    # log-z lane
-    for env, n, reps in ((g2, 6, 400), (g2, 8, 2 * BLOCK + BLOCK // 2),
+    # BLOCK + 144 and 2 BLOCK + BLOCK // 2 replicas end in partial blocks;
+    # fig2 at n = 40 uses the log-z lane
+    for env, n, reps in ((g2, 6, BLOCK + 144), (g2, 8, 2 * BLOCK + BLOCK // 2),
                          (fig_law, 40, 2 * BLOCK + BLOCK // 2)):
         config = SimConfig(env=env, n=n, z0=1, seed=11, replicas=reps)
         a = final_states(config, threshold=8, workers=1)
@@ -301,6 +302,17 @@ def test_small_maps_start_no_pool(monkeypatch):
         assert len(spans) == -(-below // RUN_BLOCKS)
     assert processes(10**9, 3, 8) == 3 and processes(10**9, 1, 8) == 1
     assert started == []
+
+
+def test_pool_rule_sits_between_the_measured_break_evens():
+    # on 2 cores a 2-process pool pays for fig2 paths at n = 40 from 3-4
+    # blocks, for g2 paths at n = 8 from 24-28 and for g2 trees at n = 8
+    # from 2
+    assert processes(10_000, 2, 40) == 2
+    assert processes(1_000, 2, 8) == 1 and processes(20 * BLOCK, 2, 8) == 1
+    assert processes(32 * BLOCK, 2, 8) == 2
+    assert processes(600, 2, tree_steps(8)) == 1
+    assert processes(2 * BLOCK, 2, tree_steps(8)) == 2
 
 
 def test_run_matches_lanes_of_every_block(fig_law):
