@@ -234,6 +234,12 @@ def _cmd_estimate_upper(env, params: dict, ctx: _Ctx):
                       {"estimate": res.estimate, "ess": res.ess})
 
 
+def _weighing(res) -> dict:
+    """The summary outputs of the weighing a conditional reader reads."""
+    return {"ess": res.ess, "event_estimate": res.estimate, "method": res.method.value,
+            "normal_steps": res.normal_steps, "hold_steps": res.hold_steps}
+
+
 def _cmd_trajectory(env, params: dict, ctx: _Ctx):
     prof = conditional_profile(
         env, params["n"], params["c"], grid=params.get("grid"),
@@ -245,12 +251,8 @@ def _cmd_trajectory(env, params: dict, ctx: _Ctx):
         for t, v, se, ref in zip(prof.grid, prof.values, prof.stderr,
                                  prof.reference)
     ]
-    outputs = {
-        "sup_distance": prof.sup_distance,
-        "sup_distance_stderr": prof.sup_distance_stderr,
-        "ess": prof.ess, "event_estimate": prof.event_estimate, "method": prof.method.value,
-        "normal_steps": prof.normal_steps, "hold_steps": prof.hold_steps,
-    }
+    outputs = {"sup_distance": prof.sup_distance,
+               "sup_distance_stderr": prof.sup_distance_stderr, **_weighing(prof.result)}
     return (ctx.artifact("trajectory.csv", write_csv, "trajectory-v1",
                          ("t", "value", "stderr", "reference"), rows), outputs)
 
@@ -267,11 +269,8 @@ def _cmd_takeoff(env, params: dict, ctx: _Ctx):
     uniq, start = np.unique(fracs, return_index=True)
     sums = np.add.reduceat(weights, start)
     rows = [(float(f), float(w)) for f, w in zip(uniq, sums)]
-    outputs = {
-        "mean_fraction": res.mean_fraction, "stderr": res.stderr,
-        "ess": res.ess, "event_estimate": res.event_estimate, "method": res.method.value,
-        "normal_steps": res.normal_steps, "hold_steps": res.hold_steps,
-    }
+    outputs = {"mean_fraction": res.mean_fraction, "stderr": res.stderr,
+               **_weighing(res.result)}
     return (ctx.artifact("takeoff.csv", write_csv, "takeoff-v1",
                          ("fraction", "weight"), rows), outputs)
 

@@ -301,7 +301,8 @@ def walk_tail(env: EnvironmentLaw, n: int, c: float, side: str = "lower") -> flo
 
     The walk only sees the distinct log-mean atoms; n draws split into
     counts per atom with multinomial probabilities, C(n+k-1, k-1) terms in
-    total.  Ties S = nc sit on the boundary and are included, with a 1e-9
+    total; more than COMPOSITION_BUDGET of them raise TooManyComponentsError.
+    Ties S = nc sit on the boundary and are included, with a 1e-9
     relative slack so float log-sums do not drop exact corners.
     """
     if side not in ("lower", "upper"):
@@ -313,7 +314,7 @@ def walk_tail(env: EnvironmentLaw, n: int, c: float, side: str = "lower") -> flo
     atoms = walk_atoms(env)
     k = len(atoms)
     n_terms = math.comb(n + k - 1, k - 1)
-    if n_terms > COMPOSITION_BUDGET or (k > 3 and n > 40):
+    if n_terms > COMPOSITION_BUDGET:
         raise TooManyComponentsError(
             f"{k} atoms at n={n} needs {n_terms} compositions"
         )

@@ -300,14 +300,16 @@ def empirical_rate(result: EstimatorResult) -> Tuple[float, float]:
 
 
 class RatePoint(NamedTuple):
-    n: int
-    c: float
-    estimate: float
+    """One horizon of rate_curve: -log(estimate)/n and its delta-method stderr.
+
+    A zero-mass result has rate inf and rate_stderr nan.  result estimates
+    the full event when result.method is TiltOnly, the held event when it
+    is TwoPhase.
+    """
+
     rate: float
     rate_stderr: float
-    ess: float
-    method: Method
-    zero_mass: bool
+    result: EstimatorResult
 
 
 def rate_curve(env: EnvironmentLaw, c: float, n_list: Sequence[int],
@@ -331,13 +333,10 @@ def rate_curve(env: EnvironmentLaw, c: float, n_list: Sequence[int],
                                       phase_fraction, ("two_phase",)).two_phase
         else:
             res = estimate_upper_tail(env, n, c, z0, replicas, seed, workers)
+        rate, rse = (math.inf, math.nan) if res.zero_mass else empirical_rate(res)
+        points.append(RatePoint(rate, rse, res))
         if res.zero_mass:
-            points.append(RatePoint(n, c, 0.0, math.inf, math.nan, 0.0,
-                                    res.method, True))
             break
-        rate, rse = empirical_rate(res)
-        points.append(RatePoint(n, c, res.estimate, rate, rse, res.ess,
-                                res.method, False))
     return points
 
 
@@ -351,22 +350,20 @@ def _ratio_stats(w: np.ndarray, g: np.ndarray) -> Tuple[float, float]:
 
 
 class TakeOffResult(NamedTuple):
-    """Weighted law of tau/n given the population ends below e^{cn}."""
+    """Weighted law of tau/n given the population ends below e^{cn}.
+
+    result is the weighing it reads: the event conditioned on is the full
+    lower event when result.method is TiltOnly, the held event when it is
+    TwoPhase.  ess is result.ess.
+    """
 
     mean_fraction: float
     stderr: float
     ess: float
-    event_estimate: float
     fractions: np.ndarray    # tau/n on event replicas
     weights: np.ndarray      # matching normalized weights
-    n: int
-    c: float
     pop_threshold: int
-    replicas: int
-    seed: int
-    method: Method
-    normal_steps: int        # replica-generations in the log-z lane
-    hold_steps: int          # held generations, weighed exactly and not sampled
+    result: EstimatorResult
 
 
 def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
@@ -378,8 +375,7 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     """Conditional statistics of the first time Z exceeds pop_threshold.
 
     tau is capped at n.  Self-normalized under the chosen proposal, so the
-    conditioning event is the proposal's event: the full lower event for
-    tilt_only, the held partial event for two_phase.
+    event conditioned on is the one its result's method names.
     """
     ldr = _check_env(env, n, c, "lower", z0)
     plan = _plan(env, n, c, z0, "lower", method, phase_fraction, ldr)
@@ -390,16 +386,18 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     frac = (s.tau + (res.hold_steps if z0 <= pop_threshold else 0)) / n
     mean, se = _ratio_stats(w, frac)
     on = w > 0.0
-    return TakeOffResult(
-        mean_fraction=mean, stderr=se, ess=res.ess, event_estimate=res.estimate,
-        fractions=frac[on], weights=w[on] / tot, n=n, c=c,
-        pop_threshold=pop_threshold, replicas=replicas, seed=seed,
-        method=res.method, normal_steps=res.normal_steps, hold_steps=res.hold_steps,
-    )
+    return TakeOffResult(mean_fraction=mean, stderr=se, ess=res.ess,
+                         fractions=frac[on], weights=w[on] / tot,
+                         pop_threshold=pop_threshold, result=res)
 
 
 class TrajectoryProfile(NamedTuple):
-    """Conditional growth profile on a time grid, against its straight limit."""
+    """Conditional growth profile on a time grid, against its straight limit.
+
+    result is the weighing it reads: the event conditioned on is the full
+    event when result.method is TiltOnly, the held event when it is
+    TwoPhase.  ess and event_estimate are result.ess and result.estimate.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -409,13 +407,7 @@ class TrajectoryProfile(NamedTuple):
     sup_distance_stderr: float
     ess: float
     event_estimate: float
-    n: int
-    c: float
-    replicas: int
-    seed: int
-    method: Method
-    normal_steps: int        # replica-generations in the log-z lane
-    hold_steps: int          # held generations, weighed exactly and not sampled
+    result: EstimatorResult
 
 
 def conditional_profile(env: EnvironmentLaw, n: int, c: float,
@@ -464,7 +456,5 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     return TrajectoryProfile(
         grid=grid_arr, values=values, stderr=stderr, reference=reference,
         sup_distance=d_mean, sup_distance_stderr=d_se,
-        ess=res.ess, event_estimate=res.estimate,
-        n=n, c=c, replicas=replicas, seed=seed, method=res.method,
-        normal_steps=res.normal_steps, hold_steps=res.hold_steps,
+        ess=res.ess, event_estimate=res.estimate, result=res,
     )

@@ -34,6 +34,8 @@ from bpre import (
     walk_rate,
     walk_tail,
 )
+from bpre.cells import tree_steps
+from bpre.simulate import BLOCK, processes
 from conftest import event_threshold, g2_law, subcrit_law, two_mean_law
 
 
@@ -330,11 +332,20 @@ def test_criterion_12_cell_count_identity():
         result = simulate_cell_tree(config, workers=8)
         report = expected_count_identity(config, result=result)
         zs[c] = report.z_score
-    ok = all(abs(z) <= 3.0 for z in zs.values())
+    # 600 trees fill one block and run in process; two blocks get a pool
+    two = CellTreeConfig(n=8, law1=law1, law2=law2, c=0.4, seed=1201, replicas=BLOCK + 600)
+    procs = processes(two.replicas, 8, tree_steps(8))
+    one, eight = (simulate_cell_tree(two, workers=w) for w in (1, 8))
+    same = (np.array_equal(one.below, eight.below) and np.array_equal(one.above, eight.above)
+            and one.leaves == eight.leaves and one.normal_steps == eight.normal_steps)
+    ok = all(abs(z) <= 3.0 for z in zs.values()) and procs > 1 and same
     detail = " ".join(f"c={c}:z={z:+.2f}" for c, z in zs.items())
-    _line(12, ok, detail)
+    _line(12, ok, f"{detail}; two blocks on {procs} processes "
+                  f"{'match' if same else 'differ from'} one")
     for z in zs.values():
         assert abs(z) <= 3.0
+    assert procs > 1
+    assert same
 
 
 def test_criterion_13_worker_count_does_not_change_results():

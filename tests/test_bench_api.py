@@ -10,17 +10,20 @@ the benchmark without failing any other test.
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 from bpre.cells import expected_count_identity
+from bpre.cli import main
 from bpre.oracle import (ConditionalTrajectoryResult, conditional_trajectory,
                          population_distribution)
-from bpre.rare_event import (EstimatorResult, LowerTailEstimate, TakeOffResult,
-                             TrajectoryProfile, conditional_profile, estimate_lower_tail,
-                             estimate_upper_tail, take_off_statistics)
+from bpre.rare_event import (EstimatorResult, LowerTailEstimate, RatePoint,
+                             TakeOffResult, TrajectoryProfile, conditional_profile,
+                             estimate_lower_tail, estimate_upper_tail, take_off_statistics)
 from bpre.simulate import SimConfig, branch_step
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def bench_imports():
@@ -106,3 +109,37 @@ def test_bench_result_fields_exist():
     missing = {record.__name__: [f for f in fields if f not in record._fields]
                for record, fields in BENCH_READS.items()}
     assert missing == {record.__name__: [] for record in BENCH_READS}
+
+
+def test_readers_copy_only_the_weighing_fields_bench_reads():
+    # take-off, profile and rate-curve results carry the EstimatorResult they
+    # read as `result`; a field of it is repeated only where bench/ reads it.
+    # A record's own stderr (of its mean fraction, or per grid point) is no copy
+    readers = (TakeOffResult, TrajectoryProfile, RatePoint)
+    copies = ("n", "c", "replicas", "seed", "method", "normal_steps", "hold_steps",
+              "zero_mass", "estimate")
+    for record in readers:
+        assert record._fields[-1] == "result"
+        assert [f for f in copies if f in record._fields] == [], record.__name__
+        repeated = set(record._fields) & {*EstimatorResult._fields, "event_estimate"}
+        assert repeated - {"stderr"} <= set(BENCH_READS.get(record, ())), record.__name__
+    assert [r.__name__ for r in readers if "event_estimate" in r._fields] == [
+        "TrajectoryProfile"]
+    assert "event_estimate" in BENCH_READS[TrajectoryProfile]
+
+
+# the summary outputs bench/workloads.py reads from each command's last stdout line
+BENCH_SUMMARY_READS = {
+    "estimate-lower": ("rate",),
+    "trajectory": ("ess",),
+    "takeoff": ("mean_fraction", "event_estimate", "ess"),
+}
+
+
+def test_bench_summary_keys_exist(tmp_path, capsys):
+    for command, keys in BENCH_SUMMARY_READS.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(CONFIGS / "g2.json"), "--replicas", "200",
+                     "--out-dir", str(out)]) == 0
+        outputs = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["outputs"]
+        assert [k for k in keys if not isinstance(outputs.get(k), float)] == [], command

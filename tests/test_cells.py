@@ -202,6 +202,12 @@ def test_environment_holds_the_config_laws():
     assert env.weights == (0.5, 0.5)
 
 
+def assert_same_trees(a, b):
+    assert np.array_equal(a.below, b.below)
+    assert np.array_equal(a.above, b.above)
+    assert a.leaves == b.leaves and a.normal_steps == b.normal_steps
+
+
 def test_identity_at_depth_12():
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=12, law1=law1, law2=law2, c=0.4, seed=12, replicas=400)
@@ -211,6 +217,10 @@ def test_identity_at_depth_12():
     assert report.threshold == 121
     assert report.probability == pytest.approx(exact, rel=1e-12)
     assert abs(report.z_score) <= 3.0
+    # 400 trees fill one block and run in process; two blocks get a pool
+    two = CellTreeConfig(n=12, law1=law1, law2=law2, c=0.4, seed=12, replicas=BLOCK + 76)
+    assert simulate.processes(two.replicas, 2, cells.tree_steps(12)) > 1
+    assert_same_trees(simulate_cell_tree(two, workers=1), simulate_cell_tree(two, workers=2))
 
 
 def test_uniform_leaf_past_int64_stays_exact():
@@ -260,6 +270,10 @@ def test_worker_invariance(pool_per_block):
     b = simulate_cell_tree(config, workers=6)
     assert np.array_equal(a.below, b.below)
     assert np.array_equal(a.above, b.above)
+    # 60 trees fill one block and run in process; two blocks get a pool
+    two = CellTreeConfig(n=6, law1=law1, law2=law2, c=0.4, seed=9, replicas=BLOCK + 60)
+    assert simulate.processes(two.replicas, 6, cells.tree_steps(6)) > 1
+    assert_same_trees(simulate_cell_tree(two, workers=1), simulate_cell_tree(two, workers=6))
 
 
 def test_worker_invariance_across_blocks(pool_per_block):

@@ -23,7 +23,7 @@ from bpre import (
     walk_tail,
 )
 from bpre import oracle
-from bpre.oracle import BLOCK_ROWS, ENTRY_BUDGET
+from bpre.oracle import BLOCK_ROWS, COMPOSITION_BUDGET, ENTRY_BUDGET
 from bpre.simulate import EXACT_LIMIT, Populations
 from conftest import dense_kernel, event_threshold, g2_law, naive_sample
 
@@ -517,10 +517,33 @@ def test_walk_tail_three_components():
     assert walk_tail(env, n, c, "lower") == pytest.approx(brute, abs=1e-12)
 
 
+def test_walk_tail_four_atoms_past_n_40():
+    # 13,244 compositions, well inside the budget (a second rule once refused
+    # every law of more than 3 atoms past n = 40); against a dict DP over the
+    # path's product of means, which by unique factorization keys its atom counts
+    atoms = ((2, 0.1), (3, 0.2), (5, 0.3), (7, 0.4))
+    env = build_environment([(q, {m: 1.0}) for m, q in atoms])
+    n, c = 41, 1.5
+    dist = {1: 1.0}
+    for _ in range(n):
+        step = {}
+        for prod, p in dist.items():
+            for m, q in atoms:
+                step[prod * m] = step.get(prod * m, 0.0) + p * q
+        dist = step
+    assert len(dist) == math.comb(n + 3, 3) == 13_244
+    below = math.fsum(p for prod, p in dist.items() if math.log(prod) <= n * c)
+    assert 0.01 < below < 0.99
+    assert walk_tail(env, n, c, "lower") == pytest.approx(below, rel=1e-12)
+    assert walk_tail(env, n, c, "upper") == pytest.approx(1.0 - below, rel=1e-12)
+
+
 def test_walk_tail_budget_guard():
+    # 5 atoms at n = 60 make C(64, 4) = 635,376 compositions, past the budget
     env = build_environment([(0.2, {k: 1.0}) for k in (2, 3, 5, 7, 11)])
-    with pytest.raises(TooManyComponentsError):
-        walk_tail(env, 41, 1.0, "lower")
+    assert math.comb(64, 4) > COMPOSITION_BUDGET
+    with pytest.raises(TooManyComponentsError, match="635376"):
+        walk_tail(env, 60, 1.0, "lower")
     with pytest.raises(ValueError):
         walk_tail(env, 5, 1.0, "middle")
 

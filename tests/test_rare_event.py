@@ -309,12 +309,12 @@ def test_lower_zero_phase_reduces_to_tilt_only(g2):
         default = estimate_lower_tail(g2, n, c, replicas=2_000, seed=3)
         for method, leg in (("tilt_only", res.tilt_only), (None, default.two_phase)):
             kw = {"replicas": 2_000, "seed": 3, **({"method": method} if method else {})}
-            for reader in (take_off_statistics(g2, n, c, **kw),
-                           conditional_profile(g2, n, c, **kw)):
-                assert reader.event_estimate == leg.estimate
+            profile = conditional_profile(g2, n, c, **kw)
+            for reader in (take_off_statistics(g2, n, c, **kw), profile):
+                assert reader.result == leg
                 assert reader.ess == leg.ess
-                assert reader.normal_steps == leg.normal_steps
-                assert reader.method is leg.method
+                assert reader.result.method is leg.method
+            assert profile.event_estimate == leg.estimate
 
 
 def test_lower_two_phase_with_larger_start(g2):
@@ -443,17 +443,20 @@ def test_rate_curve_is_the_estimators(g2):
     # estimate_upper_tail
     kw = dict(replicas=400, seed=6)
     lower = rate_curve(g2, 0.4, [6, 8, 2], z0=3, **kw)
-    assert [p.zero_mass for p in lower] == [False, False, True]
+    assert [p.result.zero_mass for p in lower] == [False, False, True]
     for point in lower:
-        leg = estimate_lower_tail(g2, point.n, 0.4, z0=3, methods=("two_phase",), **kw).two_phase
-        assert (point.estimate, point.ess, point.method) == (leg.estimate, leg.ess, leg.method)
-        if not point.zero_mass:
+        leg = estimate_lower_tail(g2, point.result.n, 0.4, z0=3, methods=("two_phase",),
+                                  **kw).two_phase
+        assert point.result == leg
+        if not leg.zero_mass:
             assert (point.rate, point.rate_stderr) == empirical_rate(leg)
+    assert (lower[-1].result.estimate, lower[-1].result.ess) == (0.0, 0.0)
+    assert math.isinf(lower[-1].rate) and math.isnan(lower[-1].rate_stderr)
     upper = rate_curve(g2, 1.05, [4, 8], side="upper", **kw)
     assert len(upper) == 2
     for point in upper:
-        res = estimate_upper_tail(g2, point.n, 1.05, **kw)
-        assert (point.estimate, point.ess, point.method) == (res.estimate, res.ess, res.method)
+        res = estimate_upper_tail(g2, point.result.n, 1.05, **kw)
+        assert point.result == res
         assert (point.rate, point.rate_stderr) == empirical_rate(res)
     with pytest.raises(InvalidArgumentError, match="side"):
         rate_curve(g2, 0.4, [8], side="middle", **kw)
@@ -492,10 +495,10 @@ def test_empirical_rate(g2):
 
 def test_rate_curve_lower(g2):
     pts = rate_curve(g2, 0.4, [6, 8], replicas=4_000, seed=3)
-    assert [p.n for p in pts] == [6, 8]
+    assert [p.result.n for p in pts] == [6, 8]
     for p in pts:
-        assert p.method is Method.TWO_PHASE
-        assert p.rate > 0.0 and not p.zero_mass
+        assert p.result.method is Method.TWO_PHASE
+        assert p.rate > 0.0 and not p.result.zero_mass
         assert p.rate_stderr > 0.0
 
 
@@ -512,15 +515,15 @@ def test_rate_curve_truncates_on_zero_mass(dirac2):
     # deterministic doubling cannot stay below e^{0.3 n}
     pts = rate_curve(dirac2, 0.3, [3, 5], replicas=50, seed=0)
     assert len(pts) == 1
-    assert pts[0].zero_mass
+    assert pts[0].result.zero_mass
     assert math.isinf(pts[0].rate)
 
 
 def test_take_off_statistics_posterior(g2):
     res = take_off_statistics(g2, 8, 0.4, replicas=5_000, seed=11)
     assert 0.0 < res.mean_fraction <= 1.0
-    assert res.ess <= res.replicas
-    assert res.method is Method.TWO_PHASE
+    assert res.ess <= res.result.replicas
+    assert res.result.method is Method.TWO_PHASE
     assert res.fractions.shape == res.weights.shape
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(res.weights >= 0.0)
@@ -533,7 +536,7 @@ def test_take_off_matches_exact_conditional(g2):
         g2, n, c, pop_threshold=threshold, replicas=20_000, seed=17, method="tilt_only"
     )
     assert abs(res.mean_fraction - exact) <= 3.0 * res.stderr
-    assert res.method is Method.TILT_ONLY
+    assert res.result.method is Method.TILT_ONLY
 
 
 def test_take_off_no_hold_law(no_hold):
@@ -551,20 +554,20 @@ def test_take_off_after_the_hold(g2):
     # a held path takes off after its m held steps, or at 0 from z0 above
     # the threshold; held throughout, it reads 1.0 with the exact weight
     res = take_off_statistics(g2, 8, 0.4, pop_threshold=2, z0=3, replicas=500, seed=1)
-    assert res.hold_steps == 2
+    assert res.result.hold_steps == 2
     assert np.all(res.fractions == 0.0) and res.mean_fraction == 0.0
     low = take_off_statistics(g2, 8, 0.4, pop_threshold=10, replicas=500, seed=1)
-    assert low.hold_steps == 2 and np.all(low.fractions >= 2 / 8)
+    assert low.result.hold_steps == 2 and np.all(low.fractions >= 2 / 8)
     full = take_off_statistics(g2, 8, 0.4, replicas=200, seed=1, phase_fraction=1.0)
-    assert full.hold_steps == 8 and full.fractions.size == 200
+    assert full.result.hold_steps == 8 and full.fractions.size == 200
     assert np.all(full.fractions == 1.0) and full.mean_fraction == 1.0
-    assert full.event_estimate == pytest.approx(exact_held(g2, 8, 0.4, 8), rel=1e-12)
+    assert full.result.estimate == pytest.approx(exact_held(g2, 8, 0.4, 8), rel=1e-12)
 
 
 def test_profile_sits_at_z0_through_the_hold(g2):
     # the m held columns are log z0 on every path
     prof = conditional_profile(g2, 8, 0.4, z0=3, replicas=500, seed=1)
-    assert prof.hold_steps == 2 and prof.grid.size == 9
+    assert prof.result.hold_steps == 2 and prof.grid.size == 9
     np.testing.assert_allclose(prof.values[:3], math.log(3) / 8, rtol=1e-12)
     np.testing.assert_allclose(prof.stderr[:3], 0.0, atol=1e-12)
     assert prof.values[3] > prof.values[2]
@@ -583,18 +586,18 @@ def test_profile_matches_oracle_pointwise(g2):
     for i in range(9):
         gap = abs(prof.values[i] - tr.profile[i])
         assert gap <= 3.0 * max(prof.stderr[i], 1e-12)
-    assert prof.method is Method.TILT_ONLY
+    assert prof.result.method is Method.TILT_ONLY
 
 
 def test_profile_two_phase_reference_is_limit_shape(g2):
     prof = conditional_profile(g2, 8, 0.4, replicas=3_000, seed=2)
-    assert prof.method is Method.TWO_PHASE
+    assert prof.result.method is Method.TWO_PHASE
     r = lower_deviation_rate(g2, 0.4)
     for t, ref in zip(prof.grid, prof.reference):
         assert ref == pytest.approx(limit_profile(r, float(t)), abs=1e-12)
     assert prof.reference[-1] == pytest.approx(0.4, abs=1e-12)
     assert prof.sup_distance >= 0.0
-    assert prof.ess <= prof.replicas
+    assert prof.ess <= prof.result.replicas
 
 
 def test_profile_upper_reference_is_line(g2):
