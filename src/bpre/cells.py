@@ -10,22 +10,26 @@ simulate_cell_tree returns, from one run, each tree's counts for that
 identity and the parasites of one uniform leaf, the tree's lineage draw.
 
 Trees grow in groups of S = group_size(n) = max(1, min(BLOCK, TREE_LEAVES >> n))
-trees (1,024 at n <= 2, 512 at n = 3, 256 at n = 4, 16 at n = 8, 1 from
-n = 12; only n <= 3 is capped by BLOCK), a level at a time: group g reads
-the one stream replica_stream(seed, STREAM_CELLS + g), first for each
-tree's uniform leaf, and holds a level of its S trees as one
-flat array of cells, tree by tree, each with its index in the full level of
-S * 2^k cells.  Each level repeats every cell twice, so the daughters of
-cell i sit at 2i and 2i + 1, and simulate.branch steps the even ones by law1
-and the odd ones by law2, in the block engine's exact int64 and log-z lanes.
+trees (1,024 for n <= 7, 512 at n = 8, 32 at n = 12, 1 from n = 17), a
+level at a time: group g reads the one stream replica_stream(seed,
+STREAM_CELLS + g), each call from its own counter (rng.Stream; the trees'
+uniform leaves are call 0 of level 0), and holds a level of its trees as
+one flat array of cells, tree by tree, each with its index in the full
+level of S * 2^k cells.  Each level repeats every cell twice, so the
+daughters of cell i sit at 2i and 2i + 1, and simulate.branch steps the
+even ones by law1 and the odd ones by law2, in the block engine's exact
+int64 and log-z lanes.  With nothing settled the last level holds
+S * 2^n <= max(TREE_LEAVES, 2^n) cells, about 65 traced bytes each at the
+peak: 8 MB for a group of TREE_LEAVES leaves.
 When neither law can shrink (p0 = 0 for both: strongly_supercritical), a
 parasite count never decreases down the tree, so a cell at depth k < n
 above e^{cn} has all its 2^(n - k) leaves above: unless it lies on the path
 to its tree's uniform leaf, it settles, adds them to the tree's count above
 and is not grown further.  Under a law that can shrink every level is grown
 in full.  S is a power of two that divides BLOCK, so a group never
-straddles a map_replicas block, and a partial last group is grown in full:
-tree r depends only on (seed, config, r), for any worker or replica count.
+straddles a map_replicas block, and a group draws only the trees a run
+holds: tree r depends only on (seed, config, r), for any worker or replica
+count.
 """
 
 from __future__ import annotations
@@ -38,14 +42,14 @@ import numpy as np
 from .envmodel import EnvironmentLaw, OffspringDistribution, build_environment
 from .errors import BudgetExceededError, InvalidArgumentError
 from .oracle import event_bound, event_threshold, exp_cn, population_distribution
-from .rng import STREAM_CELLS, replica_stream
+from .rng import STREAM_CELLS, Stream
 from .simulate import BLOCK, EXACT_LIMIT, Populations, branch, map_replicas
 
 TREE_DEPTH_MAX = 20
 
-# Most leaves in one group of trees, and so on one stream (group_size);
-# a level holds them all when no cell settles.
-TREE_LEAVES = 1 << 12
+# Most leaves in one group of trees, and so on one stream (group_size): the
+# largest power of two whose traced peak stays under 16 MB if nothing settles.
+TREE_LEAVES = 1 << 17
 
 
 def group_size(n: int) -> int:
@@ -55,12 +59,9 @@ def group_size(n: int) -> int:
 
 
 def tree_steps(n: int) -> int:
-    """Path generations a tree of depth n costs, as the pool rule counts them.
-
-    On 2 cores a block of settling g2 trees at c = 0.4 took 1.0-1.5 times
-    the time of 2^n generations of a block of g2 paths, from n = 4 to 10.
-    """
-    return 1 << n
+    """Path generations a tree of depth n costs, as the pool rule counts
+    them: fit to the measured break-evens (simulate.POOL_STEPS)."""
+    return 1 << (n - 1)
 
 
 # joint offspring hook per level: (parasites of its kept cells, rng) -> daughter totals
@@ -102,61 +103,59 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
 
     A group first draws each tree's uniform leaf.  at holds each kept
     cell's index in the group's full level k, so tree j holds indices j 2^k
-    up to (j + 1) 2^k.  A level settles the cells that can settle (a cell
-    off its tree's path to the leaf, above the lower event bound, under laws
-    that cannot shrink), then draws law1's daughters of the kept cells and
-    law2's, or calls joint once on them.  lo is a multiple of BLOCK, so the
-    first group starts at tree lo.
+    up to (j + 1) 2^k; a daughter's parity names its law.  A level settles
+    the cells that can settle (a cell off its tree's path to the leaf, above
+    the lower event bound, under laws that cannot shrink), then draws law1's
+    daughters of the kept cells and law2's, or calls joint once on them with
+    the stream set to call 1.  lo is a multiple of BLOCK, so the first group
+    starts at tree lo; the last holds only the trees below hi.
     """
     n, laws = config.n, (config.law1, config.law2)
     size = group_size(n)
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     lower, upper = (event_bound(n, config.c, side) for side in ("lower", "upper"))
     settles = config.environment().strongly_supercritical
-    parity = np.arange(size << n) & 1
     groups = []
-    for g in range(lo // size, -(-hi // size)):
-        rng = replica_stream(config.seed, STREAM_CELLS + g)
-        pick = (np.arange(size) << n) + rng.integers(1 << n, size=size)
-        cells, at = Populations.start(config.z0, limit, size), np.arange(size)
-        above = np.zeros(size, dtype=np.int64)
-        normal_steps = np.zeros(size, dtype=np.int64)
+    for first in range(lo, hi, size):
+        trees = min(size, hi - first)
+        stream = Stream(config.seed, STREAM_CELLS + first // size)
+        pick = (np.arange(trees) << n) + stream.at(0, 0).integers(1 << n, size=trees)
+        cells, at = Populations.start(config.z0, limit, trees), np.arange(trees)
+        above, normal_steps = np.zeros((2, trees), dtype=np.int64)
         for k in range(n):
             if settles:
                 done = ~cells.hit(lower, "lower")
                 if done.any():
                     done &= at != pick[at >> k] >> (n - k)
-                    above += np.bincount(at[done] >> k, minlength=size) << (n - k)
+                    above += np.bincount(at[done] >> k, minlength=trees) << (n - k)
                     keep = ~done
                     cells = Populations(cells.z[keep], cells.logz[keep], cells.big[keep])
                     at = at[keep]
-            parents, step = cells.z, parity[:2 * at.size]
+            parents = cells.z
             cells = Populations(parents.repeat(2), cells.logz.repeat(2), cells.big.repeat(2))
-            at = (at << 1).repeat(2) | step
+            at = ((at << 1)[:, None] | [0, 1]).ravel()
             if joint is None:
-                branch(cells, step, laws, [rng], limit)
+                branch(cells, at & 1, laws, [stream], limit, k + 1)
             else:
                 cells.promote(limit)
                 if cells.big.any():
                     raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
-                cells.z[0::2], cells.z[1::2] = joint(parents, rng)
+                cells.z[0::2], cells.z[1::2] = joint(parents, stream.at(k + 1, 1))
                 for law, daughters in zip(laws, (cells.z[0::2], cells.z[1::2])):
                     if law.p0 == 0.0 and (daughters < parents).any():
                         raise InvalidArgumentError(
                             "joint sampler: a daughter has fewer parasites than its cell "
                             "under a law with p0 == 0")
             if cells.big.any():
-                normal_steps += np.bincount(at[cells.big] >> (k + 1), minlength=size)
+                normal_steps += np.bincount(at[cells.big] >> (k + 1), minlength=trees)
         tree = at >> n
-        below = np.bincount(tree[cells.hit(lower, "lower")], minlength=size)
-        above += np.bincount(tree[cells.hit(upper, "upper")], minlength=size)
+        below = np.bincount(tree[cells.hit(lower, "lower")], minlength=trees)
+        above += np.bincount(tree[cells.hit(upper, "upper")], minlength=trees)
         rows = np.flatnonzero(at == pick[tree])
         groups.append((below, above, normal_steps, [cells.value(j) for j in rows.tolist()]))
     below, above, normal_steps, leaves = zip(*groups)
-    keep = hi - lo
-    return (np.concatenate(below)[:keep], np.concatenate(above)[:keep],
-            np.concatenate(normal_steps)[:keep],
-            [leaf for group in leaves for leaf in group][:keep])
+    return (np.concatenate(below), np.concatenate(above), np.concatenate(normal_steps),
+            [leaf for group in leaves for leaf in group])
 
 
 class CellTreeResult(NamedTuple):

@@ -25,16 +25,17 @@ lanes in log space.  branch, the one branching step of the replica
 engine, the cell tree and branch_step, steps each entry in place by the
 law its index names, each stream on its part of the entries.
 
-Every block is simulated in full, so replica r's path depends only on
-(seed, stream, r): results are byte-identical for any worker count, and a
-run with more replicas extends one with fewer.  A lockstep pass and a
+Each draw call starts at its own counter (rng.Stream), one row per lane in
+lane order, so a block draws only the lanes a run holds, with no padding:
+results are byte-identical for any worker count, and a run with more
+replicas extends one with fewer.  A lockstep pass and a
 finished run share one record, Lanes, one entry per replica; sample
 joins its runs' lanes and every reader reduces them: final_states here,
 whose naive proposal carries the log-mean walk as its llr, and the
 estimators in rare_event.  A naive Monte Carlo estimate is the hit
 fraction of the naive proposal's lanes.  run, Trajectory, branch_step and
 draw_env_index stay only for bench/, until ROADMAP item 1 moves it off
-them.
+them; branch_step draws from where its generator stands.
 """
 
 from __future__ import annotations
@@ -47,21 +48,21 @@ import numpy as np
 
 from .envmodel import EnvironmentLaw, OffspringDistribution
 from .errors import InvalidArgumentError
-from .rng import STREAM_SIM, replica_stream
+from .rng import STREAM_SIM, Stream
 
 # Replicas per block, and per stream.  Each generation a block makes one
 # uniform call and one multinomial per law, about 12 us of fixed cost
-# each, so a bigger block makes fewer calls but leaves more lanes unused
-# in a run's last block; 1024 beat 256, 512 and 2048 on the g2 and fig2
-# estimators at 1,000 and 3,000 replicas (README's sweep).
+# each, and draws only the lanes a run holds, so a bigger block is never
+# slower; at 1,000 replicas, the shipped runs' size, 1024 beat 256 and 512
+# and 2048 gained only on fig2, not on g2 (README's sweep).
 BLOCK = 1024
 
 # Fewest block-generations (blocks x steps) per pool process; a map of
 # fewer than 2 * POOL_STEPS runs in process.  On 2 cores a 2-process pool
 # breaks even near 24-28 blocks of g2 paths at n = 8 (192-224
 # block-generations, steps = n), 3-4 of fig2 paths at n = 40 (120-160),
-# and 1-2 of g2 cell trees at n = 8 and about 4 at n = 6 (at most 512
-# and 256; steps = cells.tree_steps(n) = 2^n).
+# and 6-7 blocks of g2 cell trees at n = 6, at most 2 at n = 8 and 10
+# (steps = cells.tree_steps(n) = 2^(n - 1)).
 POOL_STEPS = 128
 
 # Most blocks in one lockstep run: 8,192 lanes bound a run's arrays.
@@ -228,15 +229,17 @@ class Populations:
 
 
 def branch(pop: Populations, idx: np.ndarray, laws: Sequence[OffspringDistribution],
-           rngs: list, limit: int) -> None:
+           rngs: list, limit: int, k: Optional[int] = None) -> None:
     """Branch entry j of pop once by laws[idx[j]], in place, after moving
     the exact entries above limit (at most EXACT_LIMIT // the largest
     offspring count) to the log-z lane.
 
-    The entries are cut into len(rngs) equal parts, one per stream.  Per
-    law, in order, each stream draws one multinomial over its part's exact
-    entries, then one normal per log-z entry; an empty part draws nothing.
-    No exact population decreases under a law with p0 == 0 (asserted).
+    Stream b holds the entries from b BLOCK on (_parts).  Per law i, in
+    order, each stream draws one multinomial over its part's exact entries
+    (call 1 + 2i), then one normal per log-z entry (call 2 + 2i); an empty
+    part draws nothing.  With k, rngs are rng.Streams set for call j of
+    generation k; without, generators drawing from where they stand.  No
+    exact population decreases under a law with p0 == 0 (asserted).
     """
     pop.promote(limit)
     z, logz, big = pop.z, pop.logz, pop.big
@@ -245,14 +248,14 @@ def branch(pop: Populations, idx: np.ndarray, laws: Sequence[OffspringDistributi
         exact, normal = on & ~big, on & big
         zs, lz = z[exact], logz[normal]
         if zs.size:
-            out = np.concatenate([r.multinomial(part, law.probs_arr)
-                                  for r, part in _parts(zs, exact, rngs)]).dot(law.support_arr)
+            out = np.concatenate([(r if k is None else r.at(k, 1 + 2 * i)).multinomial(
+                part, law.probs_arr) for r, part in _parts(zs, exact, rngs)]).dot(law.support_arr)
             assert law.p0 > 0.0 or (out >= zs).all(), \
                 "population decreased under a no-extinction law"
             z[exact] = out
         if lz.size:
-            g = np.concatenate([r.standard_normal(part.size)
-                                for r, part in _parts(lz, normal, rngs)])
+            g = np.concatenate([(r if k is None else r.at(k, 2 + 2 * i)).standard_normal(
+                part.size) for r, part in _parts(lz, normal, rngs)])
             logz[normal] = lz + _log_step(law, lz, g)
 
 
@@ -274,8 +277,10 @@ def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -
 
 
 def _parts(a: np.ndarray, mask: np.ndarray, rngs: list) -> list:
-    """(stream, its nonempty part of a) per stream; a holds mask's entries."""
-    ends = mask.reshape(len(rngs), -1).sum(axis=1).cumsum().tolist()
+    """(stream, its nonempty part of a) per stream; a holds mask's entries,
+    and stream b those from entry b BLOCK on, up to the next stream's."""
+    ends = (np.add.reduceat(mask, np.arange(len(rngs)) * BLOCK).cumsum().tolist()
+            if len(rngs) > 1 else [a.size])
     return [(rng, a[lo:hi]) for rng, lo, hi in zip(rngs, [0] + ends, ends) if hi > lo]
 
 
@@ -304,24 +309,26 @@ class Lanes(Populations):
 
 def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
                 seed: int, block: int, threshold: Optional[int] = None,
-                blocks: int = 1) -> Iterator[Lanes]:
-    """Yield the lanes of blocks block..block+blocks-1 after each generation 0..n.
+                size: int = BLOCK) -> Iterator[Lanes]:
+    """Yield the lanes of replicas block BLOCK up to block BLOCK + size
+    after each generation 0..n.
 
-    The blocks step together (a lockstep pass), block + j in lanes j BLOCK
-    onward.  Each draws from its stream, proposal.stream + its index, what
-    it draws alone: BLOCK uniforms for the components, then per component
-    a multinomial and normals (branch).
+    The blocks step together (a lockstep pass), block + b in lanes b BLOCK
+    onward.  Each draws from its stream, proposal.stream + its index, its
+    own lanes only: per generation one uniform per lane for the components,
+    then per component a multinomial and normals (branch).
     """
-    rngs = [replica_stream(seed, proposal.stream + b) for b in range(block, block + blocks)]
-    size = BLOCK * blocks
+    rows = [min(BLOCK, size - lo) for lo in range(0, size, BLOCK)]
+    rngs = [Stream(seed, proposal.stream + block + b) for b in range(len(rows))]
     limit = EXACT_LIMIT // env.max_offspring
     lanes = Lanes.start(z0, limit, size, llr=np.zeros(size), tau=np.full(size, n),
                         normal_steps=np.zeros(size, dtype=np.int64))
     for k in range(n + 1):
         if k > 0:
-            lanes.idx = _pick(proposal, np.concatenate([rng.random(BLOCK) for rng in rngs]))
+            lanes.idx = _pick(proposal, np.concatenate([r.at(k, 0).random(m)
+                                                        for r, m in zip(rngs, rows)]))
             lanes.llr += proposal.step_log_lr[lanes.idx]
-            branch(lanes, lanes.idx, env.components, rngs, limit)
+            branch(lanes, lanes.idx, env.components, rngs, limit, k)
             lanes.normal_steps += lanes.big
         if threshold is not None:
             lanes.tau[(lanes.tau == n) & ~lanes.hit(threshold, "lower")] = k
@@ -329,12 +336,12 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
 
 
 def run(config: SimConfig, replica: int = 0) -> Trajectory:
-    """Simulate one replica: lane replica % BLOCK of block replica // BLOCK."""
+    """Simulate one replica: the last of the lanes of its block up to it."""
     env = config.env
     lane = replica % BLOCK
     traj = Trajectory(z=[], env_idx=[], s=[])
     for lanes in block_lanes(env, config.n, config.z0, Proposal.naive(env),
-                             config.seed, replica // BLOCK):
+                             config.seed, replica // BLOCK, size=lane + 1):
         traj.z.append(lanes.value(lane))
         traj.s.append(float(lanes.llr[lane]))
         if lanes.idx is not None:
@@ -387,12 +394,11 @@ def _sample_run(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
                 lo: int, hi: int) -> Lanes:
     """The lanes of replicas [lo, hi), lo a multiple of BLOCK, from one
     lockstep pass over their blocks."""
-    size, logs = hi - lo, []
-    for lanes in block_lanes(env, n, z0, proposal, seed, lo // BLOCK, threshold,
-                             -(-size // BLOCK)):
+    logs = []
+    for lanes in block_lanes(env, n, z0, proposal, seed, lo // BLOCK, threshold, hi - lo):
         if capture:
-            logs.append(lanes.log()[:size])
-    return Lanes(**{f: getattr(lanes, f)[:size] for f in _PER_REPLICA},
+            logs.append(lanes.log())
+    return Lanes(**{f: getattr(lanes, f) for f in _PER_REPLICA},
                  paths=np.stack(logs, axis=1) if capture else None)
 
 

@@ -18,7 +18,7 @@ from bpre import (
 from bpre import cells, simulate
 from bpre.cells import TREE_DEPTH_MAX, TREE_LEAVES
 from bpre.oracle import event_bound
-from bpre.rng import STREAM_CELLS, replica_stream
+from bpre.rng import STREAM_CELLS, Stream, replica_stream
 from bpre.simulate import BLOCK, EXACT_LIMIT, Populations
 
 
@@ -117,22 +117,24 @@ class CountingDouble:
 
 
 def test_joint_sampler_called_once_per_level():
-    # one group of S = 2^12 >> 4 = 256 trees, the 3 asked for and 253 more
+    # one group holds the 3 trees asked for and no more: it draws only the
+    # trees a run holds, though S = TREE_LEAVES >> 4 = 1,024
     law1, law2 = g2_laws()
+    assert cells.group_size(4) == BLOCK
     config = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4, seed=0, replicas=3)
     joint = CountingDouble()
     simulate_cell_tree(config, joint=joint)
     # the cell at position p of depth k holds 2^popcount(p) parasites, so
     # only p = 7 at depth 3 passes e^1.6 and settles, unless a tree's
     # uniform leaf (drawn first from the group's stream) lies below it
-    leaves = replica_stream(config.seed, STREAM_CELLS).integers(1 << 4, size=256)
-    assert joint.sizes == [256, 512, 1024, 2048 - 256 + int(np.sum(leaves >> 1 == 7))]
+    leaves = replica_stream(config.seed, STREAM_CELLS).integers(1 << 4, size=3)
+    assert joint.sizes == [3, 6, 12, 24 - 3 + int(np.sum(leaves >> 1 == 7))]
     # under laws that can shrink every level is grown in full
     law1, law2 = shrink_laws()
     config = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4, seed=0, replicas=3)
     joint = CountingDouble()
     simulate_cell_tree(config, joint=joint)
-    assert joint.sizes == [256, 512, 1024, 2048]
+    assert joint.sizes == [3, 6, 12, 24]
 
 
 def shrinking_joint(z, rng):
@@ -277,8 +279,9 @@ def test_worker_invariance(pool_per_block):
 
 
 def test_worker_invariance_across_blocks(pool_per_block):
-    # n = 8 grows S = 16 trees per stream: 64 groups in each of two blocks
-    # of 1,024 trees and 22 in the last block of 352, one block per worker
+    # n = 8 grows S = 512 trees per stream: 2 groups in each of two blocks
+    # of 1,024 trees and a partial one of 352 in the last block, one block
+    # per worker
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=8, law1=law1, law2=law2, c=0.4, seed=9,
                             replicas=2 * BLOCK + 352)
@@ -292,8 +295,8 @@ def test_worker_invariance_across_blocks(pool_per_block):
 @pytest.mark.parametrize("laws, c", [(g2_laws(), 0.6), (jump_laws(), 5.0)],
                          ids=["exact", "log-lane"])
 def test_more_replicas_extend_fewer(laws, c):
-    # n = 10 grows S = 4 trees per stream: tree 36 starts the short run's
-    # partial last group, grown in full as in the long run
+    # n = 10 grows S = 128 trees per stream: the short run's 37 trees are a
+    # partial group, drawn alone, that the long run's first group extends
     law1, law2 = laws
     short, long = (CellTreeConfig(n=10, law1=law1, law2=law2, c=c, seed=6, replicas=r)
                    for r in (37, 600))
@@ -310,11 +313,14 @@ def test_more_replicas_extend_fewer(laws, c):
 
 def reference_tree(config, g):
     """Group g of config's trees regrown from its stream in the documented
-    order: first one integers draw of each tree's uniform leaf; then per
-    level, when neither law can shrink, every cell above the lower event
-    bound and off its tree's path to that leaf settles, adding its 2^(n - k)
-    leaves to the tree's count above; then law1's multinomial over the
-    kept exact cells and one normal per kept log-z cell, then law2's.
+    order, each call from its own counter: first one integers draw of each
+    tree's uniform leaf at (0, 0, 0, 0); then per depth k = 0..n-1, when
+    neither law can shrink, every cell above the lower event bound and off
+    its tree's path to that leaf settles, adding its 2^(n - k) leaves to the
+    tree's count above; then the daughter level k + 1 draws law1's
+    multinomial over the kept exact cells at (0, k + 1, 1, 0) and one normal
+    per kept log-z cell at (0, k + 1, 2, 0), then law2's at (0, k + 1, 3, 0)
+    and (0, k + 1, 4, 0).  The group is grown whole, all S trees.
 
     Returns per tree its leaves below and above e^{cn}, its log-z daughter
     draws and the parasites of its uniform leaf.
@@ -323,8 +329,8 @@ def reference_tree(config, g):
     size = cells.group_size(n)
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     lower, upper = (event_bound(n, config.c, side) for side in ("lower", "upper"))
-    rng = replica_stream(config.seed, STREAM_CELLS + g)
-    picks = rng.integers(1 << n, size=size)
+    stream = Stream(config.seed, STREAM_CELLS + g)
+    picks = stream.at(0, 0).integers(1 << n, size=size)
     level = Populations.start(config.z0, limit, size)
     tree, pos = np.arange(size), np.zeros(size, dtype=np.int64)
     above = np.zeros(size, dtype=np.int64)
@@ -341,12 +347,13 @@ def reference_tree(config, g):
         for j in tree[big]:
             steps[j] += 2
         daughters = []
-        for law in laws:
+        for i, law in enumerate(laws):
             z, logz = level.z.copy(), level.logz.copy()
             if exact.any():
-                z[exact] = rng.multinomial(z[exact], law.probs_arr) @ law.support_arr
+                z[exact] = (stream.at(k + 1, 1 + 2 * i).multinomial(z[exact], law.probs_arr)
+                            @ law.support_arr)
             if big.any():
-                g_big = rng.standard_normal(int(big.sum()))
+                g_big = stream.at(k + 1, 2 + 2 * i).standard_normal(int(big.sum()))
                 logz[big] += simulate._log_step(law, logz[big], g_big)
             daughters.append((z, logz))
         (z1, logz1), (z2, logz2) = daughters
@@ -388,11 +395,11 @@ def random_joint(z, rng):
     return z + k, 2 * z - k
 
 
-@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("n", [2, 6, 9])
 @pytest.mark.parametrize("joint", [None, random_joint], ids=["independent", "joint"])
 def test_trees_of_two_blocks_match_each_block_alone(n, joint):
-    # one run of two blocks (one group of 1,024 trees each at n = 2, 16 of
-    # 64 at n = 6) gives what each block gives alone
+    # one run of two blocks (one group of 1,024 trees each at n = 2 and 6,
+    # four of 256 at n = 9) gives what each block gives alone
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=n, law1=law1, law2=law2, c=0.4, seed=4, replicas=2 * BLOCK)
     both = cells._trees(config, joint, 0, 2 * BLOCK)
@@ -402,12 +409,33 @@ def test_trees_of_two_blocks_match_each_block_alone(n, joint):
     assert both[0].std() > 0
 
 
-def test_tree_group_memory_stays_in_budget():
-    # trees of 2^8 leaves grow TREE_LEAVES leaves at a time: the last
-    # level's cells and their draws take about 64 bytes a leaf; a group of
-    # all 1,024 trees of a block would hold 2^18 leaves, about 14 MB
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_fewer_trees_are_a_prefix_of_more(pool_per_block, n):
+    # S = 1,024, 512 and 32 trees: 10 and 100 trees cut a group, and
+    # BLOCK + 76 end in a partial group of a second block; on 1 or 2
+    # workers every tree is the same tree of the longest run
     law1, law2 = g2_laws()
-    config = CellTreeConfig(n=8, law1=law1, law2=law2, c=0.4, seed=0, replicas=512)
+    configs = {r: CellTreeConfig(n=n, law1=law1, law2=law2, c=0.4, seed=2, replicas=r)
+               for r in (10, 100, BLOCK + 76)}
+    longest = cells._trees(configs[BLOCK + 76], None, 0, BLOCK + 76)
+    for r, config in configs.items():
+        for column, full in zip(cells._trees(config, None, 0, r), longest):
+            assert list(column) == list(full[:r]), r
+        res = simulate_cell_tree(config, workers=2)
+        assert list(res.below) == list(longest[0][:r])
+        assert list(res.above) == list(longest[1][:r])
+        assert res.leaves == longest[3][:r]
+    assert np.std(longest[0]) > 0
+
+
+def test_tree_group_memory_stays_in_budget():
+    # trees of 2^8 leaves grow TREE_LEAVES leaves at a time, two groups of
+    # 512 trees here: the last level's cells and their draws take about 65
+    # bytes a leaf when nothing settles; a group of all 1,024 trees of a
+    # block would hold 2^18 leaves, about 16 MB
+    law1, law2 = g2_laws()
+    assert cells.group_size(8) == BLOCK // 2
+    config = CellTreeConfig(n=8, law1=law1, law2=law2, c=0.4, seed=0, replicas=BLOCK)
     tracemalloc.start()
     try:
         simulate_cell_tree(config)
@@ -444,9 +472,10 @@ def test_tree_group_memory_stays_in_budget_at_depth_2():
 
 def test_tree_group_memory_stays_in_budget_when_nothing_settles():
     # at c = 1.5 every leaf (at most 4^8 < e^12 parasites) is at or below
-    # e^{cn}: no cell settles, and each level is grown in full
+    # e^{cn}: no cell settles, and each level of both groups of 512 trees
+    # is grown in full
     law1, law2 = g2_laws()
-    config = CellTreeConfig(n=8, law1=law1, law2=law2, c=1.5, seed=0, replicas=512)
+    config = CellTreeConfig(n=8, law1=law1, law2=law2, c=1.5, seed=0, replicas=BLOCK)
     tracemalloc.start()
     try:
         res = simulate_cell_tree(config)

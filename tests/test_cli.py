@@ -738,24 +738,24 @@ def test_shipped_configs_parse():
 # `reproduce` with VersionMismatch) and updates GOLDEN_VERSION, and the
 # hashes it changes, in the same change; any other change must leave the
 # artifacts byte-identical.
-GOLDEN_VERSION = "0.12.0"
+GOLDEN_VERSION = "0.13.0"
 GOLDEN_G2_ARTIFACTS = {
     ("oracle", "oracle.json"):
         "f582946eab2554860801672d5968345688baa91b9b9c8478c711e20ebfd405e8",
     ("simulate", "simulate.csv"):
-        "fa2c54f53a018f9d04a802ddd00f536a0660f87696a86799208feceb9a5d04d1",
+        "24d2c3fc5b297069e96af3e75933d728f6bc10d1a163e3439a6c6f5bd107b511",
     ("estimate-lower", "estimate_lower.csv"):
-        "af4089f4422ff441e9ca5a6ab1d5b93adb3e6b4e3f85b3f24b7090cb55774c6e",
+        "6548660b0d034094b743b82f719eca6c24ddc65130245661fd75a616c307d645",
     ("estimate-upper", "estimate_upper.csv"):
-        "97e9fe68aa0d15ddf3314bd026dcf11798adbd3c11b9437bde1cac8439a6ad36",
+        "de559e678f0bbbb39c988ab9ff4de0534a7626af7d289fe8f35489d74e3cc758",
     ("trajectory", "trajectory.csv"):
-        "ff2d0d7d2fc88a976a2d19c840b395a6f68278d49b4f533e1a5aba1ba3db23d6",
+        "38dbb15f179b4726943cf89de627bcbf8d0ed62bb6f69902e61eaf700acd4b05",
     ("takeoff", "takeoff.csv"):
-        "86e7e352929adbf0acfcfb6b0650fa6b020e4591799c970032e303783ce0d9e9",
+        "8acbced2f527986ed03a1b9b8c1a299971aa70caea19a020abd84c7f55181960",
     ("cells", "cells.csv"):
-        "0b3bd56d98390ec6d438cabfa9ea3662417a36c9b50baa0f89d1cc02aa869e1d",
+        "60e934c485b4b7d35ba144b26ac8b1bb54a016331ac54ca7203bd1fbe264bf0f",
     ("cells", "cells_summary.json"):
-        "fd5b102bcf85e3404e24492836d4d70437746eb7cf2a7575e0f1c658cbd36493",
+        "27f8e7cd8d3993f606cb422b916ae75f63a1eb172b7dce4af4e24087176c2da7",
 }
 
 

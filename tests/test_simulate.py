@@ -14,11 +14,11 @@ from bpre import (
     final_states,
     replica_stream,
 )
-from bpre import rare_event, simulate
+from bpre import rare_event, rng, simulate
 from bpre.cells import tree_steps
-from bpre.simulate import (BLOCK, EXACT_LIMIT, POOL_STEPS, RUN_BLOCKS, Populations,
+from bpre.simulate import (BLOCK, EXACT_LIMIT, POOL_STEPS, RUN_BLOCKS, Populations, branch,
                             branch_step, draw_env_index, map_replicas, processes, run)
-from bpre.rng import STREAM_TILT, STREAM_TWO_PHASE
+from bpre.rng import STREAM_TILT, STREAM_TWO_PHASE, Stream
 from conftest import event_threshold, exact_lower, naive_sample
 
 
@@ -306,13 +306,16 @@ def test_small_maps_start_no_pool(monkeypatch):
 
 def test_pool_rule_sits_between_the_measured_break_evens():
     # on 2 cores a 2-process pool pays for fig2 paths at n = 40 from 3-4
-    # blocks, for g2 paths at n = 8 from 24-28 and for g2 trees at n = 8
-    # from 2
+    # blocks, for g2 paths at n = 8 from 24-28, for g2 trees at n = 6 from
+    # 7 (it breaks even at 6 and loses at 4) and at n = 8 and 10 from 2
     assert processes(10_000, 2, 40) == 2
     assert processes(1_000, 2, 8) == 1 and processes(20 * BLOCK, 2, 8) == 1
     assert processes(32 * BLOCK, 2, 8) == 2
-    assert processes(600, 2, tree_steps(8)) == 1
-    assert processes(2 * BLOCK, 2, tree_steps(8)) == 2
+    assert processes(6 * BLOCK, 2, tree_steps(6)) == 1
+    assert processes(8 * BLOCK, 2, tree_steps(6)) == 2
+    for n in (8, 10):
+        assert processes(600, 2, tree_steps(n)) == 1
+        assert processes(2 * BLOCK, 2, tree_steps(n)) == 2
 
 
 def test_run_matches_lanes_of_every_block(fig_law):
@@ -330,28 +333,30 @@ def test_run_matches_lanes_of_every_block(fig_law):
 
 
 def reference_block(env, n, z0, proposal, seed, block, threshold):
-    """One block run alone, drawing in the documented order: per generation
-    BLOCK uniforms for the components, then per component one multinomial
-    over its exact lanes and one normal per log-z lane.
+    """One whole block run alone, drawing in the documented order: per
+    generation k, from counter (0, k, 0, 0), BLOCK uniforms for the
+    components, then per component i one multinomial over its exact lanes
+    from (0, k, 1 + 2i, 0) and one normal per log-z lane from (0, k, 2 + 2i, 0).
 
     Returns its lanes, llr, tau, log paths and per-lane log-z generations.
     """
-    rng = replica_stream(seed, proposal.stream + block)
+    stream = Stream(seed, proposal.stream + block)
     limit = EXACT_LIMIT // max(d.max_offspring for d in env.components)
     lanes = Populations.start(z0, limit, BLOCK)
     llr, tau, steps, paths = np.zeros(BLOCK), np.full(BLOCK, n), np.zeros(BLOCK, int), []
     for k in range(n + 1):
         if k > 0:
-            idx = draw_env_index(proposal, rng, BLOCK)
+            idx = draw_env_index(proposal, stream.at(k, 0), BLOCK)
             llr += proposal.step_log_lr[idx]
             lanes.promote(limit)
             steps += lanes.big
             for i, dist in enumerate(env.components):
                 exact, normal = (idx == i) & ~lanes.big, (idx == i) & lanes.big
                 if exact.any():
-                    lanes.z[exact] = rng.multinomial(lanes.z[exact], dist.probs_arr) @ dist.support_arr
+                    lanes.z[exact] = (stream.at(k, 1 + 2 * i).multinomial(
+                        lanes.z[exact], dist.probs_arr) @ dist.support_arr)
                 if normal.any():
-                    g = rng.standard_normal(int(normal.sum()))
+                    g = stream.at(k, 2 + 2 * i).standard_normal(int(normal.sum()))
                     lanes.logz[normal] += simulate._log_step(dist, lanes.logz[normal], g)
         if threshold is not None:
             tau[(tau == n) & ~lanes.hit(threshold, "lower")] = k
@@ -371,8 +376,8 @@ SAMPLE_CASES = {   # law, n, c, proposal, take-off threshold, capture
 @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
 def test_sample_equals_blocks_run_alone(g2, fig_law, case):
     # a lockstep pass over three blocks and a partial fourth gives each
-    # block's own draws: the one-block runs of the documented order, cut
-    # at the replica count; a two_phase plan samples the n - m generations
+    # block's own draws: the whole one-block runs of the documented order,
+    # cut at the replica count, though the fourth block draws 77 rows; a two_phase plan samples the n - m generations
     # after its hold
     law, n, c, method, threshold, capture = SAMPLE_CASES[case]
     env = g2 if law == "g2" else fig_law
@@ -421,6 +426,85 @@ def test_replica_paths_do_not_depend_on_replica_count(g2):
     large = final_states(SimConfig(env=g2, n=6, seed=8, replicas=BLOCK + 50))
     assert large.z[:100] == small.z
     assert np.array_equal(large.s[:100], small.s)
+
+
+class RecordingGenerator:
+    """A stream's generator that records (call, rows) of each draw call."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size):
+        self._calls.append(("random", size))
+        return self._rng.random(size)
+
+    def multinomial(self, n, pvals):
+        self._calls.append(("multinomial", len(n)))
+        return self._rng.multinomial(n, pvals)
+
+    def standard_normal(self, size):
+        self._calls.append(("standard_normal", size))
+        return self._rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("law, n", [("g2", 8), ("fig2", 40)])
+def test_small_run_draws_only_its_lanes(monkeypatch, g2, fig_law, law, n):
+    # 100 < BLOCK replicas: each generation draws 100 uniforms, and its
+    # multinomials and normals share out the same 100 rows; no call pads the
+    # run to a whole block.  fig2 at n = 40 passes to the log-z lane
+    env = g2 if law == "g2" else fig_law
+    calls, make = [], rng.replica_stream
+    monkeypatch.setattr(rng, "replica_stream",
+                        lambda seed, stream: RecordingGenerator(make(seed, stream), calls))
+    s = simulate.sample(env, n, 1, simulate.Proposal.naive(env), 3, 100)
+    starts = [j for j, (name, _) in enumerate(calls) if name == "random"]
+    assert len(starts) == n
+    for lo, hi in zip(starts, starts[1:] + [len(calls)]):
+        assert calls[lo] == ("random", 100)
+        assert sum(rows for _, rows in calls[lo + 1:hi]) == 100
+    assert (s.normal_steps.sum() > 0) == (law == "fig2")
+
+
+@pytest.mark.parametrize("law, n", [("g2", 8), ("fig2", 40)])
+def test_fewer_replicas_are_a_prefix_of_more(g2, fig_law, pool_per_block, law, n):
+    # 100 and 1,000 replicas cut the first block, 2,500 end in a partial
+    # third; on 1 or 2 workers every lane is the same lane of the longest run
+    env = g2 if law == "g2" else fig_law
+    runs = {(reps, workers): simulate.sample(env, n, 1, simulate.Proposal.naive(env), 3, reps,
+                                             workers=workers, threshold=10, capture=True)
+            for reps in (100, 1_000, 2_500) for workers in (1, 2)}
+    longest = runs[2_500, 1]
+    assert (longest.normal_steps.sum() > 0) == (law == "fig2")
+    for (reps, workers), s in runs.items():
+        for name in simulate._PER_REPLICA + ("paths",):
+            assert np.array_equal(getattr(s, name), getattr(longest, name)[:reps]), \
+                (reps, workers, name)
+
+
+def test_each_law_draws_from_its_own_counter(g2):
+    # law 1's draws in a generation are the same whether law 0 drew a
+    # multinomial, normals only (no exact lanes) or nothing at all; law 1
+    # itself has exact and log-z lanes
+    limit = EXACT_LIMIT // g2.max_offspring
+    law1_z = np.concatenate([np.arange(1, 91), np.full(10, limit + 1)])
+    cases = {"exact": np.arange(1, 101), "log-z": np.full(100, limit + 5), "none": None}
+    out = {}
+    for name, law0_z in cases.items():
+        if law0_z is None:
+            z, idx = law1_z, np.ones(100, dtype=np.int64)
+        else:
+            z, idx = np.column_stack([law0_z, law1_z]).ravel(), np.arange(200) % 2
+        pop = Populations(z.astype(np.int64), np.zeros(z.size), np.zeros(z.size, dtype=bool))
+        branch(pop, idx, g2.components, [Stream(3, 0)], limit, 5)
+        on = idx == 1
+        out[name] = pop.z[on], pop.logz[on], pop.big[on]
+        assert pop.big[on].sum() == 10 and pop.big[~on].any() == (name == "log-z")
+    for name in ("log-z", "none"):
+        for got, ref in zip(out[name], out["exact"]):
+            assert np.array_equal(got, ref), name
 
 
 def test_log_lane_one_generation_moments():
