@@ -336,7 +336,7 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
 
 
 def run(config: SimConfig, replica: int = 0) -> Trajectory:
-    """Simulate one replica: the last of the lanes of its block up to it."""
+    """Simulate one replica: the last lane of a pass over its block up to it."""
     env = config.env
     lane = replica % BLOCK
     traj = Trajectory(z=[], env_idx=[], s=[])
