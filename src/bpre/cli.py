@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .cells import (CellTreeConfig, expected_count_identity, simulate_cell_tree,
                     tree_steps)
-from .envmodel import (environment_from_dict, environment_to_dict,
+from .envmodel import (_number, environment_from_dict, environment_to_dict,
                        reject_duplicate_keys)
 from .errors import BPREError, InvalidArgumentError, VersionMismatchError
 from .oracle import event_threshold, population_distribution
@@ -58,16 +58,16 @@ def config_hash(effective: dict) -> str:
     return hashlib.sha256(canonical_json(effective).encode()).hexdigest()
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
+def _write(path: str, text: str) -> str:
+    """Write text to path; returns the sha256 of the bytes written."""
+    data = text.encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_csv(path: str, schema: str, columns: Sequence[str], rows,
-              cfg_hash: str) -> None:
+              cfg_hash: str) -> str:
     lines = [
         f"#schema={schema}:{','.join(columns)}",
         f"#config={cfg_hash}",
@@ -75,23 +75,20 @@ def write_csv(path: str, schema: str, columns: Sequence[str], rows,
     ]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return _write(path, "\n".join(lines) + "\n")
 
 
-def write_json(path: str, obj: dict, cfg_hash: str) -> None:
+def write_json(path: str, obj: dict, cfg_hash: str) -> str:
     payload = {"config": cfg_hash}
     payload.update(obj)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def parse_grid(spec) -> list:
     """Accept a list, "lo:hi:step", or a comma-separated list of values."""
     text = str(spec)
     if isinstance(spec, (list, tuple)):
-        grid = [_float(x) for x in spec]
+        grid = [_number(x, "grid point") for x in spec]
     elif ":" in text:
         lo, hi, step = (float(x) for x in text.split(":"))
         span = (hi - lo) / step if step > 0 else math.nan
@@ -106,26 +103,13 @@ def parse_grid(spec) -> list:
     return grid
 
 
-def _float(value) -> float:
-    """value as a float; a bool is no number."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _finite(value) -> float:
-    """value as a float; InvalidArgument for NaN or an infinity."""
-    x = _float(value)
+    """value as a float by envmodel's number rule; InvalidArgument for NaN
+    or an infinity, as not finite."""
+    x = _number(value, "value") if value == value else math.nan   # NaN: not finite
     if not math.isfinite(x):
-        raise InvalidArgumentError(f"{value!r} is not a finite number")
+        raise InvalidArgumentError(f"value is {value!r}, not a finite number")
     return x
-
-
-def _int(value) -> int:
-    """value as an int; InvalidArgument for a bool or a non-integral number."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InvalidArgumentError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def _bool(value) -> bool:
@@ -143,10 +127,8 @@ class _Ctx(NamedTuple):
     workers: int
 
     def artifact(self, name: str, write, *args) -> dict:
-        """write(path, *args, cfg_hash) to out_dir/name; returns {name: path}."""
-        path = os.path.join(self.out_dir, name)
-        write(path, *args, self.cfg_hash)
-        return {name: path}
+        """write(path, *args, cfg_hash) to out_dir/name; returns {name: its sha256}."""
+        return {name: write(os.path.join(self.out_dir, name), *args, self.cfg_hash)}
 
 
 def _draws(params: dict) -> dict:
@@ -301,20 +283,21 @@ def _cmd_cells(env, params: dict, ctx: _Ctx):
 
 # --- settings and commands --------------------------------------------
 
-# setting -> (flag, argparse keywords, cast of the flag's or the config's value)
+# setting -> (flag, argparse keywords, cast of the flag's or the config's value;
+# _cast applies int and float by envmodel's number rule)
 _SETTINGS = {
     "c_grid": ("--c-grid", {}, parse_grid),
-    "n": ("--n", {"type": int}, _int),
-    "z0": ("--z0", {"type": int}, _int),
-    "threshold_n": ("--threshold-N", {"type": int}, _int),
-    "cap": ("--cap", {"type": int}, _int),
+    "n": ("--n", {"type": int}, int),
+    "z0": ("--z0", {"type": int}, int),
+    "threshold_n": ("--threshold-N", {"type": int}, int),
+    "cap": ("--cap", {"type": int}, int),
     "c": ("--c", {"type": float}, _finite),
-    "threshold": ("--threshold", {"type": int}, _int),
-    "tol": ("--tol", {"type": float}, _float),
+    "threshold": ("--threshold", {"type": int}, int),
+    "tol": ("--tol", {"type": float}, float),
     "pmf_csv": ("--pmf-csv", {"action": "store_const", "const": True}, _bool),
     "grid": ("--grid", {}, parse_grid),
     "side": ("--side", {"choices": ("lower", "upper")}, str),
-    "phase_fraction": ("--phase-fraction", {"type": float}, _float),
+    "phase_fraction": ("--phase-fraction", {"type": float}, float),
     "method": ("--method", {"choices": ("tilt_only", "two_phase")}, str),
 }
 
@@ -340,15 +323,19 @@ _COMMANDS = {
 }
 
 
-_CASTS = {"seed": _int, "replicas": _int, **{key: spec[2] for key, spec in _SETTINGS.items()}}
+_CASTS = {"seed": int, "replicas": int, **{key: spec[2] for key, spec in _SETTINGS.items()}}
 
 
 def _cast(key: str, value):
-    """value through key's cast, if it has one; InvalidArgument for a value
-    the cast refuses."""
+    """value through key's cast, if it has one; InvalidArgument naming key
+    for a value the cast refuses.  An int or a float is cast by envmodel's
+    number rule: no bool, no NaN, ints whole, overflow refused."""
+    cast = _CASTS.get(key)
     try:
-        return _CASTS[key](value) if key in _CASTS else value
-    except (TypeError, ValueError) as err:
+        if cast in (int, float):
+            return _number(value, "value", cast)
+        return value if cast is None else cast(value)
+    except (TypeError, ValueError) as err:   # InvalidArgument is a ValueError
         raise InvalidArgumentError(f"setting {key!r}: {err}") from err
 
 
@@ -372,8 +359,9 @@ def _section_name(command: str) -> str:
 def effective_config(command: str, cfg: dict, ns) -> dict:
     """Collapse file config and flags into one self-contained config dict.
 
-    Values stay as the flags and the file give them, so the config hash
-    does not depend on the casts; every setting given must survive its cast.
+    Values stay as the flags and the file give them, except seed and
+    replicas: they may come from the file's top level and are recorded
+    cast.  execute casts every setting.
     """
     section = dict(cfg.get(_section_name(command), {}))
     for key in _COMMANDS[command][2]:
@@ -384,18 +372,17 @@ def effective_config(command: str, cfg: dict, ns) -> dict:
                                                            cfg.get("seed", 0))
     replicas = ns.replicas if ns.replicas is not None else section.get(
         "replicas", cfg.get("replicas", 10_000))
-    section["seed"] = _int(seed)
-    section["replicas"] = _int(replicas)
-    _Settings(command, section)
+    section["seed"] = _cast("seed", seed)
+    section["replicas"] = _cast("replicas", replicas)
     return {"environments": cfg["environments"], _section_name(command): section}
 
 
-def execute(command: str, effective: dict, out_dir: str,
-            workers: int) -> Tuple[dict, dict, dict]:
-    """Run one command from its effective config; returns (record, artifacts, outputs)."""
-    env = environment_from_dict(effective)
+def execute(command: str, effective: dict, out_dir: str, workers: int) -> dict:
+    """Run one command from its effective config; returns its run record,
+    whose artifacts map each file written to the sha256 of its bytes."""
     settings = _Settings(command, effective[_section_name(command)])
     seed, replicas = settings["seed"], settings["replicas"]   # a record may lack them
+    env = environment_from_dict(effective)
     os.makedirs(out_dir, exist_ok=True)
     ctx = _Ctx(out_dir=out_dir, cfg_hash=config_hash(effective), workers=workers)
     started = time.time()
@@ -407,7 +394,7 @@ def execute(command: str, effective: dict, out_dir: str,
         n = settings["n"] - outputs.get("hold_steps", 0)
         outputs["processes"] = processes(replicas, workers,
                                          tree_steps(n) if command == "cells" else n)
-    record = {
+    return {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",
         "version": __version__,
         "command": command,
@@ -420,11 +407,9 @@ def execute(command: str, effective: dict, out_dir: str,
         "config": effective,
         "env_fingerprint": hashlib.sha256(
             canonical_json(environment_to_dict(env)).encode()).hexdigest(),
-        "artifacts": {name: _sha256_file(path)
-                      for name, path in artifacts.items()},
+        "artifacts": artifacts,
         "outputs": outputs,
     }
-    return record, artifacts, outputs
 
 
 def _append_log(out_dir: str, record: dict) -> None:
@@ -466,7 +451,8 @@ def _cmd_reproduce(ns) -> int:
     log_path = ns.log or os.path.join(out_dir, LOG_NAME)
     with open(log_path) as fh:
         try:
-            records = [json.loads(line) for line in fh if line.strip()]
+            records = [json.loads(line, object_pairs_hook=reject_duplicate_keys)
+                       for line in fh if line.strip()]
         except ValueError as err:
             raise InvalidArgumentError(f"run log {log_path}: {err}") from err
     if not records:
@@ -490,10 +476,10 @@ def _cmd_reproduce(ns) -> int:
     if not run_id or ".." in run_id or os.path.basename(run_id) != run_id:
         raise InvalidArgumentError(f"run record field 'run_id' {run_id!r} is not a file name")
     replay_dir = os.path.join(out_dir, f"replay-{run_id}")
-    replay, artifacts, _ = execute(command, config, replay_dir, _workers(ns))
+    replayed = execute(command, config, replay_dir, _workers(ns))["artifacts"]
     all_pass = True
     for name, recorded_hash in recorded.items():
-        new_hash = replay["artifacts"].get(name)
+        new_hash = replayed.get(name)
         if new_hash is None:
             print(f"FAIL {name}: artifact not regenerated")
             all_pass = False
@@ -504,7 +490,7 @@ def _cmd_reproduce(ns) -> int:
         all_pass = False
         original = os.path.join(out_dir, name)
         if os.path.exists(original):
-            div = _first_divergence(original, artifacts[name])
+            div = _first_divergence(original, os.path.join(replay_dir, name))
             if div is not None:
                 print(f"FAIL {name}: first divergence at byte {div[0]} "
                       f"(line {div[1]})")
@@ -559,10 +545,10 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise InvalidArgumentError(f"config {ns.config}: {err!r}") from err
     out_dir = ns.out_dir or "."
-    record, artifacts, outputs = execute(ns.command, effective, out_dir, _workers(ns))
+    record = execute(ns.command, effective, out_dir, _workers(ns))
     _append_log(out_dir, record)
-    echo = {"run_id": record["run_id"], "artifacts": sorted(artifacts),
-            "outputs": outputs}
+    echo = {"run_id": record["run_id"], "artifacts": sorted(record["artifacts"]),
+            "outputs": record["outputs"]}
     print(json.dumps(echo, sort_keys=True, default=str))
     return 0
 

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 from bpre.cells import expected_count_identity
+from bpre import cli
 from bpre.cli import main
 from bpre.oracle import (ConditionalTrajectoryResult, conditional_trajectory,
                          population_distribution)
@@ -73,10 +74,14 @@ def test_traced_functions_resolve():
 
 def test_bench_call_shapes_bind():
     # bench/layers.py: expected_count_identity(tree, result=res), branch_step(z, law, rng);
-    # bench/libclient.py and layers.py: conditional_trajectory(env, n, c)
+    # bench/libclient.py and layers.py: conditional_trajectory(env, n, c);
+    # layers.py times cli.write_csv(path, schema, columns, rows, cfg_hash),
+    # and TRACED wraps it and cli.write_json(path, obj, cfg_hash)
     inspect.signature(expected_count_identity).bind("tree", result="res")
     inspect.signature(branch_step).bind("z", "law", "rng")
     inspect.signature(conditional_trajectory).bind("env", "n", "c")
+    inspect.signature(cli.write_csv).bind("path", "schema", "columns", "rows", "cfg_hash")
+    inspect.signature(cli.write_json).bind("path", "obj", "cfg_hash")
 
 
 def test_bench_estimator_calls_bind():

@@ -391,6 +391,57 @@ def test_non_finite_c_exits_2(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+# every numeric setting and the values envmodel's number rule refuses: a
+# bool, NaN, and for an int a number that is not whole (or a decimal string
+# that int() cannot read), for a float an integer past the float range
+INT_SETTINGS = ("n", "z0", "threshold_n", "cap", "threshold", "seed", "replicas")
+FLOAT_SETTINGS = ("c", "tol", "phase_fraction", "grid", "c_grid")
+BAD_INTS = {"bool": True, "nan": math.nan, "fraction": 8.5, "exponent-string": "1e3"}
+BAD_FLOATS = {"bool": True, "nan": math.nan, "past-float": 10**400}
+CAST_MATRIX = {f"{key}-{label}": (key, bad)
+               for keys, bads in ((INT_SETTINGS, BAD_INTS), (FLOAT_SETTINGS, BAD_FLOATS))
+               for key in keys for label, bad in bads.items()}
+
+
+def bad_setting(key, bad):
+    """key's bad value in an oracle section; a grid's is its second point."""
+    return [0.5, bad] if key in ("grid", "c_grid") else bad
+
+
+def assert_refused(capsys, key, out_dir, left):
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and err["error"] == "InvalidArgument"
+    assert f"setting {key!r}" in err["message"]
+    assert sorted(p.name for p in out_dir.iterdir()) == left
+
+
+@pytest.fixture(scope="module")
+def oracle_record(tmp_path_factory):
+    out = tmp_path_factory.mktemp("oracle-record")
+    cfg = g2_cfg(out, oracle=OK_ORACLE)
+    assert main(["oracle", "--config", cfg, "--out-dir", str(out)]) == 0
+    return (out / "runlog.jsonl").read_text()
+
+
+@pytest.mark.parametrize("key, bad", CAST_MATRIX.values(), ids=list(CAST_MATRIX))
+def test_cast_matrix_config_file(tmp_path, capsys, key, bad):
+    # seed and replicas were once refused without their name, and an
+    # integer past the float range exited 3 with an OverflowError
+    cfg = g2_cfg(tmp_path, oracle={**OK_ORACLE, key: bad_setting(key, bad)})
+    assert main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert_refused(capsys, key, tmp_path, ["cfg.json"])
+
+
+@pytest.mark.parametrize("key, bad", CAST_MATRIX.values(), ids=list(CAST_MATRIX))
+def test_cast_matrix_run_record(tmp_path, capsys, oracle_record, key, bad):
+    rec = json.loads(oracle_record)
+    rec["config"]["oracle"][key] = bad_setting(key, bad)
+    (tmp_path / "runlog.jsonl").write_text(canonical_json(rec) + "\n")
+    capsys.readouterr()
+    assert main(["reproduce", "--out-dir", str(tmp_path)]) == 2
+    assert_refused(capsys, key, tmp_path, ["runlog.jsonl"])   # no replay
+
+
 def test_trajectory_upper_two_phase_exits_2(tmp_path, capsys):
     # the upper side's TiltOnly holds nothing: a hold fraction once ran dropped
     for ask in (["--method", "two_phase"], ["--phase-fraction", "0.5"]):
@@ -708,6 +759,43 @@ def test_reproduce_bad_record_setting_exits_2(tmp_path, capsys, path, bad, named
     assert named in err["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "oracle.json",
                                                          "runlog.jsonl"]   # no replay
+
+
+def test_reproduce_refuses_a_repeated_record_key(tmp_path, capsys):
+    # a record read by a bare json.loads kept the last "version", so this
+    # record once replayed as PASS oracle.json
+    cfg = g2_cfg(tmp_path, oracle=OK_ORACLE)
+    assert main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "runlog.jsonl"
+    log.write_text(log.read_text().replace("{", '{"version":"0.0.1",', 1))
+    assert main(["reproduce", "--out-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and err["error"] == "DuplicateKey"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "oracle.json",
+                                                         "runlog.jsonl"]   # no replay
+
+
+SHIPPED_RUNS = [(name, command) for name in ("g2.json", "fig2.json") for command in cli._COMMANDS
+                if command.replace("-", "_") in json.loads((CONFIG_DIR / name).read_text())]
+
+
+@pytest.mark.parametrize("config, command", SHIPPED_RUNS, ids="-".join)
+def test_recorded_digests_are_the_bytes_written(tmp_path, capsys, config, command):
+    # a writer returns the sha256 of the bytes it wrote; the record keeps it
+    # and a replay's digests match it
+    assert main([command, "--config", str(CONFIG_DIR / config), "--replicas", "100",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    record = read_log(tmp_path)[0]
+    digests = record["artifacts"]
+    assert sorted(digests) == [p.name for p in sorted(tmp_path.iterdir())
+                               if p.name != "runlog.jsonl"]
+    assert main(["reproduce", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"PASS {name}" for name in digests]
+    for folder in (tmp_path, tmp_path / f"replay-{record['run_id']}"):
+        assert {name: hashlib.sha256((folder / name).read_bytes()).hexdigest()
+                for name in digests} == digests
 
 
 def test_reproduce_version_mismatch(tmp_path, capsys):
