@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .envmodel import EnvironmentLaw, OffspringDistribution, build_environment
+from .envmodel import OffspringDistribution, build_environment
 from .errors import BudgetExceededError, InvalidArgumentError
 from .oracle import event_bound, event_threshold, exp_cn, population_distribution
 from .rng import STREAM_CELLS, Stream
@@ -69,7 +69,7 @@ JointSampler = Callable[[np.ndarray, np.random.Generator], Tuple[np.ndarray, np.
 
 
 class CellTreeConfig:
-    __slots__ = ("n", "law1", "law2", "c", "seed", "replicas", "z0")
+    __slots__ = ("n", "law1", "law2", "c", "seed", "replicas", "z0", "env")
 
     def __init__(self, n: int, law1: OffspringDistribution, law2: OffspringDistribution,
                  c: float, seed: int = 0, replicas: int = 1, z0: int = 1):
@@ -86,14 +86,8 @@ class CellTreeConfig:
             raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
         self.n, self.law1, self.law2, self.c = n, law1, law2, c
         self.seed, self.replicas, self.z0 = seed, replicas, z0
-
-    @property
-    def threshold(self) -> float:
-        return exp_cn(self.n, self.c)
-
-    def environment(self) -> EnvironmentLaw:
-        """The equiprobable two-environment law seen by a random lineage."""
-        return build_environment([(0.5, self.law1), (0.5, self.law2)])
+        # the equiprobable two-environment law a uniform lineage sees
+        self.env = build_environment([(0.5, law1), (0.5, law2)])
 
 
 def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
@@ -114,7 +108,7 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
     size = group_size(n)
     limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     lower, upper = (event_bound(n, config.c, side) for side in ("lower", "upper"))
-    settles = config.environment().strongly_supercritical
+    settles = config.env.strongly_supercritical
     groups = []
     for first in range(lo, hi, size):
         trees = min(size, hi - first)
@@ -166,9 +160,7 @@ class CellTreeResult(NamedTuple):
     stderr_below: float
     mean_above: float
     stderr_above: float
-    threshold: float
     normal_steps: int       # log-z daughter draws made, over all trees (settled cells draw none)
-    config: CellTreeConfig
 
 
 def simulate_cell_tree(config: CellTreeConfig,
@@ -198,26 +190,22 @@ def simulate_cell_tree(config: CellTreeConfig,
         below=below, above=above, leaves=[leaf for run in leaves for leaf in run],
         mean_below=float(below.mean()), stderr_below=_se(below),
         mean_above=float(above.mean()), stderr_above=_se(above),
-        threshold=config.threshold, normal_steps=int(normal_steps.sum()),
-        config=config,
+        normal_steps=int(normal_steps.sum()),
     )
 
 
 class IdentityReport(NamedTuple):
-    """Tree-side mean versus 2^n times the exact process probability.
+    """2^n times the exact process probability, against the tree-side mean
+    (CellTreeResult.mean_below and stderr_below).
 
     z_score is None when every tree gives the same count and it differs
     from expected: the gap is real but has no stderr to scale it.
     """
 
-    tree_mean: float
-    tree_stderr: float
     expected: float
     z_score: Optional[float]
     probability: float
     threshold: int
-    n: int
-    replicas: int
 
 
 def expected_count_identity(config: CellTreeConfig,
@@ -230,7 +218,7 @@ def expected_count_identity(config: CellTreeConfig,
     covers the supported use; otherwise the truncation bound applies).
     """
     k = event_threshold(config.n, config.c)
-    dist = population_distribution(config.environment(), config.n,
+    dist = population_distribution(config.env, config.n,
                                    z0=config.z0, cap=max(k, config.z0))
     prob = dist.prob_le(k)
     expected = 2 ** config.n * prob
@@ -241,10 +229,5 @@ def expected_count_identity(config: CellTreeConfig,
     else:
         # degenerate tree counts: the exact side still carries float rounding
         z = 0.0 if abs(diff) <= 1e-9 * max(1.0, abs(expected)) else None
-
-    return IdentityReport(
-        tree_mean=result.mean_below, tree_stderr=se, expected=expected,
-        z_score=z, probability=prob, threshold=k, n=config.n,
-        replicas=config.replicas,
-    )
+    return IdentityReport(expected=expected, z_score=z, probability=prob, threshold=k)
 

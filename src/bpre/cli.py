@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .cells import (CellTreeConfig, expected_count_identity, simulate_cell_tree,
                     tree_steps)
-from .envmodel import (_number, environment_from_dict, environment_to_dict,
+from .envmodel import (REJECT_TOL, _number, environment_from_dict, environment_to_dict,
                        reject_duplicate_keys)
 from .errors import BPREError, InvalidArgumentError, VersionMismatchError
 from .oracle import event_threshold, population_distribution
@@ -258,10 +258,10 @@ def _cmd_takeoff(env, params: dict, ctx: _Ctx):
 
 
 def _cmd_cells(env, params: dict, ctx: _Ctx):
-    if env.k != 2:
+    if env.k != 2 or any(abs(w - 0.5) > REJECT_TOL for w in env.weights):
         raise InvalidArgumentError(
-            f"cells needs a two-environment config, got {env.k} components"
-        )
+            f"cells needs two environments of weight 1/2, got weights {env.weights}: "
+            "a uniform lineage of the binary tree sees each law with probability 1/2")
     config = CellTreeConfig(n=params["n"], law1=env.components[0],
                             law2=env.components[1], c=params["c"], **_draws(params))
     result = simulate_cell_tree(config, workers=ctx.workers)
@@ -273,10 +273,10 @@ def _cmd_cells(env, params: dict, ctx: _Ctx):
     artifacts = ctx.artifact("cells.csv", write_csv, "cells-v1",
                              ("replicate", "n_below", "n_above"), rows)
     artifacts.update(ctx.artifact("cells_summary.json", write_json, {
-        "tree_mean": report.tree_mean, "tree_stderr": report.tree_stderr,
+        "tree_mean": result.mean_below, "tree_stderr": result.stderr_below,
         "expected": report.expected, "z_score": report.z_score,
         "probability": report.probability, "threshold": report.threshold,
-        "n": report.n, "replicas": report.replicas,
+        "n": config.n, "replicas": config.replicas,
     }))
     return artifacts, {"z_score": report.z_score, "normal_steps": result.normal_steps}
 

@@ -33,9 +33,9 @@ finished run share one record, Lanes, one entry per replica; sample
 joins its runs' lanes and every reader reduces them: final_states here,
 whose naive proposal carries the log-mean walk as its llr, and the
 estimators in rare_event.  A naive Monte Carlo estimate is the hit
-fraction of the naive proposal's lanes.  run, Trajectory, branch_step and
-draw_env_index stay only for bench/, until ROADMAP item 1 moves it off
-them; branch_step draws from where its generator stands.
+fraction of the naive proposal's lanes.  branch_step and draw_env_index
+serve only bench/, which times them, and run only bench/'s traced table;
+branch_step draws from where its generator stands.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .envmodel import EnvironmentLaw, OffspringDistribution
-from .errors import InvalidArgumentError
+from .errors import BudgetExceededError, InvalidArgumentError
 from .rng import STREAM_SIM, Stream
 
 # Replicas per block, and per stream.  Each generation a block makes one
@@ -67,6 +67,12 @@ POOL_STEPS = 128
 
 # Most blocks in one lockstep run: 8,192 lanes bound a run's arrays.
 RUN_BLOCKS = 8
+
+# Most replicas one map may run, refused before anything is allocated.  Traced
+# peaks: about 85 B a replica for estimate_lower_tail (fig2, n = 40) and
+# final_states (g2, n = 8), 0.7 GB at the bound; conditional_profile keeps n + 1
+# log-z columns, about 1,076 B a replica on fig2 at n = 40: 1 GB near 10^6.
+REPLICAS_MAX = 1 << 23
 
 # Largest population a branch step may produce as an int64.  Above it the
 # total offspring count is a moment-matched normal draw; its distributional
@@ -89,29 +95,12 @@ class SimConfig:
         self.env, self.n, self.z0, self.seed, self.replicas = env, n, z0, seed, replicas
 
 
-class Trajectory:
+class Trajectory(NamedTuple):
     """One realized path: populations, environment indices, log-mean walk."""
 
-    __slots__ = ("z", "env_idx", "s")
-
-    def __init__(self, z: List[int], env_idx: List[int], s: List[float]):
-        self.z, self.env_idx, self.s = z, env_idx, s
-
-    @property
-    def n(self) -> int:
-        return len(self.env_idx)
-
-    @property
-    def final_z(self) -> int:
-        return self.z[-1]
-
-    @property
-    def final_s(self) -> float:
-        return self.s[-1]
-
-    def take_off_step(self, threshold: int) -> Optional[int]:
-        """First generation with population above threshold, None if never."""
-        return next((k for k, zk in enumerate(self.z) if zk > threshold), None)
+    z: List[int]
+    env_idx: List[int]
+    s: List[float]
 
 
 class Proposal(NamedTuple):
@@ -339,14 +328,14 @@ def run(config: SimConfig, replica: int = 0) -> Trajectory:
     """Simulate one replica: the last lane of a pass over its block up to it."""
     env = config.env
     lane = replica % BLOCK
-    traj = Trajectory(z=[], env_idx=[], s=[])
+    z, idx, s = [], [], []
     for lanes in block_lanes(env, config.n, config.z0, Proposal.naive(env),
                              config.seed, replica // BLOCK, size=lane + 1):
-        traj.z.append(lanes.value(lane))
-        traj.s.append(float(lanes.llr[lane]))
+        z.append(lanes.value(lane))
+        s.append(float(lanes.llr[lane]))
         if lanes.idx is not None:
-            traj.env_idx.append(int(lanes.idx[lane]))
-    return traj
+            idx.append(int(lanes.idx[lane]))
+    return Trajectory(z, idx, s)
 
 
 # --- batched execution -------------------------------------------------
@@ -369,9 +358,13 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
     RUN_BLOCKS blocks and a 1 / processes(replicas, workers, steps) share of
     them, on a pool if that is more than one process.  Block b reads its own
     stream, so the results, in run order, reduce the same for any workers.
+    More than REPLICAS_MAX replicas raise BudgetExceededError.
     """
     if replicas < 1:
         raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
+    if replicas > REPLICAS_MAX:
+        raise BudgetExceededError(f"replicas={replicas} exceeds the budget of "
+                                  f"{REPLICAS_MAX} replicas")
     if workers < 1:
         raise InvalidArgumentError(f"workers={workers} must be >= 1")
     procs = processes(replicas, workers, steps)

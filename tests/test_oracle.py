@@ -60,6 +60,8 @@ def test_one_generation_mixture(g2):
     assert dist.prob_eq(2) == pytest.approx(0.5, abs=1e-15)
     assert dist.prob_eq(4) == pytest.approx(0.25, abs=1e-15)
     assert dist.prob_eq(3) == 0.0
+    assert dist.prob_eq(-1) == dist.prob_eq(9) == 0.0   # outside the table 0..cap
+    assert dist.prob_le(-1) == dist.prob_le(-2) == 0.0
 
 
 def test_stay_at_one_probability(g2):
@@ -769,3 +771,8 @@ def test_oracle_matches_naive_mc(g2, n):
     exact_up = 1.0 - dist_up.prob_le(ku - 1)
     se_up = math.sqrt(exact_up * (1.0 - exact_up) / config.replicas)
     assert abs(s.hit(ku, "upper").mean() - exact_up) <= 3.0 * se_up
+
+
+def test_walk_tail_refuses_n_below_one(g2):
+    with pytest.raises(InvalidArgumentError, match="n=0"):
+        walk_tail(g2, 0, 0.4)

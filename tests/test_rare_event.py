@@ -659,3 +659,15 @@ def test_lower_rate_solved_once_per_call(g2, fig_law, monkeypatch):
             calls.clear()
             fn(env, n, c, replicas=50, seed=1)
             assert calls == [c], fn.__name__
+
+
+def test_refusals_before_any_draw(g2, monkeypatch):
+    # a bad side or phase_fraction is refused before a path is sampled
+    with monkeypatch.context() as patch:
+        patch.setattr(rare_event, "_sample_and_weigh", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(InvalidArgumentError, match="side must be"):
+            conditional_profile(g2, 8, 0.4, side="middle")
+        with pytest.raises(InvalidArgumentError, match=r"outside \[0, 1\]"):
+            estimate_lower_tail(g2, 8, 0.4, phase_fraction=1.5)
+    with pytest.raises(InvalidArgumentError, match="replicas=0"):
+        estimate_upper_tail(g2, 8, 1.05, replicas=0)

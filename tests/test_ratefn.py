@@ -70,6 +70,12 @@ def test_tilt_parameter_closed_form(fig_law):
     lam = tilt_parameter(fig_law, c)
     assert lam == pytest.approx(math.log(z / (1.0 - z)) / (g2_ - g1), abs=1e-9)
     assert lam == pytest.approx(-2.1972245773362196, abs=1e-9)
+    # log-means 0 and 0.001 at z = 1 - 1e-4: the root, 1000 log 9999, lies
+    # past the solver's first bracket [-64, 64]
+    p = math.expm1(0.001)
+    env = build_environment([(0.5, {1: 1.0}), (0.5, {1: 1.0 - p, 2: p})])
+    lam = tilt_parameter(env, 0.001 * (1.0 - 1e-4))
+    assert lam == pytest.approx(1000.0 * math.log(9999.0), rel=1e-6)
 
 
 def test_tilt_parameter_errors(dirac2, g2, monkeypatch):

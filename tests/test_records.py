@@ -26,7 +26,7 @@ from bpre import (
     tilt,
 )
 from bpre import cli
-from bpre.simulate import Proposal
+from bpre.simulate import Proposal, SimConfig, run
 
 
 def bpre_modules():
@@ -61,6 +61,7 @@ def records(g2):
         tree,
         expected_count_identity(cells, tree),
         cli._Ctx(out_dir=".", cfg_hash="0" * 64, workers=1),
+        run(SimConfig(env=g2, n=4, seed=1)),
     ]
 
 
@@ -71,7 +72,7 @@ def test_record_fields_stay_read_only(g2):
         for name in type(rec)._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)
-    assert len(kinds) == 12   # tilt and Proposal.naive share one type
+    assert len(kinds) == 13   # tilt and Proposal.naive share one type
 
 
 def test_records_build_by_keyword_and_position():

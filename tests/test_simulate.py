@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bpre import (
+    BudgetExceededError,
     InvalidArgumentError,
     SimConfig,
     build_environment,
@@ -56,22 +57,26 @@ def test_branch_step_huge_population_moment_match():
     assert abs(math.log(out) - math.log(1.5) - 1100 * math.log(2.0)) <= 1e-9
 
 
+def take_off_step(traj, threshold):
+    """First generation of a run's path with population above threshold, None if never."""
+    return next((k for k, zk in enumerate(traj.z) if zk > threshold), None)
+
+
 def test_run_deterministic_law(dirac2):
     config = SimConfig(env=dirac2, n=10, z0=1, seed=5)
     traj = run(config)
     assert traj.z == [2**k for k in range(11)]
     assert traj.env_idx == [0] * 10
-    assert traj.final_z == 1024
+    assert traj.z[-1] == 1024
     for k, s in enumerate(traj.s):
         assert s == pytest.approx(k * math.log(2.0), abs=1e-12)
-    assert traj.take_off_step(1) == 1
-    assert traj.take_off_step(10**9) is None
+    assert take_off_step(traj, 1) == 1
+    assert take_off_step(traj, 10**9) is None
 
 
 def test_run_shapes_and_monotone(g2):
     config = SimConfig(env=g2, n=15, z0=3, seed=9)
     traj = run(config, replica=4)
-    assert traj.n == 15
     assert len(traj.z) == 16 and len(traj.s) == 16 and len(traj.env_idx) == 15
     assert traj.z[0] == 3 and traj.s[0] == 0.0
     assert all(b >= a for a, b in zip(traj.z, traj.z[1:]))
@@ -127,10 +132,10 @@ def test_final_states_match_individual_runs(g2):
     assert len(zs) == len(ss) == len(taus) == 500
     for r in (0, 17, 499):
         traj = run(config, replica=r)
-        assert traj.final_z == zs[r]
-        assert ss[r] == pytest.approx(traj.final_s, abs=1e-12)
+        assert traj.z[-1] == zs[r]
+        assert ss[r] == pytest.approx(traj.s[-1], abs=1e-12)
         assert ss[r] == sum(g2.log_means[i] for i in traj.env_idx)
-        tk = traj.take_off_step(5)
+        tk = take_off_step(traj, 5)
         assert taus[r] == (config.n if tk is None else tk)
 
 
@@ -318,6 +323,14 @@ def test_pool_rule_sits_between_the_measured_break_evens():
         assert processes(2 * BLOCK, 2, tree_steps(n)) == 2
 
 
+def test_replica_budget(monkeypatch):
+    # refused before any run is planned; the bound itself still runs
+    monkeypatch.setattr(simulate, "REPLICAS_MAX", 2 * BLOCK)
+    assert map_replicas(lambda lo, hi: (lo, hi), (), 2 * BLOCK, 1, 1) == [(0, 2 * BLOCK)]
+    with pytest.raises(BudgetExceededError, match=f"{2 * BLOCK} replicas"):
+        map_replicas(lambda lo, hi: pytest.fail("ran"), (), 2 * BLOCK + 1, 1, 1)
+
+
 def test_run_matches_lanes_of_every_block(fig_law):
     # fig2 at n = 40 passes 2^62, so the log-z lane is checked too
     config = SimConfig(env=fig_law, n=40, z0=1, seed=6, replicas=2 * BLOCK + BLOCK // 2)
@@ -325,9 +338,9 @@ def test_run_matches_lanes_of_every_block(fig_law):
     assert res.normal_steps > 0
     for r in (3, BLOCK + 44, config.replicas - 1):
         traj = run(config, replica=r)
-        assert traj.final_z == res.z[r]
-        assert traj.final_s == res.s[r]
-        tk = traj.take_off_step(10)
+        assert traj.z[-1] == res.z[r]
+        assert traj.s[-1] == res.s[r]
+        tk = take_off_step(traj, 10)
         assert res.tau[r] == (config.n if tk is None else tk)
         assert all(b >= a for a, b in zip(traj.z, traj.z[1:]))
 
