@@ -161,6 +161,7 @@ class CellTreeResult(NamedTuple):
     mean_above: float
     stderr_above: float
     normal_steps: int       # log-z daughter draws made, over all trees (settled cells draw none)
+    processes: int          # processes the trees ran on
 
 
 def simulate_cell_tree(config: CellTreeConfig,
@@ -178,8 +179,8 @@ def simulate_cell_tree(config: CellTreeConfig,
     parasites than its cell under a law with p0 == 0 raises
     InvalidArgumentError: settling relies on it.
     """
-    blocks = map_replicas(_trees, (config, joint), config.replicas, workers,
-                          tree_steps(config.n))
+    procs, blocks = map_replicas(_trees, (config, joint), config.replicas, workers,
+                                 tree_steps(config.n))
     below, above, normal_steps, leaves = zip(*blocks)
     below, above, normal_steps = map(np.concatenate, (below, above, normal_steps))
 
@@ -190,7 +191,7 @@ def simulate_cell_tree(config: CellTreeConfig,
         below=below, above=above, leaves=[leaf for run in leaves for leaf in run],
         mean_below=float(below.mean()), stderr_below=_se(below),
         mean_above=float(above.mean()), stderr_above=_se(above),
-        normal_steps=int(normal_steps.sum()),
+        normal_steps=int(normal_steps.sum()), processes=procs,
     )
 
 

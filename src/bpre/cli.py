@@ -21,8 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .cells import (CellTreeConfig, expected_count_identity, simulate_cell_tree,
-                    tree_steps)
+from .cells import CellTreeConfig, expected_count_identity, simulate_cell_tree
 from .envmodel import (REJECT_TOL, _number, environment_from_dict, environment_to_dict,
                        reject_duplicate_keys)
 from .errors import BPREError, InvalidArgumentError, VersionMismatchError
@@ -35,7 +34,7 @@ from .rare_event import (
     estimate_upper_tail,
     take_off_statistics,
 )
-from .simulate import SimConfig, final_states, processes
+from .simulate import SimConfig, final_states
 
 LOG_NAME = "runlog.jsonl"
 GRID_POINTS_MAX = 10**5   # points of one "lo:hi:step" grid; shipped grids have 7 to 13
@@ -166,7 +165,8 @@ def _cmd_simulate(env, params: dict, ctx: _Ctx):
             row.append(int(res.tau[r]))
         rows.append(row)
     return (ctx.artifact("simulate.csv", write_csv, "simulate-v1", columns, rows),
-            {"replicas": config.replicas, "normal_steps": res.normal_steps})
+            {"replicas": config.replicas, "normal_steps": res.normal_steps,
+             "processes": res.processes})
 
 
 def _cmd_oracle(env, params: dict, ctx: _Ctx):
@@ -193,6 +193,7 @@ def _estimates(ctx: _Ctx, name: str, legs, best, outputs: dict):
         name, write_csv, "estimate-v1", ("n", "c", "estimate", "stderr", "ess", "method"),
         [(r.n, r.c, r.estimate, r.stderr, r.ess, r.method.value) for r in legs])
     outputs["normal_steps"] = sum(leg.normal_steps for leg in legs)
+    outputs["processes"] = max(leg.processes for leg in legs)   # the legs run in turn
     if best is not None and not best.zero_mass:
         rate, rate_se = empirical_rate(best)
         outputs.update({"rate": rate, "rate_stderr": rate_se})
@@ -219,7 +220,8 @@ def _cmd_estimate_upper(env, params: dict, ctx: _Ctx):
 def _weighing(res) -> dict:
     """The summary outputs of the weighing a conditional reader reads."""
     return {"ess": res.ess, "event_estimate": res.estimate, "method": res.method.value,
-            "normal_steps": res.normal_steps, "hold_steps": res.hold_steps}
+            "normal_steps": res.normal_steps, "hold_steps": res.hold_steps,
+            "processes": res.processes}
 
 
 def _cmd_trajectory(env, params: dict, ctx: _Ctx):
@@ -278,7 +280,8 @@ def _cmd_cells(env, params: dict, ctx: _Ctx):
         "probability": report.probability, "threshold": report.threshold,
         "n": config.n, "replicas": config.replicas,
     }))
-    return artifacts, {"z_score": report.z_score, "normal_steps": result.normal_steps}
+    return artifacts, {"z_score": report.z_score, "normal_steps": result.normal_steps,
+                       "processes": result.processes}
 
 
 # --- settings and commands --------------------------------------------
@@ -387,13 +390,7 @@ def execute(command: str, effective: dict, out_dir: str, workers: int) -> dict:
     ctx = _Ctx(out_dir=out_dir, cfg_hash=config_hash(effective), workers=workers)
     started = time.time()
     artifacts, outputs = _COMMANDS[command][0](env, settings, ctx)
-    # processes the samplers ran on; every sampler reports normal_steps, a
-    # held generation costs nothing
-    outputs["processes"] = 1
-    if "normal_steps" in outputs:
-        n = settings["n"] - outputs.get("hold_steps", 0)
-        outputs["processes"] = processes(replicas, workers,
-                                         tree_steps(n) if command == "cells" else n)
+    outputs.setdefault("processes", 1)   # each sampler reports the processes it ran on
     return {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",
         "version": __version__,

@@ -53,8 +53,6 @@ class ExactDistribution(NamedTuple):
 
     probs: np.ndarray
     overflow: float
-    n: int
-    z0: int
     cap: int
     nondecreasing: bool   # law cannot shrink: overflow is absorbing, below-cap exact
 
@@ -69,12 +67,8 @@ class ExactDistribution(NamedTuple):
             return 0.0
         return self.overflow
 
-    def prob_le(self, k: int, tol: Optional[float] = None) -> float:
-        """P(Z_n <= k), exact up to le_error_bound(k).
-
-        With tol given, raises CapTooSmall when the truncation error bound
-        exceeds it; a tol that is NaN or negative is InvalidArgument.
-        """
+    def _refuse(self, k: int, tol: Optional[float]) -> None:
+        """prob_le(k)'s check of tol."""
         if tol is not None and not tol >= 0.0:
             raise InvalidArgumentError(f"tol={tol} must be a number >= 0")
         if tol is not None and self.le_error_bound(k) > tol:
@@ -82,13 +76,30 @@ class ExactDistribution(NamedTuple):
                 f"cap={self.cap} leaves error bound {self.le_error_bound(k):.3g} "
                 f"> tol={tol:.3g} for P(Z_n <= {k})"
             )
+
+    def prob_le(self, k: int, tol: Optional[float] = None) -> float:
+        """P(Z_n <= k), exact up to le_error_bound(k).
+
+        With tol given, raises CapTooSmall when the truncation error bound
+        exceeds it; a tol that is NaN or negative is InvalidArgument.
+        """
+        self._refuse(k, tol)
         if k < 0:
             return 0.0
         return float(self.probs[: min(k, self.cap) + 1].sum())
 
     def prob_ge(self, k: int, tol: Optional[float] = None) -> float:
-        """P(Z_n >= k) via the complement; same truncation caveats."""
-        return 1.0 - self.prob_le(k - 1, tol)
+        """P(Z_n >= k), exact up to le_error_bound(k - 1); tol as prob_le(k - 1)'s.
+
+        The pmf from k plus the overflow, at most 1: summed directly, a
+        small tail keeps its relative precision, where 1 - prob_le(k - 1)
+        would lose it.  overflow is itself a difference of sums, good to
+        about 1e-16 absolute.
+        """
+        self._refuse(k - 1, tol)
+        if k <= 0:
+            return 1.0
+        return min(1.0, float(self.probs[k:].sum()) + self.overflow)
 
 
 def _compose(v: np.ndarray, baby: np.ndarray, giant: np.ndarray,
@@ -260,7 +271,7 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
             overflow += max(0.0, float(v.sum() - new.sum()))
         v = new
     _last = (key, n, v.copy(), overflow, tables)
-    return ExactDistribution(probs=v, overflow=overflow, n=n, z0=z0, cap=cap,
+    return ExactDistribution(probs=v, overflow=overflow, cap=cap,
                              nondecreasing=env.strongly_supercritical)
 
 

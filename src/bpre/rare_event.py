@@ -29,6 +29,7 @@ import numpy as np
 
 from .envmodel import EnvironmentLaw
 from .errors import (
+    BudgetExceededError,
     COutOfRangeError,
     InvalidArgumentError,
     NoEventMassError,
@@ -44,6 +45,12 @@ from .simulate import Lanes, Proposal, sample
 
 HULL_CLAMP = 1e-9   # tilt targets pushed this fraction of the span inside the hull
 
+# Most log-population entries, replicas x (n + 1), one conditional_profile keeps,
+# refused before anything is allocated.  Traced peaks: 25-31 B an entry (1,074-
+# 1,077 B a replica on fig2 at n = 40, 2,024-2,036 at n = 80, 271-275 on g2 at
+# n = 8, at 5,000 and 20,000 replicas), 0.8-1.0 GB at the bound.
+PATH_ENTRIES_MAX = 1 << 25
+
 
 class Method(str, enum.Enum):
     TILT_ONLY = "TiltOnly"
@@ -57,7 +64,8 @@ class EstimatorResult(NamedTuple):
     of squared weights) of the event-weighted sample.  ``estimate`` equal
     to 0.0 is an exact "no event mass seen" outcome, flagged by
     ``zero_mass``.  ``normal_steps`` counts the replica-generations that
-    branched by the normal approximation of the simulator's log-z lane.
+    branched by the normal approximation of the simulator's log-z lane, and
+    ``processes`` the processes the replicas ran on (1 when none was sampled).
     """
 
     estimate: float
@@ -67,11 +75,11 @@ class EstimatorResult(NamedTuple):
     n: int
     c: float
     replicas: int
-    seed: int
     zero_mass: bool = False
     tilt: Optional[float] = None        # tilt exponent used, if any
     hold_steps: int = 0                 # held generations, weighed exactly, not sampled
     normal_steps: int = 0               # replica-generations in the log-z lane
+    processes: int = 1
 
 
 def tilt(env: EnvironmentLaw, lam: float) -> Proposal:
@@ -252,9 +260,10 @@ def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
         estimate=float(w.mean()), stderr=stderr,
         ess=tot * tot / sq if sq > 0.0 else 0.0,
         method=Method.TWO_PHASE if m > 0 else Method.TILT_ONLY,
-        n=n, c=c, replicas=w.size, seed=seed, zero_mass=not w.any(),
+        n=n, c=c, replicas=w.size, zero_mass=not w.any(),
         tilt=proposal.lam if m < n else None, hold_steps=m,
         normal_steps=0 if s is None else int(s.normal_steps.sum()),
+        processes=1 if s is None else s.processes,
     )
 
 
@@ -362,7 +371,6 @@ class TakeOffResult(NamedTuple):
     ess: float
     fractions: np.ndarray    # tau/n on event replicas
     weights: np.ndarray      # matching normalized weights
-    pop_threshold: int
     result: EstimatorResult
 
 
@@ -387,8 +395,7 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     mean, se = _ratio_stats(w, frac)
     on = w > 0.0
     return TakeOffResult(mean_fraction=mean, stderr=se, ess=res.ess,
-                         fractions=frac[on], weights=w[on] / tot,
-                         pop_threshold=pop_threshold, result=res)
+                         fractions=frac[on], weights=w[on] / tot, result=res)
 
 
 class TrajectoryProfile(NamedTuple):
@@ -422,8 +429,12 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     The reference curve is the flat-then-linear limit for the lower side
     and the straight line c*t for the upper side; sup_distance is the
     weighted mean of each path's sup deviation from it over all n+1 steps.
+    More than PATH_ENTRIES_MAX path entries raise BudgetExceededError.
     """
     ldr = _check_env(env, n, c, side, z0)
+    if replicas * (n + 1) > PATH_ENTRIES_MAX:
+        raise BudgetExceededError(f"{replicas} paths of {n + 1} entries exceed the "
+                                  f"budget of {PATH_ENTRIES_MAX} entries")
     if grid is None:
         grid_arr = np.arange(n + 1) / n
     else:

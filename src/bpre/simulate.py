@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +71,7 @@ RUN_BLOCKS = 8
 # Most replicas one map may run, refused before anything is allocated.  Traced
 # peaks: about 85 B a replica for estimate_lower_tail (fig2, n = 40) and
 # final_states (g2, n = 8), 0.7 GB at the bound; conditional_profile keeps n + 1
-# log-z columns, about 1,076 B a replica on fig2 at n = 40: 1 GB near 10^6.
+# log-z columns a replica, bounded by rare_event.PATH_ENTRIES_MAX.
 REPLICAS_MAX = 1 << 23
 
 # Largest population a branch step may produce as an int64.  Above it the
@@ -281,19 +281,19 @@ class Lanes(Populations):
     Proposal.naive), idx the components drawn at generation k (None at
     k = 0), tau the first generation with population above the run's
     take-off threshold (n if none yet), normal_steps each lane's count of
-    generations branched in the log-z lane, and paths its log populations
-    at generations 0..n (None unless captured).  block_lanes updates the
-    arrays in place; copy what you keep.
+    generations branched in the log-z lane, paths its log populations at
+    generations 0..n (None unless captured) and processes those sample ran
+    on.  block_lanes updates the arrays in place; copy what you keep.
     """
 
-    __slots__ = ("llr", "tau", "normal_steps", "idx", "paths")
+    __slots__ = ("llr", "tau", "normal_steps", "idx", "paths", "processes")
 
     def __init__(self, z: np.ndarray, logz: np.ndarray, big: np.ndarray, llr: np.ndarray,
                  tau: np.ndarray, normal_steps: np.ndarray, idx: Optional[np.ndarray] = None,
-                 paths: Optional[np.ndarray] = None):
+                 paths: Optional[np.ndarray] = None, processes: int = 1):
         super().__init__(z, logz, big)
         self.llr, self.tau, self.normal_steps = llr, tau, normal_steps
-        self.idx, self.paths = idx, paths
+        self.idx, self.paths, self.processes = idx, paths, processes
 
 
 def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
@@ -349,16 +349,16 @@ def processes(replicas: int, workers: int, steps: int) -> int:
 
 
 def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
-                 steps: int) -> list:
-    """[worker(*args, lo, hi) for each run [lo, hi) of whole blocks of range(replicas)].
+                 steps: int) -> Tuple[int, list]:
+    """(procs, [worker(*args, lo, hi) for each run [lo, hi) of whole blocks]).
 
     Block b spans replicas b * BLOCK up to (b + 1) * BLOCK, the last one cut
     at replicas; a replica costs about steps generations of a path (n for a
     path, cells.tree_steps(n) for a cell tree of depth n).  A run holds at most
-    RUN_BLOCKS blocks and a 1 / processes(replicas, workers, steps) share of
-    them, on a pool if that is more than one process.  Block b reads its own
-    stream, so the results, in run order, reduce the same for any workers.
-    More than REPLICAS_MAX replicas raise BudgetExceededError.
+    RUN_BLOCKS blocks and a 1 / procs share of them; procs = processes(replicas,
+    workers, steps) processes run them, on a pool if more than one.  Block b
+    reads its own stream, so the results, in run order, reduce the same for
+    any workers.  More than REPLICAS_MAX replicas raise BudgetExceededError.
     """
     if replicas < 1:
         raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
@@ -371,12 +371,12 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
     width = min(RUN_BLOCKS, -(-replicas // (BLOCK * procs))) * BLOCK
     runs = [(lo, min(lo + width, replicas)) for lo in range(0, replicas, width)]
     if procs == 1:
-        return [worker(*args, lo, hi) for lo, hi in runs]
+        return procs, [worker(*args, lo, hi) for lo, hi in runs]
     # imported here: the pool machinery adds about 20 ms to every import
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=procs) as pool:
         futures = [pool.submit(worker, *args, lo, hi) for lo, hi in runs]
-        return [f.result() for f in futures]
+        return procs, [f.result() for f in futures]
 
 
 _PER_REPLICA = ("z", "logz", "big", "llr", "tau", "normal_steps")
@@ -403,10 +403,11 @@ def sample(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal, seed: int,
     A take-off step is the first generation with population above
     threshold, n when there is none; capture keeps every log path.
     """
-    runs = map_replicas(_sample_run, (env, n, z0, proposal, seed, threshold,
-                                      capture), replicas, workers, n)
+    procs, runs = map_replicas(_sample_run, (env, n, z0, proposal, seed, threshold,
+                                             capture), replicas, workers, n)
     fields = _PER_REPLICA + ("paths",) * capture
-    return Lanes(**{f: np.concatenate([getattr(r, f) for r in runs]) for f in fields})
+    return Lanes(**{f: np.concatenate([getattr(r, f) for r in runs]) for f in fields},
+                 processes=procs)
 
 
 class FinalStates(NamedTuple):
@@ -414,6 +415,7 @@ class FinalStates(NamedTuple):
     s: np.ndarray                # final values of the log-mean walk
     tau: Optional[np.ndarray]    # capped take-off steps; None without a threshold
     normal_steps: int            # replica-generations branched in the log-z lane
+    processes: int               # processes the replicas ran on
 
 
 def final_states(config: SimConfig, threshold: Optional[int] = None,
@@ -427,5 +429,5 @@ def final_states(config: SimConfig, threshold: Optional[int] = None,
                config.seed, config.replicas, workers, threshold)
     return FinalStates(z=s.ints(config.replicas), s=s.llr,
                        tau=s.tau if threshold is not None else None,
-                       normal_steps=int(s.normal_steps.sum()))
+                       normal_steps=int(s.normal_steps.sum()), processes=s.processes)
 

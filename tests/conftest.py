@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,6 +31,24 @@ def subcrit_law():
 def pool_per_block(monkeypatch):
     """One pool process per block, so that any workers > 1 run starts a pool."""
     monkeypatch.setattr(simulate, "POOL_STEPS", 1)
+
+
+def recording_pool(monkeypatch):
+    """Pool sizes started and the run of blocks of each task submitted."""
+    started, runs = [], []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+        def submit(self, fn, *args):
+            runs.append(args[-2:])
+            return super().submit(fn, *args)
+
+    # map_replicas imports the pool class only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return started, runs
 
 
 @pytest.fixture

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from bpre import __version__, lower_deviation_rate, tilt_parameter, walk_rate
-from bpre import InvalidArgumentError, cli, oracle, simulate
+from bpre import InvalidArgumentError, cli, oracle, rare_event, simulate
 from bpre.cli import canonical_json, config_hash, main, parse_grid
 from bpre.simulate import BLOCK
-from conftest import g2_law, two_mean_law
+from conftest import g2_law, recording_pool, two_mean_law
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -382,6 +382,25 @@ def test_replica_budget_refused_before_allocation(tmp_path, capsys):
     try:
         rc = main(["estimate-lower", "--config", str(CONFIG_DIR / "g2.json"),
                    "--replicas", "1000000000000", "--out-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["kind"]) == ("BudgetExceeded", "config")
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 2**22
+
+
+def test_path_budget_refused_before_allocation(tmp_path, capsys):
+    # a fig2 profile at n = 40 one path past the entry budget, inside the
+    # replica budget: about 0.9 GB of paths if it ran
+    replicas = rare_event.PATH_ENTRIES_MAX // 41 + 1
+    assert replicas <= simulate.REPLICAS_MAX
+    tracemalloc.start()
+    try:
+        rc = main(["trajectory", "--config", str(CONFIG_DIR / "fig2.json"),
+                   "--replicas", str(replicas), "--out-dir", str(tmp_path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -999,6 +1018,38 @@ def test_small_run_starts_no_pool(tmp_path, capsys, monkeypatch, command, flags)
         assert read_log(out)[0]["outputs"]["processes"] == 1
     for name in echo["artifacts"]:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, flags", SAMPLERS, ids=[cmd for cmd, _ in SAMPLERS])
+def test_reported_processes_are_the_pool_that_started(tmp_path, capsys, monkeypatch,
+                                                      pool_per_block, command, flags):
+    # three blocks, a process per block: --workers 2 starts pools of 2 (one
+    # per estimate-lower leg), and the record reports the pool that started,
+    # not a formula of the settings
+    started, _ = recording_pool(monkeypatch)
+    assert main([command, "--config", str(CONFIG_DIR / "g2.json"), "--n", "8",
+                 "--replicas", str(THREE_BLOCKS), "--workers", "2",
+                 "--out-dir", str(tmp_path)] + flags) == 0
+    echo = json.loads(capsys.readouterr().out)
+    assert started and set(started) == {2}
+    assert echo["outputs"]["processes"] == max(started)
+    assert read_log(tmp_path)[0]["outputs"]["processes"] == max(started)
+
+
+def test_held_zero_horizon_reports_one_process(tmp_path, capsys, monkeypatch):
+    # e^{-20} < z0: the held-zero horizon samples nothing, so no pool starts
+    # and the run reports 1 process, whatever --workers asks for
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run that samples nothing started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(["estimate-lower", "--config", str(CONFIG_DIR / "g2.json"), "--n", "40",
+                 "--c", "-0.5", "--replicas", "50000", "--workers", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    echo = json.loads(capsys.readouterr().out)
+    assert echo["outputs"]["zero_mass"] is True
+    assert echo["outputs"]["processes"] == 1
+    assert read_log(tmp_path)[0]["outputs"]["processes"] == 1
 
 
 def test_settling_trees_of_one_block_run_in_process(tmp_path, capsys, monkeypatch):

@@ -274,6 +274,29 @@ def test_blocked_composition_matches_kernel(case):
     np.testing.assert_allclose(back, dense_kernel(env, cap) @ beta, rtol=1e-12, atol=1e-300)
 
 
+@pytest.mark.parametrize("env, n, cap", [
+    (g2_law(), 4, 4**4),                                    # every reachable state
+    (build_environment([(1.0, {0: 0.5, 3: 0.5})]), 6, 10),  # truncated: overflow > 0
+], ids=["g2-full", "shrinking-cut"])
+def test_upper_tail_is_the_pmf_summed_from_k(env, n, cap):
+    # P(Z_n >= k) against the dense kernel's tail sum plus its overflow, to
+    # 1e-12 relative at every k: g2's top tail, 2^-89 at k = 256, has no
+    # precision left in 1 - P(Z_n <= k - 1)
+    dist = population_distribution(env, n, cap=cap)
+    v, overflow = kernel_pmf(env, n, 1, cap)
+    for k in range(1, cap + 2):
+        assert dist.prob_ge(k) == pytest.approx(math.fsum(v[k:]) + overflow, rel=1e-12,
+                                                abs=1e-15 if overflow else 0.0), k
+    assert dist.prob_ge(0) == dist.prob_ge(-3) == 1.0
+    assert max(dist.prob_ge(k) for k in range(1, cap + 2)) <= 1.0
+    assert dist.prob_ge(cap + 1) == dist.overflow
+    if dist.overflow:   # the truncation bound of P(Z_n <= k - 1) still refuses a tol
+        with pytest.raises(CapTooSmallError):
+            dist.prob_ge(6, tol=0.0)
+    else:
+        assert 0.0 < dist.prob_ge(cap) < 1e-26
+
+
 def count_calls(monkeypatch, name):
     """Patches oracle.<name> to record each call; returns the record."""
     calls, fn = [], getattr(oracle, name)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bpre import (
+    BudgetExceededError,
     CellTreeConfig,
     COutOfRangeError,
     InvalidArgumentError,
@@ -616,6 +617,18 @@ def test_profile_custom_grid(g2):
             conditional_profile(g2, 6, 0.4, grid=grid, replicas=10)
 
 
+def test_profile_path_budget(g2, monkeypatch):
+    # R (n + 1) path entries are refused before any path is sampled; the
+    # bound itself still runs, and the acceptance suite's largest profile,
+    # 20,000 paths at n = 80, stays far below the shipped bound
+    assert 20_000 * 81 < rare_event.PATH_ENTRIES_MAX
+    monkeypatch.setattr(rare_event, "PATH_ENTRIES_MAX", 100 * 9)
+    assert conditional_profile(g2, 8, 0.4, replicas=100, seed=1).result.replicas == 100
+    monkeypatch.setattr(rare_event, "sample", lambda *a, **k: pytest.fail("sampled"))
+    with pytest.raises(BudgetExceededError, match="101 paths of 9 entries"):
+        conditional_profile(g2, 8, 0.4, replicas=101, seed=1)
+
+
 def test_estimators_worker_invariant(g2, pool_per_block):
     a = estimate_lower_tail(g2, 8, 0.4, replicas=3_000, seed=42, workers=1)
     b = estimate_lower_tail(g2, 8, 0.4, replicas=3_000, seed=42, workers=5)
@@ -636,7 +649,12 @@ def test_estimators_worker_invariant(g2, pool_per_block):
         off.append(take_off_statistics(g2, 8, 0.4, replicas=reps, seed=4, workers=w))
         prof.append(conditional_profile(g2, 8, 0.4, replicas=reps, seed=4, workers=w))
     for k in (1, 2):
-        assert lower[k] == lower[0]
+        # processes is the one field that depends on workers: k + 1 processes
+        # ran each leg, one per block
+        for leg, first in zip(lower[k][:2], lower[0][:2]):
+            assert leg.processes == k + 1 and first.processes == 1
+            assert leg._replace(processes=1) == first
+        assert lower[k].take_off == lower[0].take_off
         assert off[k].mean_fraction == off[0].mean_fraction
         assert np.array_equal(off[k].fractions, off[0].fractions)
         assert np.array_equal(off[k].weights, off[0].weights)

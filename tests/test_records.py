@@ -77,11 +77,11 @@ def test_record_fields_stay_read_only(g2):
 
 def test_records_build_by_keyword_and_position():
     fields = dict(estimate=0.5, stderr=0.1, ess=3.0, method=Method.TILT_ONLY, n=4, c=0.2,
-                  replicas=10, seed=7)
+                  replicas=10)
     by_name = EstimatorResult(**fields)
     assert by_name == EstimatorResult(*fields.values())
-    assert (by_name.zero_mass, by_name.tilt, by_name.hold_steps, by_name.normal_steps) == (
-        False, None, 0, 0)
+    assert (by_name.zero_mass, by_name.tilt, by_name.hold_steps, by_name.normal_steps,
+            by_name.processes) == (False, None, 0, 0, 1)
     assert repr(by_name).startswith("EstimatorResult(estimate=0.5, stderr=0.1,")
     naive = Proposal.naive(bpre.build_environment([(1.0, {2: 1.0})]))
     assert naive._fields == ("cum_weights", "step_log_lr", "lam", "stream")

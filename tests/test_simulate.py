@@ -1,7 +1,5 @@
-import concurrent.futures
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from bpre.cells import tree_steps
 from bpre.simulate import (BLOCK, EXACT_LIMIT, POOL_STEPS, RUN_BLOCKS, Populations, branch,
                             branch_step, draw_env_index, map_replicas, processes, run)
 from bpre.rng import STREAM_TILT, STREAM_TWO_PHASE, Stream
-from conftest import event_threshold, exact_lower, naive_sample
+from conftest import event_threshold, exact_lower, naive_sample, recording_pool
 
 
 def test_branch_step_trivial():
@@ -111,7 +109,7 @@ def test_walk_mean_matches_env_average(g2):
 
 def test_normalized_population_martingale(g2):
     config = SimConfig(env=g2, n=8, z0=2, seed=44, replicas=20_000)
-    zs, ss, _, _ = final_states(config, workers=4)
+    zs, ss = final_states(config, workers=4)[:2]
     w = np.array([z * math.exp(-s) for z, s in zip(zs, ss)])
     se = w.std(ddof=1) / math.sqrt(w.size)
     assert abs(w.mean() - 2.0) <= 3.0 * se
@@ -128,7 +126,7 @@ def test_one_step_conditional_mean(g2):
 
 def test_final_states_match_individual_runs(g2):
     config = SimConfig(env=g2, n=6, z0=1, seed=3, replicas=500)
-    zs, ss, taus, _ = final_states(config, threshold=5)
+    zs, ss, taus = final_states(config, threshold=5)[:3]
     assert len(zs) == len(ss) == len(taus) == 500
     for r in (0, 17, 499):
         traj = run(config, replica=r)
@@ -230,24 +228,6 @@ def test_final_states_without_threshold_has_no_tau(g2):
     assert res.z == with_tau.z and np.array_equal(res.s, with_tau.s)
 
 
-def recording_pool(monkeypatch):
-    """Pool sizes started and the run of blocks of each task submitted."""
-    started, runs = [], []
-
-    class Pool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-        def submit(self, fn, *args):
-            runs.append(args[-2:])
-            return super().submit(fn, *args)
-
-    # map_replicas imports the pool class only when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    return started, runs
-
-
 def assert_whole_runs(spans, replicas):
     """Contiguous runs of whole blocks, in order, covering range(replicas)."""
     assert spans[0].start == 0 and spans[-1].stop == replicas
@@ -262,10 +242,10 @@ def test_map_replicas_hands_out_whole_blocks(monkeypatch, pool_per_block):
     started, runs = recording_pool(monkeypatch)
     reps = 2 * BLOCK + BLOCK // 2
     # in process: one call for the one run of all three blocks
-    assert map_replicas(slice, (), reps, 1, 8) == [slice(0, reps)]
+    assert map_replicas(slice, (), reps, 1, 8) == (1, [slice(0, reps)])
     spans = [slice(0, BLOCK), slice(BLOCK, 2 * BLOCK), slice(2 * BLOCK, reps)]
-    assert map_replicas(slice, (), reps, 8, 8) == spans
-    assert map_replicas(slice, (), BLOCK, 8, 8) == spans[:1]
+    assert map_replicas(slice, (), reps, 8, 8) == (3, spans)
+    assert map_replicas(slice, (), BLOCK, 8, 8) == (1, spans[:1])
     # three blocks: at most three processes, one pool for the whole map,
     # each task a contiguous run of whole blocks
     assert started == [3]
@@ -281,14 +261,15 @@ def test_pool_takes_a_process_per_pool_steps(monkeypatch):
     reps = 6 * BLOCK + 7
     assert processes(reps, 8, 1) == 3 and processes(reps, 2, 1) == 2
     assert processes(reps, 8, 2) == 7 and processes(reps, 9, 5) == 7
-    spans = map_replicas(slice, (), reps, 8, 1)
-    assert spans == [slice(0, 3 * BLOCK), slice(3 * BLOCK, 6 * BLOCK), slice(6 * BLOCK, reps)]
+    procs, spans = map_replicas(slice, (), reps, 8, 1)
+    assert procs == 3 and spans == [slice(0, 3 * BLOCK), slice(3 * BLOCK, 6 * BLOCK), slice(6 * BLOCK, reps)]
     assert started == [3]
     assert runs == [(0, 3 * BLOCK), (3 * BLOCK, 6 * BLOCK), (6 * BLOCK, reps)]
     # no run holds more than RUN_BLOCKS blocks
     monkeypatch.setattr(simulate, "RUN_BLOCKS", 2)
     runs.clear()
-    spans = map_replicas(slice, (), reps, 3, 1)
+    procs, spans = map_replicas(slice, (), reps, 3, 1)
+    assert procs == 3
     assert_whole_runs(spans, reps)
     assert started == [3, 3]
     assert runs == [(0, 2 * BLOCK), (2 * BLOCK, 4 * BLOCK), (4 * BLOCK, 6 * BLOCK),
@@ -302,7 +283,8 @@ def test_small_maps_start_no_pool(monkeypatch):
         below = -(-2 * POOL_STEPS // n) - 1
         assert processes(below * BLOCK, 8, n) == 1
         assert processes((below + 1) * BLOCK, 8, n) == 2
-        spans = map_replicas(slice, (), below * BLOCK, 8, n)
+        procs, spans = map_replicas(slice, (), below * BLOCK, 8, n)
+        assert procs == 1
         assert_whole_runs(spans, below * BLOCK)
         assert len(spans) == -(-below // RUN_BLOCKS)
     assert processes(10**9, 3, 8) == 3 and processes(10**9, 1, 8) == 1
@@ -326,7 +308,7 @@ def test_pool_rule_sits_between_the_measured_break_evens():
 def test_replica_budget(monkeypatch):
     # refused before any run is planned; the bound itself still runs
     monkeypatch.setattr(simulate, "REPLICAS_MAX", 2 * BLOCK)
-    assert map_replicas(lambda lo, hi: (lo, hi), (), 2 * BLOCK, 1, 1) == [(0, 2 * BLOCK)]
+    assert map_replicas(lambda lo, hi: (lo, hi), (), 2 * BLOCK, 1, 1) == (1, [(0, 2 * BLOCK)])
     with pytest.raises(BudgetExceededError, match=f"{2 * BLOCK} replicas"):
         map_replicas(lambda lo, hi: pytest.fail("ran"), (), 2 * BLOCK + 1, 1, 1)
 
