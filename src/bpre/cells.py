@@ -35,7 +35,7 @@ count.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,10 +64,6 @@ def tree_steps(n: int) -> int:
     return 1 << (n - 1)
 
 
-# joint offspring hook per level: (parasites of its kept cells, rng) -> daughter totals
-JointSampler = Callable[[np.ndarray, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
-
-
 class CellTreeConfig:
     __slots__ = ("n", "law1", "law2", "c", "seed", "replicas", "z0", "env")
 
@@ -90,8 +86,7 @@ class CellTreeConfig:
         self.env = build_environment([(0.5, law1), (0.5, law2)])
 
 
-def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
-           lo: int, hi: int) -> tuple:
+def _trees(config: CellTreeConfig, lo: int, hi: int) -> tuple:
     """Per tree r in [lo, hi): its leaves at or below and at or above e^{cn},
     its draws in the log-z lane, and the parasites of one uniform leaf.
 
@@ -99,10 +94,10 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
     cell's index in the group's full level k, so tree j holds indices j 2^k
     up to (j + 1) 2^k; a daughter's parity names its law.  A level settles
     the cells that can settle (a cell off its tree's path to the leaf, above
-    the lower event bound, under laws that cannot shrink), then draws law1's
-    daughters of the kept cells and law2's, or calls joint once on them with
-    the stream set to call 1.  lo is a multiple of BLOCK, so the first group
-    starts at tree lo; the last holds only the trees below hi.
+    the lower event bound, under laws that cannot shrink), then branch draws
+    law1's daughters of the kept cells and law2's.  lo is a multiple of
+    BLOCK, so the first group starts at tree lo; the last holds only the
+    trees below hi.
     """
     n, laws = config.n, (config.law1, config.law2)
     size = group_size(n)
@@ -125,21 +120,9 @@ def _trees(config: CellTreeConfig, joint: Optional[JointSampler],
                     keep = ~done
                     cells = Populations(cells.z[keep], cells.logz[keep], cells.big[keep])
                     at = at[keep]
-            parents = cells.z
-            cells = Populations(parents.repeat(2), cells.logz.repeat(2), cells.big.repeat(2))
+            cells = Populations(cells.z.repeat(2), cells.logz.repeat(2), cells.big.repeat(2))
             at = ((at << 1)[:, None] | [0, 1]).ravel()
-            if joint is None:
-                branch(cells, at & 1, laws, [stream], limit, k + 1)
-            else:
-                cells.promote(limit)
-                if cells.big.any():
-                    raise BudgetExceededError(f"joint sampler: a cell above {limit} parasites")
-                cells.z[0::2], cells.z[1::2] = joint(parents, stream.at(k + 1, 1))
-                for law, daughters in zip(laws, (cells.z[0::2], cells.z[1::2])):
-                    if law.p0 == 0.0 and (daughters < parents).any():
-                        raise InvalidArgumentError(
-                            "joint sampler: a daughter has fewer parasites than its cell "
-                            "under a law with p0 == 0")
+            branch(cells, at & 1, laws, [stream], limit, k + 1)
             if cells.big.any():
                 normal_steps += np.bincount(at[cells.big] >> (k + 1), minlength=trees)
         tree = at >> n
@@ -164,22 +147,13 @@ class CellTreeResult(NamedTuple):
     processes: int          # processes the trees ran on
 
 
-def simulate_cell_tree(config: CellTreeConfig,
-                       joint: Optional[JointSampler] = None,
-                       workers: int = 1) -> CellTreeResult:
+def simulate_cell_tree(config: CellTreeConfig, workers: int = 1) -> CellTreeResult:
     """Replicated trees; leaves exactly on the threshold count on both sides.
 
-    joint overrides the default independent daughter draws with a coupled
-    sampler, called once per level of each group of trees on the parasite
-    counts of its kept cells (all S 2^k cells of the level when a law can
-    shrink), and returns law1's and law2's daughters in their order; it must
-    be picklable when workers > 1.  Under joint, a cell that would divide
-    with more than EXACT_LIMIT // (largest offspring count of law1 and law2)
-    parasites raises BudgetExceededError, and a daughter with fewer
-    parasites than its cell under a law with p0 == 0 raises
-    InvalidArgumentError: settling relies on it.
+    Every level of every tree steps through simulate.branch, each daughter
+    an independent draw from its law.
     """
-    procs, blocks = map_replicas(_trees, (config, joint), config.replicas, workers,
+    procs, blocks = map_replicas(_trees, (config,), config.replicas, workers,
                                  tree_steps(config.n))
     below, above, normal_steps, leaves = zip(*blocks)
     below, above, normal_steps = map(np.concatenate, (below, above, normal_steps))

@@ -65,7 +65,7 @@ class EstimatorResult(NamedTuple):
     to 0.0 is an exact "no event mass seen" outcome, flagged by
     ``zero_mass``.  ``normal_steps`` counts the replica-generations that
     branched by the normal approximation of the simulator's log-z lane, and
-    ``processes`` the processes the replicas ran on (1 when none was sampled).
+    ``processes`` the processes the replicas ran on (1 in process).
     """
 
     estimate: float
@@ -232,28 +232,24 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
 def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
                       plan: tuple, seed: int, replicas: int, workers: int,
                       threshold: Optional[int] = None, capture: bool = False
-                      ) -> Tuple[Optional[Lanes], np.ndarray, EstimatorResult]:
+                      ) -> Tuple[Lanes, np.ndarray, EstimatorResult]:
     """Replicas of _plan's paths, each one's weight, exp(llr) on its side of
     e^{cn} and 0 off the event, and the estimate the weights make.
 
     A plan holding m generations samples the last n - m, from z0, and adds
-    the hold's exact log probability, m log E(p1^{z0}), to each llr; a
-    held-zero horizon, e^{cn} < z0 below, samples nothing (lanes None, all
-    weights 0).  threshold and capture go to sample.  ess is (sum w)^2 /
-    sum w^2, 0 for an all-zero sample; the tilt is the free run's, None
-    when every generation is held.
+    the hold's exact log probability, m log E(p1^{z0}), to each llr.  A
+    held-zero horizon, e^{cn} < z0 below, samples no generation: a
+    population that cannot shrink never gets below z0, so that run makes
+    no draw, starts no pool and weighs every replica 0.  threshold and
+    capture go to sample.  ess is (sum w)^2 / sum w^2, 0 for an all-zero
+    sample; the tilt is the free run's, None when every generation is held.
     """
     proposal, m, _ = plan
     bound = event_bound(n, c, side)
-    if side == "lower" and bound < z0:
-        # a population that cannot shrink never gets below z0: exactly 0
-        if replicas < 1:
-            raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
-        s, w = None, np.zeros(replicas)
-    else:
-        s = sample(env, n - m, z0, proposal, seed, replicas, workers, threshold, capture)
-        llr = s.llr + m * _log_hold(env, z0) if m > 0 else s.llr
-        w = np.exp(llr, where=s.hit(bound, side), out=np.zeros(llr.size))
+    steps = 0 if side == "lower" and bound < z0 else n - m
+    s = sample(env, steps, z0, proposal, seed, replicas, workers, threshold, capture)
+    llr = s.llr + m * _log_hold(env, z0) if m > 0 else s.llr
+    w = np.exp(llr, where=s.hit(bound, side), out=np.zeros(llr.size))
     tot, sq = float(w.sum()), float(w @ w)
     stderr = float(w.std(ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
     return s, w, EstimatorResult(
@@ -262,8 +258,7 @@ def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
         method=Method.TWO_PHASE if m > 0 else Method.TILT_ONLY,
         n=n, c=c, replicas=w.size, zero_mass=not w.any(),
         tilt=proposal.lam if m < n else None, hold_steps=m,
-        normal_steps=0 if s is None else int(s.normal_steps.sum()),
-        processes=1 if s is None else s.processes,
+        normal_steps=int(s.normal_steps.sum()), processes=s.processes,
     )
 
 
@@ -282,8 +277,8 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     to the pure holding event (the population cannot shrink).  A law that
     cannot hold plans no hold, so its two_phase leg is TiltOnly's run.
     phase_fraction goes to the two_phase leg, which it needs.  A held-zero
-    horizon, e^{cn} < z0, samples nothing: each leg asked for is its exact
-    zero, labelled, like a sampled leg and take_off, by its plan.
+    horizon, e^{cn} < z0, samples no generation: each leg asked for is its
+    exact zero, labelled, like a sampled leg and take_off, by its plan.
     """
     ldr = _check_env(env, n, c, "lower", z0)
     if phase_fraction is not None and "two_phase" not in methods:
@@ -327,21 +322,17 @@ def rate_curve(env: EnvironmentLaw, c: float, n_list: Sequence[int],
                phase_fraction: Optional[float] = None) -> list:
     """Empirical decay rates -log(estimate)/n over horizons.
 
-    A point is estimate_lower_tail's two_phase leg, or estimate_upper_tail,
-    which has no phase_fraction.  A zero estimate is recorded with an
-    infinite rate and the curve stops there.
+    Each point is checked, planned with the side's default method and
+    weighed as every reader's is, so it equals estimate_lower_tail's
+    two_phase leg below and estimate_upper_tail above, which has no
+    phase_fraction.  A zero estimate is recorded with an infinite rate and
+    the curve stops there.  An empty n_list returns [] whatever the side.
     """
-    if side not in ("lower", "upper"):
-        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
-    if side == "upper" and phase_fraction is not None:
-        raise InvalidArgumentError(f"phase_fraction={phase_fraction} needs two_phase")
     points = []
     for n in n_list:
-        if side == "lower":
-            res = estimate_lower_tail(env, n, c, z0, replicas, seed, workers,
-                                      phase_fraction, ("two_phase",)).two_phase
-        else:
-            res = estimate_upper_tail(env, n, c, z0, replicas, seed, workers)
+        ldr = _check_env(env, n, c, side, z0)
+        plan = _plan(env, n, c, z0, side, None, phase_fraction, ldr)
+        res = _sample_and_weigh(env, n, c, z0, side, plan, seed, replicas, workers)[2]
         rate, rse = (math.inf, math.nan) if res.zero_mass else empirical_rate(res)
         points.append(RatePoint(rate, rse, res))
         if res.zero_mass:

@@ -8,7 +8,6 @@ import scipy.stats
 from bpre import (
     BudgetExceededError,
     CellTreeConfig,
-    InvalidArgumentError,
     build_environment,
     build_offspring,
     expected_count_identity,
@@ -37,8 +36,11 @@ def shrink_laws():
     return build_offspring({0: 0.25, 2: 0.75}), build_offspring({0: 0.25, 4: 0.75})
 
 
-def coupled_double(z, rng):
-    return z, 2 * z
+def doubling_laws():
+    # one-point laws: a cell's first daughter keeps its parasites and the
+    # second doubles them, so the cell at position p of depth k holds
+    # z0 2^popcount(p)
+    return build_offspring({1: 1.0}), build_offspring({2: 1.0})
 
 
 def test_frozen_single_parasite():
@@ -94,78 +96,61 @@ def test_identity_matches_exact_marginal():
     assert abs(report.z_score) <= 3.0
 
 
-def test_joint_sampler_hook():
-    law1, law2 = g2_laws()
-    config = CellTreeConfig(n=3, law1=law1, law2=law2, c=math.log(3.0) / 3.0, seed=0, replicas=4)
-    res = simulate_cell_tree(config, joint=coupled_double)
+def test_one_point_laws_split_deterministically():
+    config = CellTreeConfig(3, *doubling_laws(), c=math.log(3.0) / 3.0, seed=0, replicas=4)
+    res = simulate_cell_tree(config)
     # loads over three splits are 2^j with binomial multiplicity; threshold 3
     assert np.all(res.below == 4)
     assert np.all(res.above == 4)
 
 
-class CountingDouble:
-    """coupled_double that records the cell counts it is called with."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def __call__(self, z, rng):
-        assert z.dtype == np.int64
-        self.sizes.append(z.size)
-        return coupled_double(z, rng)
-
-
-def test_joint_sampler_called_once_per_level():
+def test_branch_called_once_per_level_on_kept_cells(monkeypatch):
     # one group holds the 3 trees asked for and no more: it draws only the
     # trees a run holds, though S = TREE_LEAVES >> 4 = 1,024
-    law1, law2 = g2_laws()
+    sizes = []
+
+    def spy(pop, *args):
+        assert pop.z.dtype == np.int64
+        sizes.append(pop.z.size)
+        return simulate.branch(pop, *args)
+
+    monkeypatch.setattr(cells, "branch", spy)
     assert cells.group_size(4) == BLOCK
-    config = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4, seed=0, replicas=3)
-    joint = CountingDouble()
-    simulate_cell_tree(config, joint=joint)
-    # the cell at position p of depth k holds 2^popcount(p) parasites, so
-    # only p = 7 at depth 3 passes e^1.6 and settles, unless a tree's
-    # uniform leaf (drawn first from the group's stream) lies below it
+    config = CellTreeConfig(4, *doubling_laws(), c=0.4, seed=0, replicas=3)
+    simulate_cell_tree(config)
+    # branch steps both daughters of each kept cell: only p = 7 at depth 3
+    # passes e^1.6 and settles, unless a tree's uniform leaf (drawn first
+    # from the group's stream) lies below it
     leaves = replica_stream(config.seed, STREAM_CELLS).integers(1 << 4, size=3)
-    assert joint.sizes == [3, 6, 12, 24 - 3 + int(np.sum(leaves >> 1 == 7))]
+    assert sizes == [2 * k for k in (3, 6, 12, 24 - 3 + int(np.sum(leaves >> 1 == 7)))]
     # under laws that can shrink every level is grown in full
-    law1, law2 = shrink_laws()
-    config = CellTreeConfig(n=4, law1=law1, law2=law2, c=0.4, seed=0, replicas=3)
-    joint = CountingDouble()
-    simulate_cell_tree(config, joint=joint)
-    assert joint.sizes == [3, 6, 12, 24]
+    sizes.clear()
+    config = CellTreeConfig(4, *shrink_laws(), c=0.4, seed=0, replicas=3)
+    simulate_cell_tree(config)
+    assert sizes == [6, 12, 24, 48]
 
 
-def shrinking_joint(z, rng):
-    return z, z - (z > 1)
+def test_shrinking_laws_tile_the_leaves_of_a_big_root():
+    # no cell settles under laws that can shrink, and the irrational
+    # threshold ties no leaf
+    config = CellTreeConfig(3, *shrink_laws(), c=0.4, z0=5, replicas=20)
+    res = simulate_cell_tree(config)
+    assert np.all(res.below + res.above == 2**3)
 
 
-def test_shrinking_joint_sampler_raises():
-    # settling a cell assumes no daughter has fewer parasites than its
-    # cell; a sampler that breaks that under laws with p0 == 0 is refused
-    law1, law2 = g2_laws()
-    config = CellTreeConfig(n=3, law1=law1, law2=law2, c=0.4, z0=5)
-    with pytest.raises(InvalidArgumentError, match="joint sampler"):
-        simulate_cell_tree(config, joint=shrinking_joint)
-    # laws that can shrink make no such promise
-    law1, law2 = shrink_laws()
-    config = CellTreeConfig(n=3, law1=law1, law2=law2, c=0.4, z0=5)
-    res = simulate_cell_tree(config, joint=shrinking_joint)
-    assert res.below[0] + res.above[0] == 2**3
-
-
-def test_joint_sampler_stays_in_exact_lane():
-    # the exact lane ends at 2^62 // 4 = 2^60 parasites under g2's laws
-    law1, law2 = g2_laws()
+def test_one_point_laws_leave_the_exact_lane_past_its_limit():
+    # the exact lane ends at 2^62 // 2 = 2^61 parasites under the doubling laws
     # leaves 2^59, 2^60, 2^60, 2^61 about a threshold e^41.9 ~ 2^60.45
-    config = CellTreeConfig(n=2, law1=law1, law2=law2, c=20.95, z0=2**59)
-    res = simulate_cell_tree(config, joint=coupled_double)
+    config = CellTreeConfig(2, *doubling_laws(), c=20.95, z0=2**59)
+    res = simulate_cell_tree(config)
     assert res.normal_steps == 0
     assert res.below[0] == 3 and res.above[0] == 1
-    for n, z0 in ((3, 2**59), (1, 2**61)):
-        config = CellTreeConfig(n=n, law1=law1, law2=law2, c=40.0, z0=z0)
-        with pytest.raises(BudgetExceededError, match="joint sampler"):
-            simulate_cell_tree(config, joint=coupled_double)
+    # from z0 = 2^60 the depth-2 cell of 2^62 branches in the log-z lane, two
+    # draws; its leaves 2^62 and 2^63 sit about a threshold e^43.32 ~ 2^62.5
+    config = CellTreeConfig(3, *doubling_laws(), c=14.44, z0=2**60, replicas=3)
+    res = simulate_cell_tree(config)
+    assert res.normal_steps == 2 * 3
+    assert np.all(res.below == 7) and np.all(res.above == 1)
 
 
 def test_log_lane_tree(pool_per_block):
@@ -231,7 +216,7 @@ def test_uniform_leaf_past_int64_stays_exact():
     leaves = simulate_cell_tree(config).leaves
     assert len(leaves) == 3 and all(type(leaf) is int for leaf in leaves)
     assert max(leaves) >= 1 << 63
-    assert leaves == cells._trees(config, None, 0, 3)[3]
+    assert leaves == cells._trees(config, 0, 3)[3]
 
 
 def test_uniform_leaf_matches_marginal_law():
@@ -303,7 +288,7 @@ def test_more_replicas_extend_fewer(laws, c):
     assert np.array_equal(a.below, b.below[:37])
     assert np.array_equal(a.above, b.above[:37])
     # per tree: below, above, log-z draws and the uniform leaf
-    mine, theirs = cells._trees(short, None, 0, 37), cells._trees(long, None, 0, 600)
+    mine, theirs = cells._trees(short, 0, 37), cells._trees(long, 0, 600)
     for column, full in zip(mine, theirs):
         assert list(column) == list(full[:37])
     assert a.normal_steps == int(theirs[2][:37].sum())
@@ -381,28 +366,22 @@ def test_trees_equal_groups_regrown_alone(laws, n, c, z0):
     size = cells.group_size(n)
     config = CellTreeConfig(n=n, law1=laws[0], law2=laws[1], c=c, seed=8, z0=z0,
                             replicas=2 * size + 1)
-    got = cells._trees(config, None, 0, config.replicas)
+    got = cells._trees(config, 0, config.replicas)
     groups = [reference_tree(config, g) for g in range(3)]
     for column, parts in zip(got, zip(*groups)):
         assert list(column) == [x for part in parts for x in part][:config.replicas]
     assert (got[2].sum() > 0) == (n != 6)
 
 
-def random_joint(z, rng):
-    """A coupled sampler that draws: the daughters share a binomial split."""
-    k = rng.binomial(z, 0.5)
-    return z + k, 2 * z - k
-
-
-@pytest.mark.parametrize("n", [2, 6, 9])
-@pytest.mark.parametrize("joint", [None, random_joint], ids=["independent", "joint"])
-def test_trees_of_two_blocks_match_each_block_alone(n, joint):
+@pytest.mark.parametrize("n", [2, 6, 9], ids="independent-{}".format)
+def test_trees_of_two_blocks_match_each_block_alone(n):
     # one run of two blocks (one group of 1,024 trees each at n = 2 and 6,
-    # four of 256 at n = 9) gives what each block gives alone
+    # four of 256 at n = 9) gives what each block gives alone, each
+    # daughter an independent draw from its law
     law1, law2 = g2_laws()
     config = CellTreeConfig(n=n, law1=law1, law2=law2, c=0.4, seed=4, replicas=2 * BLOCK)
-    both = cells._trees(config, joint, 0, 2 * BLOCK)
-    alone = [cells._trees(config, joint, lo, lo + BLOCK) for lo in (0, BLOCK)]
+    both = cells._trees(config, 0, 2 * BLOCK)
+    alone = [cells._trees(config, lo, lo + BLOCK) for lo in (0, BLOCK)]
     for column, first, second in zip(both, *alone):
         assert list(column) == list(first) + list(second)
     assert both[0].std() > 0
@@ -416,9 +395,9 @@ def test_fewer_trees_are_a_prefix_of_more(pool_per_block, n):
     law1, law2 = g2_laws()
     configs = {r: CellTreeConfig(n=n, law1=law1, law2=law2, c=0.4, seed=2, replicas=r)
                for r in (10, 100, BLOCK + 76)}
-    longest = cells._trees(configs[BLOCK + 76], None, 0, BLOCK + 76)
+    longest = cells._trees(configs[BLOCK + 76], 0, BLOCK + 76)
     for r, config in configs.items():
-        for column, full in zip(cells._trees(config, None, 0, r), longest):
+        for column, full in zip(cells._trees(config, 0, r), longest):
             assert list(column) == list(full[:r]), r
         res = simulate_cell_tree(config, workers=2)
         assert list(res.below) == list(longest[0][:r])

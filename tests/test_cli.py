@@ -1037,10 +1037,10 @@ def test_reported_processes_are_the_pool_that_started(tmp_path, capsys, monkeypa
 
 
 def test_held_zero_horizon_reports_one_process(tmp_path, capsys, monkeypatch):
-    # e^{-20} < z0: the held-zero horizon samples nothing, so no pool starts
-    # and the run reports 1 process, whatever --workers asks for
+    # e^{-20} < z0: the held-zero horizon samples no generation, so no pool
+    # starts and the run reports 1 process, whatever --workers asks for
     def no_pool(*args, **kwargs):
-        raise AssertionError("a run that samples nothing started a process pool")
+        raise AssertionError("a run that samples no generation started a process pool")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(["estimate-lower", "--config", str(CONFIG_DIR / "g2.json"), "--n", "40",
@@ -1050,6 +1050,18 @@ def test_held_zero_horizon_reports_one_process(tmp_path, capsys, monkeypatch):
     assert echo["outputs"]["zero_mass"] is True
     assert echo["outputs"]["processes"] == 1
     assert read_log(tmp_path)[0]["outputs"]["processes"] == 1
+
+
+def test_held_zero_horizon_keeps_the_replica_budget(tmp_path, capsys):
+    # one replica past REPLICAS_MAX = 8,388,608: the held-zero horizon once
+    # ran it, and ran out of memory at 10^12
+    rc = main(["estimate-lower", "--config", str(CONFIG_DIR / "g2.json"), "--n", "40",
+               "--c", "-0.5", "--replicas", str(simulate.REPLICAS_MAX + 1),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["kind"]) == ("BudgetExceeded", "config")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_settling_trees_of_one_block_run_in_process(tmp_path, capsys, monkeypatch):

@@ -33,8 +33,9 @@ from bpre import (
     walk_rate,
     walk_tail,
 )
-from bpre import rare_event
-from bpre.simulate import BLOCK
+from bpre import rare_event, simulate
+from bpre.rng import Stream
+from bpre.simulate import BLOCK, REPLICAS_MAX
 from conftest import (event_threshold, exact_held, exact_lower, exact_mean_take_off,
                       naive_sample)
 
@@ -272,14 +273,17 @@ def test_hold_past_the_float_range_is_a_zero_estimate(g2):
 
 
 def test_held_zero_samples_nothing(g2, monkeypatch):
-    # e^{cn} < z0: every weight is 0 without a draw, and the readers that
-    # condition on the event refuse it (they once sampled first)
-    def no_sample(*args, **kwargs):
-        raise AssertionError("a held-zero horizon sampled")
+    # e^{cn} < z0: sample runs no generation, so every weight is 0 without a
+    # draw, and the readers that condition on the event refuse it (they once
+    # sampled first)
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a held-zero horizon drew")
 
-    monkeypatch.setattr(rare_event, "sample", no_sample)
-    res = estimate_lower_tail(g2, 4, -0.5, replicas=10, seed=0)
+    monkeypatch.setattr(simulate, "branch", no_draw)
+    monkeypatch.setattr(Stream, "at", no_draw)
+    res = estimate_lower_tail(g2, 4, -0.5, replicas=3 * BLOCK, seed=0, workers=2)
     assert res.two_phase.zero_mass and res.tilt_only.zero_mass
+    assert res.two_phase.processes == res.tilt_only.processes == 1
     with pytest.raises(NoEventMassError):
         take_off_statistics(g2, 4, -0.5, replicas=10, seed=0)
     for method in (None, "tilt_only"):
@@ -287,6 +291,12 @@ def test_held_zero_samples_nothing(g2, monkeypatch):
             conditional_profile(g2, 4, -0.5, replicas=10, seed=0, method=method)
     with pytest.raises(InvalidArgumentError, match="replicas=0"):
         estimate_lower_tail(g2, 4, -0.5, replicas=0)
+
+
+def test_held_zero_keeps_the_replica_budget(g2):
+    # the held-zero horizon once built its zero weights past REPLICAS_MAX
+    with pytest.raises(BudgetExceededError, match=f"replicas={REPLICAS_MAX + 1}"):
+        estimate_lower_tail(g2, 40, -0.5, replicas=REPLICAS_MAX + 1)
 
 
 def test_lower_partial_below_full(g2):
@@ -461,6 +471,8 @@ def test_rate_curve_is_the_estimators(g2):
         assert (point.rate, point.rate_stderr) == empirical_rate(res)
     with pytest.raises(InvalidArgumentError, match="side"):
         rate_curve(g2, 0.4, [8], side="middle", **kw)
+    # every point is refused or weighed on its own: no horizon, no check
+    assert rate_curve(g2, 0.4, [], side="middle", **kw) == []
 
 
 def test_upper_profile_has_no_two_phase(g2):
