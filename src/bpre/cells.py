@@ -35,7 +35,7 @@ count.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -183,19 +183,27 @@ class IdentityReport(NamedTuple):
     threshold: int
 
 
-def expected_count_identity(config: CellTreeConfig,
-                            result: CellTreeResult) -> IdentityReport:
-    """Check E(number of small cells) = 2^n P(Z_n <= e^{cn}) on result, a
-    simulate_cell_tree run of config.
+def exact_tail(config: CellTreeConfig) -> Tuple[int, float]:
+    """(T, P(Z_n <= T)) of the lineage process, T = event_threshold(n, c).
 
-    The right side comes from the exact distribution of the equiprobable
-    two-environment process (exact whenever the laws cannot shrink, which
-    covers the supported use; otherwise the truncation bound applies).
+    From the exact distribution of the equiprobable two-environment process
+    (exact whenever the laws cannot shrink, which covers the supported use;
+    otherwise the truncation bound applies).  A DP past its budget raises
+    BudgetExceeded before its first generation; a repeat call on config
+    resumes from the DP's kept pmf and runs no generation.
     """
     k = event_threshold(config.n, config.c)
     dist = population_distribution(config.env, config.n,
                                    z0=config.z0, cap=max(k, config.z0))
-    prob = dist.prob_le(k)
+    return k, dist.prob_le(k)
+
+
+def expected_count_identity(config: CellTreeConfig,
+                            result: CellTreeResult) -> IdentityReport:
+    """Check E(number of small cells) = 2^n P(Z_n <= e^{cn}) on result, a
+    simulate_cell_tree run of config; the right side is exact_tail's.
+    """
+    k, prob = exact_tail(config)
     expected = 2 ** config.n * prob
     se = result.stderr_below
     diff = result.mean_below - expected

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .cells import CellTreeConfig, expected_count_identity, simulate_cell_tree
+from .cells import CellTreeConfig, exact_tail, expected_count_identity, simulate_cell_tree
 from .envmodel import (REJECT_TOL, _number, environment_from_dict, environment_to_dict,
                        reject_duplicate_keys)
 from .errors import BPREError, InvalidArgumentError, VersionMismatchError
@@ -186,16 +186,15 @@ def _cmd_oracle(env, params: dict, ctx: _Ctx):
     return artifacts, {"probs_below": prob, "overflow": dist.overflow}
 
 
-def _estimates(ctx: _Ctx, name: str, legs, best, outputs: dict):
-    """Write the legs that ran; report best's empirical rate, or zero_mass."""
-    legs = [leg for leg in legs if leg is not None]
+def _estimates(ctx: _Ctx, name: str, legs, outputs: dict):
+    """Write the legs; report the last one's empirical rate, or zero_mass."""
     artifacts = ctx.artifact(
         name, write_csv, "estimate-v1", ("n", "c", "estimate", "stderr", "ess", "method"),
         [(r.n, r.c, r.estimate, r.stderr, r.ess, r.method.value) for r in legs])
     outputs["normal_steps"] = sum(leg.normal_steps for leg in legs)
     outputs["processes"] = max(leg.processes for leg in legs)   # the legs run in turn
-    if best is not None and not best.zero_mass:
-        rate, rate_se = empirical_rate(best)
+    if not legs[-1].zero_mass:
+        rate, rate_se = empirical_rate(legs[-1])
         outputs.update({"rate": rate, "rate_stderr": rate_se})
     else:
         outputs["zero_mass"] = True
@@ -207,13 +206,13 @@ def _cmd_estimate_lower(env, params: dict, ctx: _Ctx):
                               phase_fraction=params.get("phase_fraction"),
                               **_draws(params))
     return _estimates(ctx, "estimate_lower.csv", (est.tilt_only, est.two_phase),
-                      est.two_phase or est.tilt_only, {"take_off": est.take_off})
+                      {"take_off": est.take_off})
 
 
 def _cmd_estimate_upper(env, params: dict, ctx: _Ctx):
     res = estimate_upper_tail(env, params["n"], params["c"], workers=ctx.workers,
                               **_draws(params))
-    return _estimates(ctx, "estimate_upper.csv", (res,), res,
+    return _estimates(ctx, "estimate_upper.csv", (res,),
                       {"estimate": res.estimate, "ess": res.ess})
 
 
@@ -266,8 +265,9 @@ def _cmd_cells(env, params: dict, ctx: _Ctx):
             "a uniform lineage of the binary tree sees each law with probability 1/2")
     config = CellTreeConfig(n=params["n"], law1=env.components[0],
                             law2=env.components[1], c=params["c"], **_draws(params))
+    exact_tail(config)   # a DP past its budget refuses here, before any tree grows
     result = simulate_cell_tree(config, workers=ctx.workers)
-    report = expected_count_identity(config, result=result)
+    report = expected_count_identity(config, result=result)   # resumes the DP: no generation
     rows = [
         (r, int(b), int(a))
         for r, (b, a) in enumerate(zip(result.below, result.above))

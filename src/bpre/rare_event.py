@@ -164,11 +164,12 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
 
 
 class LowerTailEstimate(NamedTuple):
-    """TiltOnly estimates the full event; TwoPhase the held partial event."""
+    """TiltOnly estimates the full event; TwoPhase the held partial event.
+    Every call weighs both."""
 
-    tilt_only: Optional[EstimatorResult]
-    two_phase: Optional[EstimatorResult]
-    take_off: Optional[float]   # hold fraction behind the TwoPhase split
+    tilt_only: EstimatorResult
+    two_phase: EstimatorResult
+    take_off: float   # hold fraction behind the TwoPhase split
 
 
 def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
@@ -264,9 +265,7 @@ def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
 
 def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
                         replicas: int = 10_000, seed: int = 0, workers: int = 1,
-                        phase_fraction: Optional[float] = None,
-                        methods: Sequence[str] = ("tilt_only", "two_phase"),
-                        ) -> LowerTailEstimate:
+                        phase_fraction: Optional[float] = None) -> LowerTailEstimate:
     """Estimate P(Z_n <= e^{cn}) from both proposals.
 
     tilt_only is unbiased for the full event.  two_phase is unbiased for
@@ -276,21 +275,17 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     c above the typical drift is rejected; c <= 0 is allowed and collapses
     to the pure holding event (the population cannot shrink).  A law that
     cannot hold plans no hold, so its two_phase leg is TiltOnly's run.
-    phase_fraction goes to the two_phase leg, which it needs.  A held-zero
-    horizon, e^{cn} < z0, samples no generation: each leg asked for is its
-    exact zero, labelled, like a sampled leg and take_off, by its plan.
+    phase_fraction goes to the two_phase leg.  A held-zero horizon,
+    e^{cn} < z0, samples no generation: each leg is its exact zero,
+    labelled, like a sampled leg and take_off, by its plan.
     """
     ldr = _check_env(env, n, c, "lower", z0)
-    if phase_fraction is not None and "two_phase" not in methods:
-        raise InvalidArgumentError(f"phase_fraction={phase_fraction} needs two_phase")
-    plans = {method: _plan(env, n, c, z0, "lower", method,
-                           phase_fraction if method == "two_phase" else None, ldr)
-             for method in methods}
-    legs = {method: _sample_and_weigh(env, n, c, z0, "lower", plan, seed, replicas, workers)[2]
-            for method, plan in plans.items()}
-    return LowerTailEstimate(tilt_only=legs.get("tilt_only"),
-                             two_phase=legs.get("two_phase"),
-                             take_off=plans["two_phase"][2] if "two_phase" in plans else None)
+    plans = (_plan(env, n, c, z0, "lower", "tilt_only", None, ldr),
+             _plan(env, n, c, z0, "lower", "two_phase", phase_fraction, ldr))
+    tilt_only, two_phase = (
+        _sample_and_weigh(env, n, c, z0, "lower", plan, seed, replicas, workers)[2]
+        for plan in plans)
+    return LowerTailEstimate(tilt_only, two_phase, take_off=plans[1][2])
 
 
 def empirical_rate(result: EstimatorResult) -> Tuple[float, float]:
@@ -318,20 +313,19 @@ class RatePoint(NamedTuple):
 
 def rate_curve(env: EnvironmentLaw, c: float, n_list: Sequence[int],
                replicas: int = 10_000, seed: int = 0, side: str = "lower",
-               z0: int = 1, workers: int = 1,
-               phase_fraction: Optional[float] = None) -> list:
+               z0: int = 1, workers: int = 1) -> list:
     """Empirical decay rates -log(estimate)/n over horizons.
 
     Each point is checked, planned with the side's default method and
     weighed as every reader's is, so it equals estimate_lower_tail's
-    two_phase leg below and estimate_upper_tail above, which has no
-    phase_fraction.  A zero estimate is recorded with an infinite rate and
-    the curve stops there.  An empty n_list returns [] whatever the side.
+    two_phase leg below and estimate_upper_tail above.  A zero estimate is
+    recorded with an infinite rate and the curve stops there.  An empty
+    n_list returns [] whatever the side.
     """
     points = []
     for n in n_list:
         ldr = _check_env(env, n, c, side, z0)
-        plan = _plan(env, n, c, z0, side, None, phase_fraction, ldr)
+        plan = _plan(env, n, c, z0, side, None, None, ldr)
         res = _sample_and_weigh(env, n, c, z0, side, plan, seed, replicas, workers)[2]
         rate, rse = (math.inf, math.nan) if res.zero_mass else empirical_rate(res)
         points.append(RatePoint(rate, rse, res))

@@ -14,7 +14,6 @@ One bracketed Newton solve, _increasing_root, finds both roots.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import List, NamedTuple, Tuple
 
@@ -169,13 +168,6 @@ def two_env_walk_rate(L1: float, L2: float, q: float, c: float) -> float:
     return xlogx(z, p) + xlogx(1.0 - z, 1.0 - p)
 
 
-class Regime(enum.Enum):
-    """How the optimal lower-deviation strategy spends the horizon."""
-
-    WITH_HOLDING = "WithHolding"   # holding at one individual is possible
-    PURE_TILT = "PureTilt"         # no single-offspring mass; environments only
-
-
 class LowerDeviationRate(NamedTuple):
     """Solution of the hold-then-grow optimization for P(Z_n <= exp(cn)).
 
@@ -189,7 +181,6 @@ class LowerDeviationRate(NamedTuple):
     take_off: float
     rate: float
     slope: float
-    regime: Regime
 
 
 def lower_deviation_rate(env: EnvironmentLaw, c: float) -> LowerDeviationRate:
@@ -214,11 +205,8 @@ def lower_deviation_rate(env: EnvironmentLaw, c: float) -> LowerDeviationRate:
         lam -= (value + rho) / y   # one more Newton step: residual to rounding
         y = log_mgf(env, lam)[1]
         if c < y:
-            return LowerDeviationRate(c=c, take_off=1.0 - c / y, rate=rho + lam * c,
-                                      slope=y, regime=Regime.WITH_HOLDING)
-    regime = Regime.WITH_HOLDING if env.mean_p1 > 0.0 else Regime.PURE_TILT
-    return LowerDeviationRate(c=c, take_off=0.0, rate=walk_rate(env, c), slope=c,
-                              regime=regime)
+            return LowerDeviationRate(c=c, take_off=1.0 - c / y, rate=rho + lam * c, slope=y)
+    return LowerDeviationRate(c=c, take_off=0.0, rate=walk_rate(env, c), slope=c)
 
 
 def limit_profile(result: LowerDeviationRate, t: float) -> float:

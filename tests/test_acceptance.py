@@ -138,8 +138,7 @@ def _criterion4_run(workers):
             k = event_threshold(n, c)
             naive[k] = int(np.sum(za <= k))
             res = estimate_lower_tail(
-                env, n, c, replicas=10_000, seed=300 + 10 * n + j,
-                workers=workers, methods=("tilt_only",),
+                env, n, c, replicas=10_000, seed=300 + 10 * n + j, workers=workers,
             ).tilt_only
             is_runs[k] = (res.estimate, res.stderr, res.ess)
         out[n] = (naive, is_runs)
@@ -212,10 +211,7 @@ def test_criterion_06_small_population_cost():
     gaps = {}
     for j, pop in enumerate((1, 3, 10)):
         c = math.log(pop) / 60.0
-        res = estimate_lower_tail(
-            env, 60, c, replicas=40_000, seed=600 + j, workers=8,
-            methods=("two_phase",),
-        ).two_phase
+        res = rate_curve(env, c, [60], replicas=40_000, seed=600 + j, workers=8)[0].result
         rate = -math.log(res.estimate) / 60.0
         gaps[pop] = abs(rate - rho)
     ok = all(g <= 0.05 for g in gaps.values())

@@ -262,6 +262,20 @@ def test_cells_oracle_budget_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("n, c, replicas", [(12, 2.0, 2000), (20, 1.0, 2)])
+def test_cells_refuses_past_the_dp_budget_before_growing_trees(tmp_path, capsys,
+                                                               monkeypatch, n, c, replicas):
+    # e^{cn} sizes the identity's exact DP past its entry budget; the trees
+    # were once grown first, for seconds, before the DP refused
+    monkeypatch.setattr(cli, "simulate_cell_tree", lambda *a, **k: pytest.fail("grew trees"))
+    out = tmp_path / "out"
+    rc = main(["cells", "--config", str(CONFIG_DIR / "g2.json"), "--n", str(n),
+               "--c", str(c), "--replicas", str(replicas), "--out-dir", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
+    assert list(out.iterdir()) == []
+
+
 def test_cells_oracle_work_budget_exits_2(tmp_path, capsys, monkeypatch):
     # the DP's cap is z0 = 5000: its entries fit the budget, its
     # multiply-adds do not fit this one (nor a z0 of millions the shipped one)
@@ -757,6 +771,24 @@ def test_reproduce_reports_hash_without_original(tmp_path, capsys):
     assert rc == 3
     recorded = rec["artifacts"]["estimate_lower.csv"][:12]
     assert re.search(rf"FAIL estimate_lower.csv: hash [0-9a-f]{{12}} != recorded {recorded}", out)
+
+
+def test_reproduce_reports_a_tampered_hash_of_equal_files(tmp_path, capsys):
+    # the replay is byte-equal to the original, so there is no divergence to
+    # point at: the digests speak
+    cfg = g2_cfg(tmp_path, rate={"c_grid": "0.1:0.3:0.1"})
+    assert main(["rate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "runlog.jsonl"
+    rec = json.loads(log.read_text().splitlines()[0])
+    written, rec["artifacts"]["rate.csv"] = rec["artifacts"]["rate.csv"], "0" * 64
+    log.write_text(canonical_json(rec) + "\n")
+    rc = main(["reproduce", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert out == f"FAIL rate.csv: hash {written[:12]} != recorded {'0' * 12}\n"
+    replay = tmp_path / f"replay-{rec['run_id']}" / "rate.csv"
+    assert replay.read_bytes() == (tmp_path / "rate.csv").read_bytes()
 
 
 def test_reproduce_selects_run_id(tmp_path, capsys):

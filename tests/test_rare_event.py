@@ -149,7 +149,7 @@ def test_lower_two_phase_holds_a_mixture_exactly():
     # mixture over components; its weight was once sampled with the hold
     env = build_environment([(0.5, {1: 0.6, 3: 0.4}), (0.5, {1: 0.2, 2: 0.8})])
     tp = estimate_lower_tail(env, 8, 0.35, z0=2, replicas=4_000, seed=17,
-                             phase_fraction=0.5, methods=("two_phase",)).two_phase
+                             phase_fraction=0.5).two_phase
     assert (tp.method, tp.hold_steps) == (Method.TWO_PHASE, 4)
     exact = exact_held(env, 8, 0.35, 4, 2)
     assert exact == pytest.approx(5.2493e-4, rel=1e-4)
@@ -184,7 +184,7 @@ def test_two_phase_matches_exact_held_on_laws_that_cannot_shrink(comps, p1, n, f
     exact = exact_held(env, n, c, m, z0)
     assume(exact >= 1e-3)
     tp = estimate_lower_tail(env, n, c, z0=z0, replicas=4_000, seed=5,
-                             phase_fraction=fraction, methods=("two_phase",)).two_phase
+                             phase_fraction=fraction).two_phase
     assert (tp.method, tp.hold_steps) == (Method.TWO_PHASE, m)
     assert abs(tp.estimate - exact) <= 4.0 * tp.stderr + 1e-12 * exact
 
@@ -196,8 +196,8 @@ def test_free_slope_past_the_hull_top_is_capped_at_the_typical_drift():
     # free run ends below e^{1.8}, so each weight is the exact hold
     env = build_environment([(0.5, {1: .825, 2: .175}), (0.5, {1: .109, 2: .274, 4: .617})])
     assert 0.6 * 3 / (3 - 2) > env.log_mean_max > env.mean_log_mean
-    tp = estimate_lower_tail(env, 3, 0.6, replicas=4_000, seed=0, phase_fraction=0.6,
-                             methods=("two_phase",)).two_phase
+    tp = estimate_lower_tail(env, 3, 0.6, replicas=4_000, seed=0,
+                             phase_fraction=0.6).two_phase
     assert (tp.hold_steps, tp.tilt) == (2, pytest.approx(0.0, abs=1e-12))
     assert tp.estimate == pytest.approx(exact_held(env, 3, 0.6, 2), rel=1e-12)
 
@@ -228,7 +228,7 @@ def test_two_phase_matches_exact_held_past_the_typical_drift(comps, p1, n, fract
     assume(exact >= 1e-3)
     assume(exact / math.exp(m * rare_event._log_hold(env, z0)) <= 0.99)
     tp = estimate_lower_tail(env, n, c, z0=z0, replicas=4_000, seed=5,
-                             phase_fraction=fraction, methods=("two_phase",)).two_phase
+                             phase_fraction=fraction).two_phase
     assert (tp.method, tp.hold_steps) == (Method.TWO_PHASE, m)
     assert abs(tp.estimate - exact) <= 4.0 * tp.stderr + 1e-12 * exact
 
@@ -359,19 +359,16 @@ def test_lower_impossible_event_short_circuit(g2):
     assert res.two_phase.estimate == 0.0
 
 
-@pytest.mark.parametrize("methods", [("tilt_only",), ("two_phase",),
-                                     ("tilt_only", "two_phase")])
-def test_held_zero_answers_the_legs_asked_for(g2, methods):
-    # e^{cn} < z0 once answered a TwoPhase zero and take-off 1.0 whatever was asked
-    res = estimate_lower_tail(g2, 4, -0.5, replicas=10, seed=0, methods=methods)
-    for leg, method in ((res.tilt_only, Method.TILT_ONLY), (res.two_phase, Method.TWO_PHASE)):
-        if method.name.lower() not in methods:
-            assert leg is None
-            continue
+def test_held_zero_answers_both_legs(g2):
+    # e^{cn} < z0 once answered a TwoPhase zero and take-off 1.0 for every
+    # leg; each leg is its exact zero, labelled by its own plan
+    res = estimate_lower_tail(g2, 4, -0.5, replicas=10, seed=0)
+    for leg, method, held in ((res.tilt_only, Method.TILT_ONLY, 0),
+                              (res.two_phase, Method.TWO_PHASE, 4)):
         assert (leg.method, leg.estimate, leg.stderr, leg.ess) == (method, 0.0, 0.0, 0.0)
         assert leg.zero_mass and leg.replicas == 10 and leg.normal_steps == 0
-        assert leg.hold_steps == (4 if method is Method.TWO_PHASE else 0)
-    assert res.take_off == (1.0 if "two_phase" in methods else None)
+        assert leg.hold_steps == held
+    assert res.take_off == 1.0
 
 
 def test_lower_no_holding_law(no_hold):
@@ -389,8 +386,6 @@ def test_lower_no_holding_law(no_hold):
         estimate_lower_tail(no_hold, 8, 0.75, replicas=10, seed=2, phase_fraction=0.5)
     with pytest.raises(NoHoldingPossibleError):
         take_off_statistics(no_hold, 8, 0.75, replicas=10, seed=2, phase_fraction=0.5)
-    with pytest.raises(NoHoldingPossibleError):
-        rate_curve(no_hold, 0.75, [8], phase_fraction=0.5)
     for method in (None, "two_phase"):
         with pytest.raises(NoHoldingPossibleError):
             conditional_profile(no_hold, 8, 0.75, replicas=10, seed=2,
@@ -429,19 +424,18 @@ def test_nan_c_is_invalid_argument(g2, fn):
 
 @pytest.mark.parametrize("c", [0.4, -0.5], ids=["sampled", "impossible"])
 def test_lower_tail_rejects_unknown_method(g2, c):
-    # ("tilt",) once returned no estimate at all, and a bad name next to a
-    # good one was dropped
-    for methods in (("tilt",), ("tilt_only", "bogus")):
-        with pytest.raises(InvalidArgumentError, match="unknown method"):
-            estimate_lower_tail(g2, 8, c, replicas=10, methods=methods)
+    # the readers' method goes to the one planner, which refuses a bad name
+    # before anything is sampled, at a held-zero horizon too
+    for reader in (take_off_statistics, conditional_profile):
+        for method in ("tilt", "bogus"):
+            with pytest.raises(InvalidArgumentError, match="unknown method"):
+                reader(g2, 8, c, replicas=10, method=method)
 
 
 @pytest.mark.parametrize("call", [
     lambda g2: take_off_statistics(g2, 8, 0.4, method="tilt_only", phase_fraction=0.5),
     lambda g2: conditional_profile(g2, 8, 1.05, side="upper", phase_fraction=0.5),
-    lambda g2: rate_curve(g2, 1.05, [8], side="upper", phase_fraction=0.5),
-    lambda g2: estimate_lower_tail(g2, 8, 0.4, methods=("tilt_only",), phase_fraction=0.5),
-], ids=["takeoff", "profile", "rate", "lower"])
+], ids=["takeoff", "profile"])
 def test_phase_fraction_without_two_phase_is_refused(g2, call):
     # a hold fraction asked of TiltOnly was once dropped in silence
     with pytest.raises(InvalidArgumentError, match="phase_fraction=0.5"):
@@ -456,8 +450,7 @@ def test_rate_curve_is_the_estimators(g2):
     lower = rate_curve(g2, 0.4, [6, 8, 2], z0=3, **kw)
     assert [p.result.zero_mass for p in lower] == [False, False, True]
     for point in lower:
-        leg = estimate_lower_tail(g2, point.result.n, 0.4, z0=3, methods=("two_phase",),
-                                  **kw).two_phase
+        leg = estimate_lower_tail(g2, point.result.n, 0.4, z0=3, **kw).two_phase
         assert point.result == leg
         if not leg.zero_mass:
             assert (point.rate, point.rate_stderr) == empirical_rate(leg)
@@ -487,10 +480,7 @@ def test_lower_unbiased_over_seed_batches(g2):
     exact = exact_lower(g2, n, c)
     hits = 0
     for seed in range(40):
-        res = estimate_lower_tail(
-            g2, n, c, replicas=1_000, seed=seed, methods=("tilt_only",)
-        )
-        r = res.tilt_only
+        r = estimate_lower_tail(g2, n, c, replicas=1_000, seed=seed).tilt_only
         if abs(r.estimate - exact) <= 3.0 * r.stderr:
             hits += 1
     assert hits >= 36

@@ -10,7 +10,6 @@ from bpre import (
     DegenerateLawError,
     NotStronglySupercriticalError,
     OutOfHullError,
-    Regime,
     SideMismatchError,
     TOutOfRangeError,
     build_environment,
@@ -86,6 +85,16 @@ def test_tilt_parameter_errors(dirac2, g2, monkeypatch):
         tilt_parameter(g2, 10.0)
     with pytest.raises(OutOfHullError):
         tilt_parameter(g2, g2.log_mean_min)
+    # two log-mean atoms 3e-12 apart: one ulp inside the low edge phi' stays
+    # above c until the bracket's low end passes -2^40, one ulp inside the
+    # high edge below c until its high end passes 2^40
+    near = build_environment([(0.5, {2: 3.0 - m, 3: m - 2.0})
+                              for m in (math.e, math.exp(1.0 + 3e-12))])
+    lo, hi = near.log_mean_min, near.log_mean_max
+    assert 0.0 < hi - lo <= 3.1e-12
+    for c in (math.nextafter(lo, hi), math.nextafter(hi, lo)):
+        with pytest.raises(OutOfHullError, match="numerically at the hull edge"):
+            tilt_parameter(near, c)
     # no residual meets a negative tolerance: the solve runs out of iterations
     monkeypatch.setattr(ratefn, "DRIFT_TOL", -1.0)
     with pytest.raises(OutOfHullError, match="200 iterations"):
@@ -190,7 +199,6 @@ def test_lower_rate_frozen_values(fig_law):
     assert r.take_off == pytest.approx(0.18162747993919764, abs=1e-6)
     assert r.rate == pytest.approx(0.20685894110554984, abs=1e-6)
     assert r.slope == pytest.approx(1.344131154255123, abs=1e-6)
-    assert r.regime is Regime.WITH_HOLDING
     assert isinstance(r.rate, float) and isinstance(r.slope, float)
     # optimal value matches the hold-then-grow decomposition at the optimum
     v = fig_law.hold_cost * r.take_off + (1.0 - r.take_off) * walk_rate(fig_law, r.slope)
@@ -226,7 +234,6 @@ def test_lower_rate_edge_laws(components, take_off):
     for c in (0.05, 0.3, 0.6):
         r = lower_deviation_rate(env, c)
         rate, t_c, slope = reference_lower_rate(env, c)
-        assert r.regime is Regime.WITH_HOLDING
         assert r.take_off == pytest.approx(t_c if take_off is None else take_off, abs=1e-12)
         assert r.rate == pytest.approx(rate, abs=1e-12)
         assert r.slope == pytest.approx(slope, abs=1e-12)
@@ -277,7 +284,6 @@ def test_lower_rate_matches_bisection_reference(env, frac):
 def test_lower_rate_no_hold_regime(no_hold):
     r = lower_deviation_rate(no_hold, 0.8)
     assert r.take_off == 0.0
-    assert r.regime is Regime.PURE_TILT
     assert r.rate == pytest.approx(walk_rate(no_hold, 0.8), abs=1e-12)
     assert r.slope == 0.8
 
