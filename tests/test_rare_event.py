@@ -359,12 +359,17 @@ def test_lower_impossible_event_short_circuit(g2):
     assert res.two_phase.estimate == 0.0
 
 
-def test_held_zero_answers_both_legs(g2):
+@pytest.mark.parametrize("methods", [("tilt_only",), ("two_phase",),
+                                     ("tilt_only", "two_phase")])
+def test_held_zero_answers_the_legs_asked_for(g2, methods):
     # e^{cn} < z0 once answered a TwoPhase zero and take-off 1.0 for every
-    # leg; each leg is its exact zero, labelled by its own plan
+    # leg; each leg a caller reads is its exact zero, labelled by its own
+    # plan, and the estimate carries both legs whichever are read
     res = estimate_lower_tail(g2, 4, -0.5, replicas=10, seed=0)
-    for leg, method, held in ((res.tilt_only, Method.TILT_ONLY, 0),
-                              (res.two_phase, Method.TWO_PHASE, 4)):
+    legs = {"tilt_only": (res.tilt_only, Method.TILT_ONLY, 0),
+            "two_phase": (res.two_phase, Method.TWO_PHASE, 4)}
+    assert res.tilt_only is not None and res.two_phase is not None
+    for leg, method, held in (legs[name] for name in methods):
         assert (leg.method, leg.estimate, leg.stderr, leg.ess) == (method, 0.0, 0.0, 0.0)
         assert leg.zero_mass and leg.replicas == 10 and leg.normal_steps == 0
         assert leg.hold_steps == held
