@@ -41,9 +41,10 @@ import numpy as np
 
 from .envmodel import OffspringDistribution, build_environment
 from .errors import BudgetExceededError, InvalidArgumentError
-from .oracle import event_bound, event_threshold, exp_cn, population_distribution
+from .oracle import population_distribution
+from .ratefn import event_bound, event_threshold
 from .rng import STREAM_CELLS, Stream
-from .simulate import BLOCK, EXACT_LIMIT, Populations, branch, map_replicas
+from .simulate import BLOCK, Populations, branch, map_replicas
 
 TREE_DEPTH_MAX = 20
 
@@ -75,7 +76,7 @@ class CellTreeConfig:
             raise BudgetExceededError(
                 f"tree depth {n} exceeds the {TREE_DEPTH_MAX}-level budget"
             )
-        exp_cn(n, c)   # refuses e^{cn} past the float range
+        event_bound(n, c)   # refuses a NaN c and e^{cn} past the float range
         if z0 < 1:
             raise InvalidArgumentError(f"z0={z0} must be >= 1")
         if replicas < 1:
@@ -101,7 +102,6 @@ def _trees(config: CellTreeConfig, lo: int, hi: int) -> tuple:
     """
     n, laws = config.n, (config.law1, config.law2)
     size = group_size(n)
-    limit = EXACT_LIMIT // max(law.max_offspring for law in laws)
     lower, upper = (event_bound(n, config.c, side) for side in ("lower", "upper"))
     settles = config.env.strongly_supercritical
     groups = []
@@ -109,7 +109,7 @@ def _trees(config: CellTreeConfig, lo: int, hi: int) -> tuple:
         trees = min(size, hi - first)
         stream = Stream(config.seed, STREAM_CELLS + first // size)
         pick = (np.arange(trees) << n) + stream.at(0, 0).integers(1 << n, size=trees)
-        cells, at = Populations.start(config.z0, limit, trees), np.arange(trees)
+        cells, at = Populations.start(config.z0, laws, trees), np.arange(trees)
         above, normal_steps = np.zeros((2, trees), dtype=np.int64)
         for k in range(n):
             if settles:
@@ -122,7 +122,7 @@ def _trees(config: CellTreeConfig, lo: int, hi: int) -> tuple:
                     at = at[keep]
             cells = Populations(cells.z.repeat(2), cells.logz.repeat(2), cells.big.repeat(2))
             at = ((at << 1)[:, None] | [0, 1]).ravel()
-            branch(cells, at & 1, laws, [stream], limit, k + 1)
+            branch(cells, at & 1, laws, [stream], k + 1)
             if cells.big.any():
                 normal_steps += np.bincount(at[cells.big] >> (k + 1), minlength=trees)
         tree = at >> n

@@ -25,8 +25,8 @@ from .cells import CellTreeConfig, exact_tail, expected_count_identity, simulate
 from .envmodel import (REJECT_TOL, _number, environment_from_dict, environment_to_dict,
                        reject_duplicate_keys)
 from .errors import BPREError, InvalidArgumentError, VersionMismatchError
-from .oracle import event_threshold, population_distribution
-from .ratefn import lower_deviation_rate, tilt_parameter, walk_rate
+from .oracle import population_distribution
+from .ratefn import event_threshold, lower_deviation_rate, tilt_parameter, walk_rate
 from .rare_event import (
     conditional_profile,
     empirical_rate,
@@ -528,7 +528,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = _build_parser().parse_args(argv)
+    args = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(args) - 2, -1, -1):   # argparse reads "-1,0,5" as an option
+        if args[i] in ("--c-grid", "--grid") and not args[i + 1].startswith("--"):
+            args[i: i + 2] = [f"{args[i]}={args[i + 1]}"]
+    ns = _build_parser().parse_args(args)
     if ns.command == "reproduce":
         return _cmd_reproduce(ns)
     if ns.config is None:

@@ -37,7 +37,7 @@ from .errors import (
     NotStronglySupercriticalError,
     TooManyComponentsError,
 )
-from .ratefn import walk_atoms
+from .ratefn import event_threshold, walk_atoms
 
 COMPOSITION_BUDGET = 500_000
 ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table
@@ -273,29 +273,6 @@ def population_distribution(env: EnvironmentLaw, n: int, z0: int = 1,
     _last = (key, n, v.copy(), overflow, tables)
     return ExactDistribution(probs=v, overflow=overflow, cap=cap,
                              nondecreasing=env.strongly_supercritical)
-
-
-def exp_cn(n: int, c: float) -> float:
-    """The event bound e^{cn} as a float; BudgetExceeded past the float range."""
-    if math.isnan(c):
-        raise InvalidArgumentError("c is not a number")
-    if not c * n <= 709.0:   # e^709 < 1.8e308, the largest float
-        raise BudgetExceededError(f"threshold e^(cn) at cn={c * n:g} is past the float range")
-    return math.exp(c * n)
-
-
-def event_bound(n: int, c: float, side: str = "lower") -> float:
-    """e^{cn} moved 1e-9 max(1, e^{cn}) outward, so that a population equal
-    to an integer e^{cn} lands on the event side, lower or upper."""
-    t = exp_cn(n, c)
-    slack = 1e-9 * max(1.0, t)
-    return t + slack if side == "lower" else t - slack
-
-
-def event_threshold(n: int, c: float) -> int:
-    """T = floor(event_bound(n, c)), so Z_n <= e^{cn} is Z_n <= T: the same
-    integer population is on the event here as in the estimators."""
-    return math.floor(event_bound(n, c))
 
 
 def _compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:

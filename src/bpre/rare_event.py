@@ -37,8 +37,7 @@ from .errors import (
     NotStronglySupercriticalError,
     ZeroEstimateError,
 )
-from .oracle import event_bound
-from .ratefn import (LowerDeviationRate, limit_profile, log_mgf,
+from .ratefn import (LowerDeviationRate, event_bound, limit_profile, log_mgf,
                      lower_deviation_rate, tilt_parameter)
 from .rng import STREAM_TILT, STREAM_TWO_PHASE
 from .simulate import Lanes, Proposal, sample

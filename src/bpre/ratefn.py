@@ -1,13 +1,15 @@
 """Rate functions for environment-driven large deviations.
 
-Two layers:
+Three parts:
 
 * the Cramér rate function of the log-mean random walk (Legendre-Fenchel
   transform of the log moment generating function phi), with the tilt
   parameter the root of the strictly increasing phi';
 * the population lower-deviation rate: hold at one individual, then grow
   along the one slope y* where phi(lam*) = -hold_cost; below y* the rate
-  is affine in c, the tangent to the walk rate from (0, hold_cost).
+  is affine in c, the tangent to the walk rate from (0, hold_cost);
+* the event bound e^{cn} that every estimator, oracle and cell tree tests
+  Z_n against: event_bound, and its integer floor event_threshold.
 
 One bracketed Newton solve, _increasing_root, finds both roots.
 """
@@ -21,8 +23,10 @@ import numpy as np
 
 from .envmodel import EnvironmentLaw
 from .errors import (
+    BudgetExceededError,
     COutOfRangeError,
     DegenerateLawError,
+    InvalidArgumentError,
     NotStronglySupercriticalError,
     OutOfHullError,
     SideMismatchError,
@@ -33,6 +37,25 @@ from .errors import (
 ATOM_TOL = 1e-12
 # Target residual |phi'(lam) - c| for the tilt solve.
 DRIFT_TOL = 1e-12
+
+
+def event_bound(n: int, c: float, side: str = "lower") -> float:
+    """e^{cn} moved 1e-9 max(1, e^{cn}) outward, so that a population equal
+    to an integer e^{cn} lands on the event side, lower or upper.  A NaN c
+    is InvalidArgument; cn past the float range is BudgetExceeded."""
+    if math.isnan(c):
+        raise InvalidArgumentError("c is not a number")
+    if not c * n <= 709.0:   # e^709 < 1.8e308, the largest float
+        raise BudgetExceededError(f"threshold e^(cn) at cn={c * n:g} is past the float range")
+    t = math.exp(c * n)
+    slack = 1e-9 * max(1.0, t)
+    return t + slack if side == "lower" else t - slack
+
+
+def event_threshold(n: int, c: float) -> int:
+    """T = floor(event_bound(n, c)), so Z_n <= e^{cn} is Z_n <= T: the same
+    integer population is on the event in the oracles as in the estimators."""
+    return math.floor(event_bound(n, c))
 
 
 def walk_atoms(env: EnvironmentLaw) -> List[Tuple[float, float]]:

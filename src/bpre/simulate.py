@@ -15,8 +15,8 @@ Replicas run in blocks of BLOCK lanes, and block b draws from the one
 stream replica_stream(seed, proposal.stream + b).  The blocks of a run
 step together, one numpy pass per generation, each drawing from its own
 stream.  A lane holds its population as an exact int64 while z <=
-EXACT_LIMIT // (largest offspring count), so no branch step can
-overflow, and as a float log z above that.
+EXACT_LIMIT // (its laws' largest offspring count), so no branch step
+can overflow, and as a float log z above that.
 In that log-z lane the step is the moment-matched normal
 z' = z * mean + g * sqrt(z * variance), written as
 log z' = log z + log(mean + g * sd * exp(-log z / 2)); it cannot
@@ -202,9 +202,9 @@ class Populations:
         return _exp_int(float(self.logz[j])) if self.big[j] else int(self.z[j])
 
     @classmethod
-    def start(cls, z0: int, limit: int, size: int, **fields):
-        """size entries of population z0, in the log-z lane if z0 > limit."""
-        big = z0 > limit
+    def start(cls, z0: int, laws: Sequence[OffspringDistribution], size: int, **fields):
+        """size entries of population z0, exact if laws' steps keep it in int64."""
+        big = z0 > EXACT_LIMIT // max(law.max_offspring for law in laws)
         return cls(z=np.full(size, 1 if big else z0, dtype=np.int64),
                    logz=np.full(size, math.log(z0) if big else 0.0),
                    big=np.full(size, big), **fields)
@@ -218,10 +218,10 @@ class Populations:
 
 
 def branch(pop: Populations, idx: np.ndarray, laws: Sequence[OffspringDistribution],
-           rngs: list, limit: int, k: Optional[int] = None) -> None:
+           rngs: list, k: Optional[int] = None) -> None:
     """Branch entry j of pop once by laws[idx[j]], in place, after moving
-    the exact entries above limit (at most EXACT_LIMIT // the largest
-    offspring count) to the log-z lane.
+    the exact entries above EXACT_LIMIT // laws' largest offspring count
+    to the log-z lane.
 
     Stream b holds the entries from b BLOCK on (_parts).  Per law i, in
     order, each stream draws one multinomial over its part's exact entries
@@ -230,7 +230,7 @@ def branch(pop: Populations, idx: np.ndarray, laws: Sequence[OffspringDistributi
     generation k; without, generators drawing from where they stand.  No
     exact population decreases under a law with p0 == 0 (asserted).
     """
-    pop.promote(limit)
+    pop.promote(EXACT_LIMIT // max(law.max_offspring for law in laws))
     z, logz, big = pop.z, pop.logz, pop.big
     for i, law in enumerate(laws):
         on = idx == i
@@ -259,9 +259,8 @@ def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -
         raise InvalidArgumentError(f"population {z} is negative")
     if len(dist.support) == 1:
         return z * dist.support[0]
-    limit = EXACT_LIMIT // dist.max_offspring
-    lane = Populations.start(z, limit, 1)
-    branch(lane, np.zeros(1, dtype=np.int64), (dist,), [rng], limit)
+    lane = Populations.start(z, (dist,), 1)
+    branch(lane, np.zeros(1, dtype=np.int64), (dist,), [rng])
     return lane.value(0)
 
 
@@ -309,15 +308,14 @@ def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
     """
     rows = [min(BLOCK, size - lo) for lo in range(0, size, BLOCK)]
     rngs = [Stream(seed, proposal.stream + block + b) for b in range(len(rows))]
-    limit = EXACT_LIMIT // env.max_offspring
-    lanes = Lanes.start(z0, limit, size, llr=np.zeros(size), tau=np.full(size, n),
+    lanes = Lanes.start(z0, env.components, size, llr=np.zeros(size), tau=np.full(size, n),
                         normal_steps=np.zeros(size, dtype=np.int64))
     for k in range(n + 1):
         if k > 0:
             lanes.idx = _pick(proposal, np.concatenate([r.at(k, 0).random(m)
                                                         for r, m in zip(rngs, rows)]))
             lanes.llr += proposal.step_log_lr[lanes.idx]
-            branch(lanes, lanes.idx, env.components, rngs, limit, k)
+            branch(lanes, lanes.idx, env.components, rngs, k)
             lanes.normal_steps += lanes.big
         if threshold is not None:
             lanes.tau[(lanes.tau == n) & ~lanes.hit(threshold, "lower")] = k

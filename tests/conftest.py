@@ -7,7 +7,7 @@ import pytest
 
 from bpre import (build_environment, log_mgf, population_distribution, simulate,
                   tilt_parameter, walk_rate)
-from bpre.oracle import event_threshold  # noqa: F401 -- the one e^{cn} rule, for every test
+from bpre.ratefn import event_threshold  # noqa: F401 -- the one e^{cn} rule, for every test
 from bpre.ratefn import walk_atoms
 
 

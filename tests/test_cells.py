@@ -16,7 +16,7 @@ from bpre import (
 )
 from bpre import cells, simulate
 from bpre.cells import TREE_DEPTH_MAX, TREE_LEAVES
-from bpre.oracle import event_bound
+from bpre.ratefn import event_bound
 from bpre.rng import STREAM_CELLS, Stream, replica_stream
 from bpre.simulate import BLOCK, EXACT_LIMIT, Populations
 
@@ -315,7 +315,7 @@ def reference_tree(config, g):
     lower, upper = (event_bound(n, config.c, side) for side in ("lower", "upper"))
     stream = Stream(config.seed, STREAM_CELLS + g)
     picks = stream.at(0, 0).integers(1 << n, size=size)
-    level = Populations.start(config.z0, limit, size)
+    level = Populations.start(config.z0, laws, size)
     tree, pos = np.arange(size), np.zeros(size, dtype=np.int64)
     above = np.zeros(size, dtype=np.int64)
     steps = np.zeros(size, dtype=np.int64)

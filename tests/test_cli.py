@@ -70,6 +70,21 @@ def test_cast_error_keeps_its_message(tmp_path, capsys):
     assert err["message"].startswith("setting 'c_grid'")
 
 
+def test_grid_flag_takes_a_value_that_starts_with_a_minus(tmp_path, capsys):
+    # argparse alone reads "-0.2,0.1" as an option and exits 2 with its usage
+    for name, flags in (("split", ["--c-grid", "-0.2,0.1"]),
+                        ("joined", ["--c-grid=-0.2,0.1"])):
+        assert main(["rate", "--config", str(CONFIG_DIR / "g2.json"), *flags,
+                     "--out-dir", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "split" / "rate.csv").read_bytes()
+            == (tmp_path / "joined" / "rate.csv").read_bytes())
+    rc = main(["trajectory", "--config", str(CONFIG_DIR / "g2.json"), "--grid", "-0.5,0.5",
+               "--replicas", "10", "--out-dir", str(tmp_path / "trajectory")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+
 def test_rate_artifact_from_shipped_config(tmp_path, capsys):
     rc = main([
         "rate", "--config", str(CONFIG_DIR / "fig2.json"), "--out-dir", str(tmp_path),
@@ -947,6 +962,16 @@ GOLDEN_G2_ARTIFACTS = {
     ("cells", "cells_summary.json"):
         "27f8e7cd8d3993f606cb422b916ae75f63a1eb172b7dce4af4e24087176c2da7",
 }
+# g2 at n = 8 never leaves the int64 lane; configs/fig2.json at 200 replicas
+# passes 2^62, so these pin the log-z lane, under the same GOLDEN_VERSION rule
+GOLDEN_FIG2_ARTIFACTS = {
+    ("estimate-lower", "estimate_lower.csv"):
+        "0994bc0ace72a35750a1e15944810a22c0f2f9ca958102b9e6cc85d99f1e9eea",
+    ("trajectory", "trajectory.csv"):
+        "16e483d6a50565116f4e8330c99d4a32a9989100226c18a19d01a65372cc9ff2",
+    ("takeoff", "takeoff.csv"):
+        "77f70a631d911697ec7f2cf0af6c39477aa58d8b0062a599e67b4e4269b63c64",
+}
 
 
 def test_pyproject_version_matches_package():
@@ -964,6 +989,16 @@ def test_golden_artifacts_g2(tmp_path, capsys, command):
         if cmd == command:
             data = (tmp_path / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("command, name", sorted(GOLDEN_FIG2_ARTIFACTS))
+def test_golden_artifacts_fig2(tmp_path, capsys, command, name):
+    assert main([command, "--config", str(CONFIG_DIR / "fig2.json"),
+                 "--replicas", "200", "--out-dir", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["normal_steps"] > 0
+    assert __version__ == GOLDEN_VERSION
+    data = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_FIG2_ARTIFACTS[command, name], name
 
 
 def test_duplicate_pmf_key_exits_2(tmp_path, capsys):

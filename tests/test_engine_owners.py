@@ -1,0 +1,89 @@
+"""Two engine rules have one owner each.
+
+The e^{cn} event bound (event_bound, event_threshold) lives in ratefn, which
+the samplers, the oracles and the cell tree already import, so the sampler
+layer (rng, simulate, rare_event) needs nothing from the exact-DP module and
+the DP module nothing from the samplers.  The replica engine's int64-lane
+limit is derived from EXACT_LIMIT only in simulate: branch and
+Populations.start take it from the laws they step, and no caller passes it.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bpre"
+SAMPLERS = ("rng.py", "simulate.py", "rare_event.py")
+
+
+def imported_modules(tree: ast.AST) -> set:
+    """bpre modules tree imports from: `from .m import x`, `from . import m`,
+    `from bpre.m import x` or `import bpre.m`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "bpre"
+                                                 or (node.module or "").startswith("bpre.")):
+            if node.module in (None, "bpre"):
+                found |= {alias.name for alias in node.names}
+            else:
+                found.add(node.module.rpartition(".")[2])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("bpre.")}
+    return found
+
+
+def named(tree: ast.AST) -> set:
+    """Every name tree defines, imports, reads or reads off a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def defined(tree: ast.AST) -> set:
+    """Functions defined at the top level of tree."""
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def modules() -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_imported_modules_reads_every_import_form():
+    tree = ast.parse("from .oracle import x\nfrom . import rng\nfrom bpre.cells import y\n"
+                     "import bpre.simulate\nfrom numpy import oracle\nimport math\n")
+    assert imported_modules(tree) == {"oracle", "rng", "cells", "simulate"}
+
+
+def test_samplers_and_the_dp_module_do_not_import_each_other():
+    trees = modules()
+    assert {name: "oracle" in imported_modules(trees[name]) for name in SAMPLERS} \
+        == dict.fromkeys(SAMPLERS, False)
+    assert imported_modules(trees["oracle.py"]) & {"simulate", "rng", "rare_event",
+                                                   "cells"} == set()
+
+
+def test_event_bound_is_defined_only_in_ratefn():
+    trees = modules()
+    assert {name: sorted(defined(tree) & {"event_bound", "event_threshold"})
+            for name, tree in trees.items()
+            if defined(tree) & {"event_bound", "event_threshold"}} \
+        == {"ratefn.py": ["event_bound", "event_threshold"]}
+    assert [name for name, tree in trees.items() if "exp_cn" in named(tree)] == []
+
+
+def test_exact_limit_is_named_only_in_simulate():
+    trees = modules()
+    assert [name for name, tree in trees.items() if "EXACT_LIMIT" in named(tree)] \
+        == ["simulate.py"]
+    params = {node.name: [arg.arg for arg in node.args.args]
+              for node in ast.walk(trees["simulate.py"]) if isinstance(node, ast.FunctionDef)}
+    assert params["branch"] == ["pop", "idx", "laws", "rngs", "k"]
+    assert params["start"] == ["cls", "z0", "laws", "size"]

@@ -22,9 +22,9 @@ from bpre import (
     population_distribution,
     walk_tail,
 )
-from bpre import oracle
+from bpre import oracle, ratefn
 from bpre.oracle import BLOCK_ROWS, COMPOSITION_BUDGET, ENTRY_BUDGET
-from bpre.simulate import EXACT_LIMIT, Populations
+from bpre.simulate import Populations
 from conftest import dense_kernel, event_threshold, g2_law, naive_sample
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -37,12 +37,12 @@ def test_event_threshold_is_the_estimators_bound(n):
     # bound's relative slack is below one individual
     for k in (1, 2, 24, 1995, 1996, 10**6 + 3, 2**40 + 1):
         c = math.log(k) / n
-        t = oracle.event_threshold(n, c)
+        t = ratefn.event_threshold(n, c)
         assert t == k or (k > 10**9 and 0 <= t - k <= 1e-9 * k + 1)
-        lanes = Populations.start(t, EXACT_LIMIT, 2)
+        lanes = Populations.start(t, g2_law().components, 2)
         lanes.z[1] += 1
-        assert lanes.hit(oracle.event_bound(n, c), "lower").tolist() == [True, False]
-    assert oracle.event_threshold(8, 0.4) == 24
+        assert lanes.hit(ratefn.event_bound(n, c), "lower").tolist() == [True, False]
+    assert ratefn.event_threshold(8, 0.4) == 24
 
 
 def test_point_mass_dynamics(dirac2):

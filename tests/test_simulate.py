@@ -337,7 +337,7 @@ def reference_block(env, n, z0, proposal, seed, block, threshold):
     """
     stream = Stream(seed, proposal.stream + block)
     limit = EXACT_LIMIT // max(d.max_offspring for d in env.components)
-    lanes = Populations.start(z0, limit, BLOCK)
+    lanes = Populations.start(z0, env.components, BLOCK)
     llr, tau, steps, paths = np.zeros(BLOCK), np.full(BLOCK, n), np.zeros(BLOCK, int), []
     for k in range(n + 1):
         if k > 0:
@@ -493,7 +493,7 @@ def test_each_law_draws_from_its_own_counter(g2):
         else:
             z, idx = np.column_stack([law0_z, law1_z]).ravel(), np.arange(200) % 2
         pop = Populations(z.astype(np.int64), np.zeros(z.size), np.zeros(z.size, dtype=bool))
-        branch(pop, idx, g2.components, [Stream(3, 0)], limit, 5)
+        branch(pop, idx, g2.components, [Stream(3, 0)], 5)
         on = idx == 1
         out[name] = pop.z[on], pop.logz[on], pop.big[on]
         assert pop.big[on].sum() == 10 and pop.big[~on].any() == (name == "log-z")
