@@ -76,66 +76,6 @@ from .cells import (
 
 __version__ = "0.13.0"
 
-__all__ = [
-    "BPREError",
-    "BudgetExceededError",
-    "COutOfRangeError",
-    "CapTooSmallError",
-    "CellTreeConfig",
-    "CellTreeResult",
-    "ConditionalTrajectoryResult",
-    "DegenerateLawError",
-    "DuplicateKeyError",
-    "InvalidArgumentError",
-    "EnvironmentLaw",
-    "EstimatorResult",
-    "ExactDistribution",
-    "IdentityReport",
-    "LowerDeviationRate",
-    "LowerTailEstimate",
-    "MassNotOneError",
-    "Method",
-    "NegativeProbError",
-    "NoEventMassError",
-    "NoHoldingPossibleError",
-    "NotStronglySupercriticalError",
-    "OffspringDistribution",
-    "OutOfHullError",
-    "RatePoint",
-    "SideMismatchError",
-    "SimConfig",
-    "TOutOfRangeError",
-    "TakeOffResult",
-    "TooManyComponentsError",
-    "TrajectoryProfile",
-    "VersionMismatchError",
-    "WeightsNotOneError",
-    "ZeroEstimateError",
-    "ZeroMeanComponentError",
-    "build_environment",
-    "build_offspring",
-    "chernoff_bound",
-    "conditional_profile",
-    "conditional_trajectory",
-    "empirical_rate",
-    "environment_from_dict",
-    "environment_to_dict",
-    "estimate_lower_tail",
-    "estimate_upper_tail",
-    "expected_count_identity",
-    "final_states",
-    "limit_profile",
-    "log_mgf",
-    "lower_deviation_rate",
-    "population_distribution",
-    "rate_curve",
-    "replica_stream",
-    "simulate_cell_tree",
-    "take_off_statistics",
-    "tilt",
-    "tilt_parameter",
-    "tilt_toward",
-    "two_env_walk_rate",
-    "walk_rate",
-    "walk_tail",
-]
+# the public names imported above; the submodules they bind are no exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, type(errors)))

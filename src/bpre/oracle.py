@@ -37,7 +37,7 @@ from .errors import (
     NotStronglySupercriticalError,
     TooManyComponentsError,
 )
-from .ratefn import event_threshold, walk_atoms
+from .ratefn import _check_c, event_threshold, walk_atoms
 
 COMPOSITION_BUDGET = 500_000
 ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table
@@ -297,8 +297,7 @@ def walk_tail(env: EnvironmentLaw, n: int, c: float, side: str = "lower") -> flo
         raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
     if n < 1:
         raise InvalidArgumentError(f"n={n} must be >= 1")
-    if math.isnan(c):
-        raise InvalidArgumentError("c is not a number")
+    _check_c(c)
     atoms = walk_atoms(env)
     k = len(atoms)
     n_terms = math.comb(n + k - 1, k - 1)

@@ -37,7 +37,7 @@ from .errors import (
     NotStronglySupercriticalError,
     ZeroEstimateError,
 )
-from .ratefn import (LowerDeviationRate, event_bound, limit_profile, log_mgf,
+from .ratefn import (LowerDeviationRate, _check_c, event_bound, limit_profile, log_mgf,
                      lower_deviation_rate, tilt_parameter)
 from .rng import STREAM_TILT, STREAM_TWO_PHASE
 from .simulate import Lanes, Proposal, sample
@@ -132,8 +132,7 @@ def _check_env(env: EnvironmentLaw, n: int, c: float, side: str,
         raise InvalidArgumentError(f"n={n} must be >= 1")
     if z0 < 1:
         raise InvalidArgumentError(f"initial population z0={z0} must be >= 1")
-    if math.isnan(c):
-        raise InvalidArgumentError("c is not a number")
+    _check_c(c)
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError(
             "deviation estimators need every component to give at least one offspring"
@@ -173,9 +172,9 @@ class LowerTailEstimate(NamedTuple):
 
 def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
           method: Optional[str], phase_fraction: Optional[float],
-          ldr: Optional[LowerDeviationRate]) -> Tuple[Proposal, int, Optional[float]]:
+          ldr: Optional[LowerDeviationRate]) -> Tuple[Proposal, int, float]:
     """The one planner: a side's free-run proposal, its held generations m
-    and hold fraction (None for tilt_only).
+    and hold fraction (0.0 for tilt_only, where no caller reads it).
 
     method defaults to two_phase below and tilt_only above.  tilt_only
     steers every generation toward c.  two_phase holds the first
@@ -198,25 +197,22 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
         raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "two_phase" and side == "upper":
         raise InvalidArgumentError("the upper side has no two_phase proposal")
-    if method == "tilt_only":
-        if phase_fraction is not None:
-            raise InvalidArgumentError(f"phase_fraction={phase_fraction} needs two_phase")
-        m, frac = 0, None
-    elif phase_fraction is not None:
+    if method == "tilt_only" and phase_fraction is not None:
+        raise InvalidArgumentError(f"phase_fraction={phase_fraction} needs two_phase")
+    if phase_fraction is not None:
         if not 0.0 <= phase_fraction <= 1.0:
             raise InvalidArgumentError(f"phase_fraction={phase_fraction} outside [0, 1]")
-        m, frac = int(round(phase_fraction * n)), phase_fraction
-        if m > 0 and env.mean_p1 == 0.0:
-            raise NoHoldingPossibleError("no component has single-offspring mass; "
-                                         "holding impossible")
-    elif env.mean_p1 == 0.0:
-        m, frac = 0, 0.0   # nothing to hold with
+        frac = phase_fraction
+    elif method == "tilt_only" or env.mean_p1 == 0.0:
+        frac = 0.0   # no hold asked, or nothing to hold with
     elif c <= 0.0:
-        # threshold at or below the floor: the event forces holding throughout
-        m, frac = n, 1.0
+        frac = 1.0   # threshold at or below the floor: the event forces holding throughout
     else:
         frac = ldr.take_off
-        m = int(round(frac * n))
+    m = int(round(frac * n))
+    if m > 0 and env.mean_p1 == 0.0:
+        raise NoHoldingPossibleError("no component has single-offspring mass; "
+                                     "holding impossible")
     if m == n:
         proposal = tilt(env, 0.0)   # no free generations to tilt
     else:

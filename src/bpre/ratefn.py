@@ -39,12 +39,17 @@ ATOM_TOL = 1e-12
 DRIFT_TOL = 1e-12
 
 
+def _check_c(c: float) -> None:
+    """The one NaN rule for c in every rate function: NaN is InvalidArgument."""
+    if math.isnan(c):
+        raise InvalidArgumentError("c is not a number")
+
+
 def event_bound(n: int, c: float, side: str = "lower") -> float:
     """e^{cn} moved 1e-9 max(1, e^{cn}) outward, so that a population equal
     to an integer e^{cn} lands on the event side, lower or upper.  A NaN c
     is InvalidArgument; cn past the float range is BudgetExceeded."""
-    if math.isnan(c):
-        raise InvalidArgumentError("c is not a number")
+    _check_c(c)
     if not c * n <= 709.0:   # e^709 < 1.8e308, the largest float
         raise BudgetExceededError(f"threshold e^(cn) at cn={c * n:g} is past the float range")
     t = math.exp(c * n)
@@ -132,6 +137,7 @@ def tilt_parameter(env: EnvironmentLaw, c: float) -> float:
     atoms, where phi' is strictly increasing; _increasing_root gives
     |phi'(lam) - c| <= 1e-12 or raises OutOfHullError.
     """
+    _check_c(c)
     atoms = walk_atoms(env)
     if len(atoms) == 1:
         L0 = atoms[0][0]
@@ -152,6 +158,7 @@ def walk_rate(env: EnvironmentLaw, c: float) -> float:
     -log(total weight of that extreme atom group).  Outside the closed
     hull the event is impossible and the rate is +inf.
     """
+    _check_c(c)
     atoms = walk_atoms(env)
     lo_edge, hi_edge = atoms[0][0], atoms[-1][0]
     scale = max(1.0, abs(lo_edge), abs(hi_edge))
@@ -179,6 +186,7 @@ def two_env_walk_rate(L1: float, L2: float, q: float, c: float) -> float:
         raise DegenerateLawError(f"need L1 < L2, got {L1}, {L2}")
     if not 0.0 < q < 1.0:
         raise DegenerateLawError(f"weight q={q} outside (0, 1)")
+    _check_c(c)
     z = (c - L1) / (L2 - L1)
     if z < -1e-15 or z > 1.0 + 1e-15:
         raise OutOfHullError(f"drift {c} outside [{L1}, {L2}]")
@@ -217,6 +225,7 @@ def lower_deviation_rate(env: EnvironmentLaw, c: float) -> LowerDeviationRate:
     """
     if not env.strongly_supercritical:
         raise NotStronglySupercriticalError("law admits zero offspring")
+    _check_c(c)
     lbar = env.mean_log_mean
     if not 0.0 < c < lbar:
         raise COutOfRangeError(f"c={c} outside (0, {lbar})")
@@ -254,6 +263,7 @@ def chernoff_bound(env: EnvironmentLaw, n: int, c: float, side: str) -> float:
     """
     if side not in ("lower", "upper"):
         raise SideMismatchError(f"side must be 'lower' or 'upper', got {side!r}")
+    _check_c(c)
     lbar = env.mean_log_mean
     tol = 1e-12 * max(1.0, abs(lbar))
     if side == "lower" and c > lbar + tol:

@@ -6,6 +6,8 @@ layer (rng, simulate, rare_event) needs nothing from the exact-DP module and
 the DP module nothing from the samplers.  The replica engine's int64-lane
 limit is derived from EXACT_LIMIT only in simulate: branch and
 Populations.start take it from the laws they step, and no caller passes it.
+Each module imports only from the layers below it, so a module's imports
+can move into its functions without making a cycle.
 """
 
 import ast
@@ -13,6 +15,18 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bpre"
 SAMPLERS = ("rng.py", "simulate.py", "rare_event.py")
+# the bpre modules each module may import from; cli may import any, and the
+# package's __version__
+LAYERS = {
+    "errors.py": set(),
+    "rng.py": set(),
+    "envmodel.py": {"errors"},
+    "ratefn.py": {"envmodel", "errors"},
+    "simulate.py": {"envmodel", "errors", "rng"},
+    "oracle.py": {"envmodel", "errors", "ratefn"},
+    "rare_event.py": {"envmodel", "errors", "ratefn", "rng", "simulate"},
+    "cells.py": {"envmodel", "errors", "oracle", "ratefn", "rng", "simulate"},
+}
 
 
 def imported_modules(tree: ast.AST) -> set:
@@ -87,3 +101,13 @@ def test_exact_limit_is_named_only_in_simulate():
               for node in ast.walk(trees["simulate.py"]) if isinstance(node, ast.FunctionDef)}
     assert params["branch"] == ["pop", "idx", "laws", "rngs", "k"]
     assert params["start"] == ["cls", "z0", "laws", "size"]
+
+
+def test_each_module_imports_only_from_the_layers_below_it():
+    trees = modules()
+    library = {name.removesuffix(".py") for name in LAYERS}
+    assert set(trees) == set(LAYERS) | {"cli.py", "__init__.py"}
+    assert {name: sorted(imported_modules(trees[name]) - LAYERS[name]) for name in LAYERS} \
+        == dict.fromkeys(LAYERS, [])
+    assert imported_modules(trees["cli.py"]) <= library | {"__version__"}
+    assert imported_modules(trees["__init__.py"]) == library

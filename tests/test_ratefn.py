@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bpre import (
     COutOfRangeError,
     DegenerateLawError,
+    InvalidArgumentError,
     NotStronglySupercriticalError,
     OutOfHullError,
     SideMismatchError,
@@ -404,3 +405,23 @@ def test_lower_rate_bounds_property(frac):
     assert 0.0 <= r.take_off < 1.0
     assert r.rate >= 0.0
     assert c - 1e-12 <= r.slope <= env.mean_log_mean + 1e-9
+
+
+NAN_C_CALLS = {
+    "event_bound": lambda env: ratefn.event_bound(5, math.nan),
+    "tilt_parameter": lambda env: tilt_parameter(env, math.nan),
+    "walk_rate": lambda env: walk_rate(env, math.nan),
+    "two_env_walk_rate": lambda env: two_env_walk_rate(0.0, 1.0, 0.5, math.nan),
+    "lower_deviation_rate": lambda env: lower_deviation_rate(env, math.nan),
+    "chernoff_bound": lambda env: chernoff_bound(env, 5, math.nan, "lower"),
+}
+
+
+@pytest.mark.parametrize("law", ["g2", "one_atom"])
+@pytest.mark.parametrize("name", list(NAN_C_CALLS))
+def test_nan_c_is_invalid_argument(name, law):
+    # NaN compares False against every bound: it once came back as log 2 (a
+    # clamp to the hull edge), inf or 0.0, or as an OutOfHull or COutOfRange
+    env = g2_law() if law == "g2" else build_environment([(1, {2: 1})])
+    with pytest.raises(InvalidArgumentError, match="c is not a number"):
+        NAN_C_CALLS[name](env)
