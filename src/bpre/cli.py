@@ -394,6 +394,7 @@ def execute(command: str, effective: dict, out_dir: str, workers: int) -> dict:
     return {
         "run_id": f"{command}-{ctx.cfg_hash[:12]}-{int(started * 1e3)}",
         "version": __version__,
+        "numpy": np.__version__,   # its Generator streams may change between versions
         "command": command,
         "started": started,
         "finished": time.time(),
@@ -494,6 +495,10 @@ def _cmd_reproduce(ns) -> int:
                 continue
         print(f"FAIL {name}: hash {new_hash[:12]} != recorded "
               f"{recorded_hash[:12]}")
+    recorded_numpy = record.get("numpy")   # an older record has no numpy field
+    if not all_pass and recorded_numpy not in (None, np.__version__):
+        print(f"NOTE recorded with numpy {recorded_numpy}, replayed with numpy "
+              f"{np.__version__}")
     return 0 if all_pass else 3
 
 

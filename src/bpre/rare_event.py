@@ -124,10 +124,21 @@ def _event_mass(w: np.ndarray, n: int) -> float:
     return tot
 
 
-def _check_env(env: EnvironmentLaw, n: int, c: float, side: str,
-               z0: int) -> Optional[LowerDeviationRate]:
-    """Refuse a call the estimators cannot serve; else lower_deviation_rate(env,
-    c) on the lower side with c > 0, the one rate solve of the call, or None."""
+class Event(NamedTuple):
+    """One call's event from z0: Z_n <= e^{cn} on the lower side, Z_n >= e^{cn}
+    on the upper.  ldr is the call's one rate solve, lower_deviation_rate(env,
+    c) on the lower side with c > 0, and None otherwise."""
+
+    env: EnvironmentLaw
+    n: int
+    c: float
+    z0: int
+    side: str
+    ldr: Optional[LowerDeviationRate]
+
+
+def _event(env: EnvironmentLaw, n: int, c: float, side: str, z0: int) -> Event:
+    """The call's Event; a call the estimators cannot serve is refused."""
     if n < 1:
         raise InvalidArgumentError(f"n={n} must be >= 1")
     if z0 < 1:
@@ -144,7 +155,8 @@ def _check_env(env: EnvironmentLaw, n: int, c: float, side: str,
         raise COutOfRangeError(f"lower deviation needs c < {lbar:.6g}, got {c}")
     if side == "upper" and c <= lbar:
         raise COutOfRangeError(f"upper deviation needs c > {lbar:.6g}, got {c}")
-    return lower_deviation_rate(env, c) if side == "lower" and c > 0.0 else None
+    ldr = lower_deviation_rate(env, c) if side == "lower" and c > 0.0 else None
+    return Event(env, n, c, z0, side, ldr)
 
 
 def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
@@ -156,9 +168,8 @@ def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     at or beyond the top log-mean, where the estimate is honestly tiny or
     zero).
     """
-    _check_env(env, n, c, "upper", z0)
-    plan = _plan(env, n, c, z0, "upper", None, None, None)
-    return _sample_and_weigh(env, n, c, z0, "upper", plan, seed, replicas, workers)[2]
+    event = _event(env, n, c, "upper", z0)
+    return _sample_and_weigh(event, _plan(event, None, None), seed, replicas, workers)[2]
 
 
 class LowerTailEstimate(NamedTuple):
@@ -170,10 +181,9 @@ class LowerTailEstimate(NamedTuple):
     take_off: float   # hold fraction behind the TwoPhase split
 
 
-def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
-          method: Optional[str], phase_fraction: Optional[float],
-          ldr: Optional[LowerDeviationRate]) -> Tuple[Proposal, int, float]:
-    """The one planner: a side's free-run proposal, its held generations m
+def _plan(event: Event, method: Optional[str],
+          phase_fraction: Optional[float]) -> Tuple[Proposal, int, float]:
+    """The one planner: the event's free-run proposal, its held generations m
     and hold fraction (0.0 for tilt_only, where no caller reads it).
 
     method defaults to two_phase below and tilt_only above.  tilt_only
@@ -190,8 +200,9 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
     faster growth only adds variance.  An unknown method, two_phase above,
     a phase_fraction under tilt_only or outside [0, 1] raise
     InvalidArgumentError; a hold asked of a law that cannot hold raises
-    NoHoldingPossibleError.  ldr is _check_env's rate solve.
+    NoHoldingPossibleError.  ldr is the event's rate solve.
     """
+    env, n, c, _, side, ldr = event
     method = method or ("two_phase" if side == "lower" else "tilt_only")
     if method not in ("tilt_only", "two_phase"):
         raise InvalidArgumentError(f"unknown method {method!r}")
@@ -225,12 +236,11 @@ def _plan(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
     return proposal._replace(stream=STREAM_TWO_PHASE if m > 0 else STREAM_TILT), m, frac
 
 
-def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
-                      plan: tuple, seed: int, replicas: int, workers: int,
+def _sample_and_weigh(event: Event, plan: tuple, seed: int, replicas: int, workers: int,
                       threshold: Optional[int] = None, capture: bool = False
                       ) -> Tuple[Lanes, np.ndarray, EstimatorResult]:
-    """Replicas of _plan's paths, each one's weight, exp(llr) on its side of
-    e^{cn} and 0 off the event, and the estimate the weights make.
+    """Replicas of the event's plan, each one's weight, exp(llr) on the
+    event's side of e^{cn} and 0 off it, and the estimate the weights make.
 
     A plan holding m generations samples the last n - m, from z0, and adds
     the hold's exact log probability, m log E(p1^{z0}), to each llr.  A
@@ -239,7 +249,10 @@ def _sample_and_weigh(env: EnvironmentLaw, n: int, c: float, z0: int, side: str,
     no draw, starts no pool and weighs every replica 0.  threshold and
     capture go to sample.  ess is (sum w)^2 / sum w^2, 0 for an all-zero
     sample; the tilt is the free run's, None when every generation is held.
+    The bound e^{cn} is taken here, so a bound past the float range is
+    refused after the event's and the plan's own refusals.
     """
+    env, n, c, z0, side, _ = event
     proposal, m, _ = plan
     bound = event_bound(n, c, side)
     steps = 0 if side == "lower" and bound < z0 else n - m
@@ -274,12 +287,10 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     e^{cn} < z0, samples no generation: each leg is its exact zero,
     labelled, like a sampled leg and take_off, by its plan.
     """
-    ldr = _check_env(env, n, c, "lower", z0)
-    plans = (_plan(env, n, c, z0, "lower", "tilt_only", None, ldr),
-             _plan(env, n, c, z0, "lower", "two_phase", phase_fraction, ldr))
-    tilt_only, two_phase = (
-        _sample_and_weigh(env, n, c, z0, "lower", plan, seed, replicas, workers)[2]
-        for plan in plans)
+    event = _event(env, n, c, "lower", z0)
+    plans = (_plan(event, "tilt_only", None), _plan(event, "two_phase", phase_fraction))
+    tilt_only, two_phase = (_sample_and_weigh(event, plan, seed, replicas, workers)[2]
+                            for plan in plans)
     return LowerTailEstimate(tilt_only, two_phase, take_off=plans[1][2])
 
 
@@ -319,9 +330,8 @@ def rate_curve(env: EnvironmentLaw, c: float, n_list: Sequence[int],
     """
     points = []
     for n in n_list:
-        ldr = _check_env(env, n, c, side, z0)
-        plan = _plan(env, n, c, z0, side, None, None, ldr)
-        res = _sample_and_weigh(env, n, c, z0, side, plan, seed, replicas, workers)[2]
+        event = _event(env, n, c, side, z0)
+        res = _sample_and_weigh(event, _plan(event, None, None), seed, replicas, workers)[2]
         rate, rse = (math.inf, math.nan) if res.zero_mass else empirical_rate(res)
         points.append(RatePoint(rate, rse, res))
         if res.zero_mass:
@@ -365,10 +375,9 @@ def take_off_statistics(env: EnvironmentLaw, n: int, c: float,
     tau is capped at n.  Self-normalized under the chosen proposal, so the
     event conditioned on is the one its result's method names.
     """
-    ldr = _check_env(env, n, c, "lower", z0)
-    plan = _plan(env, n, c, z0, "lower", method, phase_fraction, ldr)
-    s, w, res = _sample_and_weigh(env, n, c, z0, "lower", plan, seed, replicas,
-                                  workers, pop_threshold)
+    event = _event(env, n, c, "lower", z0)
+    plan = _plan(event, method, phase_fraction)
+    s, w, res = _sample_and_weigh(event, plan, seed, replicas, workers, pop_threshold)
     tot = _event_mass(w, n)
     # a held path is above the threshold from the start or takes off after the hold
     frac = (s.tau + (res.hold_steps if z0 <= pop_threshold else 0)) / n
@@ -411,7 +420,7 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     weighted mean of each path's sup deviation from it over all n+1 steps.
     More than PATH_ENTRIES_MAX path entries raise BudgetExceededError.
     """
-    ldr = _check_env(env, n, c, side, z0)
+    event = _event(env, n, c, side, z0)
     if replicas * (n + 1) > PATH_ENTRIES_MAX:
         raise BudgetExceededError(f"{replicas} paths of {n + 1} entries exceed the "
                                   f"budget of {PATH_ENTRIES_MAX} entries")
@@ -425,14 +434,13 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
 
     def limit(t: np.ndarray) -> np.ndarray:
         """The reference curve at times t; flat at 0 for a lower c <= 0."""
-        if ldr is None:
+        if event.ldr is None:
             return c * t if side == "upper" else np.zeros(t.size)
-        return np.array([limit_profile(ldr, x) for x in t])
+        return np.array([limit_profile(event.ldr, x) for x in t])
 
     ref_at_k, reference = limit(np.arange(n + 1) / n), limit(grid_arr)
-    plan = _plan(env, n, c, z0, side, method, phase_fraction, ldr)
-    s, w, res = _sample_and_weigh(env, n, c, z0, side, plan, seed, replicas,
-                                  workers, capture=True)
+    plan = _plan(event, method, phase_fraction)
+    s, w, res = _sample_and_weigh(event, plan, seed, replicas, workers, capture=True)
     _event_mass(w, n)
     # replicas of zero weight add nothing to a weighted mean: drop them; a
     # held path sits at log z0, its free run's first entry, through the hold

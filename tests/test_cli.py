@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bpre import __version__, lower_deviation_rate, tilt_parameter, walk_rate
@@ -926,6 +927,28 @@ def test_reproduce_version_mismatch(tmp_path, capsys):
     rc = main(["reproduce", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "VersionMismatch"
+
+
+def test_reproduce_names_the_recorded_numpy_beside_a_fail(tmp_path, capsys):
+    # a record from another numpy whose replay FAILs names both versions; one
+    # without the field replays as before
+    cfg = g2_cfg(tmp_path, estimate_lower={"n": 6, "c": 0.4, "replicas": 200})
+    assert main(["estimate-lower", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "runlog.jsonl"
+    rec = json.loads(log.read_text().splitlines()[0])
+    assert rec["numpy"] == np.__version__
+    tampered = dict(rec, numpy="0.0", artifacts={"estimate_lower.csv": "0" * 64})
+    log.write_text(canonical_json(tampered) + "\n")
+    assert main(["reproduce", "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"FAIL estimate_lower.csv: hash {rec['artifacts']['estimate_lower.csv'][:12]} "
+        f"!= recorded {'0' * 12}",
+        f"NOTE recorded with numpy 0.0, replayed with numpy {np.__version__}"]
+    del rec["numpy"]
+    log.write_text(canonical_json(rec) + "\n")
+    assert main(["reproduce", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "PASS estimate_lower.csv\n"
 
 
 def test_shipped_configs_parse():

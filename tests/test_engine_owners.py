@@ -1,4 +1,4 @@
-"""Two engine rules have one owner each.
+"""Two engine rules have one owner each, and rare_event checks an event once.
 
 The e^{cn} event bound (event_bound, event_threshold) lives in ratefn, which
 the samplers, the oracles and the cell tree already import, so the sampler
@@ -7,7 +7,11 @@ the DP module nothing from the samplers.  The replica engine's int64-lane
 limit is derived from EXACT_LIMIT only in simulate: branch and
 Populations.start take it from the laws they step, and no caller passes it.
 Each module imports only from the layers below it, so a module's imports
-can move into its functions without making a cycle.
+can move into its functions without making a cycle.  In rare_event, _event
+builds the one Event record, (env, n, c, z0, side, ldr), and is the only
+caller of lower_deviation_rate; _plan and _sample_and_weigh take that record
+in place of its five loose values, and only _sample_and_weigh reads the
+event's bound.
 """
 
 import ast
@@ -66,6 +70,13 @@ def defined(tree: ast.AST) -> set:
     return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
+def callers(tree: ast.AST, callee: str) -> list:
+    """Top-level functions of tree that call callee by name."""
+    return sorted(node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                          and call.func.id == callee for call in ast.walk(node)))
+
+
 def modules() -> dict:
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
@@ -111,3 +122,26 @@ def test_each_module_imports_only_from_the_layers_below_it():
         == dict.fromkeys(LAYERS, [])
     assert imported_modules(trees["cli.py"]) <= library | {"__version__"}
     assert imported_modules(trees["__init__.py"]) == library
+
+
+def test_rare_event_checks_an_event_once():
+    tree = modules()["rare_event.py"]
+    assert callers(tree, "lower_deviation_rate") == ["_event"]
+    assert callers(tree, "event_bound") == ["_sample_and_weigh"]
+    params = {node.name: [arg.arg for arg in node.args.args]
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert params["_plan"] == ["event", "method", "phase_fraction"]
+    assert params["_sample_and_weigh"] == ["event", "plan", "seed", "replicas", "workers",
+                                           "threshold", "capture"]
+    assert "_check_env" not in params
+
+
+def test_no_caller_passes_a_side_to_the_event_readers():
+    # the side travels in the Event; a plan or a weighing never takes one
+    sides = [(name, call.func.id) for name, tree in modules().items()
+             for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name)
+             and call.func.id in ("_plan", "_sample_and_weigh")
+             for arg in call.args + [kw.value for kw in call.keywords]
+             if isinstance(arg, ast.Constant) and arg.value in ("lower", "upper")]
+    assert sides == []

@@ -250,8 +250,8 @@ def test_drift_below_the_least_log_mean_tilts_as_its_own_rate_solve(g2, fig_law)
                                         (g2, 8, 0.3, "tilt_only", None),
                                         (fig_law, 20, 0.3, "two_phase", 0.4),
                                         (fig_law, 20, 0.9, "two_phase", 0.0)):
-        ldr = lower_deviation_rate(env, c)
-        proposal, m, _ = rare_event._plan(env, n, c, 1, "lower", method, fraction, ldr)
+        proposal, m, _ = rare_event._plan(rare_event._event(env, n, c, "lower", 1),
+                                          method, fraction)
         drift = c * n / (n - m)
         assert 0.0 < drift <= env.log_mean_min
         old = tilt_toward(env, lower_deviation_rate(env, drift).slope)
@@ -696,3 +696,26 @@ def test_refusals_before_any_draw(g2, monkeypatch):
             estimate_lower_tail(g2, 8, 0.4, phase_fraction=1.5)
     with pytest.raises(InvalidArgumentError, match="replicas=0"):
         estimate_upper_tail(g2, 8, 1.05, replicas=0)
+
+
+# at n = 2000 every threshold e^{cn} below is past the float range: a call's
+# own refusals come first, and the bound is refused only by its weighing
+PAST_FLOAT_RANGE = {
+    "phase-fraction": (lambda env: estimate_lower_tail(env, 2000, 0.4, phase_fraction=1.5),
+                       InvalidArgumentError, r"outside \[0, 1\]"),
+    "method": (lambda env: take_off_statistics(env, 2000, 0.4, method="bogus"),
+               InvalidArgumentError, "unknown method"),
+    "path-budget": (lambda env: conditional_profile(env, 2000, 0.4, replicas=2**15),
+                    BudgetExceededError, "32768 paths of 2001 entries"),
+    "upper": (lambda env: estimate_upper_tail(env, 2000, 1.05),
+              BudgetExceededError, "past the float range"),
+    "lower": (lambda env: estimate_lower_tail(env, 2000, 0.4),
+              BudgetExceededError, "past the float range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_FLOAT_RANGE))
+def test_refusal_order_past_the_float_range(g2, case):
+    call, error, message = PAST_FLOAT_RANGE[case]
+    with pytest.raises(error, match=message):
+        call(g2)

@@ -379,9 +379,9 @@ def test_sample_equals_blocks_run_alone(g2, fig_law, case):
     if method == "naive":
         proposal = simulate.Proposal.naive(env)
     else:
-        ldr = rare_event._check_env(env, n, c, "lower", 1)
-        proposal, m, _ = rare_event._plan(env, n, c, 1, "lower", method,
-                                          0.3 if method == "two_phase" else None, ldr)
+        event = rare_event._event(env, n, c, "lower", 1)
+        proposal, m, _ = rare_event._plan(event, method,
+                                          0.3 if method == "two_phase" else None)
         assert (m > 0) == (method == "two_phase")
         assert proposal.stream == (STREAM_TWO_PHASE if m > 0 else STREAM_TILT)
         n -= m
