@@ -129,7 +129,7 @@ def _trees(config: CellTreeConfig, lo: int, hi: int) -> tuple:
         below = np.bincount(tree[cells.hit(lower, "lower")], minlength=trees)
         above += np.bincount(tree[cells.hit(upper, "upper")], minlength=trees)
         rows = np.flatnonzero(at == pick[tree])
-        groups.append((below, above, normal_steps, [cells.value(j) for j in rows.tolist()]))
+        groups.append((below, above, normal_steps, cells.ints(rows)))
     below, above, normal_steps, leaves = zip(*groups)
     return (np.concatenate(below), np.concatenate(above), np.concatenate(normal_steps),
             [leaf for group in leaves for leaf in group])

@@ -470,6 +470,8 @@ def _cmd_reproduce(ns) -> int:
         raise InvalidArgumentError(f"run record names no command {command!r}")
     _field(config, _section_name(command), dict)
     recorded = _field(record, "artifacts", dict)
+    for name in recorded:   # each artifact's recorded digest
+        _field(recorded, name, str)
     run_id = _field(record, "run_id", str)
     if not run_id or ".." in run_id or os.path.basename(run_id) != run_id:
         raise InvalidArgumentError(f"run record field 'run_id' {run_id!r} is not a file name")

@@ -37,7 +37,7 @@ from .errors import (
     NotStronglySupercriticalError,
     TooManyComponentsError,
 )
-from .ratefn import _check_c, event_threshold, walk_atoms
+from .ratefn import _check_c, _check_side, event_threshold, walk_atoms
 
 COMPOSITION_BUDGET = 500_000
 ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table
@@ -293,8 +293,7 @@ def walk_tail(env: EnvironmentLaw, n: int, c: float, side: str = "lower") -> flo
     Ties S = nc sit on the boundary and are included, with a 1e-9
     relative slack so float log-sums do not drop exact corners.
     """
-    if side not in ("lower", "upper"):
-        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
+    _check_side(side)
     if n < 1:
         raise InvalidArgumentError(f"n={n} must be >= 1")
     _check_c(c)
@@ -359,6 +358,8 @@ def conditional_trajectory(env: EnvironmentLaw, n: int, c: float,
             "conditional trajectory oracle needs a no-extinction law")
     if z0 < 0:
         raise InvalidArgumentError(f"initial population z0={z0} must be >= 0")
+    if n < 1:
+        raise InvalidArgumentError(f"n={n} must be >= 1")
     threshold = event_threshold(n, c)
     if threshold < z0:
         return ConditionalTrajectoryResult(0.0, threshold, None)

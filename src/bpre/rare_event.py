@@ -37,8 +37,8 @@ from .errors import (
     NotStronglySupercriticalError,
     ZeroEstimateError,
 )
-from .ratefn import (LowerDeviationRate, _check_c, event_bound, limit_profile, log_mgf,
-                     lower_deviation_rate, tilt_parameter)
+from .ratefn import (LowerDeviationRate, _check_c, _check_side, event_bound, limit_profile,
+                     log_mgf, lower_deviation_rate, tilt_parameter)
 from .rng import STREAM_TILT, STREAM_TWO_PHASE
 from .simulate import Lanes, Proposal, sample
 
@@ -148,8 +148,7 @@ def _event(env: EnvironmentLaw, n: int, c: float, side: str, z0: int) -> Event:
         raise NotStronglySupercriticalError(
             "deviation estimators need every component to give at least one offspring"
         )
-    if side not in ("lower", "upper"):
-        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
+    _check_side(side)
     lbar = env.mean_log_mean
     if side == "lower" and c >= lbar:
         raise COutOfRangeError(f"lower deviation needs c < {lbar:.6g}, got {c}")

@@ -45,11 +45,19 @@ def _check_c(c: float) -> None:
         raise InvalidArgumentError("c is not a number")
 
 
+def _check_side(side: str) -> None:
+    """The one side rule for an event: lower or upper, else InvalidArgument."""
+    if side not in ("lower", "upper"):
+        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
+
+
 def event_bound(n: int, c: float, side: str = "lower") -> float:
     """e^{cn} moved 1e-9 max(1, e^{cn}) outward, so that a population equal
     to an integer e^{cn} lands on the event side, lower or upper.  A NaN c
-    is InvalidArgument; cn past the float range is BudgetExceeded."""
+    or another side is InvalidArgument; cn past the float range is
+    BudgetExceeded."""
     _check_c(c)
+    _check_side(side)
     if not c * n <= 709.0:   # e^709 < 1.8e308, the largest float
         raise BudgetExceededError(f"threshold e^(cn) at cn={c * n:g} is past the float range")
     t = math.exp(c * n)

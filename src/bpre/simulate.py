@@ -25,23 +25,25 @@ lanes in log space.  branch, the one branching step of the replica
 engine, the cell tree and branch_step, steps each entry in place by the
 law its index names, each stream on its part of the entries.
 
-Each draw call starts at its own counter (rng.Stream), one row per lane in
-lane order, so a block draws only the lanes a run holds, with no padding:
-results are byte-identical for any worker count, and a run with more
-replicas extends one with fewer.  A lockstep pass and a
+Each draw call, branch's too, starts at its own counter (rng.Stream), one
+row per lane in lane order, so a block draws only the lanes a run holds,
+with no padding: results are byte-identical for any worker count, and a
+run with more replicas extends one with fewer.  A lockstep pass and a
 finished run share one record, Lanes, one entry per replica; sample
 joins its runs' lanes and every reader reduces them: final_states here,
 whose naive proposal carries the log-mean walk as its llr, and the
-estimators in rare_event.  A naive Monte Carlo estimate is the hit
-fraction of the naive proposal's lanes.  branch_step and draw_env_index
-serve only bench/, which times them, and run only bench/'s traced table;
-branch_step draws from where its generator stands.
+estimators in rare_event.  Populations.ints is the one integer read-out.
+A naive Monte Carlo estimate is the hit fraction of the naive proposal's
+lanes.  branch_step and draw_env_index serve only bench/, which times
+them, and run only bench/'s traced table; branch_step hands branch its
+generator as a stream that stands still.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from types import SimpleNamespace
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -190,16 +192,12 @@ class Populations:
         with np.errstate(divide="ignore"):
             return np.where(self.big, self.logz, np.log(self.z))
 
-    def ints(self, size: int) -> List[int]:
-        """Populations of the first size entries as ints, log-z entries rounded."""
-        out = self.z[:size].tolist()
-        for j in np.flatnonzero(self.big[:size]).tolist():
-            out[j] = _exp_int(float(self.logz[j]))
+    def ints(self, rows=slice(None)) -> List[int]:
+        """Populations of the entries rows selects as ints, log-z entries rounded."""
+        out, logz = self.z[rows].tolist(), self.logz[rows]
+        for j in np.flatnonzero(self.big[rows]).tolist():
+            out[j] = _exp_int(float(logz[j]))
         return out
-
-    def value(self, j: int) -> int:
-        """Population of entry j as an int, rounded in the log-z lane."""
-        return _exp_int(float(self.logz[j])) if self.big[j] else int(self.z[j])
 
     @classmethod
     def start(cls, z0: int, laws: Sequence[OffspringDistribution], size: int, **fields):
@@ -218,7 +216,7 @@ class Populations:
 
 
 def branch(pop: Populations, idx: np.ndarray, laws: Sequence[OffspringDistribution],
-           rngs: list, k: Optional[int] = None) -> None:
+           rngs: list, k: int) -> None:
     """Branch entry j of pop once by laws[idx[j]], in place, after moving
     the exact entries above EXACT_LIMIT // laws' largest offspring count
     to the log-z lane.
@@ -226,9 +224,8 @@ def branch(pop: Populations, idx: np.ndarray, laws: Sequence[OffspringDistributi
     Stream b holds the entries from b BLOCK on (_parts).  Per law i, in
     order, each stream draws one multinomial over its part's exact entries
     (call 1 + 2i), then one normal per log-z entry (call 2 + 2i); an empty
-    part draws nothing.  With k, rngs are rng.Streams set for call j of
-    generation k; without, generators drawing from where they stand.  No
-    exact population decreases under a law with p0 == 0 (asserted).
+    part draws nothing.  rngs are rng.Streams, set for call j of generation
+    k.  No exact population decreases under a law with p0 == 0 (asserted).
     """
     pop.promote(EXACT_LIMIT // max(law.max_offspring for law in laws))
     z, logz, big = pop.z, pop.logz, pop.big
@@ -237,14 +234,14 @@ def branch(pop: Populations, idx: np.ndarray, laws: Sequence[OffspringDistributi
         exact, normal = on & ~big, on & big
         zs, lz = z[exact], logz[normal]
         if zs.size:
-            out = np.concatenate([(r if k is None else r.at(k, 1 + 2 * i)).multinomial(
-                part, law.probs_arr) for r, part in _parts(zs, exact, rngs)]).dot(law.support_arr)
+            out = np.concatenate([r.at(k, 1 + 2 * i).multinomial(part, law.probs_arr)
+                                  for r, part in _parts(zs, exact, rngs)]).dot(law.support_arr)
             assert law.p0 > 0.0 or (out >= zs).all(), \
                 "population decreased under a no-extinction law"
             z[exact] = out
         if lz.size:
-            g = np.concatenate([(r if k is None else r.at(k, 2 + 2 * i)).standard_normal(
-                part.size) for r, part in _parts(lz, normal, rngs)])
+            g = np.concatenate([r.at(k, 2 + 2 * i).standard_normal(part.size)
+                                for r, part in _parts(lz, normal, rngs)])
             logz[normal] = lz + _log_step(law, lz, g)
 
 
@@ -252,7 +249,7 @@ def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -
     """Total offspring of z individuals reproducing independently via dist.
 
     One lane of branch: exact while z <= EXACT_LIMIT // dist.max_offspring,
-    the log-z step above, rounded to an int as Populations.value does.  A
+    the log-z step above, rounded to an int as Populations.ints does.  A
     one-point law needs no draw and stays exact at any z.
     """
     if z < 0:
@@ -260,8 +257,8 @@ def branch_step(z: int, dist: OffspringDistribution, rng: np.random.Generator) -
     if len(dist.support) == 1:
         return z * dist.support[0]
     lane = Populations.start(z, (dist,), 1)
-    branch(lane, np.zeros(1, dtype=np.int64), (dist,), [rng])
-    return lane.value(0)
+    branch(lane, np.zeros(1, dtype=np.int64), (dist,), [SimpleNamespace(at=lambda k, j: rng)], 0)
+    return lane.ints()[0]
 
 
 def _parts(a: np.ndarray, mask: np.ndarray, rngs: list) -> list:
@@ -296,8 +293,8 @@ class Lanes(Populations):
 
 
 def block_lanes(env: EnvironmentLaw, n: int, z0: int, proposal: Proposal,
-                seed: int, block: int, threshold: Optional[int] = None,
-                size: int = BLOCK) -> Iterator[Lanes]:
+                seed: int, block: int, threshold: Optional[int],
+                size: int) -> Iterator[Lanes]:
     """Yield the lanes of replicas block BLOCK up to block BLOCK + size
     after each generation 0..n.
 
@@ -328,8 +325,8 @@ def run(config: SimConfig, replica: int = 0) -> Trajectory:
     lane = replica % BLOCK
     z, idx, s = [], [], []
     for lanes in block_lanes(env, config.n, config.z0, Proposal.naive(env),
-                             config.seed, replica // BLOCK, size=lane + 1):
-        z.append(lanes.value(lane))
+                             config.seed, replica // BLOCK, None, lane + 1):
+        z.append(lanes.ints([lane])[0])
         s.append(float(lanes.llr[lane]))
         if lanes.idx is not None:
             idx.append(int(lanes.idx[lane]))
@@ -425,7 +422,7 @@ def final_states(config: SimConfig, threshold: Optional[int] = None,
     """
     s = sample(config.env, config.n, config.z0, Proposal.naive(config.env),
                config.seed, config.replicas, workers, threshold)
-    return FinalStates(z=s.ints(config.replicas), s=s.llr,
+    return FinalStates(z=s.ints(), s=s.llr,
                        tau=s.tau if threshold is not None else None,
                        normal_steps=int(s.normal_steps.sum()), processes=s.processes)
 

@@ -351,7 +351,7 @@ def reference_tree(config, g):
         below[j] += low
         above[j] += high
         if p == picks[j]:
-            leaves[j] = level.value(i)
+            leaves[j] = level.ints([i])[0]
     return below, above, steps, leaves
 
 

@@ -835,6 +835,10 @@ DROP = object()   # deletes the field instead of setting it
     (("command",), "bogus", "'bogus'"),
     (("command",), ["oracle"], "'command'"),
     (("artifacts",), DROP, "'artifacts'"),
+    # a digest that is not a string once reached the replay's comparison: a
+    # TypeError traceback, then exit 3 as an internal error
+    (("artifacts", "oracle.json"), 5, "'oracle.json'"),
+    (("artifacts", "oracle.json"), None, "'oracle.json'"),
     (("run_id",), 7, "'run_id'"),
     # the replay directory is named after the run id: one that is not a
     # plain file name could put it outside --out-dir
@@ -844,8 +848,8 @@ DROP = object()   # deletes the field instead of setting it
     (("run_id",), "", "'run_id'"),
     (("version",), DROP, "'version'"),
 ], ids=["n", "c", "replicas", "no-seed", "no-section", "no-config", "command",
-        "command-list", "no-artifacts", "run_id-int", "run_id-escape", "run_id-separator",
-        "run_id-dotdot", "run_id-empty", "no-version"])
+        "command-list", "no-artifacts", "digest-int", "digest-null", "run_id-int",
+        "run_id-escape", "run_id-separator", "run_id-dotdot", "run_id-empty", "no-version"])
 def test_reproduce_bad_record_setting_exits_2(tmp_path, capsys, path, bad, named):
     # a record is outside input: its fields are checked, and its config
     # skips config resolution, so its casts refuse a bad setting
@@ -864,7 +868,7 @@ def test_reproduce_bad_record_setting_exits_2(tmp_path, capsys, path, bad, named
         target[last] = bad
     log.write_text(canonical_json(rec) + "\n")
     assert main(["reproduce", "--out-dir", str(tmp_path)]) == 2
-    err = json.loads(capsys.readouterr().err)
+    err = json.loads(capsys.readouterr().err)   # one JSON line, no traceback
     assert err["kind"] == "config" and err["error"] == "InvalidArgument"
     assert named in err["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "oracle.json",

@@ -11,7 +11,11 @@ can move into its functions without making a cycle.  In rare_event, _event
 builds the one Event record, (env, n, c, z0, side, ldr), and is the only
 caller of lower_deviation_rate; _plan and _sample_and_weigh take that record
 in place of its five loose values, and only _sample_and_weigh reads the
-event's bound.
+event's bound.  ratefn._check_side is the one side rule of event_bound,
+_event and walk_tail.  branch draws only from positioned streams: its k has
+no default and every call passes all five arguments, so the bench-only
+branch_step hands in its generator as a stream that stands still; the
+integer read-out of Populations is ints alone, with no value.
 """
 
 import ast
@@ -134,6 +138,31 @@ def test_rare_event_checks_an_event_once():
     assert params["_sample_and_weigh"] == ["event", "plan", "seed", "replicas", "workers",
                                            "threshold", "capture"]
     assert "_check_env" not in params
+
+
+def test_one_side_rule():
+    # Populations.hit keeps its own check: simulate sits below ratefn
+    trees = modules()
+    assert {name: callers(trees[name], "_check_side")
+            for name in ("ratefn.py", "rare_event.py", "oracle.py")} \
+        == {"ratefn.py": ["event_bound"], "rare_event.py": ["_event"],
+            "oracle.py": ["walk_tail"]}
+
+
+def test_branch_draws_only_from_positioned_streams():
+    trees = modules()
+    top = {node.name: node for node in trees["simulate.py"].body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    params = top["branch"].args
+    assert params.args[-1].arg == "k" and params.defaults == []
+    calls = [(name, call.lineno, len(call.args) + len(call.keywords))
+             for name, tree in trees.items() for call in ast.walk(tree)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+             and call.func.id == "branch"]
+    assert sorted(name for name, _, _ in calls) == ["cells.py", "simulate.py", "simulate.py"]
+    assert [call for call in calls if call[2] != 5] == []
+    assert "value" not in {node.name for node in top["Populations"].body
+                           if isinstance(node, ast.FunctionDef)}
 
 
 def test_no_caller_passes_a_side_to_the_event_readers():

@@ -154,6 +154,14 @@ def test_negative_start_rejected_and_extinct_start_allowed(g2):
     assert np.all(res.profile == 0.0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_conditional_trajectory_refuses_a_horizon_below_one(g2, n):
+    # n = 0 once returned profile [nan] after a divide warning, and n = -1
+    # probability 0.0
+    with pytest.raises(InvalidArgumentError, match=f"n={n} must be >= 1"):
+        conditional_trajectory(g2, n, 0.4)
+
+
 def test_population_budget(g2):
     # raised before the pmf is allocated
     with pytest.raises(BudgetExceededError):

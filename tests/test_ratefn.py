@@ -417,6 +417,14 @@ NAN_C_CALLS = {
 }
 
 
+@pytest.mark.parametrize("side", ["middle", "Lower", None])
+def test_event_bound_refuses_a_side_other_than_lower_or_upper(side):
+    # any side but "lower" once got the upper bound: event_bound(5, 0.4,
+    # "middle") was e^2 less its slack
+    with pytest.raises(InvalidArgumentError, match="side must be 'lower' or 'upper'"):
+        ratefn.event_bound(5, 0.4, side)
+
+
 @pytest.mark.parametrize("law", ["g2", "one_atom"])
 @pytest.mark.parametrize("name", list(NAN_C_CALLS))
 def test_nan_c_is_invalid_argument(name, law):
