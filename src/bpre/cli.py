@@ -111,6 +111,15 @@ def _finite(value) -> float:
     return x
 
 
+def _seed(value) -> int:
+    """value as an int by envmodel's number rule; InvalidArgument outside
+    [0, 2^64), the seeds that key distinct streams."""
+    x = _number(value, "value", int)
+    if not 0 <= x < 1 << 64:
+        raise InvalidArgumentError(f"value is {value!r}, outside [0, 2^64)")
+    return x
+
+
 def _bool(value) -> bool:
     """value itself if it is true or false; InvalidArgument for anything else."""
     if not isinstance(value, bool):
@@ -326,7 +335,7 @@ _COMMANDS = {
 }
 
 
-_CASTS = {"seed": int, "replicas": int, **{key: spec[2] for key, spec in _SETTINGS.items()}}
+_CASTS = {"seed": _seed, "replicas": int, **{key: spec[2] for key, spec in _SETTINGS.items()}}
 
 
 def _cast(key: str, value):

@@ -45,9 +45,9 @@ from .simulate import Lanes, Proposal, sample
 HULL_CLAMP = 1e-9   # tilt targets pushed this fraction of the span inside the hull
 
 # Most log-population entries, replicas x (n + 1), one conditional_profile keeps,
-# refused before anything is allocated.  Traced peaks: 25-31 B an entry (1,074-
-# 1,077 B a replica on fig2 at n = 40, 2,024-2,036 at n = 80, 271-275 on g2 at
-# n = 8, at 5,000 and 20,000 replicas), 0.8-1.0 GB at the bound.
+# refused before anything is allocated; its grid only indexes them.  Traced peaks:
+# 20-26 B an entry (888-890 B a replica on fig2 at n = 40, 1,664-1,673 at n = 80,
+# 231-234 on g2 at n = 8, at 5,000 and 20,000 replicas), 0.7-0.9 GB at the bound.
 PATH_ENTRIES_MAX = 1 << 25
 
 
@@ -445,11 +445,7 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
     # held path sits at log z0, its free run's first entry, through the hold
     on, m = w > 0.0, res.hold_steps
     w_on, paths = w[on], np.repeat(s.paths[on], [m + 1] + [1] * (n - m), axis=1) / n
-    gmat = paths[:, grid_idx]
-    values = np.empty(grid_arr.size)
-    stderr = np.empty(grid_arr.size)
-    for j in range(grid_arr.size):
-        values[j], stderr[j] = _ratio_stats(w_on, gmat[:, j])
+    values, stderr = np.array([_ratio_stats(w_on, col) for col in paths.T])[grid_idx].T
     d_mean, d_se = _ratio_stats(w_on, np.abs(paths - ref_at_k).max(axis=1))
     return TrajectoryProfile(
         grid=grid_arr, values=values, stderr=stderr, reference=reference,

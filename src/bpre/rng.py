@@ -31,7 +31,9 @@ STREAM_CELLS = 3 << 40
 
 
 def replica_stream(seed: int, replica: int) -> np.random.Generator:
-    """Generator for one stream id, independent of every other id."""
+    """Generator for one stream id, independent of every other id.  Philox
+    keys the low 64 bits of seed and stream, so a library call's seeds that
+    agree there share a stream; the CLI refuses a seed outside [0, 2^64)."""
     key = np.array([seed & _MASK, replica & _MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -76,6 +76,10 @@ RUN_BLOCKS = 8
 # log-z columns a replica, bounded by rare_event.PATH_ENTRIES_MAX.
 REPLICAS_MAX = 1 << 23
 
+# Most workers one map may ask for, refused before any pool starts: a fork pool
+# starts all of its processes at the first submit.
+WORKERS_MAX = 64
+
 # Largest population a branch step may produce as an int64.  Above it the
 # total offspring count is a moment-matched normal draw; its distributional
 # error is O(1/sqrt(z)) < 1e-9, far below any threshold resolution there.
@@ -353,7 +357,8 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
     RUN_BLOCKS blocks and a 1 / procs share of them; procs = processes(replicas,
     workers, steps) processes run them, on a pool if more than one.  Block b
     reads its own stream, so the results, in run order, reduce the same for
-    any workers.  More than REPLICAS_MAX replicas raise BudgetExceededError.
+    any workers.  More than REPLICAS_MAX replicas or WORKERS_MAX workers raise
+    BudgetExceededError.
     """
     if replicas < 1:
         raise InvalidArgumentError(f"replicas={replicas} must be >= 1")
@@ -362,6 +367,9 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
                                   f"{REPLICAS_MAX} replicas")
     if workers < 1:
         raise InvalidArgumentError(f"workers={workers} must be >= 1")
+    if workers > WORKERS_MAX:
+        raise BudgetExceededError(f"workers={workers} exceeds the budget of "
+                                  f"{WORKERS_MAX} workers")
     procs = processes(replicas, workers, steps)
     width = min(RUN_BLOCKS, -(-replicas // (BLOCK * procs))) * BLOCK
     runs = [(lo, min(lo + width, replicas)) for lo in range(0, replicas, width)]

@@ -493,6 +493,9 @@ BAD_FLOATS = {"bool": True, "nan": math.nan, "past-float": 10**400}
 CAST_MATRIX = {f"{key}-{label}": (key, bad)
                for keys, bads in ((INT_SETTINGS, BAD_INTS), (FLOAT_SETTINGS, BAD_FLOATS))
                for key in keys for label, bad in bads.items()}
+# Philox keys the low 64 bits of a seed: 2^64 once drew seed 0's stream, and
+# -1 that of 2^64 - 1
+CAST_MATRIX.update({"seed-2^64": ("seed", 2**64), "seed-negative": ("seed", -1)})
 
 
 def bad_setting(key, bad):
@@ -532,6 +535,21 @@ def test_cast_matrix_run_record(tmp_path, capsys, oracle_record, key, bad):
     capsys.readouterr()
     assert main(["reproduce", "--out-dir", str(tmp_path)]) == 2
     assert_refused(capsys, key, tmp_path, ["runlog.jsonl"])   # no replay
+
+
+@pytest.mark.parametrize("seed", [2**64, -1], ids=["2^64", "-1"])
+def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    assert main(["simulate", "--config", str(CONFIG_DIR / "g2.json"), "--replicas", "50",
+                 "--seed", str(seed), "--out-dir", str(tmp_path)]) == 2
+    assert_refused(capsys, "seed", tmp_path, [])
+
+
+def test_seed_range_ends_are_accepted(tmp_path, capsys):
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / str(seed)
+        assert main(["simulate", "--config", str(CONFIG_DIR / "g2.json"), "--replicas", "50",
+                     "--seed", str(seed), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "runlog.jsonl").read_text())["seed"] == seed
 
 
 def test_trajectory_upper_two_phase_exits_2(tmp_path, capsys):

@@ -6,6 +6,8 @@ processes, POOL_STEPS and tree_steps (the steps a cell tree costs under
 it), are named only in simulate.py and cells.py: no other module imports
 them, reads them or re-derives the count.  A record field of the same name
 (`res.processes`, a NamedTuple's `processes: int`) is no use of the rule.
+Only map_replicas names ProcessPoolExecutor, and only simulate.py names
+WORKERS_MAX, the ceiling map_replicas checks before any pool starts.
 """
 
 import ast
@@ -47,3 +49,21 @@ def test_pool_rule_is_named_only_by_its_owners():
             if name not in OWNERS and rule_names(tree)} == {}
     assert {name: callers(tree, "processes") for name, tree in trees.items()
             if callers(tree, "processes")} == {"simulate.py": ["map_replicas"]}
+
+
+def names(node: ast.AST) -> set:
+    """Every name node imports, binds or reads, bare or as an attribute."""
+    return {sub.name if isinstance(sub, ast.alias) else
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.alias, ast.Name, ast.Attribute))}
+
+
+def test_pool_and_its_ceiling_have_one_owner():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    pool = "ProcessPoolExecutor"
+    assert {name: [fn.name for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and pool in names(fn)]
+            for name, tree in trees.items() if pool in names(tree)} == {
+                "simulate.py": ["map_replicas"]}
+    assert [name for name, tree in trees.items() if "WORKERS_MAX" in names(tree)] == [
+        "simulate.py"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -622,6 +623,41 @@ def test_profile_custom_grid(g2):
     for grid in ([-0.1, 0.5], [], [0.5, math.nan]):
         with pytest.raises(ValueError):
             conditional_profile(g2, 6, 0.4, grid=grid, replicas=10)
+
+
+def test_profile_grid_reads_its_generation(g2, monkeypatch):
+    # a grid point t reads generation floor(t n): an unsorted grid that repeats
+    # a point gets the default grid's statistics bit for bit, from n + 1
+    # reductions and the sup distance's, whatever its size
+    calls = []
+    ratio_stats = rare_event._ratio_stats
+    monkeypatch.setattr(rare_event, "_ratio_stats",
+                        lambda w, g: calls.append(g.size) or ratio_stats(w, g))
+    full = conditional_profile(g2, 8, 0.4, replicas=1_500, seed=5)
+    grid = [0.9, 0.125, 0.5, 0.5, 0.0, 1.0, 0.33, 0.999]
+    prof = conditional_profile(g2, 8, 0.4, grid=grid, replicas=1_500, seed=5)
+    idx = [7, 1, 4, 4, 0, 8, 2, 7]
+    assert prof.values.tobytes() == full.values[idx].tobytes()
+    assert prof.stderr.tobytes() == full.stderr[idx].tobytes()
+    assert prof.sup_distance == full.sup_distance
+    assert len(calls) == 2 * (8 + 2)
+
+
+def test_profile_memory_does_not_grow_with_replicas_times_grid(g2):
+    # 20,001 grid points once copied every path per point, a 320x larger peak
+    # than the default grid's; now the excess is a few grid-length arrays (the
+    # grid, its indices, the reference, values and stderr) at any replicas
+    dense = np.linspace(0.0, 1.0, 20_001)
+    peaks = []
+    for grid in (None, dense):
+        conditional_profile(g2, 8, 0.4, grid=grid, replicas=2_000, seed=1)   # warm-up
+        tracemalloc.start()
+        try:
+            conditional_profile(g2, 8, 0.4, grid=grid, replicas=2_000, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * dense.nbytes
 
 
 def test_profile_path_budget(g2, monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 
@@ -16,7 +17,8 @@ from bpre import (
 from bpre import rare_event, rng, simulate
 from bpre.cells import tree_steps
 from bpre.simulate import (BLOCK, EXACT_LIMIT, POOL_STEPS, RUN_BLOCKS, Populations, branch,
-                            branch_step, draw_env_index, map_replicas, processes, run)
+                            WORKERS_MAX, branch_step, draw_env_index, map_replicas,
+                            processes, run)
 from bpre.rng import STREAM_TILT, STREAM_TWO_PHASE, Stream
 from conftest import event_threshold, exact_lower, naive_sample, recording_pool
 
@@ -311,6 +313,18 @@ def test_replica_budget(monkeypatch):
     assert map_replicas(lambda lo, hi: (lo, hi), (), 2 * BLOCK, 1, 1) == (1, [(0, 2 * BLOCK)])
     with pytest.raises(BudgetExceededError, match=f"{2 * BLOCK} replicas"):
         map_replicas(lambda lo, hi: pytest.fail("ran"), (), 2 * BLOCK + 1, 1, 1)
+
+
+def test_worker_budget(monkeypatch):
+    # refused before any pool starts: a fork pool starts all its processes at
+    # the first submit, and ten replicas once ran in process on any workers
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert map_replicas(lambda lo, hi: (lo, hi), (), 10, WORKERS_MAX, 1) == (1, [(0, 10)])
+    with pytest.raises(BudgetExceededError, match=f"workers={WORKERS_MAX + 1}"):
+        map_replicas(lambda lo, hi: pytest.fail("ran"), (), 10, WORKERS_MAX + 1, 1)
 
 
 def test_run_matches_lanes_of_every_block(fig_law):
