@@ -34,7 +34,7 @@ from .rare_event import (
     estimate_upper_tail,
     take_off_statistics,
 )
-from .simulate import SimConfig, final_states
+from .simulate import SimConfig, check_workers, final_states
 
 LOG_NAME = "runlog.jsonl"
 GRID_POINTS_MAX = 10**5   # points of one "lo:hi:step" grid; shipped grids have 7 to 13
@@ -440,8 +440,7 @@ def _first_divergence(path_a: str, path_b: str) -> Optional[Tuple[int, int]]:
 
 def _workers(ns) -> int:
     workers = ns.workers if ns.workers is not None else 1
-    if workers < 1:
-        raise InvalidArgumentError(f"--workers {workers} must be >= 1")
+    check_workers(workers)
     return workers
 
 

@@ -86,6 +86,12 @@ def _number(x, what: str, cast=float):
     return value
 
 
+def _check_side(side: str) -> None:
+    """The one side rule for an event: lower or upper, else InvalidArgument."""
+    if side not in ("lower", "upper"):
+        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
+
+
 def build_offspring(pmf: PmfLike) -> OffspringDistribution:
     """Validate and freeze a pmf given as {count: prob} or (count, prob) pairs.
 

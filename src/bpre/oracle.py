@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .envmodel import EnvironmentLaw
+from .envmodel import EnvironmentLaw, _check_side
 from .errors import (
     BudgetExceededError,
     CapTooSmallError,
@@ -37,7 +37,7 @@ from .errors import (
     NotStronglySupercriticalError,
     TooManyComponentsError,
 )
-from .ratefn import _check_c, _check_side, event_threshold, walk_atoms
+from .ratefn import _check_c, event_threshold, walk_atoms
 
 COMPOSITION_BUDGET = 500_000
 ENTRY_BUDGET = 4_000_000    # float64 entries in one dense oracle table

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .envmodel import EnvironmentLaw
+from .envmodel import EnvironmentLaw, _check_side
 from .errors import (
     BudgetExceededError,
     COutOfRangeError,
@@ -37,8 +37,8 @@ from .errors import (
     NotStronglySupercriticalError,
     ZeroEstimateError,
 )
-from .ratefn import (LowerDeviationRate, _check_c, _check_side, event_bound, limit_profile,
-                     log_mgf, lower_deviation_rate, tilt_parameter)
+from .ratefn import (_check_c, event_bound, limit_profile, log_mgf, lower_deviation_rate,
+                     tilt_parameter)
 from .rng import STREAM_TILT, STREAM_TWO_PHASE
 from .simulate import Lanes, Proposal, sample
 
@@ -126,15 +126,17 @@ def _event_mass(w: np.ndarray, n: int) -> float:
 
 class Event(NamedTuple):
     """One call's event from z0: Z_n <= e^{cn} on the lower side, Z_n >= e^{cn}
-    on the upper.  ldr is the call's one rate solve, lower_deviation_rate(env,
-    c) on the lower side with c > 0, and None otherwise."""
+    on the upper.  take_off and slope shape its limit path f_c: the call's one
+    rate solve's below with c > 0, (1.0, c) below with c <= 0 (held
+    throughout), and (0.0, c) above."""
 
     env: EnvironmentLaw
     n: int
     c: float
     z0: int
     side: str
-    ldr: Optional[LowerDeviationRate]
+    take_off: float
+    slope: float
 
 
 def _event(env: EnvironmentLaw, n: int, c: float, side: str, z0: int) -> Event:
@@ -154,8 +156,10 @@ def _event(env: EnvironmentLaw, n: int, c: float, side: str, z0: int) -> Event:
         raise COutOfRangeError(f"lower deviation needs c < {lbar:.6g}, got {c}")
     if side == "upper" and c <= lbar:
         raise COutOfRangeError(f"upper deviation needs c > {lbar:.6g}, got {c}")
-    ldr = lower_deviation_rate(env, c) if side == "lower" and c > 0.0 else None
-    return Event(env, n, c, z0, side, ldr)
+    take_off, slope = (1.0 if side == "lower" else 0.0), c
+    if side == "lower" and c > 0.0:
+        _, take_off, _, slope = lower_deviation_rate(env, c)
+    return Event(env, n, c, z0, side, take_off, slope)
 
 
 def estimate_upper_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
@@ -188,20 +192,20 @@ def _plan(event: Event, method: Optional[str],
     method defaults to two_phase below and tilt_only above.  tilt_only
     steers every generation toward c.  two_phase holds the first
     m = round(fraction * n) generations, the fraction being phase_fraction
-    or else the optimal take-off (0 for a law without single-offspring
+    or else the event's take-off (0 for a law without single-offspring
     mass), and steers the n - m free ones toward c n / (n - m), which is c
     at m = 0: TwoPhase with m = 0 is TiltOnly exactly.  Below the least
     log-mean no environment sequence has that drift; the event is carried
     by paths that hold and then grow along the limit slope y*, which does
-    not depend on c, so the run steers toward ldr.slope instead of a
+    not depend on c, so the run steers toward event.slope instead of a
     degenerate corner.  A lower drift past the typical one, L-bar, is
     capped there: past it the free event is typical, and steering toward
     faster growth only adds variance.  An unknown method, two_phase above,
     a phase_fraction under tilt_only or outside [0, 1] raise
     InvalidArgumentError; a hold asked of a law that cannot hold raises
-    NoHoldingPossibleError.  ldr is the event's rate solve.
+    NoHoldingPossibleError.
     """
-    env, n, c, _, side, ldr = event
+    env, n, c, _, side, take_off, slope = event
     method = method or ("two_phase" if side == "lower" else "tilt_only")
     if method not in ("tilt_only", "two_phase"):
         raise InvalidArgumentError(f"unknown method {method!r}")
@@ -209,16 +213,11 @@ def _plan(event: Event, method: Optional[str],
         raise InvalidArgumentError("the upper side has no two_phase proposal")
     if method == "tilt_only" and phase_fraction is not None:
         raise InvalidArgumentError(f"phase_fraction={phase_fraction} needs two_phase")
-    if phase_fraction is not None:
-        if not 0.0 <= phase_fraction <= 1.0:
-            raise InvalidArgumentError(f"phase_fraction={phase_fraction} outside [0, 1]")
-        frac = phase_fraction
-    elif method == "tilt_only" or env.mean_p1 == 0.0:
-        frac = 0.0   # no hold asked, or nothing to hold with
-    elif c <= 0.0:
-        frac = 1.0   # threshold at or below the floor: the event forces holding throughout
-    else:
-        frac = ldr.take_off
+    frac = phase_fraction
+    if frac is None:   # no hold asked, nothing to hold with, or the event's take-off
+        frac = 0.0 if method == "tilt_only" or env.mean_p1 == 0.0 else take_off
+    elif not 0.0 <= frac <= 1.0:
+        raise InvalidArgumentError(f"phase_fraction={frac} outside [0, 1]")
     m = int(round(frac * n))
     if m > 0 and env.mean_p1 == 0.0:
         raise NoHoldingPossibleError("no component has single-offspring mass; "
@@ -228,7 +227,7 @@ def _plan(event: Event, method: Optional[str],
     else:
         drift = c * n / (n - m)
         if side == "lower":
-            drift = (ldr.slope if 0.0 < drift <= env.log_mean_min
+            drift = (slope if 0.0 < drift <= env.log_mean_min
                      else min(drift, env.mean_log_mean))
         proposal = tilt_toward(env, drift)
     # m = 0 is TiltOnly exactly, on its stream; a hold gets its own, so the legs stay independent
@@ -251,7 +250,7 @@ def _sample_and_weigh(event: Event, plan: tuple, seed: int, replicas: int, worke
     The bound e^{cn} is taken here, so a bound past the float range is
     refused after the event's and the plan's own refusals.
     """
-    env, n, c, z0, side, _ = event
+    env, n, c, z0, side, _, _ = event
     proposal, m, _ = plan
     bound = event_bound(n, c, side)
     steps = 0 if side == "lower" and bound < z0 else n - m
@@ -280,16 +279,18 @@ def estimate_lower_tail(env: EnvironmentLaw, n: int, c: float, z0: int = 1,
     generations; it is the one that survives at large n, and its estimate
     is a lower bound for the full probability with the same decay rate.
     c above the typical drift is rejected; c <= 0 is allowed and collapses
-    to the pure holding event (the population cannot shrink).  A law that
-    cannot hold plans no hold, so its two_phase leg is TiltOnly's run.
+    to the pure holding event (the population cannot shrink).  A two_phase
+    plan that holds nothing (a law that cannot hold, a take-off that rounds
+    to 0, phase_fraction 0) is TiltOnly's run, sampled once for both legs.
     phase_fraction goes to the two_phase leg.  A held-zero horizon,
     e^{cn} < z0, samples no generation: each leg is its exact zero,
     labelled, like a sampled leg and take_off, by its plan.
     """
     event = _event(env, n, c, "lower", z0)
     plans = (_plan(event, "tilt_only", None), _plan(event, "two_phase", phase_fraction))
-    tilt_only, two_phase = (_sample_and_weigh(event, plan, seed, replicas, workers)[2]
-                            for plan in plans)
+    tilt_only = _sample_and_weigh(event, plans[0], seed, replicas, workers)[2]
+    two_phase = (tilt_only if plans[1][1] == 0 and plans[1][0].lam == plans[0][0].lam
+                 else _sample_and_weigh(event, plans[1], seed, replicas, workers)[2])
     return LowerTailEstimate(tilt_only, two_phase, take_off=plans[1][2])
 
 
@@ -414,30 +415,22 @@ def conditional_profile(env: EnvironmentLaw, n: int, c: float,
                         method: Optional[str] = None) -> TrajectoryProfile:
     """Self-normalized estimate of E[(1/n) log Z_{[tn]} | deviation event].
 
-    The reference curve is the flat-then-linear limit for the lower side
-    and the straight line c*t for the upper side; sup_distance is the
-    weighted mean of each path's sup deviation from it over all n+1 steps.
+    The reference curve is the event's limit path f_c, limit_profile(event,
+    t): flat then linear below, 0 for a lower c <= 0, c*t above;
+    sup_distance is the weighted mean of each path's sup deviation from it
+    over all n+1 steps.
     More than PATH_ENTRIES_MAX path entries raise BudgetExceededError.
     """
     event = _event(env, n, c, side, z0)
     if replicas * (n + 1) > PATH_ENTRIES_MAX:
         raise BudgetExceededError(f"{replicas} paths of {n + 1} entries exceed the "
                                   f"budget of {PATH_ENTRIES_MAX} entries")
-    if grid is None:
-        grid_arr = np.arange(n + 1) / n
-    else:
-        grid_arr = np.asarray(list(grid), dtype=float)
-        if grid_arr.size == 0 or not np.all((grid_arr >= 0.0) & (grid_arr <= 1.0)):
-            raise InvalidArgumentError("grid must be a nonempty subset of [0, 1]")
+    steps = np.arange(n + 1) / n
+    grid_arr = steps if grid is None else np.asarray(list(grid), dtype=float)
+    if grid_arr.size == 0 or not np.all((grid_arr >= 0.0) & (grid_arr <= 1.0)):
+        raise InvalidArgumentError("grid must be a nonempty subset of [0, 1]")
     grid_idx = np.minimum(n, np.floor(grid_arr * n + 1e-9).astype(np.int64))
-
-    def limit(t: np.ndarray) -> np.ndarray:
-        """The reference curve at times t; flat at 0 for a lower c <= 0."""
-        if event.ldr is None:
-            return c * t if side == "upper" else np.zeros(t.size)
-        return np.array([limit_profile(event.ldr, x) for x in t])
-
-    ref_at_k, reference = limit(np.arange(n + 1) / n), limit(grid_arr)
+    ref_at_k, reference = limit_profile(event, steps), limit_profile(event, grid_arr)
     plan = _plan(event, method, phase_fraction)
     s, w, res = _sample_and_weigh(event, plan, seed, replicas, workers, capture=True)
     _event_mass(w, n)

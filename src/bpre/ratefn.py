@@ -21,7 +21,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .envmodel import EnvironmentLaw
+from .envmodel import EnvironmentLaw, _check_side
 from .errors import (
     BudgetExceededError,
     COutOfRangeError,
@@ -43,12 +43,6 @@ def _check_c(c: float) -> None:
     """The one NaN rule for c in every rate function: NaN is InvalidArgument."""
     if math.isnan(c):
         raise InvalidArgumentError("c is not a number")
-
-
-def _check_side(side: str) -> None:
-    """The one side rule for an event: lower or upper, else InvalidArgument."""
-    if side not in ("lower", "upper"):
-        raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
 def event_bound(n: int, c: float, side: str = "lower") -> float:
@@ -249,17 +243,22 @@ def lower_deviation_rate(env: EnvironmentLaw, c: float) -> LowerDeviationRate:
     return LowerDeviationRate(c=c, take_off=0.0, rate=walk_rate(env, c), slope=c)
 
 
-def limit_profile(result: LowerDeviationRate, t: float) -> float:
-    """Limiting conditional growth profile: flat until take-off, then linear.
+def limit_profile(result, t):
+    """Limiting conditional growth profile f_c: flat until take-off, then linear.
 
-    Value at t of the curve that (1/n) log Z_{[tn]} concentrates on,
-    conditionally on the population staying below exp(cn).
+    Value at t, a float or an array of them, of the curve that
+    (1/n) log Z_{[tn]} concentrates on given the event; result is any record
+    with c and take_off, a LowerDeviationRate or a rare_event.Event.  Only
+    the points past take-off are computed, so take_off = 1 divides nothing.
+    A point outside [0, 1], NaN too, is TOutOfRange.
     """
-    if not 0.0 <= t <= 1.0:
-        raise TOutOfRangeError(f"t={t} outside [0, 1]")
-    if t <= result.take_off:
-        return 0.0
-    return result.c * (t - result.take_off) / (1.0 - result.take_off)
+    arr = np.asarray(t, dtype=float)
+    bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if bad.any():
+        raise TOutOfRangeError(f"t={float(arr[bad][0])} outside [0, 1]")
+    out, up = np.zeros(arr.shape), arr > result.take_off
+    out[up] = result.c * (arr[up] - result.take_off) / (1.0 - result.take_off)
+    return out if arr.ndim else float(out)
 
 
 def chernoff_bound(env: EnvironmentLaw, n: int, c: float, side: str) -> float:

@@ -48,7 +48,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .envmodel import EnvironmentLaw, OffspringDistribution
+from .envmodel import EnvironmentLaw, OffspringDistribution, _check_side
 from .errors import BudgetExceededError, InvalidArgumentError
 from .rng import STREAM_SIM, Stream
 
@@ -179,12 +179,9 @@ class Populations:
         """Entries with population <= bound (side lower) or >= bound (upper)."""
         if not -math.inf < bound < math.inf:   # also for ints past the float range
             raise InvalidArgumentError(f"event bound {bound} is not a finite number")
-        if side == "lower":
-            cmp, edge = operator.le, math.floor(bound)
-        elif side == "upper":
-            cmp, edge = operator.ge, math.ceil(bound)
-        else:
-            raise InvalidArgumentError(f"side must be 'lower' or 'upper', got {side!r}")
+        _check_side(side)
+        cmp, edge = ((operator.le, math.floor(bound)) if side == "lower"
+                     else (operator.ge, math.ceil(bound)))
         hit = cmp(self.z, max(1 - (1 << 63), min(edge, (1 << 63) - 1)))   # an int64 edge
         if self.big.any():
             log_bound = math.log(bound) if bound > 0 else -math.inf
@@ -347,6 +344,15 @@ def processes(replicas: int, workers: int, steps: int) -> int:
     return max(1, min(workers, blocks, blocks * steps // POOL_STEPS))
 
 
+def check_workers(workers: int) -> None:
+    """The one worker rule: below 1 is InvalidArgument, above WORKERS_MAX BudgetExceeded."""
+    if workers < 1:
+        raise InvalidArgumentError(f"workers={workers} must be >= 1")
+    if workers > WORKERS_MAX:
+        raise BudgetExceededError(f"workers={workers} exceeds the budget of "
+                                  f"{WORKERS_MAX} workers")
+
+
 def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
                  steps: int) -> Tuple[int, list]:
     """(procs, [worker(*args, lo, hi) for each run [lo, hi) of whole blocks]).
@@ -365,11 +371,7 @@ def map_replicas(worker: Callable, args: tuple, replicas: int, workers: int,
     if replicas > REPLICAS_MAX:
         raise BudgetExceededError(f"replicas={replicas} exceeds the budget of "
                                   f"{REPLICAS_MAX} replicas")
-    if workers < 1:
-        raise InvalidArgumentError(f"workers={workers} must be >= 1")
-    if workers > WORKERS_MAX:
-        raise BudgetExceededError(f"workers={workers} exceeds the budget of "
-                                  f"{WORKERS_MAX} workers")
+    check_workers(workers)
     procs = processes(replicas, workers, steps)
     width = min(RUN_BLOCKS, -(-replicas // (BLOCK * procs))) * BLOCK
     runs = [(lo, min(lo + width, replicas)) for lo in range(0, replicas, width)]

@@ -358,6 +358,26 @@ def test_workers_below_one_exits_2(tmp_path, capsys):
     assert [r["command"] for r in read_log(tmp_path)] == ["rate"]
 
 
+def test_worker_ceiling_holds_for_every_command(tmp_path, capsys):
+    # rate and oracle start no map, and once recorded any --workers; reproduce
+    # refuses before it replays: no artifact, no log line, no replay directory
+    cfg = str(CONFIG_DIR / "g2.json")
+    assert main(["rate", "--config", cfg, "--out-dir", str(tmp_path),
+                 "--workers", str(simulate.WORKERS_MAX)]) == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for argv in (["rate", "--config", cfg], ["oracle", "--config", cfg, "--n", "4"],
+                 ["reproduce"]):
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path),
+                            "--workers", str(simulate.WORKERS_MAX + 1)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BudgetExceeded"
+        assert f"workers={simulate.WORKERS_MAX + 1}" in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert [(r["command"], r["workers"]) for r in read_log(tmp_path)] == [
+        ("rate", simulate.WORKERS_MAX)]
+
+
 def test_cells_degenerate_z_score_is_valid_json(tmp_path, capsys):
     # every tree counts 0 small cells against 2^4 P = 0.0625: no stderr
     cfg = write_cfg(tmp_path, {"environments": [

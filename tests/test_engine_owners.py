@@ -8,11 +8,12 @@ limit is derived from EXACT_LIMIT only in simulate: branch and
 Populations.start take it from the laws they step, and no caller passes it.
 Each module imports only from the layers below it, so a module's imports
 can move into its functions without making a cycle.  In rare_event, _event
-builds the one Event record, (env, n, c, z0, side, ldr), and is the only
-caller of lower_deviation_rate; _plan and _sample_and_weigh take that record
-in place of its five loose values, and only _sample_and_weigh reads the
-event's bound.  ratefn._check_side is the one side rule of event_bound,
-_event and walk_tail.  branch draws only from positioned streams: its k has
+builds the one Event record, (env, n, c, z0, side, take_off, slope), deciding
+the limit path's take-off and free-run slope once, and is the only caller of
+lower_deviation_rate; _plan and _sample_and_weigh take that record in place
+of its five loose values, and only _sample_and_weigh reads the event's bound.
+envmodel._check_side is the one side rule of event_bound, _event, walk_tail
+and Populations.hit.  branch draws only from positioned streams: its k has
 no default and every call passes all five arguments, so the bench-only
 branch_step hands in its generator as a stream that stands still; the
 integer read-out of Populations is ints alone, with no value.
@@ -75,10 +76,14 @@ def defined(tree: ast.AST) -> set:
 
 
 def callers(tree: ast.AST, callee: str) -> list:
-    """Top-level functions of tree that call callee by name."""
-    return sorted(node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-                  and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                          and call.func.id == callee for call in ast.walk(node)))
+    """Top-level functions and methods (Class.method) of tree that call callee
+    by name."""
+    fns = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    fns += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    return sorted(name for name, fn in fns
+                  if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                         and call.func.id == callee for call in ast.walk(fn)))
 
 
 def modules() -> dict:
@@ -138,15 +143,21 @@ def test_rare_event_checks_an_event_once():
     assert params["_sample_and_weigh"] == ["event", "plan", "seed", "replicas", "workers",
                                            "threshold", "capture"]
     assert "_check_env" not in params
+    event = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Event")
+    assert [field.target.id for field in event.body if isinstance(field, ast.AnnAssign)] \
+        == ["env", "n", "c", "z0", "side", "take_off", "slope"]
 
 
 def test_one_side_rule():
-    # Populations.hit keeps its own check: simulate sits below ratefn
+    # the rule lives in envmodel, below both ratefn and simulate
     trees = modules()
+    assert [name for name, tree in trees.items() if "_check_side" in defined(tree)] \
+        == ["envmodel.py"]
     assert {name: callers(trees[name], "_check_side")
-            for name in ("ratefn.py", "rare_event.py", "oracle.py")} \
+            for name in ("ratefn.py", "rare_event.py", "oracle.py", "simulate.py")} \
         == {"ratefn.py": ["event_bound"], "rare_event.py": ["_event"],
-            "oracle.py": ["walk_tail"]}
+            "oracle.py": ["walk_tail"], "simulate.py": ["Populations.hit"]}
 
 
 def test_branch_draws_only_from_positioned_streams():

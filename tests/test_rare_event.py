@@ -329,6 +329,65 @@ def test_lower_zero_phase_reduces_to_tilt_only(g2):
             assert profile.event_estimate == leg.estimate
 
 
+def test_no_hold_plan_is_weighed_once(g2, no_hold, monkeypatch):
+    # a two_phase plan that holds nothing is TiltOnly's run, the same proposal
+    # on the same stream: the estimator samples it once; a hold samples twice
+    calls = []
+    sample = rare_event.sample
+    monkeypatch.setattr(rare_event, "sample",
+                        lambda *args: calls.append(args[1]) or sample(*args))
+    for env, n, c, fraction, runs in ((g2, 20, 0.6, None, 1), (g2, 8, 0.4, 0.0, 1),
+                                      (no_hold, 8, 0.75, None, 1), (g2, 8, 0.4, None, 2)):
+        calls.clear()
+        res = estimate_lower_tail(env, n, c, replicas=500, seed=4, phase_fraction=fraction)
+        assert len(calls) == runs
+        assert (res.two_phase.hold_steps == 0) == (runs == 1)
+        assert (res.two_phase == res.tilt_only) == (runs == 1)
+    # the reused leg is the run a second sample would make
+    event = rare_event._event(g2, 20, 0.6, "lower", 1)
+    plan = rare_event._plan(event, "two_phase", None)
+    assert plan[1] == 0
+    assert rare_event._sample_and_weigh(event, plan, 4, 500, 1)[2] == \
+        estimate_lower_tail(g2, 20, 0.6, replicas=500, seed=4).two_phase
+
+
+def test_event_take_off_and_slope(g2, fig_law):
+    # the event's limit path f_c: the rate solve's take-off and slope below
+    # with c > 0, held throughout at slope c below with c <= 0, c t above
+    for env, c in ((g2, 0.4), (g2, 0.05), (g2, 0.6), (fig_law, 1.1)):
+        r = lower_deviation_rate(env, c)
+        event = rare_event._event(env, 8, c, "lower", 1)
+        assert (event.take_off, event.slope) == (r.take_off, r.slope)
+    for c in (0.0, -0.5):
+        assert rare_event._event(g2, 8, c, "lower", 1)[5:] == (1.0, c)
+    assert rare_event._event(g2, 8, 1.05, "upper", 1)[5:] == (0.0, 1.05)
+
+
+def test_profile_reference_is_the_event_limit_path(g2):
+    # bit for bit: c t above, 0 for a lower c <= 0, f_c for a lower c > 0
+    r = lower_deviation_rate(g2, 0.4)
+    for grid in (None, [0.0, r.take_off, 0.5, 0.9, 1.0]):
+        upper = conditional_profile(g2, 8, 1.05, grid=grid, side="upper", replicas=300)
+        assert upper.reference.tobytes() == (1.05 * upper.grid).tobytes()
+        floor = conditional_profile(g2, 8, 0.0, grid=grid, replicas=300)
+        assert floor.reference.tobytes() == np.zeros(floor.grid.size).tobytes()
+        lower = conditional_profile(g2, 8, 0.4, grid=grid, replicas=300)
+        assert lower.reference.tobytes() == limit_profile(r, lower.grid).tobytes()
+
+
+def test_profile_reads_the_limit_path_twice(g2, monkeypatch):
+    # one call for the n + 1 generations, one for the grid, whatever its size
+    calls = []
+    limit = rare_event.limit_profile
+    monkeypatch.setattr(rare_event, "limit_profile",
+                        lambda event, t: calls.append(np.size(t)) or limit(event, t))
+    for grid in (None, [0.5], np.linspace(0.0, 1.0, 1001)):
+        calls.clear()
+        conditional_profile(g2, 8, 0.4, grid=grid, replicas=300)
+        assert len(calls) == 2
+    assert calls == [9, 1001]
+
+
 def test_lower_two_phase_with_larger_start(g2):
     # c low enough that the planned holding phase is nonempty at n = 6
     n, c, z0 = 6, 0.3, 2

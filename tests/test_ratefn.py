@@ -22,7 +22,7 @@ from bpre import (
     two_env_walk_rate,
     walk_rate,
 )
-from bpre import ratefn
+from bpre import rare_event, ratefn
 from conftest import g2_law, reference_lower_rate, two_mean_law
 
 
@@ -343,6 +343,27 @@ def test_limit_profile_domain(fig_law):
         limit_profile(r, 1.01)
     with pytest.raises(TOutOfRangeError):   # NaN once returned nan
         limit_profile(r, math.nan)
+    for bad in ([0.5, math.nan], [0.0, -0.01], [1.01, 0.5]):   # an array: any point
+        with pytest.raises(TOutOfRangeError):
+            limit_profile(r, np.array(bad))
+
+
+def test_limit_profile_over_an_array_is_the_scalar_call(g2, fig_law):
+    # point by point, bit for bit, and bit for bit the flat-then-linear
+    # formula in Python floats; a float in gives a float out.  The event of
+    # a lower c <= 0 holds throughout, take_off 1: it is 0 everywhere and
+    # divides by nothing (a RuntimeWarning is an error in this suite)
+    held = rare_event._event(g2, 8, 0.0, "lower", 1)
+    for r in (lower_deviation_rate(fig_law, 1.1), lower_deviation_rate(g2, 0.4),
+              lower_deviation_rate(g2, 0.05), held):
+        t = np.concatenate([np.linspace(0.0, 1.0, 1001), [r.take_off, 0.0, 1.0]])
+        scalar = [limit_profile(r, float(x)) for x in t]
+        formula = [0.0 if x <= r.take_off else r.c * (x - r.take_off) / (1.0 - r.take_off)
+                   for x in t.tolist()]
+        assert all(type(v) is float for v in scalar)
+        assert limit_profile(r, t).tobytes() == np.array(scalar).tobytes() \
+            == np.array(formula).tobytes()
+    assert not limit_profile(held, t).any()
 
 
 def test_chernoff_trivial_cases(g2):
